@@ -170,18 +170,17 @@ def cmd_recognize(args) -> int:
     norm = reg.spaces[0].config.norm_mode
     v = imgio.vectorize(_read_image(args.image), norm)
 
-    result = recog.recognize(reg, v, in_space_only=args.in_space_only)
-    threshold = reg.effective_threshold()
-    known = result.combined_score <= threshold
-    status = "Known" if known else "Unknown"
+    decision = reg.decide(v, in_space_only=args.in_space_only)
+    result = decision.result
+    status = "Known" if decision.known else "Unknown"
     print(
         f"{status}: {result.best_object} angle={result.best_view.view_angle_deg} "
         f"score={result.combined_score:.6f} in_space={result.in_space_distance:.6f} "
-        f"residual={result.residual:.6f} threshold={threshold:.6f}"
+        f"residual={result.residual:.6f} threshold={decision.threshold:.6f}"
     )
     for object_id, score in result.ranked_candidates:
         print(f"  candidate {object_id} score={score:.6f}")
-    return EXIT_OK if known else EXIT_UNKNOWN
+    return EXIT_OK if decision.known else EXIT_UNKNOWN
 
 
 def cmd_evaluate(args) -> int:

@@ -57,11 +57,17 @@ class Eigenspace:
     eigenvalues: np.ndarray  # descending, length k
     basis: np.ndarray        # shape (k, dim), orthonormal rows
     config: EigenspaceConfig
-    manifold: tuple          # of ManifoldPoint
+    coords: np.ndarray       # shape (n, k), one manifold point per row
+    labels: tuple            # of ViewLabel, one per row of coords
 
     @property
     def k(self) -> int:
         return int(self.eigenvalues.size)
+
+    @property
+    def manifold(self) -> tuple:
+        """The manifold points as ManifoldPoints, in training order."""
+        return tuple(map(ManifoldPoint, self.coords, self.labels))
 
 
 def _check_vector(es_dim: int, norm_mode: str, v: AppearanceVector):
@@ -98,11 +104,9 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
 
     eigenvalues = pca.eigenvalues[:k].copy()
     basis = pca.basis[:k].copy()
-    manifold = tuple(
-        ManifoldPoint(basis @ (v.values - pca.mean), v.source_label)
-        for v in appearances
-    )
-    return Eigenspace(object_id, d, pca.mean, eigenvalues, basis, config, manifold)
+    coords = np.array([basis @ (v.values - pca.mean) for v in appearances])
+    labels = tuple(v.source_label for v in appearances)
+    return Eigenspace(object_id, d, pca.mean, eigenvalues, basis, config, coords, labels)
 
 
 def project(es: Eigenspace, v: AppearanceVector) -> np.ndarray:
@@ -143,10 +147,10 @@ def save_model(es: Eigenspace) -> bytes:
         lines.append(f"eigenvalue {i} {_fmt(lam)}")
     for i, row in enumerate(es.basis):
         lines.append(f"basis {i} " + " ".join(_fmt(x) for x in row))
-    for p in es.manifold:
+    for label, row in zip(es.labels, es.coords):
         lines.append(
-            f"point {p.label.view_angle_deg} {1 if p.label.occluded else 0} "
-            + " ".join(_fmt(x) for x in p.coords)
+            f"point {label.view_angle_deg} {1 if label.occluded else 0} "
+            + " ".join(_fmt(x) for x in row)
         )
     lines.append("END")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -156,9 +160,12 @@ def _floats(fields, count, what) -> np.ndarray:
     if len(fields) != count:
         raise CorruptField(f"{what}: expected {count} values, got {len(fields)}")
     try:
-        return np.array([float(f) for f in fields], dtype=np.float64)
+        values = np.array([float(f) for f in fields], dtype=np.float64)
     except ValueError as exc:
         raise CorruptField(f"{what}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise CorruptField(f"{what}: non-finite value")
+    return values
 
 
 def load_model(data: bytes) -> Eigenspace:
@@ -218,23 +225,24 @@ def load_model(data: bytes) -> Eigenspace:
         basis[i] = _floats(fields[1:], dim, "basis")
         row += 1
 
-    points = []
+    coords, labels = [], []
     while row < len(lines) and lines[row] != "END":
         fields = expect(row, "point")
         if len(fields) != 2 + k:
             raise CorruptField(f"bad point line {lines[row]!r}")
-        try:
-            angle = int(fields[0])
-        except ValueError as exc:
-            raise CorruptField(str(exc)) from exc
         if fields[1] not in ("0", "1"):
             raise CorruptField(f"bad occluded flag {fields[1]!r}")
-        coords = _floats(fields[2:], k, "point")
-        points.append(
-            ManifoldPoint(coords, ViewLabel(object_id, angle, fields[1] == "1"))
-        )
+        coords.append(_floats(fields[2:], k, "point"))
+        try:
+            labels.append(ViewLabel(object_id, int(fields[0]), fields[1] == "1"))
+        except ValueError as exc:
+            raise CorruptField(f"bad point angle {fields[0]!r}: {exc}") from exc
         row += 1
     if row >= len(lines):
         raise CorruptField("truncated file: missing END")
+    if not labels:
+        raise CorruptField("model has no manifold points")
 
-    return Eigenspace(object_id, dim, mean, eigenvalues, basis, config, tuple(points))
+    return Eigenspace(
+        object_id, dim, mean, eigenvalues, basis, config, np.array(coords), tuple(labels)
+    )

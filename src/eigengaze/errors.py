@@ -39,10 +39,6 @@ class NoConvergence(EigengazeError):
         self.off_norm = off_norm
 
 
-class DegenerateInput(EigengazeError):
-    pass
-
-
 class AllZero(EigengazeError):
     pass
 
@@ -72,6 +68,10 @@ class CorruptField(EigengazeError):
 # --- registry ---
 
 class DuplicateObject(EigengazeError):
+    pass
+
+
+class InvalidObjectId(EigengazeError):
     pass
 
 

@@ -47,17 +47,13 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
 
     entries = []
     for order, es in enumerate(spaces):
-        g = project(es, v)
-        dists = [float(np.linalg.norm(g - p.coords)) for p in es.manifold]
+        dists = np.linalg.norm(es.coords - project(es, v), axis=1)
         # within one space ties go to the lowest view angle
-        best_idx = min(
-            range(len(dists)),
-            key=lambda i: (dists[i], es.manifold[i].label.view_angle_deg),
-        )
-        in_space = dists[best_idx]
+        ties = np.flatnonzero(dists == dists.min())
+        label = min((es.labels[i] for i in ties), key=lambda lb: lb.view_angle_deg)
+        in_space = float(dists[ties[0]])
         res = residual(es, v)
         score = in_space if in_space_only else math.hypot(in_space, res)
-        label = es.manifold[best_idx].label
         entries.append((score, order, label.view_angle_deg, es, in_space, res, label))
 
     entries.sort(key=lambda e: e[:3])
@@ -98,8 +94,8 @@ def dump_coordinates(es: Eigenspace, dims: int = 3):
     if dims < 1 or dims > es.k:
         raise DimsTooLarge(f"dims must be in [1, {es.k}], got {dims}")
     return [
-        (p.label.view_angle_deg, p.label.occluded, tuple(float(c) for c in p.coords[:dims]))
-        for p in es.manifold
+        (label.view_angle_deg, label.occluded, tuple(row))
+        for label, row in zip(es.labels, es.coords[:, :dims].tolist())
     ]
 
 

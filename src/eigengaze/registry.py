@@ -7,8 +7,11 @@ classification may run concurrently between mutations.
 """
 
 import os
+import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .eigenspace import (
     Eigenspace,
@@ -23,6 +26,7 @@ from .errors import (
     DuplicateObject,
     EmptyRegistryNoViews,
     InsufficientData,
+    InvalidObjectId,
 )
 from .imgio import AppearanceVector
 from . import recog
@@ -32,6 +36,14 @@ MANIFEST_MAGIC = "EIGENGAZE-REGISTRY"
 MANIFEST_VERSION = 1
 
 AUTO = "auto"
+
+# an id names its model file inside the registry directory and one manifest line
+_OBJECT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+
+def _check_object_id(object_id: str):
+    if _OBJECT_ID.fullmatch(object_id) is None:
+        raise InvalidObjectId(f"object id {object_id!r} must match {_OBJECT_ID.pattern}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,7 @@ class ObjectRegistry:
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
         """Build and enroll one object's eigenspace; existing spaces untouched."""
+        _check_object_id(object_id)
         with self._lock:
             if self.find(object_id) is not None:
                 raise DuplicateObject(f"object {object_id!r} already enrolled")
@@ -97,27 +110,29 @@ class ObjectRegistry:
         intra-space leave-self-out nearest-neighbor spread times the margin."""
         if self.policy.unknown_threshold != AUTO:
             return float(self.policy.unknown_threshold)
-        worst = None
+        spreads = []
         for es in self._spaces:
-            pts = [p.coords for p in es.manifold]
-            if len(pts) < 2:
+            if len(es.coords) < 2:
                 continue
-            for i, a in enumerate(pts):
-                nearest = min(
-                    float(((a - b) ** 2).sum()) ** 0.5
-                    for j, b in enumerate(pts)
-                    if j != i
-                )
-                if worst is None or nearest > worst:
-                    worst = nearest
-        if worst is None:
+            dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
+            np.fill_diagonal(dist, np.inf)
+            spreads.append(dist.min(axis=1).max())
+        if not spreads:
             raise InsufficientData(
                 "auto threshold needs at least one space with 2+ manifold points"
             )
-        return self.policy.auto_margin * worst
+        return self.policy.auto_margin * float(max(spreads))
 
     def next_auto_name(self) -> str:
         return f"object-{len(self._spaces) + 1}"
+
+    def decide(self, v: AppearanceVector, in_space_only: bool = False) -> Decision:
+        """Known if v's best score is within the effective threshold. The lock
+        makes the score and the threshold read the same set of spaces."""
+        with self._lock:
+            result = recog.recognize(self, v, in_space_only=in_space_only)
+            threshold = self.effective_threshold()
+            return Decision(result.combined_score <= threshold, result, threshold)
 
     def classify_or_enroll(
         self,
@@ -129,26 +144,19 @@ class ObjectRegistry:
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object."""
         with self._lock:
-            if not self._spaces:
-                if pending_views is None:
-                    raise EmptyRegistryNoViews(
-                        "empty registry and no pending views to enroll"
-                    )
-                name = self.next_auto_name()
-                cfg = config if config is not None else EigenspaceConfig()
-                self.accumulate(name, pending_views, cfg)
-                return Decision(False, None, float("inf"), enrolled_id=name)
-
-            threshold = self.effective_threshold()
-            result = recog.recognize(self, v)
-            if result.combined_score <= threshold:
-                return Decision(True, result, threshold)
-            enrolled = None
-            if pending_views is not None:
-                enrolled = self.next_auto_name()
-                cfg = config if config is not None else self._spaces[0].config
-                self.accumulate(enrolled, pending_views, cfg)
-            return Decision(False, result, threshold, enrolled_id=enrolled)
+            if self._spaces:
+                decision = self.decide(v)
+            elif pending_views is None:
+                raise EmptyRegistryNoViews("empty registry and no pending views to enroll")
+            else:
+                decision = Decision(False, None, float("inf"))
+            if decision.known or pending_views is None:
+                return decision
+            if config is None:
+                config = self._spaces[0].config if self._spaces else EigenspaceConfig()
+            name = self.next_auto_name()
+            self.accumulate(name, pending_views, config)
+            return replace(decision, enrolled_id=name)
 
     # --- directory persistence ---
 
@@ -189,6 +197,7 @@ class ObjectRegistry:
             if not line.startswith("object "):
                 raise CorruptField(f"bad manifest line {line!r}")
             object_id = line[len("object ") :]
+            _check_object_id(object_id)
             with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
                 reg._append(load_model(f.read()))
         else:

@@ -24,6 +24,17 @@ def raw_vec(values, label=eg.ViewLabel("", 0)):
     return eg.AppearanceVector(values.size, values, "raw", label)
 
 
+def _set_field(keyword, index, value):
+    """Model-text edit: set one field of the first line starting with keyword."""
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith(keyword + " "))
+        fields = lines[i].split(" ")
+        fields[index] = value
+        lines[i] = " ".join(fields)
+        return lines
+    return edit
+
+
 @pytest.fixture(scope="module")
 def synthetic_space():
     return eg.build_eigenspace(
@@ -201,3 +212,20 @@ class TestPersistence:
         lines[idx] = "eigenvalue 0 not-a-number"
         with pytest.raises(CorruptField):
             eg.load_model("\n".join(lines).encode())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set_field("mean", 1, "nan"),
+            _set_field("eigenvalue", 2, "inf"),
+            _set_field("basis", 2, "nan"),
+            _set_field("point", 3, "-inf"),
+            lambda lines: [l for l in lines if not l.startswith("point ")],
+            _set_field("point", 1, "999"),
+        ],
+        ids=["nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999"],
+    )
+    def test_rejects_what_scoring_cannot_use(self, synthetic_space, edit):
+        lines = eg.save_model(synthetic_space).decode().split("\n")
+        with pytest.raises(CorruptField):
+            eg.load_model("\n".join(edit(lines)).encode())

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import eigengaze as eg
 from eigengaze.errors import DimsTooLarge, EmptyQuerySet, EmptyRegistry
-from eigengaze.recog import report_csv, report_text
+from eigengaze.recog import RecognitionResult, report_csv, report_text
 from eigengaze.registry import ObjectRegistry
 
 from conftest import (
@@ -14,6 +15,55 @@ from conftest import (
     query_set,
     training_appearances,
 )
+
+
+def recognize_oracle(reg, v, in_space_only=False):
+    """Reference: recognize written as a loop over every manifold point."""
+    entries = []
+    for order, es in enumerate(reg.spaces):
+        g = eg.project(es, v)
+        dists = [float(np.linalg.norm(g - p.coords)) for p in es.manifold]
+        best_idx = min(
+            range(len(dists)),
+            key=lambda i: (dists[i], es.manifold[i].label.view_angle_deg),
+        )
+        in_space = dists[best_idx]
+        res = eg.residual(es, v)
+        score = in_space if in_space_only else math.hypot(in_space, res)
+        label = es.manifold[best_idx].label
+        entries.append((score, order, label.view_angle_deg, es, in_space, res, label))
+    entries.sort(key=lambda e: e[:3])
+    score, _, _, es, in_space, res, label = entries[0]
+    ranked = tuple((e[3].object_id, e[0]) for e in entries)
+    return RecognitionResult(es.object_id, label, in_space, res, score, ranked)
+
+
+def assert_matches_oracle(reg, v, in_space_only):
+    got = eg.recognize(reg, v, in_space_only=in_space_only)
+    want = recognize_oracle(reg, v, in_space_only=in_space_only)
+    assert got.best_object == want.best_object
+    assert got.best_view == want.best_view
+    assert [o for o, _ in got.ranked_candidates] == [o for o, _ in want.ranked_candidates]
+    for (_, a), (_, b) in zip(got.ranked_candidates, want.ranked_candidates):
+        assert a == pytest.approx(b, abs=1e-12)
+    assert got.in_space_distance == pytest.approx(want.in_space_distance, abs=1e-12)
+    assert got.residual == pytest.approx(want.residual, abs=1e-12)
+
+
+def oracle_queries():
+    """Held-out views, freshly occluded views at seeded spots, and views of
+    an object that was never enrolled."""
+    queries = [v for v, _ in query_set()]
+    rng = np.random.default_rng(41)
+    for _ in range(24):
+        obj = OBJECTS[int(rng.integers(len(OBJECTS)))]
+        img = eg.synth_view(obj, int(rng.integers(0, 100)), 32, 1)
+        x0, y0 = (int(c) for c in rng.integers(0, 20, size=2))
+        img = eg.apply_occlusion(img, eg.OcclusionSpec(x0, y0, 12, 12, 0))
+        queries.append(eg.vectorize(img, "unit"))
+    for angle in range(0, 100, 15):
+        queries.append(eg.vectorize(eg.synth_view("widget", angle, 32, 1), "unit"))
+    return queries
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +153,40 @@ class TestRecognize:
             b = eg.recognize(scaled, v3)
             assert a.best_object == b.best_object
             assert b.combined_score == pytest.approx(3.0 * a.combined_score, rel=1e-6)
+
+
+class TestRecognizeOracle:
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_array_scoring_matches_point_loop(self, four_object_registry, in_space_only):
+        for v in oracle_queries():
+            assert_matches_oracle(four_object_registry, v, in_space_only)
+
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_tied_views_resolve_to_lower_angle(self, in_space_only):
+        # the view at 50 degrees is enrolled twice, first labelled 70
+        apps = training_appearances("A")
+        twin = next(a for a in apps if a.source_label.view_angle_deg == 50)
+        apps.insert(0, eg.AppearanceVector(
+            twin.dim, twin.values, twin.norm_mode, eg.ViewLabel("A", 70)
+        ))
+        reg = ObjectRegistry()
+        reg.accumulate("A", apps, eg.EigenspaceConfig())
+        for angle in (50, 52):
+            v = eg.vectorize(eg.synth_view("A", angle, 32, 1), "unit")
+            assert eg.recognize(reg, v, in_space_only).best_view.view_angle_deg == 50
+            assert_matches_oracle(reg, v, in_space_only)
+
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_tied_spaces_resolve_to_earlier_acquisition(self, in_space_only):
+        reg = ObjectRegistry()
+        for name in ("zeta", "alpha"):
+            reg.accumulate(name, training_appearances("A"), eg.EigenspaceConfig())
+        v = query_set(objects=["A"])[3][0]
+        result = eg.recognize(reg, v, in_space_only)
+        assert result.best_object == "zeta"
+        assert [o for o, _ in result.ranked_candidates] == ["zeta", "alpha"]
+        assert result.ranked_candidates[0][1] == result.ranked_candidates[1][1]
+        assert_matches_oracle(reg, v, in_space_only)
 
 
 class TestEvaluate:

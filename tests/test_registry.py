@@ -6,10 +6,11 @@ from eigengaze.errors import (
     DuplicateObject,
     EmptyRegistryNoViews,
     InsufficientData,
+    InvalidObjectId,
 )
 from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
 
-from conftest import build_registry, training_appearances
+from conftest import build_registry, query_set, training_appearances
 
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
@@ -41,6 +42,17 @@ class TestAccumulate:
     def test_order_is_acquisition_order(self):
         reg = build_registry(objects=["c", "a", "b"])
         assert [es.object_id for es in reg.spaces] == ["c", "a", "b"]
+
+    @pytest.mark.parametrize("object_id", ["../escape", "a b", "a\nb", ""])
+    def test_id_that_cannot_round_trip_is_rejected(self, tmp_path, object_id):
+        reg_dir = tmp_path / "reg"
+        reg = ObjectRegistry()
+        with pytest.raises(InvalidObjectId):
+            reg.accumulate(object_id, training_appearances("A"), eg.EigenspaceConfig())
+        assert reg.spaces == ()
+        reg.save_dir(str(reg_dir))
+        assert [p.name for p in tmp_path.iterdir()] == ["reg"]
+        assert [p.name for p in reg_dir.iterdir()] == ["registry.manifest"]
 
 
 class TestEffectiveThreshold:
@@ -84,6 +96,16 @@ class TestEffectiveThreshold:
 
 
 class TestClassifyOrEnroll:
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_decide_is_recognize_against_threshold(self, four_object_registry, in_space_only):
+        reg = four_object_registry
+        for v, _ in query_set()[::4]:
+            decision = reg.decide(v, in_space_only=in_space_only)
+            assert decision.result == eg.recognize(reg, v, in_space_only=in_space_only)
+            assert decision.threshold == reg.effective_threshold()
+            assert decision.known == (decision.result.combined_score <= decision.threshold)
+            assert decision.enrolled_id is None
+
     def test_training_view_is_known(self):
         reg = build_registry()
         query = training_appearances("mobile")[2]
@@ -157,6 +179,15 @@ class TestPersistence:
         loaded = ObjectRegistry.load_dir(str(tmp_path))
         assert loaded.policy.unknown_threshold == AUTO
         assert loaded.policy.auto_margin == 1.5
+
+    def test_load_rejects_unsafe_manifest_id(self, tmp_path):
+        reg = build_registry(objects=["escape"])
+        reg.save_dir(str(tmp_path / "reg"))
+        (tmp_path / "reg" / "escape.eig").rename(tmp_path / "escape.eig")
+        manifest = tmp_path / "reg" / "registry.manifest"
+        manifest.write_text(manifest.read_text().replace("object escape", "object ../escape"))
+        with pytest.raises(InvalidObjectId):
+            ObjectRegistry.load_dir(str(tmp_path / "reg"))
 
     def test_layout(self, tmp_path):
         reg = build_registry()
