@@ -169,7 +169,8 @@ def _floats(fields, count, what) -> np.ndarray:
 
 
 def load_model(data: bytes) -> Eigenspace:
-    """Inverse of save_model; the loaded config pins k_override to the stored k."""
+    """Inverse of save_model. The file does not record k_override, so the
+    loaded config has none: k was fixed when the model was built."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -201,7 +202,6 @@ def load_model(data: bytes) -> Eigenspace:
             centered=cfg[0] == "1",
             norm_mode=cfg[1],
             energy_threshold=float(cfg[2]),
-            k_override=k,
         )
         mean = _floats(expect(5, "mean"), dim, "mean")
         if dim < 1 or k < 1:
@@ -209,21 +209,27 @@ def load_model(data: bytes) -> Eigenspace:
     except (ValueError, IndexError) as exc:
         raise CorruptField(str(exc)) from exc
 
+    # header counts size nothing up front: a bad k must fail on a missing
+    # line, not on allocating k floats
     row = 6
-    eigenvalues = np.empty(k)
+    eigenvalues = []
     for i in range(k):
         fields = expect(row, "eigenvalue")
         if len(fields) != 2 or fields[0] != str(i):
             raise CorruptField(f"bad eigenvalue line {lines[row]!r}")
-        eigenvalues[i] = _floats(fields[1:], 1, "eigenvalue")[0]
+        eigenvalues.append(_floats(fields[1:], 1, "eigenvalue")[0])
         row += 1
-    basis = np.empty((k, dim))
+    eigenvalues = np.array(eigenvalues)
+    if not (eigenvalues > 0).all() or (np.diff(eigenvalues) > 0).any():
+        raise CorruptField("eigenvalues must be positive and non-increasing")
+    basis = []
     for i in range(k):
         fields = expect(row, "basis")
         if not fields or fields[0] != str(i):
             raise CorruptField(f"bad basis line index at line {row + 1}")
-        basis[i] = _floats(fields[1:], dim, "basis")
+        basis.append(_floats(fields[1:], dim, "basis"))
         row += 1
+    basis = np.array(basis)
 
     coords, labels = [], []
     while row < len(lines) and lines[row] != "END":

@@ -179,6 +179,8 @@ def parse_pgm(data: bytes) -> RasterImage:
             samples = np.array([int(f) for f in fields], dtype=np.int64)
         except ValueError as exc:
             raise SampleCountMismatch(f"non-integer sample: {exc}") from exc
+        except OverflowError as exc:
+            raise SampleOutOfRange(f"sample outside [0, {max_value}]") from exc
     else:
         per = 1 if max_value < 256 else 2
         payload = data[offset : offset + count * per]

@@ -71,6 +71,7 @@ class ObjectRegistry:
 
     def __init__(self, policy: EnrollmentPolicy | None = None):
         self._spaces: tuple[Eigenspace, ...] = ()
+        self._spread: float | None = None  # widest manifold gap of any space
         self.policy = policy if policy is not None else EnrollmentPolicy()
         self._lock = threading.RLock()
 
@@ -93,6 +94,11 @@ class ObjectRegistry:
                 raise DimensionMismatch(
                     "all enrolled spaces must share dim and norm_mode"
                 )
+        if len(es.coords) >= 2:
+            dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
+            np.fill_diagonal(dist, np.inf)
+            spread = float(dist.min(axis=1).max())
+            self._spread = spread if self._spread is None else max(self._spread, spread)
         self._spaces = self._spaces + (es,)
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
@@ -107,24 +113,22 @@ class ObjectRegistry:
 
     def effective_threshold(self) -> float:
         """Known/unknown score cutoff: the explicit policy value, or the largest
-        intra-space leave-self-out nearest-neighbor spread times the margin."""
+        intra-space leave-self-out nearest-neighbor spread times the margin.
+        Each space's spread is computed once, when _append enrolls it."""
         if self.policy.unknown_threshold != AUTO:
             return float(self.policy.unknown_threshold)
-        spreads = []
-        for es in self._spaces:
-            if len(es.coords) < 2:
-                continue
-            dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
-            np.fill_diagonal(dist, np.inf)
-            spreads.append(dist.min(axis=1).max())
-        if not spreads:
+        if self._spread is None:
             raise InsufficientData(
                 "auto threshold needs at least one space with 2+ manifold points"
             )
-        return self.policy.auto_margin * float(max(spreads))
+        return self.policy.auto_margin * self._spread
 
     def next_auto_name(self) -> str:
-        return f"object-{len(self._spaces) + 1}"
+        """The first free object-N, counting up from the number of spaces + 1."""
+        n = len(self._spaces) + 1
+        while self.find(f"object-{n}") is not None:
+            n += 1
+        return f"object-{n}"
 
     def decide(self, v: AppearanceVector, in_space_only: bool = False) -> Decision:
         """Known if v's best score is within the effective threshold. The lock
@@ -199,7 +203,10 @@ class ObjectRegistry:
             object_id = line[len("object ") :]
             _check_object_id(object_id)
             with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
-                reg._append(load_model(f.read()))
+                es = load_model(f.read())
+            if es.object_id != object_id:
+                raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
+            reg._append(es)
         else:
             raise CorruptField("manifest missing END")
         return reg

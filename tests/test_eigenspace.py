@@ -222,8 +222,15 @@ class TestPersistence:
             _set_field("point", 3, "-inf"),
             lambda lines: [l for l in lines if not l.startswith("point ")],
             _set_field("point", 1, "999"),
+            _set_field("k", 1, "1000000000000"),
+            _set_field("eigenvalue", 2, "0"),
+            _set_field("eigenvalue", 2, "-1"),
+            _set_field("eigenvalue", 2, "1e-30"),
         ],
-        ids=["nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999"],
+        ids=[
+            "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
+            "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
+        ],
     )
     def test_rejects_what_scoring_cannot_use(self, synthetic_space, edit):
         lines = eg.save_model(synthetic_space).decode().split("\n")

@@ -1,0 +1,86 @@
+"""Fuzzed load paths: any input either loads or raises an EigengazeError."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+import eigengaze as eg
+from eigengaze.errors import EigengazeError
+
+from conftest import training_appearances
+
+# derandomized so that every run checks the same inputs
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+MODEL_LINES = eg.save_model(
+    eg.build_eigenspace("mobile", training_appearances("mobile"), eg.EigenspaceConfig())
+).decode().split("\n")
+
+TOKENS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "0", "-1", "1e-30", "nan", "inf", "1e400", "999", "1000000000000"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+
+
+def pgm_bytes():
+    header_text = st.text(alphabet="0123456789 #\n-+_", max_size=40)
+    return st.one_of(
+        st.binary(max_size=256),
+        st.tuples(st.sampled_from([b"P2", b"P5"]), st.binary(max_size=256)).map(b"".join),
+        st.tuples(st.sampled_from([b"P2 ", b"P5 "]), header_text.map(str.encode)).map(b"".join),
+    )
+
+
+def check_model(data: bytes):
+    try:
+        es = eg.load_model(data)
+    except EigengazeError:
+        return
+    assert es.basis.shape == (es.k, es.dim) and es.mean.shape == (es.dim,)
+    assert es.coords.shape == (len(es.labels), es.k) and es.labels
+    for values in (es.mean, es.eigenvalues, es.basis, es.coords):
+        assert np.isfinite(values).all()
+    assert (es.eigenvalues > 0).all() and (np.diff(es.eigenvalues) <= 0).all()
+
+
+@FUZZ
+@given(pgm_bytes())
+@example(b"P2 1 1 255 99999999999999999999")
+def test_parse_pgm_loads_or_raises(data):
+    try:
+        eg.parse_pgm(data)
+    except EigengazeError:
+        pass
+
+
+@FUZZ
+@given(
+    st.one_of(
+        st.binary(max_size=512),
+        st.text(max_size=256).map(lambda t: f"EIGENGAZE 1\n{t}".encode()),
+    )
+)
+def test_load_model_any_bytes_loads_or_raises(data):
+    check_model(data)
+
+
+@FUZZ
+@given(st.integers(0, len(MODEL_LINES) - 1), st.text(max_size=80))
+def test_load_model_with_one_line_replaced(index, line):
+    lines = list(MODEL_LINES)
+    lines[index] = line
+    check_model("\n".join(lines).encode())
+
+
+@FUZZ
+@given(st.integers(0, len(MODEL_LINES) - 1), st.integers(0, 1100), TOKENS)
+def test_load_model_with_one_field_replaced(index, field, token):
+    lines = list(MODEL_LINES)
+    fields = lines[index].split(" ")
+    fields[field % len(fields)] = token
+    lines[index] = " ".join(fields)
+    check_model("\n".join(lines).encode())

@@ -3,6 +3,7 @@ import pytest
 
 import eigengaze as eg
 from eigengaze.errors import (
+    CorruptField,
     DuplicateObject,
     EmptyRegistryNoViews,
     InsufficientData,
@@ -16,6 +17,17 @@ from conftest import build_registry, query_set, training_appearances
 def unit_vec(values, label=eg.ViewLabel("", 0)):
     values = np.asarray(values, dtype=np.float64)
     return eg.AppearanceVector(values.size, values / np.linalg.norm(values), "unit", label)
+
+
+def spread_of(spaces):
+    """Oracle for the stored spread: the widest leave-self-out nearest-neighbour
+    gap of any space, computed from scratch over all of them."""
+    spreads = []
+    for es in spaces:
+        dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
+        np.fill_diagonal(dist, np.inf)
+        spreads.append(dist.min(axis=1).max())
+    return float(max(spreads))
 
 
 class TestAccumulate:
@@ -94,6 +106,25 @@ class TestEffectiveThreshold:
         )
         assert reg.effective_threshold() == pytest.approx(2.0 * worst, rel=1e-12)
 
+    def test_auto_is_bit_identical_after_each_enrollment_and_reload(self, tmp_path):
+        reg = ObjectRegistry()
+        for obj in ["stapler", "mobile", "key-holder", "pencil-box"]:
+            reg.accumulate(obj, training_appearances(obj), eg.EigenspaceConfig())
+            assert reg.effective_threshold() == 1.5 * spread_of(reg.spaces)
+        reg.save_dir(str(tmp_path))
+        loaded = ObjectRegistry.load_dir(str(tmp_path))
+        assert loaded.effective_threshold() == reg.effective_threshold()
+
+    def test_auto_follows_policy_changes(self):
+        reg = build_registry()
+        auto = reg.effective_threshold()
+        reg.policy = EnrollmentPolicy(0.3)
+        assert reg.effective_threshold() == 0.3
+        reg.policy = EnrollmentPolicy(AUTO, auto_margin=3.0)
+        assert reg.effective_threshold() == 3.0 * spread_of(reg.spaces)
+        reg.policy = EnrollmentPolicy()
+        assert reg.effective_threshold() == auto
+
 
 class TestClassifyOrEnroll:
     @pytest.mark.parametrize("in_space_only", [False, True])
@@ -131,6 +162,25 @@ class TestClassifyOrEnroll:
         assert not decision.known
         assert decision.enrolled_id is None
         assert len(reg.spaces) == 4
+
+    def test_auto_name_skips_taken_names(self):
+        reg = build_registry(policy=EnrollmentPolicy(1e-6), objects=["object-2"])
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        decision = reg.classify_or_enroll(query, pending_views=training_appearances("widget"))
+        assert decision.enrolled_id == "object-3"
+        assert [es.object_id for es in reg.spaces] == ["object-2", "object-3"]
+
+    def test_reloaded_registry_enrolls_like_the_original(self, tmp_path):
+        reg = build_registry(policy=EnrollmentPolicy(1e-6))
+        reg.save_dir(str(tmp_path))
+        loaded = ObjectRegistry.load_dir(str(tmp_path))
+        pending = training_appearances("widget")
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        for r in (reg, loaded):
+            assert r.classify_or_enroll(query, pending_views=pending).enrolled_id == "object-5"
+        want, got = reg.find("object-5"), loaded.find("object-5")
+        assert got.k == want.k != reg.spaces[0].k
+        assert eg.save_model(got) == eg.save_model(want)
 
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
@@ -188,6 +238,14 @@ class TestPersistence:
         manifest.write_text(manifest.read_text().replace("object escape", "object ../escape"))
         with pytest.raises(InvalidObjectId):
             ObjectRegistry.load_dir(str(tmp_path / "reg"))
+
+    def test_load_rejects_model_named_differently_from_manifest(self, tmp_path):
+        reg = build_registry(objects=["mobile", "stapler"])
+        reg.save_dir(str(tmp_path))
+        model = tmp_path / "mobile.eig"
+        model.write_bytes(model.read_bytes().replace(b"object mobile\n", b"object widget\n", 1))
+        with pytest.raises(CorruptField):
+            ObjectRegistry.load_dir(str(tmp_path))
 
     def test_layout(self, tmp_path):
         reg = build_registry()
