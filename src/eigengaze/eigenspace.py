@@ -156,16 +156,21 @@ def save_model(es: Eigenspace) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _floats(fields, count, what) -> np.ndarray:
-    if len(fields) != count:
-        raise CorruptField(f"{what}: expected {count} values, got {len(fields)}")
+def _row(lines, i, keyword, lead, count):
+    """Line i as `keyword`, then `lead` label fields (returned as strings),
+    then `count` finite values (returned as one float64 array)."""
+    if i >= len(lines):
+        raise CorruptField(f"truncated file: missing {keyword!r} line")
+    fields = lines[i].split(" ")
+    if fields[0] != keyword or len(fields) != 1 + lead + count:
+        raise CorruptField(f"line {i + 1}: expected {keyword!r} and {lead + count} fields")
     try:
-        values = np.array([float(f) for f in fields], dtype=np.float64)
+        values = np.array(fields[1 + lead :], dtype=np.float64)
     except ValueError as exc:
-        raise CorruptField(f"{what}: {exc}") from exc
+        raise CorruptField(f"line {i + 1}: {exc}") from exc
     if not np.isfinite(values).all():
-        raise CorruptField(f"{what}: non-finite value")
-    return values
+        raise CorruptField(f"line {i + 1}: non-finite value")
+    return fields[1 : 1 + lead], values
 
 
 def load_model(data: bytes) -> Eigenspace:
@@ -181,70 +186,43 @@ def load_model(data: bytes) -> Eigenspace:
         raise BadMagic(f"bad magic line {lines[0]!r}")
     if header[1] != str(MODEL_VERSION):
         raise VersionMismatch(f"unsupported model version {header[1]!r}")
-
-    def expect(idx, keyword):
-        if idx >= len(lines):
-            raise CorruptField(f"truncated file: missing {keyword!r} line")
-        parts = lines[idx].split(" ")
-        if parts[0] != keyword:
-            raise CorruptField(f"expected {keyword!r} line, got {lines[idx]!r}")
-        return parts[1:]
+    keyword, _, object_id = (lines[1] if len(lines) > 1 else "").partition(" ")
+    if keyword != "object":
+        raise CorruptField("expected 'object' line 2")
 
     try:
-        expect(1, "object")
-        object_id = lines[1][len("object ") :]
-        dim = int(expect(2, "dim")[0])
-        k = int(expect(3, "k")[0])
-        cfg = expect(4, "config")
-        if len(cfg) != 3 or cfg[0] not in ("0", "1") or cfg[1] not in NORM_MODES:
-            raise CorruptField(f"bad config line {lines[4]!r}")
-        config = EigenspaceConfig(
-            centered=cfg[0] == "1",
-            norm_mode=cfg[1],
-            energy_threshold=float(cfg[2]),
-        )
-        mean = _floats(expect(5, "mean"), dim, "mean")
-        if dim < 1 or k < 1:
-            raise CorruptField("dim and k must be positive")
-    except (ValueError, IndexError) as exc:
+        dim = int(_row(lines, 2, "dim", 1, 0)[0][0])
+        k = int(_row(lines, 3, "k", 1, 0)[0][0])
+        (centered, norm_mode), tau = _row(lines, 4, "config", 2, 1)
+        config = EigenspaceConfig(centered == "1", norm_mode, float(tau[0]))
+    except ValueError as exc:
         raise CorruptField(str(exc)) from exc
+    if dim < 1 or k < 1 or centered not in ("0", "1"):
+        raise CorruptField(f"bad header: dim {dim}, k {k}, centered flag {centered!r}")
+    mean = _row(lines, 5, "mean", 0, dim)[1]
 
     # header counts size nothing up front: a bad k must fail on a missing
     # line, not on allocating k floats
-    row = 6
-    eigenvalues = []
-    for i in range(k):
-        fields = expect(row, "eigenvalue")
-        if len(fields) != 2 or fields[0] != str(i):
-            raise CorruptField(f"bad eigenvalue line {lines[row]!r}")
-        eigenvalues.append(_floats(fields[1:], 1, "eigenvalue")[0])
-        row += 1
-    eigenvalues = np.array(eigenvalues)
+    eig = [_row(lines, 6 + i, "eigenvalue", 1, 1) for i in range(k)]
+    rows = [_row(lines, 6 + k + i, "basis", 1, dim) for i in range(k)]
+    if [f[0] for f, _ in eig + rows] != [str(i) for i in range(k)] * 2:
+        raise CorruptField("eigenvalue and basis lines must be numbered 0..k-1")
+    eigenvalues = np.concatenate([v for _, v in eig])
     if not (eigenvalues > 0).all() or (np.diff(eigenvalues) > 0).any():
         raise CorruptField("eigenvalues must be positive and non-increasing")
-    basis = []
-    for i in range(k):
-        fields = expect(row, "basis")
-        if not fields or fields[0] != str(i):
-            raise CorruptField(f"bad basis line index at line {row + 1}")
-        basis.append(_floats(fields[1:], dim, "basis"))
-        row += 1
-    basis = np.array(basis)
+    basis = np.array([v for _, v in rows])
 
     coords, labels = [], []
-    while row < len(lines) and lines[row] != "END":
-        fields = expect(row, "point")
-        if len(fields) != 2 + k:
-            raise CorruptField(f"bad point line {lines[row]!r}")
-        if fields[1] not in ("0", "1"):
-            raise CorruptField(f"bad occluded flag {fields[1]!r}")
-        coords.append(_floats(fields[2:], k, "point"))
+    i = 6 + 2 * k
+    while i < len(lines) and lines[i] != "END":
+        (angle, occluded), values = _row(lines, i, "point", 2, k)
         try:
-            labels.append(ViewLabel(object_id, int(fields[0]), fields[1] == "1"))
-        except ValueError as exc:
-            raise CorruptField(f"bad point angle {fields[0]!r}: {exc}") from exc
-        row += 1
-    if row >= len(lines):
+            labels.append(ViewLabel(object_id, int(angle), {"0": False, "1": True}[occluded]))
+        except (KeyError, ValueError) as exc:
+            raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
+        coords.append(values)
+        i += 1
+    if i >= len(lines):
         raise CorruptField("truncated file: missing END")
     if not labels:
         raise CorruptField("model has no manifold points")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eigenspace import Eigenspace, project, residual
+from .eigenspace import Eigenspace, _check_vector
 from .errors import DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
 
@@ -44,15 +44,19 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
     spaces = list(reg.spaces)
     if not spaces:
         raise EmptyRegistry("no enrolled objects")
+    # the registry admits only spaces of one dim and norm mode, so one check covers all
+    _check_vector(spaces[0].dim, spaces[0].config.norm_mode, v)
 
     entries = []
     for order, es in enumerate(spaces):
-        dists = np.linalg.norm(es.coords - project(es, v), axis=1)
+        w = v.values - es.mean
+        g = es.basis @ w
+        dists = np.linalg.norm(es.coords - g, axis=1)
         # within one space ties go to the lowest view angle
         ties = np.flatnonzero(dists == dists.min())
         label = min((es.labels[i] for i in ties), key=lambda lb: lb.view_angle_deg)
         in_space = float(dists[ties[0]])
-        res = residual(es, v)
+        res = float(np.linalg.norm(w - es.basis.T @ g))
         score = in_space if in_space_only else math.hypot(in_space, res)
         entries.append((score, order, label.view_angle_deg, es, in_space, res, label))
 

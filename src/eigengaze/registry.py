@@ -6,6 +6,7 @@ serialized behind an internal lock; reads work on immutable snapshots, so
 classification may run concurrently between mutations.
 """
 
+import math
 import os
 import re
 import threading
@@ -52,10 +53,10 @@ class EnrollmentPolicy:
     auto_margin: float = 1.5
 
     def __post_init__(self):
-        if self.unknown_threshold != AUTO and not self.unknown_threshold > 0:
-            raise ValueError("explicit unknown_threshold must be positive")
-        if self.auto_margin < 1.0:
-            raise ValueError("auto_margin must be >= 1")
+        if self.unknown_threshold != AUTO and not 0 < self.unknown_threshold < math.inf:
+            raise ValueError("explicit unknown_threshold must be positive and finite")
+        if not 1.0 <= self.auto_margin < math.inf:
+            raise ValueError("auto_margin must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,9 @@ class ObjectRegistry:
             if decision.known or pending_views is None:
                 return decision
             if config is None:
-                config = self._spaces[0].config if self._spaces else EigenspaceConfig()
+                # k_override is not saved, so keeping it would enrol differently after a reload
+                first = self._spaces[0].config if self._spaces else EigenspaceConfig()
+                config = replace(first, k_override=None)
             name = self.next_auto_name()
             self.accumulate(name, pending_views, config)
             return replace(decision, enrolled_id=name)
@@ -184,8 +187,11 @@ class ObjectRegistry:
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":
         manifest_path = os.path.join(path, MANIFEST_NAME)
-        with open(manifest_path, "r") as f:
-            lines = f.read().split("\n")
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as f:
+                lines = f.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise CorruptField(f"manifest is not text: {exc}") from exc
         if not lines or lines[0] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
             raise CorruptField(f"bad manifest header in {manifest_path}")
         if len(lines) < 2 or not lines[1].startswith("policy "):
@@ -193,8 +199,11 @@ class ObjectRegistry:
         fields = lines[1].split()
         if len(fields) != 3:
             raise CorruptField(f"bad policy line {lines[1]!r}")
-        thr = AUTO if fields[1] == AUTO else float(fields[1])
-        reg = cls(EnrollmentPolicy(thr, float(fields[2])))
+        try:
+            thr = AUTO if fields[1] == AUTO else float(fields[1])
+            reg = cls(EnrollmentPolicy(thr, float(fields[2])))
+        except ValueError as exc:
+            raise CorruptField(f"bad policy line {lines[1]!r}: {exc}") from exc
         for line in lines[2:]:
             if line == "END":
                 break
@@ -202,8 +211,11 @@ class ObjectRegistry:
                 raise CorruptField(f"bad manifest line {line!r}")
             object_id = line[len("object ") :]
             _check_object_id(object_id)
-            with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
-                es = load_model(f.read())
+            try:
+                with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
+                    es = load_model(f.read())
+            except FileNotFoundError as exc:
+                raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
             if es.object_id != object_id:
                 raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
             reg._append(es)

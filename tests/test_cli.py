@@ -1,6 +1,7 @@
 import hashlib
 import os
 
+import pytest
 
 import eigengaze as eg
 from eigengaze.cli import main
@@ -113,6 +114,16 @@ class TestLearn:
         assert run("learn", "--object", "A", "--manifest", manifest,
                    "--registry", tmp_path / "reg") == 0
         assert (tmp_path / "reg" / "A.eig").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [("--margin", "nan"), ("--margin", "inf"), ("--threshold", "inf")]
+    )
+    def test_non_finite_policy_is_rejected(self, tmp_path, flags):
+        imgs = synth_dataset(tmp_path, objects=["A"])
+        code = run("learn", "--object", "A", "--registry", tmp_path / "reg",
+                   *sorted(imgs.glob("A_*.pgm")), *flags)
+        assert code == 1
+        assert not (tmp_path / "reg").exists()
 
     def test_env_var_registry(self, tmp_path, monkeypatch):
         imgs = synth_dataset(tmp_path, objects=["A"])

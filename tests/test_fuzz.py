@@ -1,5 +1,8 @@
 """Fuzzed load paths: any input either loads or raises an EigengazeError."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import eigengaze as eg
 from eigengaze.errors import EigengazeError
 
-from conftest import training_appearances
+from conftest import build_registry, training_appearances
 
 # derandomized so that every run checks the same inputs
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -17,6 +20,16 @@ FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None
 MODEL_LINES = eg.save_model(
     eg.build_eigenspace("mobile", training_appearances("mobile"), eg.EigenspaceConfig())
 ).decode().split("\n")
+
+
+def saved_registry():
+    """File name -> lines, for a saved 2-object registry."""
+    with tempfile.TemporaryDirectory() as path:
+        build_registry(objects=["mobile", "stapler"]).save_dir(path)
+        return {p.name: p.read_text(encoding="utf-8").split("\n") for p in Path(path).iterdir()}
+
+
+REGISTRY_FILES = saved_registry()
 
 TOKENS = st.one_of(
     st.text(max_size=12),
@@ -84,3 +97,21 @@ def test_load_model_with_one_field_replaced(index, field, token):
     fields[field % len(fields)] = token
     lines[index] = " ".join(fields)
     check_model("\n".join(lines).encode())
+
+
+@FUZZ
+@given(st.sampled_from(sorted(REGISTRY_FILES)), st.integers(0, 10**6), st.text(max_size=80))
+@example("registry.manifest", 1, "policy auto nan")
+@example("registry.manifest", 2, "object ghost")
+def test_load_dir_with_one_line_replaced(name, index, line):
+    with tempfile.TemporaryDirectory() as reg_dir:
+        for file_name, lines in REGISTRY_FILES.items():
+            lines = list(lines)
+            if file_name == name:
+                lines[index % len(lines)] = line
+            Path(reg_dir, file_name).write_text("\n".join(lines), encoding="utf-8")
+        try:
+            reg = eg.ObjectRegistry.load_dir(reg_dir)
+        except EigengazeError:
+            return
+        assert np.isfinite(reg.effective_threshold())

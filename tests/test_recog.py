@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
-from eigengaze.errors import DimsTooLarge, EmptyQuerySet, EmptyRegistry
+from eigengaze.errors import DimensionMismatch, DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from eigengaze.recog import RecognitionResult, report_csv, report_text
 from eigengaze.registry import ObjectRegistry
 
@@ -132,6 +132,12 @@ class TestRecognize:
         v = eg.vectorize(eg.synth_view("A", 0, 32, 1), "unit")
         with pytest.raises(EmptyRegistry):
             eg.recognize(ObjectRegistry(), v)
+
+    @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")])
+    def test_query_of_another_dim_or_norm_is_rejected(self, four_object_registry, side, norm_mode):
+        v = eg.vectorize(eg.synth_view("mobile", 20, side, 1), norm_mode)
+        with pytest.raises(DimensionMismatch):
+            eg.recognize(four_object_registry, v)
 
     def test_scale_invariant_decisions(self):
         config = eg.EigenspaceConfig(centered=False, norm_mode="raw")

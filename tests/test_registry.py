@@ -68,6 +68,15 @@ class TestAccumulate:
 
 
 class TestEffectiveThreshold:
+    @pytest.mark.parametrize(
+        "threshold, margin",
+        [(float("nan"), 1.5), (float("inf"), 1.5), (0.0, 1.5), (AUTO, float("nan")),
+         (AUTO, float("inf")), (AUTO, 0.5)],
+    )
+    def test_policy_rejects_non_finite_or_out_of_range(self, threshold, margin):
+        with pytest.raises(ValueError):
+            EnrollmentPolicy(threshold, margin)
+
     def test_explicit(self):
         reg = ObjectRegistry(EnrollmentPolicy(0.3))
         assert reg.effective_threshold() == 0.3
@@ -171,16 +180,19 @@ class TestClassifyOrEnroll:
         assert [es.object_id for es in reg.spaces] == ["object-2", "object-3"]
 
     def test_reloaded_registry_enrolls_like_the_original(self, tmp_path):
-        reg = build_registry(policy=EnrollmentPolicy(1e-6))
-        reg.save_dir(str(tmp_path))
-        loaded = ObjectRegistry.load_dir(str(tmp_path))
         pending = training_appearances("widget")
         query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
-        for r in (reg, loaded):
-            assert r.classify_or_enroll(query, pending_views=pending).enrolled_id == "object-5"
-        want, got = reg.find("object-5"), loaded.find("object-5")
-        assert got.k == want.k != reg.spaces[0].k
-        assert eg.save_model(got) == eg.save_model(want)
+        # k_override is not saved, so the new space must not inherit it either
+        for k_override in (None, 2):
+            config = eg.EigenspaceConfig(k_override=k_override)
+            reg = build_registry(config=config, policy=EnrollmentPolicy(1e-6))
+            reg.save_dir(str(tmp_path / f"k{k_override}"))
+            loaded = ObjectRegistry.load_dir(str(tmp_path / f"k{k_override}"))
+            for r in (reg, loaded):
+                assert r.classify_or_enroll(query, pending_views=pending).enrolled_id == "object-5"
+            want, got = reg.find("object-5"), loaded.find("object-5")
+            assert got.k == want.k != reg.spaces[0].k
+            assert eg.save_model(got) == eg.save_model(want)
 
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
@@ -245,6 +257,28 @@ class TestPersistence:
         model = tmp_path / "mobile.eig"
         model.write_bytes(model.read_bytes().replace(b"object mobile\n", b"object widget\n", 1))
         with pytest.raises(CorruptField):
+            ObjectRegistry.load_dir(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            (b"policy auto 1.5", b"policy abc 1.5", "policy"),
+            (b"policy auto 1.5", b"policy -1 1.5", "policy"),
+            (b"policy auto 1.5", b"policy auto 0.5", "policy"),
+            (b"policy auto 1.5", b"policy auto nan", "policy"),
+            (b"policy auto 1.5", b"policy auto inf", "policy"),
+            (b"policy auto 1.5", b"policy inf 1.5", "policy"),
+            (b"object stapler", b"object ghost", "ghost"),
+            (b"object stapler", b"object stapler\xff", "manifest"),
+        ],
+        ids=["abc", "negative", "margin-below-1", "nan-margin", "inf-margin", "inf-threshold",
+             "missing-model", "not-utf8"],
+    )
+    def test_load_rejects_bad_manifest(self, tmp_path, old, new, match):
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
+        manifest = tmp_path / "registry.manifest"
+        manifest.write_bytes(manifest.read_bytes().replace(old, new, 1))
+        with pytest.raises(CorruptField, match=match):
             ObjectRegistry.load_dir(str(tmp_path))
 
     def test_layout(self, tmp_path):
