@@ -47,6 +47,20 @@ def _check_object_id(object_id: str):
         raise InvalidObjectId(f"object id {object_id!r} must match {_OBJECT_ID.pattern}")
 
 
+def _write_atomic(target: str, data: bytes):
+    """Write data beside target, then rename it into place. The temporary file
+    stays inside the registry directory, so os.replace never crosses devices."""
+    tmp = target + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class EnrollmentPolicy:
     unknown_threshold: float | str = AUTO  # positive real, or "auto"
@@ -96,9 +110,13 @@ class ObjectRegistry:
                     "all enrolled spaces must share dim and norm_mode"
                 )
         if len(es.coords) >= 2:
-            dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
+            with np.errstate(over="ignore"):
+                dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
             np.fill_diagonal(dist, np.inf)
             spread = float(dist.min(axis=1).max())
+            if not math.isfinite(spread):
+                # an infinite spread would call every query Known
+                raise CorruptField(f"manifold of {es.object_id!r} spreads beyond float range")
             self._spread = spread if self._spread is None else max(self._spread, spread)
         self._spaces = self._spaces + (es,)
 
@@ -168,11 +186,13 @@ class ObjectRegistry:
     # --- directory persistence ---
 
     def save_dir(self, path: str):
+        """Write every model, then the manifest. Each file is written beside
+        its target and renamed into place, so a save that fails part-way
+        leaves no truncated file, and the old manifest names only old models."""
         os.makedirs(path, exist_ok=True)
         with self._lock:
             for es in self._spaces:
-                with open(os.path.join(path, f"{es.object_id}.eig"), "wb") as f:
-                    f.write(save_model(es))
+                _write_atomic(os.path.join(path, f"{es.object_id}.eig"), save_model(es))
             thr = self.policy.unknown_threshold
             thr_text = AUTO if thr == AUTO else format(float(thr), ".17g")
             manifest = [
@@ -181,8 +201,8 @@ class ObjectRegistry:
             ]
             manifest += [f"object {es.object_id}" for es in self._spaces]
             manifest.append("END")
-            with open(os.path.join(path, MANIFEST_NAME), "w", newline="\n") as f:
-                f.write("\n".join(manifest) + "\n")
+            text = "\n".join(manifest) + "\n"
+            _write_atomic(os.path.join(path, MANIFEST_NAME), text.encode("utf-8"))
 
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -236,3 +241,31 @@ class TestPersistence:
         lines = eg.save_model(synthetic_space).decode().split("\n")
         with pytest.raises(CorruptField):
             eg.load_model("\n".join(edit(lines)).encode())
+
+
+_BUILD_AND_HASH = """
+import hashlib
+import eigengaze as eg
+for obj, side in (("A", 32), ("mobile", 32), ("stapler", 64)):
+    views = [
+        eg.vectorize(eg.synth_view(obj, a, side, 1), "unit", eg.ViewLabel(obj, a))
+        for a in range(0, 360, 10)
+    ]
+    model = eg.save_model(eg.build_eigenspace(obj, views, eg.EigenspaceConfig()))
+    print(obj, side, hashlib.sha256(model).hexdigest())
+"""
+
+
+def test_model_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(eg.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BUILD_AND_HASH],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]

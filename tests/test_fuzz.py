@@ -31,6 +31,11 @@ def saved_registry():
 
 REGISTRY_FILES = saved_registry()
 
+# the first manifold point of stapler, moved to 1e200: its spread overflows
+_POINT = next(i for i, l in enumerate(REGISTRY_FILES["stapler.eig"]) if l.startswith("point "))
+_FIELDS = REGISTRY_FILES["stapler.eig"][_POINT].split(" ")
+HUGE_POINT = " ".join(_FIELDS[:3] + ["1e200"] * (len(_FIELDS) - 3))
+
 TOKENS = st.one_of(
     st.text(max_size=12),
     st.sampled_from(["", "0", "-1", "1e-30", "nan", "inf", "1e400", "999", "1000000000000"]),
@@ -103,6 +108,7 @@ def test_load_model_with_one_field_replaced(index, field, token):
 @given(st.sampled_from(sorted(REGISTRY_FILES)), st.integers(0, 10**6), st.text(max_size=80))
 @example("registry.manifest", 1, "policy auto nan")
 @example("registry.manifest", 2, "object ghost")
+@example("stapler.eig", _POINT, HUGE_POINT)
 def test_load_dir_with_one_line_replaced(name, index, line):
     with tempfile.TemporaryDirectory() as reg_dir:
         for file_name, lines in REGISTRY_FILES.items():

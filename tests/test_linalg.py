@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
+from eigengaze import linalg
 from eigengaze.errors import AllZero, NoConvergence
-from eigengaze.linalg import canonical_signs
+from eigengaze.linalg import canonical_signs, off_diagonal_norm
 
 from conftest import bisect_eigenvalues, charpoly_roots_3x3, random_symmetric
 
@@ -18,6 +19,54 @@ def direct_covariance_pca(X, centered):
     cutoff = max(1e-10, 1e-12 * max(float(decomp.values[0]), 0.0))
     keep = decomp.values > cutoff
     return decomp.values[keep], decomp.vectors[keep]
+
+
+def cold_start_pca(X, centered=True):
+    """Oracle for gram_pca: Jacobi from scratch on the Gram matrix, then the
+    same clamp and lift."""
+    mean = X.mean(axis=1) if centered else np.zeros(X.shape[0])
+    Xt = X - mean[:, None]
+    G = Xt.T @ Xt
+    decomp = eg.sym_eigen(0.5 * (G + G.T))
+    keep = decomp.values > max(1e-10, 1e-12 * max(float(decomp.values[0]), 0.0))
+    lam = decomp.values[keep]
+    lifted = (Xt @ decomp.vectors[keep].T) / np.sqrt(lam)
+    lifted /= np.linalg.norm(lifted, axis=0)
+    return lam, canonical_signs(lifted.T)
+
+
+def synthetic_views(obj, side=32, seed=1):
+    """d x 36 matrix of unit-norm views at 0..350 degrees."""
+    return np.column_stack([
+        eg.vectorize(eg.synth_view(obj, a, side, seed), "unit").values for a in range(0, 360, 10)
+    ])
+
+
+def spy_sym_eigen(monkeypatch):
+    """Record every matrix gram_pca hands to sym_eigen."""
+    seen = []
+    real = linalg.sym_eigen
+
+    def spy(Q, *args, **kwargs):
+        seen.append(np.array(Q))
+        return real(Q, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "sym_eigen", spy)
+    return seen
+
+
+def assert_matches_cold_start(got, X, centered=True):
+    lam, basis = cold_start_pca(X, centered)
+    assert got.eigenvalues.shape == lam.shape
+    if lam.size == 0:
+        return
+    # eigenvalues far below lam[0] are only carried to ~eps * lam[0] by G itself
+    assert got.eigenvalues == pytest.approx(lam, rel=1e-12, abs=1e-12 * lam[0])
+    for k in range(1, lam.size + 1):
+        if k < lam.size and lam[k - 1] - lam[k] <= 1e-6 * lam[k - 1]:
+            continue  # the leading-k subspace is ill-defined at this cut
+        want = basis[:k].T @ basis[:k]
+        assert np.max(np.abs(got.basis[:k].T @ got.basis[:k] - want)) <= 1e-9
 
 
 class TestSymEigen:
@@ -128,6 +177,46 @@ class TestGramPca:
         assert scaled.basis == pytest.approx(base.basis, abs=1e-8)
 
 
+class TestGramPcaOracle:
+    def test_random_inputs_match_cold_start_jacobi(self):
+        rng = np.random.default_rng(300)
+        for _ in range(40):
+            X = rng.standard_normal((int(rng.integers(2, 40)), int(rng.integers(1, 20))))
+            for centered in (False, True):
+                assert_matches_cold_start(eg.gram_pca(X, centered=centered), X, centered)
+
+    @pytest.mark.parametrize("obj", ["A", "B", "mobile", "stapler"])
+    def test_synthetic_objects_match_cold_start_jacobi(self, obj):
+        X = synthetic_views(obj)
+        assert_matches_cold_start(eg.gram_pca(X), X)
+
+    @pytest.mark.parametrize("obj", ["A", "mobile"])
+    def test_lapack_rotation_needs_no_jacobi_sweep(self, obj, monkeypatch):
+        seen = spy_sym_eigen(monkeypatch)
+        eg.gram_pca(synthetic_views(obj))
+        assert len(seen) == 1 and seen[0].shape == (36, 36)
+        # Jacobi's own stopping rule, met before its first sweep
+        assert off_diagonal_norm(seen[0]) <= 1e-12 * np.linalg.norm(seen[0])
+
+    @pytest.mark.parametrize("rotation", ["identity", "perturbed"])
+    def test_jacobi_finishes_a_poor_rotation(self, rotation, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def poor_eigh(G):
+            if rotation == "identity":
+                return np.diag(G).copy(), np.eye(len(G))
+            noise = random_symmetric(np.random.default_rng(4), len(G))
+            return real_eigh(G + 1e-6 * np.linalg.norm(G) * noise)
+
+        monkeypatch.setattr(np.linalg, "eigh", poor_eigh)
+        seen = spy_sym_eigen(monkeypatch)
+        X = synthetic_views("mobile")
+        got = eg.gram_pca(X)
+        # the rotated matrix misses Jacobi's tolerance, so sweeps run
+        assert off_diagonal_norm(seen[0]) > 1e-12 * np.linalg.norm(seen[0])
+        assert_matches_cold_start(got, X)
+
+
 class TestChooseK:
     def test_single_mode(self):
         assert eg.choose_k([5.0, 0.0, 0.0], 0.9) == 1
@@ -141,6 +230,33 @@ class TestChooseK:
     def test_all_zero(self):
         with pytest.raises(AllZero):
             eg.choose_k([0.0, 0.0], 0.5)
+
+    def test_cut_extends_to_end_of_degenerate_cluster(self):
+        # the energy rule alone cuts at k = 2, between the two equal eigenvalues
+        assert eg.choose_k([3.0, 2.0, 2.0, 1.0], 0.6) == 3
+        assert eg.choose_k([3.0, 2.0, 2.0 * (1 - 1e-15), 2.0 * (1 - 2e-15), 1.0], 0.6) == 4
+
+    def test_separated_eigenvalues_are_cut(self):
+        assert eg.choose_k([3.0, 2.0, 2.0 * (1 - 1e-8), 1.0], 0.6) == 2
+
+    @pytest.mark.parametrize("obj", ["A", "B"])
+    def test_synthetic_object_cut_leaves_clusters_whole(self, obj):
+        lam = eg.gram_pca(synthetic_views(obj)).eigenvalues
+        energy_k = int(np.searchsorted(np.cumsum(lam) / lam.sum(), 0.95)) + 1
+        assert lam[energy_k - 1] - lam[energy_k] < 1e-9 * lam[energy_k - 1]
+        k = eg.choose_k(lam, 0.95)
+        assert k > energy_k
+        assert lam[k - 1] - lam[k] >= 1e-9 * lam[k - 1]
+
+    def test_k_override_may_split_a_cluster(self):
+        views = [
+            eg.vectorize(eg.synth_view("A", a, 32, 1), "unit", eg.ViewLabel("A", a))
+            for a in range(0, 360, 10)
+        ]
+        lam = eg.gram_pca(synthetic_views("A")).eigenvalues
+        inside = next(k for k in range(1, lam.size) if lam[k - 1] - lam[k] < 1e-9 * lam[k - 1])
+        es = eg.build_eigenspace("A", views, eg.EigenspaceConfig(k_override=inside))
+        assert es.k == inside
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(77)

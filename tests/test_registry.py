@@ -9,6 +9,7 @@ from eigengaze.errors import (
     InsufficientData,
     InvalidObjectId,
 )
+from eigengaze import registry as registry_module
 from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
 
 from conftest import build_registry, query_set, training_appearances
@@ -280,6 +281,60 @@ class TestPersistence:
         manifest.write_bytes(manifest.read_bytes().replace(old, new, 1))
         with pytest.raises(CorruptField, match=match):
             ObjectRegistry.load_dir(str(tmp_path))
+
+    def test_load_rejects_manifold_too_wide_for_a_finite_threshold(self, tmp_path):
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
+        model = tmp_path / "stapler.eig"
+        lines = model.read_text().split("\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith("point "))
+        fields = lines[i].split(" ")
+        lines[i] = " ".join(fields[:3] + ["1e200"] * (len(fields) - 3))
+        model.write_text("\n".join(lines))
+        with pytest.raises(CorruptField, match="stapler"):
+            ObjectRegistry.load_dir(str(tmp_path))
+
+    @pytest.mark.parametrize("failing_write", [0, 2, 3], ids=["old-model", "new-model", "manifest"])
+    def test_failed_save_leaves_old_registry_loadable(self, tmp_path, monkeypatch, failing_write):
+        reg = build_registry(objects=["mobile", "stapler"])
+        reg.save_dir(str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
+
+        real_open = open
+        opened = []
+
+        class HalfWritten:
+            """A file whose write stores half its data, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            opened.append(path)
+            return HalfWritten(f) if len(opened) == failing_write + 1 else f
+
+        monkeypatch.setattr(registry_module, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            reg.save_dir(str(tmp_path))
+        monkeypatch.undo()
+
+        loaded = ObjectRegistry.load_dir(str(tmp_path))
+        assert [es.object_id for es in loaded.spaces] == ["mobile", "stapler"]
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        if failing_write == 3:  # the new model landed; the manifest does not list it
+            assert after.pop("widget.eig") == eg.save_model(reg.find("widget"))
+        assert after == before
 
     def test_layout(self, tmp_path):
         reg = build_registry()
