@@ -1,6 +1,7 @@
 """Command-line pipeline: synth, occlude, learn, recognize, evaluate, inspect.
 
-Exit codes: 0 success (or Known), 1 error, 2 Unknown appearance.
+Exit codes: 0 success (or Known), 1 error (a usage error included),
+2 Unknown appearance.
 """
 
 import argparse
@@ -300,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means Unknown
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (EigengazeError, OSError, ValueError) as exc:

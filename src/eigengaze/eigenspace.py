@@ -5,7 +5,7 @@ occluded views included alongside clean ones. The model persists to a
 line-oriented text format that round-trips bit-exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .linalg import choose_k, gram_pca
 
 MODEL_MAGIC = "EIGENGAZE"
 MODEL_VERSION = 1
+# a built basis measures at most about 1e-9, so this bound leaves a wide margin
+ORTHONORMAL_TOL = 1e-6
 
 
 def _fmt(x: float) -> str:
@@ -106,6 +108,8 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
     basis = pca.basis[:k].copy()
     coords = np.array([basis @ (v.values - pca.mean) for v in appearances])
     labels = tuple(v.source_label for v in appearances)
+    # k_override has fixed k, and the file does not record it: keep the config a reload gives
+    config = replace(config, k_override=None)
     return Eigenspace(object_id, d, pca.mean, eigenvalues, basis, config, coords, labels)
 
 
@@ -174,8 +178,7 @@ def _row(lines, i, keyword, lead, count):
 
 
 def load_model(data: bytes) -> Eigenspace:
-    """Inverse of save_model. The file does not record k_override, so the
-    loaded config has none: k was fixed when the model was built."""
+    """Inverse of save_model."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -211,6 +214,10 @@ def load_model(data: bytes) -> Eigenspace:
     if not (eigenvalues > 0).all() or (np.diff(eigenvalues) > 0).any():
         raise CorruptField("eigenvalues must be positive and non-increasing")
     basis = np.array([v for _, v in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.abs(basis @ basis.T - np.eye(k)).max()
+    if not drift <= ORTHONORMAL_TOL:
+        raise CorruptField(f"basis rows are not orthonormal: max |BB^T - I| = {drift:.3g}")
 
     coords, labels = [], []
     i = 6 + 2 * k

@@ -7,6 +7,7 @@ eigenspace builder.
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,33 +122,13 @@ class OcclusionSpec:
 
 # --- PGM parsing ---
 
-def _header_tokens(data: bytes, count: int):
-    """Yield `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns (tokens, offset of the byte after the single whitespace char
-    terminating the last token) so binary payloads can follow directly.
-    """
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if i == start:
-            raise MalformedHeader("unexpected end of header")
-        tokens.append(data[start:i])
-        if len(tokens) == count:
-            # exactly one whitespace byte separates the header from samples
-            if i < n and data[i : i + 1].isspace():
-                i += 1
-    return tokens, i
+# The magic token, then width, height and max value, each after whitespace or
+# # comments, then at most one whitespace byte before the samples. A comment
+# runs to its newline or to the end of the data; a bare #[^\n]* could end at
+# any byte, and a run of # bytes would backtrack exponentially.
+_PGM_HEADER = re.compile(
+    rb"P[25][^\s#]*" + rb"(?:\s|#[^\n]*(?:\n|\Z))+([^\s#]+)" * 3 + rb"\s?"
+)
 
 
 def parse_pgm(data: bytes) -> RasterImage:
@@ -155,21 +136,19 @@ def parse_pgm(data: bytes) -> RasterImage:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_pgm expects bytes")
     data = bytes(data)
-    magic = data[:2]
-    if magic not in (b"P2", b"P5"):
-        raise MalformedHeader(f"bad magic {magic!r}")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise MalformedHeader(f"bad magic or incomplete header in {data[:16]!r}")
     try:
-        (_, w_tok, h_tok, max_tok), offset = _header_tokens(data, 4)
-        width, height, max_value = int(w_tok), int(h_tok), int(max_tok)
-    except MalformedHeader:
-        raise
+        width, height, max_value = map(int, header.groups())
     except ValueError as exc:
         raise MalformedHeader(f"non-integer header field: {exc}") from exc
     if width < 1 or height < 1 or not 1 <= max_value <= 65535:
         raise MalformedHeader("invalid dimensions or max value")
     count = width * height
+    offset = header.end()
 
-    if magic == b"P2":
+    if data.startswith(b"P2"):
         fields = data[offset:].split()
         if len(fields) != count:
             raise SampleCountMismatch(
@@ -190,9 +169,6 @@ def parse_pgm(data: bytes) -> RasterImage:
             )
         dtype = np.dtype(">u2") if per == 2 else np.uint8
         samples = np.frombuffer(payload, dtype=dtype).astype(np.int64)
-
-    if samples.size and (samples.min() < 0 or samples.max() > max_value):
-        raise SampleOutOfRange(f"sample outside [0, {max_value}]")
     return RasterImage(width, height, max_value, samples)
 
 
@@ -216,8 +192,6 @@ def vectorize(
 ) -> AppearanceVector:
     """Flatten an image to a length-d vector, scaled to [0,1] and optionally
     renormalized to unit Euclidean length."""
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"norm_mode must be one of {NORM_MODES}")
     values = image.samples.astype(np.float64) / image.max_value
     if norm_mode == UNIT:
         n = np.linalg.norm(values)

@@ -176,9 +176,7 @@ class ObjectRegistry:
             if decision.known or pending_views is None:
                 return decision
             if config is None:
-                # k_override is not saved, so keeping it would enrol differently after a reload
-                first = self._spaces[0].config if self._spaces else EigenspaceConfig()
-                config = replace(first, k_override=None)
+                config = self._spaces[0].config if self._spaces else EigenspaceConfig()
             name = self.next_auto_name()
             self.accumulate(name, pending_views, config)
             return replace(decision, enrolled_id=name)

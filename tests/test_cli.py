@@ -230,3 +230,23 @@ class TestInspect:
         out = tmp_path / "coords.csv"
         assert run("inspect", reg / "mobile.eig", "--dims", "2", "--out", out) == 0
         assert out.read_text().startswith("angle_deg,occluded,c1,c2")
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("recognize",),
+            ("recognize", "x.pgm", "--threshold", "-1"),
+            ("learn", "--object", "a", "--threshold", "0"),
+        ],
+        ids=["no-command", "no-image", "negative-threshold", "zero-threshold"],
+    )
+    def test_usage_error_is_not_unknown(self, argv, capsys):
+        assert run(*argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert run("recognize", "--help") == 0
+        assert "usage:" in capsys.readouterr().out

@@ -191,6 +191,12 @@ class TestPersistence:
             assert got.label == want.label
         assert eg.save_model(loaded) == data
 
+    def test_reload_gives_the_built_config(self):
+        config = eg.EigenspaceConfig(k_override=2)
+        es = eg.build_eigenspace("mobile", training_appearances("mobile"), config)
+        assert es.k == 2
+        assert eg.load_model(eg.save_model(es)).config == es.config
+
     def test_truncated_file(self, synthetic_space):
         data = eg.save_model(synthetic_space)
         with pytest.raises(CorruptField):
@@ -231,10 +237,14 @@ class TestPersistence:
             _set_field("eigenvalue", 2, "0"),
             _set_field("eigenvalue", 2, "-1"),
             _set_field("eigenvalue", 2, "1e-30"),
+            _set_field("basis", 2, "1e300"),
+            lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
+            _set_field("basis", 2, "0.5"),
         ],
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
+            "huge-basis", "huge-basis-pair", "skewed-basis",
         ],
     )
     def test_rejects_what_scoring_cannot_use(self, synthetic_space, edit):

@@ -53,6 +53,31 @@ def pgm_bytes():
     )
 
 
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\v", b"\f", b"\r"])
+COMMENT = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+
+
+@st.composite
+def pgm_with_laid_out_header(draw):
+    """(PGM bytes, the raster they hold): the header tokens are joined by runs
+    of whitespace bytes and comments, and a comment may follow a token."""
+    binary = draw(st.booleans())
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    max_value = draw(st.integers(1, 65535))
+    samples = draw(st.lists(st.integers(0, max_value), min_size=width * height,
+                            max_size=width * height))
+    data = b"P5" if binary else b"P2"
+    for token in (width, height, max_value):
+        data += b"".join(draw(st.lists(st.one_of(WHITESPACE, COMMENT), min_size=1, max_size=4)))
+        data += b"%d" % token
+    data += draw(WHITESPACE)
+    if binary:
+        data += np.array(samples, dtype=">u2" if max_value > 255 else np.uint8).tobytes()
+    else:
+        data += b"".join(b"%d" % v + draw(WHITESPACE) for v in samples)
+    return data, eg.RasterImage(width, height, max_value, np.array(samples))
+
+
 def check_model(data: bytes):
     try:
         es = eg.load_model(data)
@@ -63,16 +88,29 @@ def check_model(data: bytes):
     for values in (es.mean, es.eigenvalues, es.basis, es.coords):
         assert np.isfinite(values).all()
     assert (es.eigenvalues > 0).all() and (np.diff(es.eigenvalues) <= 0).all()
+    assert np.abs(es.basis @ es.basis.T - np.eye(es.k)).max() <= 1e-6
 
 
 @FUZZ
 @given(pgm_bytes())
 @example(b"P2 1 1 255 99999999999999999999")
+@example(b"P2 " + b"#" * 100_000)
+@example(b"P2 1 1 " + b"# #" * 30_000)
+@example(b"P5 1 1 255\n\x20")
+@example(b"P5 1 1 255\n\x0a")
 def test_parse_pgm_loads_or_raises(data):
     try:
         eg.parse_pgm(data)
     except EigengazeError:
         pass
+
+
+@FUZZ
+@given(pgm_with_laid_out_header())
+@example((b"P2#\n1#\n1#\n255\n7\n", eg.RasterImage(1, 1, 255, np.array([7]))))
+def test_parse_pgm_reads_any_header_layout(case):
+    data, image = case
+    assert eg.parse_pgm(data) == image
 
 
 @FUZZ

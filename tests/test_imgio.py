@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,31 @@ class TestParsePgm:
     def test_truncated_binary_payload(self):
         with pytest.raises(SampleCountMismatch):
             eg.parse_pgm(b"P5\n2 2\n255\n" + bytes([0, 1]))
+
+    @pytest.mark.parametrize("first", [0x20, 0x0A])
+    def test_binary_payload_may_start_with_whitespace(self, first):
+        # exactly one whitespace byte ends the header; the next is a sample
+        img = eg.parse_pgm(b"P5 2 1 255\n" + bytes([first, 7]))
+        assert list(img.samples) == [first, 7]
+        img = eg.parse_pgm(b"P5\n1 1\n65535\n" + bytes([first, first]))
+        assert list(img.samples) == [first * 257]
+
+    def test_comment_straight_after_a_token(self):
+        img = eg.parse_pgm(b"P2#c\n2#c\n1#c\n255\n3 4\n")
+        assert (img.width, img.height, img.max_value) == (2, 1, 255)
+        assert list(img.samples) == [3, 4]
+        # the header ends after one whitespace byte, so a comment there is a sample
+        with pytest.raises(SampleCountMismatch):
+            eg.parse_pgm(b"P2 2 1 255#c\n3 4\n")
+
+    @pytest.mark.parametrize(
+        "data", [b"P2 " + b"#" * 100_000, b"P2 1 1 " + b"# #" * 30_000], ids=["hashes", "hash-space"]
+    )
+    def test_comment_runs_fail_fast(self, data):
+        start = time.perf_counter()
+        with pytest.raises(MalformedHeader):
+            eg.parse_pgm(data)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWritePgm:
