@@ -29,6 +29,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_row(row: np.ndarray) -> str:
+    """The row's values as space-separated `.17g` text, through one % template."""
+    values = row.tolist()
+    return " ".join(["%.17g"] * len(values)) % tuple(values)
+
+
 @dataclass(frozen=True)
 class EigenspaceConfig:
     centered: bool = True
@@ -145,16 +151,16 @@ def save_model(es: Eigenspace) -> bytes:
             es.config.norm_mode,
             _fmt(es.config.energy_threshold),
         ),
-        "mean " + " ".join(_fmt(x) for x in es.mean),
+        "mean " + _fmt_row(es.mean),
     ]
     for i, lam in enumerate(es.eigenvalues):
         lines.append(f"eigenvalue {i} {_fmt(lam)}")
     for i, row in enumerate(es.basis):
-        lines.append(f"basis {i} " + " ".join(_fmt(x) for x in row))
+        lines.append(f"basis {i} " + _fmt_row(row))
     for label, row in zip(es.labels, es.coords):
         lines.append(
             f"point {label.view_angle_deg} {1 if label.occluded else 0} "
-            + " ".join(_fmt(x) for x in row)
+            + _fmt_row(row)
         )
     lines.append("END")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -122,13 +122,16 @@ class OcclusionSpec:
 
 # --- PGM parsing ---
 
-# The magic token, then width, height and max value, each after whitespace or
-# # comments, then at most one whitespace byte before the samples. A comment
-# runs to its newline or to the end of the data; a bare #[^\n]* could end at
-# any byte, and a run of # bytes would backtrack exponentially.
+# The magic token, then width, height and max value as decimal digits, each
+# after whitespace or # comments, then at most one whitespace byte before the
+# samples. The max value must end at whitespace, a # or the end of the data. A
+# comment runs to its newline or to the end of the data; a bare #[^\n]* could
+# end at any byte, and a run of # bytes would backtrack exponentially.
 _PGM_HEADER = re.compile(
-    rb"P[25][^\s#]*" + rb"(?:\s|#[^\n]*(?:\n|\Z))+([^\s#]+)" * 3 + rb"\s?"
+    rb"P[25]" + rb"(?:\s|#[^\n]*(?:\n|\Z))+([0-9]+)" * 3 + rb"(?![^\s#])\s?"
 )
+# the bytes a P2 body may hold: digits and the six ASCII whitespace bytes
+_P2_BODY_BYTES = b"0123456789 \t\n\v\f\r"
 
 
 def parse_pgm(data: bytes) -> RasterImage:
@@ -141,25 +144,22 @@ def parse_pgm(data: bytes) -> RasterImage:
         raise MalformedHeader(f"bad magic or incomplete header in {data[:16]!r}")
     try:
         width, height, max_value = map(int, header.groups())
-    except ValueError as exc:
-        raise MalformedHeader(f"non-integer header field: {exc}") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedHeader(f"header field too long: {exc}") from exc
     if width < 1 or height < 1 or not 1 <= max_value <= 65535:
         raise MalformedHeader("invalid dimensions or max value")
     count = width * height
     offset = header.end()
 
     if data.startswith(b"P2"):
-        fields = data[offset:].split()
-        if len(fields) != count:
-            raise SampleCountMismatch(
-                f"expected {count} samples, found {len(fields)}"
-            )
-        try:
-            samples = np.array([int(f) for f in fields], dtype=np.int64)
-        except ValueError as exc:
-            raise SampleCountMismatch(f"non-integer sample: {exc}") from exc
-        except OverflowError as exc:
-            raise SampleOutOfRange(f"sample outside [0, {max_value}]") from exc
+        # numpy reads a body of only whitespace as one 0, so strip it first
+        body = data[offset:].strip()
+        if body.translate(None, _P2_BODY_BYTES):
+            raise SampleCountMismatch("P2 samples must be decimal digits and whitespace")
+        # an overflowing sample reads as the int64 maximum, which RasterImage rejects
+        samples = np.fromstring(body, dtype=np.int64, sep=" ") if body else np.empty(0, np.int64)
+        if samples.size != count:
+            raise SampleCountMismatch(f"expected {count} samples, found {samples.size}")
     else:
         per = 1 if max_value < 256 else 2
         payload = data[offset : offset + count * per]

@@ -3,9 +3,13 @@
 A query is projected into every object's eigenspace; the in-space distance to
 the nearest manifold point is combined with the off-subspace residual so a
 query far from a subspace cannot win on in-space proximity alone.
+
+One scorer serves both entry points. It reads the registry's snapshot and
+scores a block of queries with one matrix product per space. `recognize`
+scores one query; `evaluate` scores its queries in blocks of `_BLOCK`, with
+the same scores and tie rules.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +18,9 @@ import numpy as np
 from .eigenspace import Eigenspace, _check_vector
 from .errors import DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
+
+# queries per scoring block: bounds evaluate's (block, dim) temporaries
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -35,35 +42,64 @@ class EvaluationReport:
     confusion: dict    # (true_id, predicted_id) -> count
 
 
+def _entries(reg, queries):
+    """The registry's snapshot, after checking every query against it."""
+    entries = reg.snapshot
+    if not entries:
+        raise EmptyRegistry("no enrolled objects")
+    # the registry admits only spaces of one dim and norm mode, so one check covers all
+    first = entries[0].space
+    for v in queries:
+        _check_vector(first.dim, first.config.norm_mode, v)
+    return entries
+
+
+def _score(entries, W: np.ndarray, in_space_only: bool):
+    """Score each row of W (queries x dim) against every entry.
+
+    Returns (score, in_space, residual, nearest), each of shape
+    (spaces, queries). `nearest` indexes an entry's angle-sorted points, so a
+    tie inside one space goes to the lowest view angle. Both distances are
+    taken directly, not as differences of squared norms, so equal inputs
+    give equal scores.
+    """
+    shape = (len(entries), len(W))
+    in_space, res = np.empty(shape), np.empty(shape)
+    nearest = np.empty(shape, dtype=np.intp)
+    for s, entry in enumerate(entries):
+        es = entry.space
+        Wc = W - es.mean
+        G = Wc @ es.basis.T
+        res[s] = np.linalg.norm(Wc - G @ es.basis, axis=1)
+        dist = np.linalg.norm(G[:, None, :] - entry.coords, axis=2)
+        nearest[s] = dist.argmin(axis=1)
+        in_space[s] = dist.min(axis=1)
+    score = in_space if in_space_only else np.hypot(in_space, res)
+    return score, in_space, res, nearest
+
+
 def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> RecognitionResult:
     """Best matching object and view for one query appearance.
 
     Ties on score are broken by acquisition order, then by the nearest view's
     angle, so output is deterministic.
     """
-    spaces = list(reg.spaces)
-    if not spaces:
-        raise EmptyRegistry("no enrolled objects")
-    # the registry admits only spaces of one dim and norm mode, so one check covers all
-    _check_vector(spaces[0].dim, spaces[0].config.norm_mode, v)
-
-    entries = []
-    for order, es in enumerate(spaces):
-        w = v.values - es.mean
-        g = es.basis @ w
-        dists = np.linalg.norm(es.coords - g, axis=1)
-        # within one space ties go to the lowest view angle
-        ties = np.flatnonzero(dists == dists.min())
-        label = min((es.labels[i] for i in ties), key=lambda lb: lb.view_angle_deg)
-        in_space = float(dists[ties[0]])
-        res = float(np.linalg.norm(w - es.basis.T @ g))
-        score = in_space if in_space_only else math.hypot(in_space, res)
-        entries.append((score, order, label.view_angle_deg, es, in_space, res, label))
-
-    entries.sort(key=lambda e: e[:3])
-    score, _, _, es, in_space, res, label = entries[0]
-    ranked = tuple((e[3].object_id, e[0]) for e in entries)
-    return RecognitionResult(es.object_id, label, in_space, res, score, ranked)
+    entries = _entries(reg, [v])
+    score, in_space, res, nearest = (
+        a[:, 0] for a in _score(entries, v.values[None], in_space_only)
+    )
+    # a stable sort keeps equal scores in acquisition order
+    ranked = np.argsort(score, kind="stable")
+    best = ranked[0]
+    entry = entries[best]
+    return RecognitionResult(
+        entry.space.object_id,
+        entry.labels[nearest[best]],
+        float(in_space[best]),
+        float(res[best]),
+        float(score[best]),
+        tuple((entries[i].space.object_id, float(score[i])) for i in ranked),
+    )
 
 
 def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
@@ -71,18 +107,24 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
     queries = list(queries)
     if not queries:
         raise EmptyQuerySet("no queries")
+    entries = _entries(reg, [v for v, _ in queries])
+    ids = [entry.space.object_id for entry in entries]
 
     confusion = {}
     totals = {}
     hits = {}
     m = 0
-    for v, true_id in queries:
-        predicted = recognize(reg, v, in_space_only=in_space_only).best_object
-        confusion[(true_id, predicted)] = confusion.get((true_id, predicted), 0) + 1
-        totals[true_id] = totals.get(true_id, 0) + 1
-        if predicted == true_id:
-            hits[true_id] = hits.get(true_id, 0) + 1
-            m += 1
+    for start in range(0, len(queries), _BLOCK):
+        block = queries[start : start + _BLOCK]
+        score = _score(entries, np.array([v.values for v, _ in block]), in_space_only)[0]
+        # argmin takes the first minimum: the earliest acquisition on a tie
+        for (_, true_id), best in zip(block, score.argmin(axis=0)):
+            predicted = ids[best]
+            confusion[(true_id, predicted)] = confusion.get((true_id, predicted), 0) + 1
+            totals[true_id] = totals.get(true_id, 0) + 1
+            if predicted == true_id:
+                hits[true_id] = hits.get(true_id, 0) + 1
+                m += 1
 
     P = len(queries)
     per_object = {

@@ -2,8 +2,9 @@
 
 Each enrolled object keeps its own independently built eigenspace; enrolling a
 new object never touches existing spaces. Mutation (accumulate / enroll) is
-serialized behind an internal lock; reads work on immutable snapshots, so
-classification may run concurrently between mutations.
+serialized behind an internal lock. Each mutation rebinds one immutable tuple
+of scoring entries, the snapshot; a read takes the tuple once, so
+classification may run concurrently with mutations and sees whole snapshots.
 """
 
 import math
@@ -74,6 +75,22 @@ class EnrollmentPolicy:
 
 
 @dataclass(frozen=True)
+class SpaceEntry:
+    """One enrolled space as recog's scorer reads it. The manifold points are
+    sorted by view angle (a stable sort), so the first nearest point is the
+    one of lowest angle."""
+
+    space: Eigenspace
+    coords: np.ndarray  # shape (n, k), rows in view-angle order
+    labels: tuple       # of ViewLabel, one per row of coords
+
+    @classmethod
+    def of(cls, es: Eigenspace) -> "SpaceEntry":
+        order = sorted(range(len(es.labels)), key=lambda i: es.labels[i].view_angle_deg)
+        return cls(es, es.coords[order], tuple(es.labels[i] for i in order))
+
+
+@dataclass(frozen=True)
 class Decision:
     known: bool
     result: recog.RecognitionResult | None
@@ -85,26 +102,32 @@ class ObjectRegistry:
     """Ordered collection of per-object eigenspaces (insertion = acquisition)."""
 
     def __init__(self, policy: EnrollmentPolicy | None = None):
-        self._spaces: tuple[Eigenspace, ...] = ()
+        # rebound by _append, never mutated in place
+        self._snapshot: tuple[SpaceEntry, ...] = ()
         self._spread: float | None = None  # widest manifold gap of any space
         self.policy = policy if policy is not None else EnrollmentPolicy()
         self._lock = threading.RLock()
 
     @property
+    def snapshot(self) -> tuple[SpaceEntry, ...]:
+        """One entry per enrolled space, in acquisition order."""
+        return self._snapshot
+
+    @property
     def spaces(self) -> tuple[Eigenspace, ...]:
-        return self._spaces
+        return tuple(entry.space for entry in self._snapshot)
 
     def find(self, object_id: str) -> Eigenspace | None:
-        for es in self._spaces:
-            if es.object_id == object_id:
-                return es
+        for entry in self._snapshot:
+            if entry.space.object_id == object_id:
+                return entry.space
         return None
 
     def _append(self, es: Eigenspace):
         if self.find(es.object_id) is not None:
             raise DuplicateObject(f"object {es.object_id!r} already enrolled")
-        if self._spaces:
-            first = self._spaces[0]
+        if self._snapshot:
+            first = self._snapshot[0].space
             if es.dim != first.dim or es.config.norm_mode != first.config.norm_mode:
                 raise DimensionMismatch(
                     "all enrolled spaces must share dim and norm_mode"
@@ -118,7 +141,7 @@ class ObjectRegistry:
                 # an infinite spread would call every query Known
                 raise CorruptField(f"manifold of {es.object_id!r} spreads beyond float range")
             self._spread = spread if self._spread is None else max(self._spread, spread)
-        self._spaces = self._spaces + (es,)
+        self._snapshot = self._snapshot + (SpaceEntry.of(es),)
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
         """Build and enroll one object's eigenspace; existing spaces untouched."""
@@ -144,7 +167,7 @@ class ObjectRegistry:
 
     def next_auto_name(self) -> str:
         """The first free object-N, counting up from the number of spaces + 1."""
-        n = len(self._spaces) + 1
+        n = len(self._snapshot) + 1
         while self.find(f"object-{n}") is not None:
             n += 1
         return f"object-{n}"
@@ -167,7 +190,7 @@ class ObjectRegistry:
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object."""
         with self._lock:
-            if self._spaces:
+            if self._snapshot:
                 decision = self.decide(v)
             elif pending_views is None:
                 raise EmptyRegistryNoViews("empty registry and no pending views to enroll")
@@ -176,7 +199,7 @@ class ObjectRegistry:
             if decision.known or pending_views is None:
                 return decision
             if config is None:
-                config = self._spaces[0].config if self._spaces else EigenspaceConfig()
+                config = self.spaces[0].config if self._snapshot else EigenspaceConfig()
             name = self.next_auto_name()
             self.accumulate(name, pending_views, config)
             return replace(decision, enrolled_id=name)
@@ -189,7 +212,8 @@ class ObjectRegistry:
         leaves no truncated file, and the old manifest names only old models."""
         os.makedirs(path, exist_ok=True)
         with self._lock:
-            for es in self._spaces:
+            spaces = self.spaces
+            for es in spaces:
                 _write_atomic(os.path.join(path, f"{es.object_id}.eig"), save_model(es))
             thr = self.policy.unknown_threshold
             thr_text = AUTO if thr == AUTO else format(float(thr), ".17g")
@@ -197,7 +221,7 @@ class ObjectRegistry:
                 f"{MANIFEST_MAGIC} {MANIFEST_VERSION}",
                 f"policy {thr_text} {format(self.policy.auto_margin, '.17g')}",
             ]
-            manifest += [f"object {es.object_id}" for es in self._spaces]
+            manifest += [f"object {es.object_id}" for es in spaces]
             manifest.append("END")
             text = "\n".join(manifest) + "\n"
             _write_atomic(os.path.join(path, MANIFEST_NAME), text.encode("utf-8"))

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import eigengaze as eg
+from eigengaze.eigenspace import _fmt_row
 from eigengaze.errors import EigengazeError
 
 from conftest import build_registry, training_appearances
@@ -111,6 +112,13 @@ def test_parse_pgm_loads_or_raises(data):
 def test_parse_pgm_reads_any_header_layout(case):
     data, image = case
     assert eg.parse_pgm(data) == image
+
+
+@FUZZ
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1e-300, 0.1])
+def test_model_row_text_is_each_value_at_17_digits(row):
+    assert _fmt_row(np.array(row)) == " ".join(format(x, ".17g") for x in row)
 
 
 @FUZZ

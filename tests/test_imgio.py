@@ -50,6 +50,34 @@ class TestParsePgm:
         with pytest.raises(MalformedHeader):
             eg.parse_pgm(b"P2\nx 1\n255\n0\n")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P2x 1 1 255 0",
+            b"P2 +1 1_0 0255 " + b"1 " * 10,
+            b"P2 1 1 " + b"9" * 5000 + b" 0",
+            b"P5 1 1 255x",
+        ],
+        ids=["magic-suffix", "signed-and-underscored", "too-many-digits", "max-value-suffix"],
+    )
+    def test_header_numbers_are_decimal_digits(self, data):
+        with pytest.raises(MalformedHeader):
+            eg.parse_pgm(data)
+
+    @pytest.mark.parametrize("sample", [b"+0_7", b"+7", b"-0", b"7.0", b"0x7", b"\xb7"])
+    def test_samples_are_decimal_digits(self, sample):
+        with pytest.raises(SampleCountMismatch):
+            eg.parse_pgm(b"P2 1 1 255 " + sample)
+
+    @pytest.mark.parametrize("body", [b"", b" ", b"  \n\t "])
+    def test_body_of_only_whitespace_holds_no_sample(self, body):
+        with pytest.raises(SampleCountMismatch):
+            eg.parse_pgm(b"P2 1 1 255\n" + body)
+
+    def test_overflowing_sample_is_out_of_range(self):
+        with pytest.raises(SampleOutOfRange):
+            eg.parse_pgm(b"P2 2 1 255\n7 " + b"9" * 30)
+
     def test_sample_count_mismatch(self):
         with pytest.raises(SampleCountMismatch):
             eg.parse_pgm(b"P2\n2 1\n255\n0\n")

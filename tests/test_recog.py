@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import eigengaze as eg
+from eigengaze import recog as recog_module
 from eigengaze.errors import DimensionMismatch, DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from eigengaze.recog import RecognitionResult, report_csv, report_text
 from eigengaze.registry import ObjectRegistry
@@ -64,6 +69,26 @@ def oracle_queries():
     for angle in range(0, 100, 15):
         queries.append(eg.vectorize(eg.synth_view("widget", angle, 32, 1), "unit"))
     return queries
+
+
+def twin_view_registry():
+    """Object A, with its view at 50 degrees enrolled twice, first labelled 70."""
+    apps = training_appearances("A")
+    twin = next(a for a in apps if a.source_label.view_angle_deg == 50)
+    apps.insert(0, eg.AppearanceVector(
+        twin.dim, twin.values, twin.norm_mode, eg.ViewLabel("A", 70)
+    ))
+    reg = ObjectRegistry()
+    reg.accumulate("A", apps, eg.EigenspaceConfig())
+    return reg
+
+
+def twin_space_registry():
+    """Two spaces built from the same views of A, acquired as zeta, then alpha."""
+    reg = ObjectRegistry()
+    for name in ("zeta", "alpha"):
+        reg.accumulate(name, training_appearances("A"), eg.EigenspaceConfig())
+    return reg
 
 
 @pytest.fixture(scope="module")
@@ -169,14 +194,7 @@ class TestRecognizeOracle:
 
     @pytest.mark.parametrize("in_space_only", [False, True])
     def test_tied_views_resolve_to_lower_angle(self, in_space_only):
-        # the view at 50 degrees is enrolled twice, first labelled 70
-        apps = training_appearances("A")
-        twin = next(a for a in apps if a.source_label.view_angle_deg == 50)
-        apps.insert(0, eg.AppearanceVector(
-            twin.dim, twin.values, twin.norm_mode, eg.ViewLabel("A", 70)
-        ))
-        reg = ObjectRegistry()
-        reg.accumulate("A", apps, eg.EigenspaceConfig())
+        reg = twin_view_registry()
         for angle in (50, 52):
             v = eg.vectorize(eg.synth_view("A", angle, 32, 1), "unit")
             assert eg.recognize(reg, v, in_space_only).best_view.view_angle_deg == 50
@@ -184,9 +202,7 @@ class TestRecognizeOracle:
 
     @pytest.mark.parametrize("in_space_only", [False, True])
     def test_tied_spaces_resolve_to_earlier_acquisition(self, in_space_only):
-        reg = ObjectRegistry()
-        for name in ("zeta", "alpha"):
-            reg.accumulate(name, training_appearances("A"), eg.EigenspaceConfig())
+        reg = twin_space_registry()
         v = query_set(objects=["A"])[3][0]
         result = eg.recognize(reg, v, in_space_only)
         assert result.best_object == "zeta"
@@ -226,6 +242,143 @@ class TestEvaluate:
     def test_empty_queries(self, four_object_registry):
         with pytest.raises(EmptyQuerySet):
             eg.evaluate(four_object_registry, [])
+
+    def test_empty_registry(self):
+        with pytest.raises(EmptyRegistry):
+            eg.evaluate(ObjectRegistry(), query_set()[:1])
+
+
+class TestEvaluateBlocks:
+    """evaluate scores its queries in blocks; each prediction must be the one
+    recognize makes for that query alone."""
+
+    @pytest.mark.parametrize("registry", ["four", "twin_spaces", "twin_views"])
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_prediction_is_recognize_best_object(self, four_object_registry, registry,
+                                                 in_space_only):
+        reg = {
+            "four": lambda: four_object_registry,
+            "twin_spaces": twin_space_registry,
+            "twin_views": twin_view_registry,
+        }[registry]()
+        queries = oracle_queries()
+        assert len(queries) > recog_module._BLOCK
+        # each query is labelled with recognize's answer, so every miss is a disagreement
+        labelled = [(v, eg.recognize(reg, v, in_space_only).best_object) for v in queries]
+        report = eg.evaluate(reg, labelled, in_space_only)
+        assert report.m == report.P == len(queries)
+        if registry == "twin_spaces":
+            assert set(report.confusion) == {("zeta", "zeta")}
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65])
+    def test_block_boundaries_give_the_same_report_as_single_queries(
+        self, four_object_registry, n
+    ):
+        queries = query_set() + [(v, "widget") for v in oracle_queries()[len(query_set()):]]
+        queries = queries[:n]
+        assert len(queries) == n
+        alone = [next(iter(eg.evaluate(four_object_registry, [q]).confusion)) for q in queries]
+        report = eg.evaluate(four_object_registry, queries)
+        assert report.confusion == dict(Counter(alone))
+        assert report.m == sum(t == p for t, p in alone)
+        assert report.P == n
+
+    @pytest.mark.parametrize("position", [0, 40, 63, 64, 70])
+    @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")])
+    def test_a_mismatched_query_anywhere_is_rejected(self, four_object_registry, position,
+                                                     side, norm_mode):
+        queries = [(v, "x") for v in oracle_queries()]
+        bad = eg.vectorize(eg.synth_view("mobile", 20, side, 1), norm_mode)
+        queries[position] = (bad, "mobile")
+        with pytest.raises(DimensionMismatch):
+            eg.evaluate(four_object_registry, queries)
+
+
+class TestConcurrentReads:
+    def test_reads_during_accumulate_see_whole_snapshots(self):
+        """Threads call decide and recognize while objects are enrolled one by
+        one. Each result must rank a prefix of the final acquisition order,
+        scored exactly as a registry holding just that prefix scores it."""
+        objects = OBJECTS + ["A", "B", "widget"]
+        appearances = {obj: training_appearances(obj) for obj in objects}
+        queries = [v for v, _ in query_set()[::7]]
+        reg = ObjectRegistry()
+        reg.accumulate(objects[0], appearances[objects[0]], eg.EigenspaceConfig())
+
+        # more readers than cores, switching often
+        kinds = ("decide", "recognize", "recognize")
+        stop = threading.Event()
+        calls = [0] * len(kinds)
+        seen = [[] for _ in kinds]
+        errors = []
+
+        def reader(slot):
+            i = 0
+            try:
+                while not stop.is_set():
+                    v = queries[i % len(queries)]
+                    in_space_only = bool(i // len(queries) % 2)
+                    if kinds[slot] == "decide":
+                        out = reg.decide(v, in_space_only)
+                    else:
+                        out = eg.recognize(reg, v, in_space_only)
+                    seen[slot].append((v, in_space_only, out))
+                    calls[slot] += 1
+                    i += 1
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def wait_for_reads():
+            # every reader finishes two calls after the latest mutation
+            want = [c + 2 for c in calls]
+            deadline = time.monotonic() + 30
+            while not errors and any(c < w for c, w in zip(calls, want)):
+                assert time.monotonic() < deadline, "readers made no progress"
+                stop.wait(0.001)
+
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(len(kinds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            wait_for_reads()
+            for obj in objects[1:]:
+                reg.accumulate(obj, appearances[obj], eg.EigenspaceConfig())
+                wait_for_reads()
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+
+        final = reg.spaces
+        assert [es.object_id for es in final] == objects
+        prefixes = {}
+        for j in range(1, len(final) + 1):
+            prefixes[j] = ObjectRegistry()
+            for es in final[:j]:
+                prefixes[j]._append(es)
+        lengths = set()
+        for kind, records in zip(kinds, seen):
+            for v, in_space_only, out in records:
+                result = out.result if kind == "decide" else out
+                ids = [o for o, _ in result.ranked_candidates]
+                n = len(ids)
+                assert sorted(ids) == sorted(objects[:n])
+                lengths.add(n)
+                prefix = prefixes[n]
+                assert result == eg.recognize(prefix, v, in_space_only)
+                want = recognize_oracle(prefix, v, in_space_only)
+                assert ids == [o for o, _ in want.ranked_candidates]
+                for (_, a), (_, b) in zip(result.ranked_candidates, want.ranked_candidates):
+                    assert a == pytest.approx(b, abs=1e-12)
+                if kind == "decide":
+                    assert out.threshold == prefix.effective_threshold()
+                    assert out.known == (result.combined_score <= out.threshold)
+        assert lengths == set(range(1, len(objects) + 1))
 
 
 class TestDumpCoordinates:

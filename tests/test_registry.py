@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,28 @@ class TestAccumulate:
         reg.save_dir(str(reg_dir))
         assert [p.name for p in tmp_path.iterdir()] == ["reg"]
         assert [p.name for p in reg_dir.iterdir()] == ["registry.manifest"]
+
+
+class TestSnapshot:
+    def test_entry_sorts_the_manifold_by_angle(self):
+        reg = ObjectRegistry()
+        reg.accumulate("A", training_appearances("A")[::-1], eg.EigenspaceConfig())
+        (entry,) = reg.snapshot
+        assert entry.space is reg.spaces[0]
+        angles = [label.view_angle_deg for label in entry.labels]
+        assert angles == sorted(angles)
+        for label, row in zip(entry.labels, entry.coords):
+            assert np.array_equal(row, entry.space.coords[entry.space.labels.index(label)])
+
+    def test_mutation_rebinds_the_snapshot(self):
+        reg = build_registry(objects=["A"])
+        before = reg.snapshot
+        clone = copy.copy(reg)
+        clone.accumulate("B", training_appearances("B"), eg.EigenspaceConfig())
+        assert reg.snapshot is before
+        assert [es.object_id for es in reg.spaces] == ["A"]
+        assert [es.object_id for es in clone.spaces] == ["A", "B"]
+        assert clone.snapshot[0] is before[0]
 
 
 class TestEffectiveThreshold:
