@@ -6,7 +6,9 @@ Exit codes: 0 success (or Known), 1 error (a usage error included),
 
 import argparse
 import os
+import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,9 +16,11 @@ from . import imgio, recog
 from .eigenspace import EigenspaceConfig, load_model
 from .errors import EigengazeError, EmptyQuerySet, NoImages
 from .imgio import OcclusionSpec, ViewLabel
-from .registry import AUTO, EnrollmentPolicy, ObjectRegistry
+from .registry import AUTO, MANIFEST_NAME, ObjectRegistry
 
 DEFAULT_ANGLES = list(range(0, 100, 10))
+# a training file's name ends in _<angle>[_occ], as cmd_synth writes it; ASCII digits only
+_VIEW_STEM = re.compile(r".*_([0-9]+)(_occ)?")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,21 +52,26 @@ def _registry_dir(args) -> str:
     raise EigengazeError("no registry directory: pass --registry or set EIGENGAZE_REGISTRY")
 
 
+def _load_registry(args):
+    """The registry args name, which must hold a space, and its norm mode."""
+    reg = ObjectRegistry.load_dir(_registry_dir(args))
+    if not reg.spaces:
+        raise EigengazeError("registry is empty")
+    return reg, reg.spaces[0].config.norm_mode
+
+
+def _override_policy(reg: ObjectRegistry, threshold=None, margin=None):
+    """Set the policy fields whose flag was given; keep the others."""
+    given = {"unknown_threshold": threshold, "auto_margin": margin}
+    reg.policy = replace(reg.policy, **{k: v for k, v in given.items() if v is not None})
+
+
 def _label_from_filename(path: str, object_id: str) -> ViewLabel:
     """Convention from cmd_synth: <obj>_<angle>[_occ].pgm."""
-    stem = os.path.splitext(os.path.basename(path))[0]
-    tokens = stem.split("_")
-    occluded = False
-    if tokens and tokens[-1] == "occ":
-        occluded = True
-        tokens = tokens[:-1]
-    angle = 0
-    if tokens:
-        try:
-            angle = int(tokens[-1]) % 360
-        except ValueError:
-            angle = 0
-    return ViewLabel(object_id, angle, occluded)
+    match = _VIEW_STEM.fullmatch(os.path.splitext(os.path.basename(path))[0])
+    if match is None:
+        raise EigengazeError(f"{path}: file name must end in _<angle> or _<angle>_occ")
+    return ViewLabel(object_id, int(match[1]) % 360, match[2] is not None)
 
 
 def _read_image(path: str) -> imgio.RasterImage:
@@ -145,10 +154,11 @@ def cmd_learn(args) -> int:
     ]
 
     reg_dir = _registry_dir(args)
-    if os.path.exists(os.path.join(reg_dir, "registry.manifest")):
+    if os.path.exists(os.path.join(reg_dir, MANIFEST_NAME)):
         reg = ObjectRegistry.load_dir(reg_dir)
     else:
-        reg = ObjectRegistry(EnrollmentPolicy(args.threshold, args.margin))
+        reg = ObjectRegistry()
+    _override_policy(reg, args.threshold, args.margin)
     es = reg.accumulate(args.object, appearances, config)
     reg.save_dir(reg_dir)
 
@@ -163,12 +173,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    reg = ObjectRegistry.load_dir(_registry_dir(args))
-    if args.threshold is not None:
-        reg.policy = EnrollmentPolicy(args.threshold, reg.policy.auto_margin)
-    if not reg.spaces:
-        raise EigengazeError("registry is empty")
-    norm = reg.spaces[0].config.norm_mode
+    reg, norm = _load_registry(args)
+    _override_policy(reg, threshold=args.threshold)
     v = imgio.vectorize(_read_image(args.image), norm)
 
     decision = reg.decide(v, in_space_only=args.in_space_only)
@@ -185,21 +191,13 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    reg = ObjectRegistry.load_dir(_registry_dir(args))
-    if not reg.spaces:
-        raise EigengazeError("registry is empty")
-    norm = reg.spaces[0].config.norm_mode
+    reg, norm = _load_registry(args)
 
     entries = _read_manifest(args.manifest)
     if not entries:
         raise EmptyQuerySet(f"manifest {args.manifest} lists no queries")
-    queries = [
-        (
-            imgio.vectorize(_read_image(path), norm, ViewLabel(obj, angle % 360, occ)),
-            obj,
-        )
-        for path, obj, angle, occ in entries
-    ]
+    # evaluate reads only each query's true id
+    queries = [(imgio.vectorize(_read_image(path), norm), obj) for path, obj, _, _ in entries]
 
     report = recog.evaluate(reg, queries, in_space_only=args.in_space_only)
     if args.csv:
@@ -270,8 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="tab-separated path/object/angle/occluded list")
     p.add_argument("--object", required=True)
     p.add_argument("--registry", default=None)
-    p.add_argument("--threshold", type=_parse_threshold, default=AUTO)
-    p.add_argument("--margin", type=float, default=1.5)
+    p.add_argument("--threshold", type=_parse_threshold, default=None,
+                   help="unknown cutoff or 'auto' (default: keep the registry's, else auto)")
+    p.add_argument("--margin", type=float, default=None,
+                   help="auto threshold margin (default: keep the registry's, else 1.5)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_learn)
 

@@ -60,13 +60,23 @@ class ManifoldPoint:
 @dataclass(frozen=True)
 class Eigenspace:
     object_id: str
-    dim: int
-    mean: np.ndarray
+    mean: np.ndarray         # shape (dim,)
     eigenvalues: np.ndarray  # descending, length k
     basis: np.ndarray        # shape (k, dim), orthonormal rows
     config: EigenspaceConfig
     coords: np.ndarray       # shape (n, k), one manifold point per row
     labels: tuple            # of ViewLabel, one per row of coords
+
+    def __post_init__(self):
+        # the manifold is kept in view-angle order; a stable sort keeps twin
+        # angles in the order given, and the first nearest point is the lowest angle
+        order = np.argsort([label.view_angle_deg for label in self.labels], kind="stable")
+        object.__setattr__(self, "coords", self.coords[order])
+        object.__setattr__(self, "labels", tuple(self.labels[i] for i in order))
+
+    @property
+    def dim(self) -> int:
+        return int(self.mean.size)
 
     @property
     def k(self) -> int:
@@ -74,7 +84,7 @@ class Eigenspace:
 
     @property
     def manifold(self) -> tuple:
-        """The manifold points as ManifoldPoints, in training order."""
+        """The manifold points as ManifoldPoints, in view-angle order."""
         return tuple(map(ManifoldPoint, self.coords, self.labels))
 
 
@@ -116,7 +126,7 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
     labels = tuple(v.source_label for v in appearances)
     # k_override has fixed k, and the file does not record it: keep the config a reload gives
     config = replace(config, k_override=None)
-    return Eigenspace(object_id, d, pca.mean, eigenvalues, basis, config, coords, labels)
+    return Eigenspace(object_id, pca.mean, eigenvalues, basis, config, coords, labels)
 
 
 def project(es: Eigenspace, v: AppearanceVector) -> np.ndarray:
@@ -240,6 +250,4 @@ def load_model(data: bytes) -> Eigenspace:
     if not labels:
         raise CorruptField("model has no manifold points")
 
-    return Eigenspace(
-        object_id, dim, mean, eigenvalues, basis, config, np.array(coords), tuple(labels)
-    )
+    return Eigenspace(object_id, mean, eigenvalues, basis, config, np.array(coords), labels)

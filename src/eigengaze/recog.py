@@ -4,10 +4,11 @@ A query is projected into every object's eigenspace; the in-space distance to
 the nearest manifold point is combined with the off-subspace residual so a
 query far from a subspace cannot win on in-space proximity alone.
 
-One scorer serves both entry points. It reads the registry's snapshot and
-scores a block of queries with one matrix product per space. `recognize`
-scores one query; `evaluate` scores its queries in blocks of `_BLOCK`, with
-the same scores and tie rules.
+One scorer serves both entry points. It reads the registry's tuple of spaces
+once, each holding its manifold in view-angle order, and scores a block of
+queries with one matrix product per space. `recognize` scores one query;
+`evaluate` scores its queries in blocks of `_BLOCK`, with the same scores and
+tie rules.
 """
 
 from dataclasses import dataclass
@@ -42,36 +43,34 @@ class EvaluationReport:
     confusion: dict    # (true_id, predicted_id) -> count
 
 
-def _entries(reg, queries):
-    """The registry's snapshot, after checking every query against it."""
-    entries = reg.snapshot
-    if not entries:
+def _spaces(reg, queries):
+    """The registry's spaces, after checking every query against them."""
+    spaces = reg.spaces
+    if not spaces:
         raise EmptyRegistry("no enrolled objects")
     # the registry admits only spaces of one dim and norm mode, so one check covers all
-    first = entries[0].space
     for v in queries:
-        _check_vector(first.dim, first.config.norm_mode, v)
-    return entries
+        _check_vector(spaces[0].dim, spaces[0].config.norm_mode, v)
+    return spaces
 
 
-def _score(entries, W: np.ndarray, in_space_only: bool):
-    """Score each row of W (queries x dim) against every entry.
+def _score(spaces, W: np.ndarray, in_space_only: bool):
+    """Score each row of W (queries x dim) against every space.
 
     Returns (score, in_space, residual, nearest), each of shape
-    (spaces, queries). `nearest` indexes an entry's angle-sorted points, so a
+    (spaces, queries). `nearest` indexes a space's angle-ordered points, so a
     tie inside one space goes to the lowest view angle. Both distances are
     taken directly, not as differences of squared norms, so equal inputs
     give equal scores.
     """
-    shape = (len(entries), len(W))
+    shape = (len(spaces), len(W))
     in_space, res = np.empty(shape), np.empty(shape)
     nearest = np.empty(shape, dtype=np.intp)
-    for s, entry in enumerate(entries):
-        es = entry.space
+    for s, es in enumerate(spaces):
         Wc = W - es.mean
         G = Wc @ es.basis.T
         res[s] = np.linalg.norm(Wc - G @ es.basis, axis=1)
-        dist = np.linalg.norm(G[:, None, :] - entry.coords, axis=2)
+        dist = np.linalg.norm(G[:, None, :] - es.coords, axis=2)
         nearest[s] = dist.argmin(axis=1)
         in_space[s] = dist.min(axis=1)
     score = in_space if in_space_only else np.hypot(in_space, res)
@@ -84,21 +83,20 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
     Ties on score are broken by acquisition order, then by the nearest view's
     angle, so output is deterministic.
     """
-    entries = _entries(reg, [v])
+    spaces = _spaces(reg, [v])
     score, in_space, res, nearest = (
-        a[:, 0] for a in _score(entries, v.values[None], in_space_only)
+        a[:, 0] for a in _score(spaces, v.values[None], in_space_only)
     )
     # a stable sort keeps equal scores in acquisition order
     ranked = np.argsort(score, kind="stable")
     best = ranked[0]
-    entry = entries[best]
     return RecognitionResult(
-        entry.space.object_id,
-        entry.labels[nearest[best]],
+        spaces[best].object_id,
+        spaces[best].labels[nearest[best]],
         float(in_space[best]),
         float(res[best]),
         float(score[best]),
-        tuple((entries[i].space.object_id, float(score[i])) for i in ranked),
+        tuple((spaces[i].object_id, float(score[i])) for i in ranked),
     )
 
 
@@ -107,8 +105,8 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
     queries = list(queries)
     if not queries:
         raise EmptyQuerySet("no queries")
-    entries = _entries(reg, [v for v, _ in queries])
-    ids = [entry.space.object_id for entry in entries]
+    spaces = _spaces(reg, [v for v, _ in queries])
+    ids = [es.object_id for es in spaces]
 
     confusion = {}
     totals = {}
@@ -116,7 +114,7 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
     m = 0
     for start in range(0, len(queries), _BLOCK):
         block = queries[start : start + _BLOCK]
-        score = _score(entries, np.array([v.values for v, _ in block]), in_space_only)[0]
+        score = _score(spaces, np.array([v.values for v, _ in block]), in_space_only)[0]
         # argmin takes the first minimum: the earliest acquisition on a tie
         for (_, true_id), best in zip(block, score.argmin(axis=0)):
             predicted = ids[best]
@@ -135,8 +133,8 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
 
 
 def dump_coordinates(es: Eigenspace, dims: int = 3):
-    """Rows (angle_deg, occluded, c1..c_dims) for each manifold point,
-    axes in eigenvalue-descending order."""
+    """Rows (angle_deg, occluded, c1..c_dims) for each manifold point in
+    view-angle order, axes in eigenvalue-descending order."""
     if dims < 1 or dims > es.k:
         raise DimsTooLarge(f"dims must be in [1, {es.k}], got {dims}")
     return [

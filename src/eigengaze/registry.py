@@ -3,8 +3,9 @@
 Each enrolled object keeps its own independently built eigenspace; enrolling a
 new object never touches existing spaces. Mutation (accumulate / enroll) is
 serialized behind an internal lock. Each mutation rebinds one immutable tuple
-of scoring entries, the snapshot; a read takes the tuple once, so
-classification may run concurrently with mutations and sees whole snapshots.
+of spaces, each holding its manifold in view-angle order; a read takes the
+tuple once, so classification may run concurrently with mutations and sees a
+whole set of spaces.
 """
 
 import math
@@ -75,22 +76,6 @@ class EnrollmentPolicy:
 
 
 @dataclass(frozen=True)
-class SpaceEntry:
-    """One enrolled space as recog's scorer reads it. The manifold points are
-    sorted by view angle (a stable sort), so the first nearest point is the
-    one of lowest angle."""
-
-    space: Eigenspace
-    coords: np.ndarray  # shape (n, k), rows in view-angle order
-    labels: tuple       # of ViewLabel, one per row of coords
-
-    @classmethod
-    def of(cls, es: Eigenspace) -> "SpaceEntry":
-        order = sorted(range(len(es.labels)), key=lambda i: es.labels[i].view_angle_deg)
-        return cls(es, es.coords[order], tuple(es.labels[i] for i in order))
-
-
-@dataclass(frozen=True)
 class Decision:
     known: bool
     result: recog.RecognitionResult | None
@@ -103,31 +88,27 @@ class ObjectRegistry:
 
     def __init__(self, policy: EnrollmentPolicy | None = None):
         # rebound by _append, never mutated in place
-        self._snapshot: tuple[SpaceEntry, ...] = ()
+        self._spaces: tuple[Eigenspace, ...] = ()
         self._spread: float | None = None  # widest manifold gap of any space
         self.policy = policy if policy is not None else EnrollmentPolicy()
         self._lock = threading.RLock()
 
     @property
-    def snapshot(self) -> tuple[SpaceEntry, ...]:
-        """One entry per enrolled space, in acquisition order."""
-        return self._snapshot
-
-    @property
     def spaces(self) -> tuple[Eigenspace, ...]:
-        return tuple(entry.space for entry in self._snapshot)
+        """The enrolled spaces in acquisition order, as one immutable tuple."""
+        return self._spaces
 
     def find(self, object_id: str) -> Eigenspace | None:
-        for entry in self._snapshot:
-            if entry.space.object_id == object_id:
-                return entry.space
+        for es in self._spaces:
+            if es.object_id == object_id:
+                return es
         return None
 
     def _append(self, es: Eigenspace):
         if self.find(es.object_id) is not None:
             raise DuplicateObject(f"object {es.object_id!r} already enrolled")
-        if self._snapshot:
-            first = self._snapshot[0].space
+        if self._spaces:
+            first = self._spaces[0]
             if es.dim != first.dim or es.config.norm_mode != first.config.norm_mode:
                 raise DimensionMismatch(
                     "all enrolled spaces must share dim and norm_mode"
@@ -141,7 +122,7 @@ class ObjectRegistry:
                 # an infinite spread would call every query Known
                 raise CorruptField(f"manifold of {es.object_id!r} spreads beyond float range")
             self._spread = spread if self._spread is None else max(self._spread, spread)
-        self._snapshot = self._snapshot + (SpaceEntry.of(es),)
+        self._spaces = self._spaces + (es,)
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
         """Build and enroll one object's eigenspace; existing spaces untouched."""
@@ -167,7 +148,7 @@ class ObjectRegistry:
 
     def next_auto_name(self) -> str:
         """The first free object-N, counting up from the number of spaces + 1."""
-        n = len(self._snapshot) + 1
+        n = len(self._spaces) + 1
         while self.find(f"object-{n}") is not None:
             n += 1
         return f"object-{n}"
@@ -190,7 +171,7 @@ class ObjectRegistry:
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object."""
         with self._lock:
-            if self._snapshot:
+            if self._spaces:
                 decision = self.decide(v)
             elif pending_views is None:
                 raise EmptyRegistryNoViews("empty registry and no pending views to enroll")
@@ -199,7 +180,7 @@ class ObjectRegistry:
             if decision.known or pending_views is None:
                 return decision
             if config is None:
-                config = self.spaces[0].config if self._snapshot else EigenspaceConfig()
+                config = self._spaces[0].config if self._spaces else EigenspaceConfig()
             name = self.next_auto_name()
             self.accumulate(name, pending_views, config)
             return replace(decision, enrolled_id=name)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import eigengaze as eg
-from eigengaze.cli import main
+from eigengaze.cli import _label_from_filename, main
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
 
@@ -124,6 +124,53 @@ class TestLearn:
                    *sorted(imgs.glob("A_*.pgm")), *flags)
         assert code == 1
         assert not (tmp_path / "reg").exists()
+
+    def test_policy_flags_apply_over_an_existing_registry(self, tmp_path):
+        imgs = synth_dataset(tmp_path, objects=["a", "b", "c", "d"])
+        reg = tmp_path / "reg"
+
+        def learn(obj, *flags):
+            files = sorted(imgs.glob(f"{obj}_*.pgm"))
+            assert run("learn", "--object", obj, "--registry", reg, *files, *flags) == 0
+            return (reg / "registry.manifest").read_text().splitlines()[1]
+
+        assert learn("a", "--threshold", "0.3") == "policy 0.29999999999999999 1.5"
+        assert learn("b", "--threshold", "0.7", "--margin", "2") == (
+            "policy 0.69999999999999996 2"
+        )
+        # an omitted flag keeps the stored value
+        assert learn("c") == "policy 0.69999999999999996 2"
+        assert learn("d", "--threshold", "auto") == "policy auto 2"
+
+    @pytest.mark.parametrize(
+        "flags", [("--margin", "nan"), ("--margin", "0"), ("--threshold", "inf")]
+    )
+    def test_bad_policy_over_an_existing_registry_writes_nothing(self, tmp_path, flags):
+        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+        reg = learn_all(tmp_path, imgs, objects=["A"])
+        before = file_hashes(reg)
+        code = run("learn", "--object", "B", "--registry", reg,
+                   *sorted(imgs.glob("B_*.pgm")), *flags)
+        assert code == 1
+        assert file_hashes(reg) == before
+
+    @pytest.mark.parametrize("name", ["c_front.pgm", "c_back.pgm", "c_-10.pgm"])
+    def test_file_name_without_an_angle_is_rejected(self, tmp_path, capsys, name):
+        imgs = synth_dataset(tmp_path, objects=["c"], angles=[0, 10])
+        bad = imgs / name
+        (imgs / "c_10.pgm").rename(bad)
+        code = run("learn", "--object", "c", "--registry", tmp_path / "reg",
+                   imgs / "c_0.pgm", bad)
+        assert code == 1
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "reg").exists()
+
+    @pytest.mark.parametrize(
+        "name, angle, occluded",
+        [("c_0.pgm", 0, False), ("my_obj_20_occ.pgm", 20, True), ("c_370.pgm", 10, False)],
+    )
+    def test_file_name_carries_the_label(self, name, angle, occluded):
+        assert _label_from_filename(name, "c") == eg.ViewLabel("c", angle, occluded)
 
     def test_env_var_registry(self, tmp_path, monkeypatch):
         imgs = synth_dataset(tmp_path, objects=["A"])

@@ -171,6 +171,29 @@ class TestResidual:
             assert res ** 2 + in_space ** 2 == pytest.approx(total ** 2, abs=1e-8)
 
 
+class TestManifoldOrder:
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_manifold_is_stored_in_angle_order(self, order):
+        apps = training_appearances("mobile")
+        # a clean twin of the occluded 40-degree view: two points share that angle
+        twin = eg.synth_view("mobile", 40, 32, 1)
+        apps.append(eg.vectorize(twin, "unit", eg.ViewLabel("mobile", 40)))
+        if order == "reversed":
+            apps = apps[::-1]
+        else:
+            apps = [apps[i] for i in np.random.default_rng(7).permutation(len(apps))]
+        es = eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig())
+        given = [v.source_label for v in apps]
+        # sorted is stable: twin angles keep the order they were given in
+        assert es.labels == tuple(sorted(given, key=lambda label: label.view_angle_deg))
+        by_label = {v.source_label: v for v in apps}
+        for label, row in zip(es.labels, es.coords):
+            assert np.array_equal(row, eg.project(es, by_label[label]))
+        loaded = eg.load_model(eg.save_model(es))
+        assert loaded.labels == es.labels
+        assert np.array_equal(loaded.coords, es.coords)
+
+
 class TestPersistence:
     def test_round_trip_exact(self, synthetic_space):
         es = synthetic_space

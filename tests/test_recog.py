@@ -211,6 +211,32 @@ class TestRecognizeOracle:
         assert_matches_oracle(reg, v, in_space_only)
 
 
+class TestTrainingOrder:
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_reversed_training_order_gives_the_same_decisions(
+        self, four_object_registry, in_space_only
+    ):
+        reversed_reg = ObjectRegistry()
+        for obj in OBJECTS:
+            reversed_reg.accumulate(obj, training_appearances(obj)[::-1], eg.EigenspaceConfig())
+        for v, _ in query_set():
+            a = four_object_registry.decide(v, in_space_only=in_space_only)
+            b = reversed_reg.decide(v, in_space_only=in_space_only)
+            assert (a.known, a.result.best_object, a.result.best_view) == (
+                b.known, b.result.best_object, b.result.best_view
+            )
+            assert [o for o, _ in a.result.ranked_candidates] == [
+                o for o, _ in b.result.ranked_candidates
+            ]
+            for (_, x), (_, y) in zip(a.result.ranked_candidates, b.result.ranked_candidates):
+                assert x == pytest.approx(y, abs=1e-12)
+            assert a.result.in_space_distance == pytest.approx(
+                b.result.in_space_distance, abs=1e-12
+            )
+            assert a.result.residual == pytest.approx(b.result.residual, abs=1e-12)
+            assert a.threshold == pytest.approx(b.threshold, abs=1e-12)
+
+
 class TestEvaluate:
     def test_training_views_full_rank_perfect(self, full_rank_registry):
         queries = [

@@ -71,25 +71,27 @@ class TestAccumulate:
 
 
 class TestSnapshot:
-    def test_entry_sorts_the_manifold_by_angle(self):
+    def test_spaces_hold_the_manifold_in_angle_order(self):
+        apps = training_appearances("A")
         reg = ObjectRegistry()
-        reg.accumulate("A", training_appearances("A")[::-1], eg.EigenspaceConfig())
-        (entry,) = reg.snapshot
-        assert entry.space is reg.spaces[0]
-        angles = [label.view_angle_deg for label in entry.labels]
+        reg.accumulate("A", apps[::-1], eg.EigenspaceConfig())
+        (es,) = reg.spaces
+        angles = [label.view_angle_deg for label in es.labels]
         assert angles == sorted(angles)
-        for label, row in zip(entry.labels, entry.coords):
-            assert np.array_equal(row, entry.space.coords[entry.space.labels.index(label)])
+        by_label = {v.source_label: v for v in apps}
+        for label, row in zip(es.labels, es.coords):
+            assert np.array_equal(row, eg.project(es, by_label[label]))
 
     def test_mutation_rebinds_the_snapshot(self):
         reg = build_registry(objects=["A"])
-        before = reg.snapshot
+        before = reg.spaces
+        assert reg.spaces is before
         clone = copy.copy(reg)
         clone.accumulate("B", training_appearances("B"), eg.EigenspaceConfig())
-        assert reg.snapshot is before
+        assert reg.spaces is before
         assert [es.object_id for es in reg.spaces] == ["A"]
         assert [es.object_id for es in clone.spaces] == ["A", "B"]
-        assert clone.snapshot[0] is before[0]
+        assert clone.spaces[0] is before[0]
 
 
 class TestEffectiveThreshold:
