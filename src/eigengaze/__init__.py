@@ -10,6 +10,7 @@ from .eigenspace import (
     reconstruct,
     residual,
     save_model,
+    save_sidecar,
 )
 from .imgio import (
     AppearanceVector,
@@ -53,6 +54,7 @@ __all__ = [
     "recognize",
     "residual",
     "save_model",
+    "save_sidecar",
     "sym_eigen",
     "synth_view",
     "vectorize",

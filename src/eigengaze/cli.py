@@ -21,6 +21,8 @@ from .registry import AUTO, MANIFEST_NAME, ObjectRegistry
 DEFAULT_ANGLES = list(range(0, 100, 10))
 # a training file's name ends in _<angle>[_occ], as cmd_synth writes it; ASCII digits only
 _VIEW_STEM = re.compile(r".*_([0-9]+)(_occ)?")
+# a manifest's angle column follows the same digit rule
+_ANGLE = re.compile(r"[0-9]+")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -80,24 +82,29 @@ def _read_image(path: str) -> imgio.RasterImage:
 
 
 def _read_manifest(path: str):
-    """Lines: path<TAB>object_id[<TAB>angle[<TAB>occluded]]. Paths are
-    resolved relative to the manifest file."""
+    """Lines: path<TAB>object_id[<TAB>angle[<TAB>occluded]], and no more
+    columns. The angle is ASCII decimal digits, taken modulo 360 as in file
+    names, and the occluded flag is 0 or 1; a missing column reads as 0.
+    Paths are resolved relative to the manifest file."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, "r") as f:
-        for raw in f:
+        for number, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) < 2:
-                raise EigengazeError(f"bad manifest line {line!r}")
+            angle = fields[2] if len(fields) > 2 else "0"
+            occluded = fields[3] if len(fields) > 3 else "0"
+            if not (2 <= len(fields) <= 4 and _ANGLE.fullmatch(angle) and occluded in ("0", "1")):
+                raise EigengazeError(
+                    f"{path}:{number}: bad manifest line {line!r} "
+                    "(path, object, angle in ASCII digits, occluded 0 or 1)"
+                )
             img_path = fields[0]
             if not os.path.isabs(img_path):
                 img_path = os.path.join(base, img_path)
-            angle = int(fields[2]) if len(fields) > 2 else 0
-            occluded = fields[3] in ("1", "true", "True") if len(fields) > 3 else False
-            entries.append((img_path, fields[1], angle, occluded))
+            entries.append((img_path, fields[1], int(angle) % 360, occluded == "1"))
     return entries
 
 
@@ -139,7 +146,7 @@ def cmd_learn(args) -> int:
     config = _config_from_args(args)
     if args.manifest:
         entries = [
-            (path, ViewLabel(obj, angle % 360, occ))
+            (path, ViewLabel(obj, angle, occ))
             for path, obj, angle, occ in _read_manifest(args.manifest)
             if obj == args.object
         ]

@@ -2,9 +2,12 @@
 
 One eigenspace is built per object from all of its training appearances,
 occluded views included alongside clean ones. The model persists to a
-line-oriented text format that round-trips bit-exactly.
+line-oriented text format that round-trips bit-exactly. A binary sidecar
+holds the same floats for fast loading; it is a cache tied to the text by a
+digest, and the text stays the source of truth.
 """
 
+import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +26,9 @@ MODEL_MAGIC = "EIGENGAZE"
 MODEL_VERSION = 1
 # a built basis measures at most about 1e-9, so this bound leaves a wide margin
 ORTHONORMAL_TOL = 1e-6
+# a sidecar is a sha256 digest, then one little-endian float64 block
+SIDECAR_DIGEST_SIZE = 32
+SIDECAR_DTYPE = np.dtype("<f8")
 
 
 def _fmt(x: float) -> str:
@@ -176,11 +182,47 @@ def save_model(es: Eigenspace) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _row(lines, i, keyword, lead, count):
+def _sidecar_digest(data: bytes, block) -> bytes:
+    h = hashlib.sha256(data)
+    h.update(block)
+    return h.digest()
+
+
+def save_sidecar(es: Eigenspace, data: bytes) -> bytes:
+    """The model's floats for the `.eig` bytes `data` (save_model's output):
+    a sha256 digest over `data` followed by the block, then one `<f8` block
+    holding the mean, the eigenvalues, the basis rows and the coords in
+    `point`-line order."""
+    block = np.concatenate(
+        [es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()]
+    ).astype(SIDECAR_DTYPE).tobytes()
+    return _sidecar_digest(data, block) + block
+
+
+def _sidecar_values(data: bytes, sidecar, size: int):
+    """The sidecar's `size` floats if it was written for exactly these `.eig`
+    bytes, else None: a missing, short, long, stale or damaged sidecar."""
+    if sidecar is None or len(sidecar) != SIDECAR_DIGEST_SIZE + SIDECAR_DTYPE.itemsize * size:
+        return None
+    block = memoryview(sidecar)[SIDECAR_DIGEST_SIZE:]
+    if _sidecar_digest(data, block) != sidecar[:SIDECAR_DIGEST_SIZE]:
+        return None
+    # a copy, so the arrays are writable and in native order, as parsed ones are
+    return np.frombuffer(block, dtype=SIDECAR_DTYPE).astype(np.float64)
+
+
+def _row(lines, i, keyword, lead, count, parse=True):
     """Line i as `keyword`, then `lead` label fields (returned as strings),
-    then `count` finite values (returned as one float64 array)."""
+    then `count` values (returned as one float64 array). When `parse`
+    is false the floats come from a sidecar, and the value fields are
+    neither split nor converted."""
     if i >= len(lines):
         raise CorruptField(f"truncated file: missing {keyword!r} line")
+    if not parse:
+        fields = lines[i].split(" ", lead + 1)
+        if fields[0] != keyword or len(fields) != lead + 2:
+            raise CorruptField(f"line {i + 1}: expected {keyword!r}, {lead} labels and values")
+        return fields[1 : 1 + lead], None
     fields = lines[i].split(" ")
     if fields[0] != keyword or len(fields) != 1 + lead + count:
         raise CorruptField(f"line {i + 1}: expected {keyword!r} and {lead + count} fields")
@@ -188,13 +230,14 @@ def _row(lines, i, keyword, lead, count):
         values = np.array(fields[1 + lead :], dtype=np.float64)
     except ValueError as exc:
         raise CorruptField(f"line {i + 1}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise CorruptField(f"line {i + 1}: non-finite value")
     return fields[1 : 1 + lead], values
 
 
-def load_model(data: bytes) -> Eigenspace:
-    """Inverse of save_model."""
+def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
+    """Inverse of save_model. The floats come from `sidecar` when it is
+    save_sidecar's output for exactly these bytes, and from the text
+    otherwise. The id, config and labels always come from the text, and
+    every check runs on the floats from either source."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -218,36 +261,45 @@ def load_model(data: bytes) -> Eigenspace:
         raise CorruptField(str(exc)) from exc
     if dim < 1 or k < 1 or centered not in ("0", "1"):
         raise CorruptField(f"bad header: dim {dim}, k {k}, centered flag {centered!r}")
-    mean = _row(lines, 5, "mean", 0, dim)[1]
-
     # header counts size nothing up front: a bad k must fail on a missing
     # line, not on allocating k floats
-    eig = [_row(lines, 6 + i, "eigenvalue", 1, 1) for i in range(k)]
-    rows = [_row(lines, 6 + k + i, "basis", 1, dim) for i in range(k)]
+    first_point = 6 + 2 * k
+    try:
+        n = lines.index("END", first_point) - first_point
+    except ValueError:
+        raise CorruptField("truncated file: missing END") from None
+    block = _sidecar_values(data, sidecar, dim + k + k * dim + n * k)
+    parse = block is None
+
+    mean = _row(lines, 5, "mean", 0, dim, parse)[1]
+    eig = [_row(lines, 6 + i, "eigenvalue", 1, 1, parse) for i in range(k)]
+    rows = [_row(lines, 6 + k + i, "basis", 1, dim, parse) for i in range(k)]
     if [f[0] for f, _ in eig + rows] != [str(i) for i in range(k)] * 2:
         raise CorruptField("eigenvalue and basis lines must be numbered 0..k-1")
-    eigenvalues = np.concatenate([v for _, v in eig])
+    points = [_row(lines, first_point + j, "point", 2, k, parse) for j in range(n)]
+    labels = []
+    for (angle, occluded), _ in points:
+        try:
+            labels.append(ViewLabel(object_id, int(angle), {"0": False, "1": True}[occluded]))
+        except (KeyError, ValueError) as exc:
+            raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
+    if not labels:
+        raise CorruptField("model has no manifold points")
+
+    if parse:
+        eigenvalues = np.concatenate([v for _, v in eig])
+        basis = np.array([v for _, v in rows])
+        coords = np.array([v for _, v in points])
+    else:
+        mean, eigenvalues, basis, coords = np.split(block, np.cumsum([dim, k, k * dim]))
+        basis, coords = basis.reshape(k, dim), coords.reshape(n, k)
+    if not all(np.isfinite(a).all() for a in (mean, eigenvalues, basis, coords)):
+        raise CorruptField("non-finite value")
     if not (eigenvalues > 0).all() or (np.diff(eigenvalues) > 0).any():
         raise CorruptField("eigenvalues must be positive and non-increasing")
-    basis = np.array([v for _, v in rows])
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.abs(basis @ basis.T - np.eye(k)).max()
     if not drift <= ORTHONORMAL_TOL:
         raise CorruptField(f"basis rows are not orthonormal: max |BB^T - I| = {drift:.3g}")
 
-    coords, labels = [], []
-    i = 6 + 2 * k
-    while i < len(lines) and lines[i] != "END":
-        (angle, occluded), values = _row(lines, i, "point", 2, k)
-        try:
-            labels.append(ViewLabel(object_id, int(angle), {"0": False, "1": True}[occluded]))
-        except (KeyError, ValueError) as exc:
-            raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
-        coords.append(values)
-        i += 1
-    if i >= len(lines):
-        raise CorruptField("truncated file: missing END")
-    if not labels:
-        raise CorruptField("model has no manifold points")
-
-    return Eigenspace(object_id, mean, eigenvalues, basis, config, np.array(coords), labels)
+    return Eigenspace(object_id, mean, eigenvalues, basis, config, coords, labels)

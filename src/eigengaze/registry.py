@@ -22,6 +22,7 @@ from .eigenspace import (
     build_eigenspace,
     load_model,
     save_model,
+    save_sidecar,
 )
 from .errors import (
     CorruptField,
@@ -61,6 +62,15 @@ def _write_atomic(target: str, data: bytes):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _read_sidecar(path: str) -> bytes | None:
+    """A model's sidecar, or None when it cannot be read: it is only a cache."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -188,14 +198,18 @@ class ObjectRegistry:
     # --- directory persistence ---
 
     def save_dir(self, path: str):
-        """Write every model, then the manifest. Each file is written beside
-        its target and renamed into place, so a save that fails part-way
-        leaves no truncated file, and the old manifest names only old models."""
+        """Write every model (its `.eig` text, then its `.f8` sidecar), then
+        the manifest. Each file is written beside its target and renamed into
+        place, so a save that fails part-way leaves no truncated file, and the
+        old manifest names only old models. Loading ignores a sidecar whose
+        digest does not match its `.eig`, so a stale sidecar changes nothing."""
         os.makedirs(path, exist_ok=True)
         with self._lock:
             spaces = self.spaces
             for es in spaces:
-                _write_atomic(os.path.join(path, f"{es.object_id}.eig"), save_model(es))
+                data = save_model(es)
+                _write_atomic(os.path.join(path, f"{es.object_id}.eig"), data)
+                _write_atomic(os.path.join(path, f"{es.object_id}.f8"), save_sidecar(es, data))
             thr = self.policy.unknown_threshold
             thr_text = AUTO if thr == AUTO else format(float(thr), ".17g")
             manifest = [
@@ -236,9 +250,10 @@ class ObjectRegistry:
             _check_object_id(object_id)
             try:
                 with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
-                    es = load_model(f.read())
+                    data = f.read()
             except FileNotFoundError as exc:
                 raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
+            es = load_model(data, _read_sidecar(os.path.join(path, f"{object_id}.f8")))
             if es.object_id != object_id:
                 raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
             reg._append(es)

@@ -60,6 +60,15 @@ def build_registry(config=None, policy=None, objects=OBJECTS):
     return reg
 
 
+def assert_same_space(got, want):
+    """Equal id, config and labels, and bit-identical arrays."""
+    assert (got.object_id, got.config, got.labels) == (want.object_id, want.config, want.labels)
+    for name in ("mean", "eigenvalues", "basis", "coords"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.fixture(scope="session")
 def four_object_registry():
     return build_registry()

@@ -116,6 +116,51 @@ class TestLearn:
         assert (tmp_path / "reg" / "A.eig").exists()
 
     @pytest.mark.parametrize(
+        "angle, occluded, label",
+        [("10", "0", (10, False)), ("370", "1", (10, True)), ("0010", "0", (10, False))],
+    )
+    def test_manifest_columns_carry_the_label(self, tmp_path, angle, occluded, label):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0, 20])
+        manifest = tmp_path / "train.tsv"
+        manifest.write_text(f"{imgs / 'A_0.pgm'}\tA\t0\t0\n"
+                            f"{imgs / 'A_20.pgm'}\tA\t{angle}\t{occluded}\n")
+        assert run("learn", "--object", "A", "--manifest", manifest,
+                   "--registry", tmp_path / "reg") == 0
+        labels = eg.load_model((tmp_path / "reg" / "A.eig").read_bytes()).labels
+        assert labels == (eg.ViewLabel("A", 0), eg.ViewLabel("A", *label))
+
+    @pytest.mark.parametrize(
+        "columns",
+        ["A\t-10\t0", "A\t1_0\t0", "A\t+10\t0", "A\t 10\t0", "A\t10.0\t0", "A\t\t0",
+         "A\t\u0661\t0", "A\t10\tyes", "A\t10\ttrue", "A\t10\t2", "A\t10\t",
+         "A\t10\t0\tjunk"],
+        ids=["negative", "underscore", "plus", "space", "decimal", "empty", "arabic-indic",
+             "flag-yes", "flag-true", "flag-2", "flag-empty", "extra-column"],
+    )
+    @pytest.mark.parametrize("command", ["learn", "evaluate"])
+    def test_bad_manifest_line_is_rejected(self, tmp_path, capsys, command, columns):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0, 10])
+        reg = learn_all(tmp_path, imgs, objects=["A"]) if command == "evaluate" else None
+        before = file_hashes(reg) if reg else None
+        manifest = tmp_path / "train.tsv"
+        bad = f"{imgs / 'A_10.pgm'}\t{columns}"
+        manifest.write_text(f"{imgs / 'A_0.pgm'}\tA\t0\t0\n{bad}\n", encoding="utf-8")
+        if command == "learn":
+            code = run("learn", "--object", "A", "--manifest", manifest,
+                       "--registry", tmp_path / "reg")
+        else:
+            code = run("evaluate", "--manifest", manifest, "--registry", reg,
+                       "--csv", tmp_path / "report.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:2:" in err and repr(bad) in err
+        if command == "learn":
+            assert not (tmp_path / "reg").exists()
+        else:
+            assert file_hashes(reg) == before
+            assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
         "flags", [("--margin", "nan"), ("--margin", "inf"), ("--threshold", "inf")]
     )
     def test_non_finite_policy_is_rejected(self, tmp_path, flags):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from eigengaze.errors import (
     VersionMismatch,
 )
 
-from conftest import training_appearances
+from conftest import assert_same_space, training_appearances
 
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
@@ -274,6 +275,98 @@ class TestPersistence:
         lines = eg.save_model(synthetic_space).decode().split("\n")
         with pytest.raises(CorruptField):
             eg.load_model("\n".join(edit(lines)).encode())
+
+
+def _redigested(data, block):
+    """A sidecar for the `.eig` bytes data that holds `block` under a valid digest."""
+    block = np.asarray(block, dtype="<f8").tobytes()
+    return hashlib.sha256(data + block).digest() + block
+
+
+class TestSidecar:
+    @pytest.fixture
+    def saved(self, synthetic_space):
+        data = eg.save_model(synthetic_space)
+        return synthetic_space, data, eg.save_sidecar(synthetic_space, data)
+
+    def test_layout_is_digest_then_little_endian_floats(self, saved):
+        es, data, sidecar = saved
+        block = np.concatenate([es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
+        assert sidecar == _redigested(data, block)
+        assert len(sidecar) == 32 + 8 * (es.dim + es.k + es.k * es.dim + len(es.labels) * es.k)
+
+    def test_sidecar_load_is_bit_identical_to_the_text(self, saved):
+        es, data, sidecar = saved
+        assert_same_space(eg.load_model(data, sidecar), eg.load_model(data))
+        assert_same_space(eg.load_model(data, sidecar), es)
+
+    def test_floats_come_from_a_matching_sidecar(self, saved):
+        es, data, _ = saved
+        mean = es.mean + 0.25
+        block = np.concatenate([mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
+        loaded = eg.load_model(data, _redigested(data, block))
+        assert np.array_equal(loaded.mean, mean)
+        assert loaded.labels == es.labels
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda s: b"",
+            lambda s: s[:32],
+            lambda s: s[:-8],
+            lambda s: s + b"\0" * 8,
+            lambda s: bytes([s[0] ^ 1]) + s[1:],
+            lambda s: s[:-1] + bytes([s[-1] ^ 1]),
+        ],
+        ids=["empty", "digest-only", "truncated", "over-long", "wrong-digest", "flipped-float"],
+    )
+    def test_damaged_sidecar_falls_back_to_the_text(self, saved, damage):
+        _, data, sidecar = saved
+        assert_same_space(eg.load_model(data, damage(sidecar)), eg.load_model(data))
+
+    def test_edited_text_misses_the_digest(self, saved):
+        _, data, sidecar = saved
+        lines = data.decode().split("\n")
+        lines[5] = _set_field("mean", 1, "0.125")(lines)[5]
+        edited = "\n".join(lines).encode()
+        loaded = eg.load_model(edited, sidecar)
+        assert loaded.mean[0] == 0.125
+        assert_same_space(loaded, eg.load_model(edited))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda es: (np.where(np.arange(es.dim) == 1, np.nan, es.mean), es.eigenvalues,
+                        es.basis, es.coords),
+            lambda es: (es.mean, es.eigenvalues, es.basis,
+                        np.where(np.arange(es.k) == 0, np.inf, es.coords)),
+            lambda es: (es.mean, es.eigenvalues[::-1], es.basis, es.coords),
+            lambda es: (es.mean, -es.eigenvalues, es.basis, es.coords),
+            lambda es: (es.mean, es.eigenvalues, 2 * es.basis, es.coords),
+            lambda es: (es.mean, es.eigenvalues, es.basis[[0] * es.k], es.coords),
+        ],
+        ids=["nan-mean", "inf-point", "rising-eigenvalues", "negative-eigenvalues",
+             "scaled-basis", "repeated-basis-row"],
+    )
+    def test_matching_sidecar_gets_every_check(self, saved, edit):
+        es, data, _ = saved
+        block = np.concatenate([a.ravel() for a in edit(es)])
+        with pytest.raises(CorruptField):
+            eg.load_model(data, _redigested(data, block))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_set_field("point", 1, "999"), _set_field("point", 2, "2"),
+         _set_field("eigenvalue", 1, "5"), _set_field("basis", 1, "x y"),
+         _set_field("basis", 0, "bases")],
+        ids=["angle-999", "occluded-2", "misnumbered", "non-numeric-index", "wrong-keyword"],
+    )
+    def test_text_checks_run_beside_a_matching_sidecar(self, saved, edit):
+        es, data, _ = saved
+        edited = "\n".join(edit(data.decode().split("\n"))).encode()
+        block = np.concatenate([es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
+        with pytest.raises(CorruptField):
+            eg.load_model(edited, _redigested(edited, block))
 
 
 _BUILD_AND_HASH = """

@@ -1,5 +1,6 @@
 """Fuzzed load paths: any input either loads or raises an EigengazeError."""
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -13,24 +14,32 @@ import eigengaze as eg
 from eigengaze.eigenspace import _fmt_row
 from eigengaze.errors import EigengazeError
 
-from conftest import build_registry, training_appearances
+from conftest import assert_same_space, build_registry, training_appearances
 
 # derandomized so that every run checks the same inputs
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-MODEL_LINES = eg.save_model(
-    eg.build_eigenspace("mobile", training_appearances("mobile"), eg.EigenspaceConfig())
-).decode().split("\n")
+MODEL = eg.build_eigenspace("mobile", training_appearances("mobile"), eg.EigenspaceConfig())
+MODEL_DATA = eg.save_model(MODEL)
+MODEL_LINES = MODEL_DATA.decode().split("\n")
+SIDECAR = eg.save_sidecar(MODEL, MODEL_DATA)
 
 
 def saved_registry():
-    """File name -> lines, for a saved 2-object registry."""
+    """For a saved 2-object registry: text file name -> lines, for the `.eig`
+    models and the manifest, and sidecar file name -> bytes."""
+    text, sidecars = {}, {}
     with tempfile.TemporaryDirectory() as path:
         build_registry(objects=["mobile", "stapler"]).save_dir(path)
-        return {p.name: p.read_text(encoding="utf-8").split("\n") for p in Path(path).iterdir()}
+        for p in Path(path).iterdir():
+            if p.suffix == ".f8":
+                sidecars[p.name] = p.read_bytes()
+            else:
+                text[p.name] = p.read_text(encoding="utf-8").split("\n")
+    return text, sidecars
 
 
-REGISTRY_FILES = saved_registry()
+REGISTRY_FILES, SIDECARS = saved_registry()
 
 # the first manifold point of stapler, moved to 1e200: its spread overflows
 _POINT = next(i for i, l in enumerate(REGISTRY_FILES["stapler.eig"]) if l.startswith("point "))
@@ -79,9 +88,9 @@ def pgm_with_laid_out_header(draw):
     return data, eg.RasterImage(width, height, max_value, np.array(samples))
 
 
-def check_model(data: bytes):
+def check_model(data: bytes, sidecar=None):
     try:
-        es = eg.load_model(data)
+        es = eg.load_model(data, sidecar)
     except EigengazeError:
         return
     assert es.basis.shape == (es.k, es.dim) and es.mean.shape == (es.dim,)
@@ -150,6 +159,43 @@ def test_load_model_with_one_field_replaced(index, field, token):
     check_model("\n".join(lines).encode())
 
 
+def damaged_sidecars():
+    """Arbitrary bytes, and the real sidecar cut, extended or with one byte changed."""
+    def change(case):
+        i, xor = case
+        return SIDECAR[:i] + bytes([SIDECAR[i] ^ xor]) + SIDECAR[i + 1 :]
+
+    return st.one_of(
+        st.binary(max_size=512),
+        st.integers(0, len(SIDECAR) - 1).map(lambda n: SIDECAR[:n]),
+        st.binary(min_size=1, max_size=16).map(lambda tail: SIDECAR + tail),
+        st.tuples(st.integers(0, len(SIDECAR) - 1), st.integers(1, 255)).map(change),
+    )
+
+
+@FUZZ
+@given(damaged_sidecars())
+@example(b"")
+@example(SIDECAR[:32])
+def test_load_model_with_any_sidecar_loads_the_text_model(sidecar):
+    try:
+        es = eg.load_model(MODEL_DATA, sidecar)
+    except EigengazeError:
+        return
+    assert_same_space(es, MODEL)
+
+
+@FUZZ
+@given(st.integers(0, (len(SIDECAR) - 32) // 8 - 1), st.binary(min_size=8, max_size=8))
+@example(0, np.array(np.nan).tobytes())
+@example(MODEL.dim, np.array(np.inf).tobytes())
+@example(MODEL.dim + 1, np.array(1e300).tobytes())
+def test_load_model_with_any_float_under_a_matching_digest_loads_or_raises(index, value):
+    block = bytearray(SIDECAR[32:])
+    block[8 * index : 8 * index + 8] = value
+    check_model(MODEL_DATA, hashlib.sha256(MODEL_DATA + block).digest() + bytes(block))
+
+
 @FUZZ
 @given(st.sampled_from(sorted(REGISTRY_FILES)), st.integers(0, 10**6), st.text(max_size=80))
 @example("registry.manifest", 1, "policy auto nan")
@@ -162,6 +208,8 @@ def test_load_dir_with_one_line_replaced(name, index, line):
             if file_name == name:
                 lines[index % len(lines)] = line
             Path(reg_dir, file_name).write_text("\n".join(lines), encoding="utf-8")
+        for file_name, data in SIDECARS.items():
+            Path(reg_dir, file_name).write_bytes(data)
         try:
             reg = eg.ObjectRegistry.load_dir(reg_dir)
         except EigengazeError:

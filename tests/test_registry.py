@@ -1,4 +1,5 @@
 import copy
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from eigengaze.errors import (
 from eigengaze import registry as registry_module
 from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
 
-from conftest import build_registry, query_set, training_appearances
+from conftest import assert_same_space, build_registry, query_set, training_appearances
 
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
@@ -319,7 +320,11 @@ class TestPersistence:
         with pytest.raises(CorruptField, match="stapler"):
             ObjectRegistry.load_dir(str(tmp_path))
 
-    @pytest.mark.parametrize("failing_write", [0, 2, 3], ids=["old-model", "new-model", "manifest"])
+    @pytest.mark.parametrize(
+        "failing_write",
+        ["mobile.eig", "mobile.f8", "widget.eig", "widget.f8", "registry.manifest"],
+        ids=["old-model", "old-sidecar", "new-model", "new-sidecar", "manifest"],
+    )
     def test_failed_save_leaves_old_registry_loadable(self, tmp_path, monkeypatch, failing_write):
         reg = build_registry(objects=["mobile", "stapler"])
         reg.save_dir(str(tmp_path))
@@ -327,7 +332,7 @@ class TestPersistence:
         reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
 
         real_open = open
-        opened = []
+        failed = []
 
         class HalfWritten:
             """A file whose write stores half its data, then fails."""
@@ -347,19 +352,28 @@ class TestPersistence:
 
         def failing_open(path, mode="r", *args, **kwargs):
             f = real_open(path, mode, *args, **kwargs)
-            opened.append(path)
-            return HalfWritten(f) if len(opened) == failing_write + 1 else f
+            if os.path.basename(path) != failing_write + ".tmp":
+                return f
+            failed.append(path)
+            return HalfWritten(f)
 
         monkeypatch.setattr(registry_module, "open", failing_open, raising=False)
         with pytest.raises(OSError):
             reg.save_dir(str(tmp_path))
         monkeypatch.undo()
+        assert len(failed) == 1
 
         loaded = ObjectRegistry.load_dir(str(tmp_path))
         assert [es.object_id for es in loaded.spaces] == ["mobile", "stapler"]
+        for got, want in zip(loaded.spaces, reg.spaces):
+            assert eg.save_model(got) == eg.save_model(want)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        if failing_write == 3:  # the new model landed; the manifest does not list it
-            assert after.pop("widget.eig") == eg.save_model(reg.find("widget"))
+        widget = eg.save_model(reg.find("widget"))
+        if failing_write in ("widget.f8", "registry.manifest"):
+            # the new model landed; the manifest does not list it
+            assert after.pop("widget.eig") == widget
+        if failing_write == "registry.manifest":
+            assert after.pop("widget.f8") == eg.save_sidecar(reg.find("widget"), widget)
         assert after == before
 
     def test_layout(self, tmp_path):
@@ -367,5 +381,55 @@ class TestPersistence:
         reg.save_dir(str(tmp_path))
         names = sorted(p.name for p in tmp_path.iterdir())
         assert "registry.manifest" in names
-        assert "mobile.eig" in names
-        assert len(names) == 5
+        assert "mobile.eig" in names and "mobile.f8" in names
+        assert sum(name.endswith(".eig") for name in names) == 4
+        assert sum(name.endswith(".f8") for name in names) == 4
+        assert len(names) == 9
+
+
+class TestSidecar:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            eg.EigenspaceConfig(),
+            eg.EigenspaceConfig(centered=False),
+            eg.EigenspaceConfig(norm_mode="raw"),
+            eg.EigenspaceConfig(centered=False, norm_mode="raw"),
+            eg.EigenspaceConfig(k_override=3),
+        ],
+        ids=["centered-unit", "uncentered-unit", "centered-raw", "uncentered-raw", "k-3"],
+    )
+    def test_sidecars_load_what_the_text_loads(self, tmp_path, config):
+        reg = build_registry(config=config)
+        reg.save_dir(str(tmp_path))
+        with_sidecars = ObjectRegistry.load_dir(str(tmp_path))
+        texts = {es.object_id: (tmp_path / f"{es.object_id}.eig").read_bytes() for es in reg.spaces}
+        for es in reg.spaces:
+            (tmp_path / f"{es.object_id}.f8").unlink()
+        text_only = ObjectRegistry.load_dir(str(tmp_path))
+        for a, b, built in zip(with_sidecars.spaces, text_only.spaces, reg.spaces):
+            assert_same_space(a, b)
+            assert_same_space(a, eg.load_model(texts[a.object_id]))
+            assert_same_space(a, built)
+        assert with_sidecars.effective_threshold() == text_only.effective_threshold()
+
+    def test_edited_model_loads_its_text_value(self, tmp_path):
+        reg = build_registry(objects=["mobile", "stapler"])
+        reg.save_dir(str(tmp_path))
+        model = tmp_path / "stapler.eig"
+        lines = model.read_text().split("\n")
+        mean = lines[5].split(" ")
+        mean[3] = "0.5"
+        lines[5] = " ".join(mean)
+        model.write_text("\n".join(lines))
+        loaded = ObjectRegistry.load_dir(str(tmp_path))
+        assert loaded.find("stapler").mean[2] == 0.5
+        assert_same_space(loaded.find("stapler"), eg.load_model(model.read_bytes()))
+        assert_same_space(loaded.find("mobile"), reg.find("mobile"))
+
+    def test_unreadable_sidecar_falls_back_to_the_text(self, tmp_path):
+        reg = build_registry(objects=["mobile"])
+        reg.save_dir(str(tmp_path))
+        (tmp_path / "mobile.f8").unlink()
+        (tmp_path / "mobile.f8").mkdir()
+        assert_same_space(ObjectRegistry.load_dir(str(tmp_path)).find("mobile"), reg.find("mobile"))
