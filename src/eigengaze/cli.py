@@ -16,7 +16,7 @@ from . import imgio, recog
 from .eigenspace import EigenspaceConfig, load_model
 from .errors import EigengazeError, EmptyQuerySet, NoImages
 from .imgio import OcclusionSpec, ViewLabel
-from .registry import AUTO, MANIFEST_NAME, ObjectRegistry
+from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry
 
 DEFAULT_ANGLES = list(range(0, 100, 10))
 # a training file's name ends in _<angle>[_occ], as cmd_synth writes it; ASCII digits only
@@ -83,9 +83,10 @@ def _read_image(path: str) -> imgio.RasterImage:
 
 def _read_manifest(path: str):
     """Lines: path<TAB>object_id[<TAB>angle[<TAB>occluded]], and no more
-    columns. The angle is ASCII decimal digits, taken modulo 360 as in file
-    names, and the occluded flag is 0 or 1; a missing column reads as 0.
-    Paths are resolved relative to the manifest file."""
+    columns. The object id follows the registry's rule, the angle is ASCII
+    decimal digits, taken modulo 360 as in file names, and the occluded flag
+    is 0 or 1; a missing column reads as 0. Paths are resolved relative to
+    the manifest file."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, "r") as f:
@@ -96,10 +97,11 @@ def _read_manifest(path: str):
             fields = line.split("\t")
             angle = fields[2] if len(fields) > 2 else "0"
             occluded = fields[3] if len(fields) > 3 else "0"
-            if not (2 <= len(fields) <= 4 and _ANGLE.fullmatch(angle) and occluded in ("0", "1")):
+            if not (2 <= len(fields) <= 4 and _OBJECT_ID.fullmatch(fields[1])
+                    and _ANGLE.fullmatch(angle) and occluded in ("0", "1")):
                 raise EigengazeError(
-                    f"{path}:{number}: bad manifest line {line!r} "
-                    "(path, object, angle in ASCII digits, occluded 0 or 1)"
+                    f"{path}:{number}: bad manifest line {line!r} (path, object id "
+                    f"{_OBJECT_ID.pattern}, angle in ASCII digits, occluded 0 or 1)"
                 )
             img_path = fields[0]
             if not os.path.isabs(img_path):

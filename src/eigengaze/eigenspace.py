@@ -31,13 +31,8 @@ SIDECAR_DIGEST_SIZE = 32
 SIDECAR_DTYPE = np.dtype("<f8")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_row(row: np.ndarray) -> str:
-    """The row's values as space-separated `.17g` text, through one % template."""
-    values = row.tolist()
+def _fmt_row(values) -> str:
+    """The values as space-separated `.17g` text, through one % template."""
     return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
@@ -156,28 +151,48 @@ def residual(es: Eigenspace, v: AppearanceVector) -> float:
 
 # --- persistence ---
 
+def _layout(dim: int, k: int, n: int):
+    """A model file's float rows, between its header and END, as (keyword,
+    label fields, values): the mean, each eigenvalue and basis row (labelled
+    with its index), and each manifold point (labelled with its angle and
+    occluded flag). A sidecar's block holds their values in this order."""
+    return (
+        [("mean", 0, dim)]
+        + [("eigenvalue", 1, 1)] * k
+        + [("basis", 1, dim)] * k
+        + [("point", 2, k)] * n
+    )
+
+
+def _block(es: Eigenspace) -> np.ndarray:
+    """The model's floats in row order: mean, eigenvalues, basis, coords."""
+    return np.concatenate([es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
+
+
+def _int(field: str) -> int:
+    """An integer field, spelled only as save_model writes it (no sign, `_`,
+    leading zero or non-ASCII digit), so a loaded model saves to the same bytes."""
+    value = int(field)
+    if str(value) != field:
+        raise ValueError(f"integer field {field!r} is not in canonical form")
+    return value
+
+
 def save_model(es: Eigenspace) -> bytes:
+    points = [[str(label.view_angle_deg), "1" if label.occluded else "0"] for label in es.labels]
+    leads = [[]] + [[str(i)] for i in range(es.k)] * 2 + points
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"object {es.object_id}",
         f"dim {es.dim}",
         f"k {es.k}",
-        "config {} {} {}".format(
-            1 if es.config.centered else 0,
-            es.config.norm_mode,
-            _fmt(es.config.energy_threshold),
-        ),
-        "mean " + _fmt_row(es.mean),
+        f"config {1 if es.config.centered else 0} {es.config.norm_mode} "
+        + _fmt_row([es.config.energy_threshold]),
     ]
-    for i, lam in enumerate(es.eigenvalues):
-        lines.append(f"eigenvalue {i} {_fmt(lam)}")
-    for i, row in enumerate(es.basis):
-        lines.append(f"basis {i} " + _fmt_row(row))
-    for label, row in zip(es.labels, es.coords):
-        lines.append(
-            f"point {label.view_angle_deg} {1 if label.occluded else 0} "
-            + _fmt_row(row)
-        )
+    values, start = _block(es).tolist(), 0
+    for (keyword, _, count), lead in zip(_layout(es.dim, es.k, len(es.labels)), leads):
+        lines.append(" ".join([keyword, *lead, _fmt_row(values[start : start + count])]))
+        start += count
     lines.append("END")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -191,11 +206,8 @@ def _sidecar_digest(data: bytes, block) -> bytes:
 def save_sidecar(es: Eigenspace, data: bytes) -> bytes:
     """The model's floats for the `.eig` bytes `data` (save_model's output):
     a sha256 digest over `data` followed by the block, then one `<f8` block
-    holding the mean, the eigenvalues, the basis rows and the coords in
-    `point`-line order."""
-    block = np.concatenate(
-        [es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()]
-    ).astype(SIDECAR_DTYPE).tobytes()
+    holding the values of every float row, in row order."""
+    block = _block(es).astype(SIDECAR_DTYPE).tobytes()
     return _sidecar_digest(data, block) + block
 
 
@@ -209,28 +221,6 @@ def _sidecar_values(data: bytes, sidecar, size: int):
         return None
     # a copy, so the arrays are writable and in native order, as parsed ones are
     return np.frombuffer(block, dtype=SIDECAR_DTYPE).astype(np.float64)
-
-
-def _row(lines, i, keyword, lead, count, parse=True):
-    """Line i as `keyword`, then `lead` label fields (returned as strings),
-    then `count` values (returned as one float64 array). When `parse`
-    is false the floats come from a sidecar, and the value fields are
-    neither split nor converted."""
-    if i >= len(lines):
-        raise CorruptField(f"truncated file: missing {keyword!r} line")
-    if not parse:
-        fields = lines[i].split(" ", lead + 1)
-        if fields[0] != keyword or len(fields) != lead + 2:
-            raise CorruptField(f"line {i + 1}: expected {keyword!r}, {lead} labels and values")
-        return fields[1 : 1 + lead], None
-    fields = lines[i].split(" ")
-    if fields[0] != keyword or len(fields) != 1 + lead + count:
-        raise CorruptField(f"line {i + 1}: expected {keyword!r} and {lead + count} fields")
-    try:
-        values = np.array(fields[1 + lead :], dtype=np.float64)
-    except ValueError as exc:
-        raise CorruptField(f"line {i + 1}: {exc}") from exc
-    return fields[1 : 1 + lead], values
 
 
 def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
@@ -252,49 +242,61 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     if keyword != "object":
         raise CorruptField("expected 'object' line 2")
 
+    match [line.split(" ") for line in lines[2:5]]:
+        case [["dim", dim], ["k", k], ["config", centered, norm_mode, tau]]:
+            pass
+        case _:
+            raise CorruptField("lines 3-5 must be the 'dim', 'k' and 'config' lines")
     try:
-        dim = int(_row(lines, 2, "dim", 1, 0)[0][0])
-        k = int(_row(lines, 3, "k", 1, 0)[0][0])
-        (centered, norm_mode), tau = _row(lines, 4, "config", 2, 1)
-        config = EigenspaceConfig(centered == "1", norm_mode, float(tau[0]))
+        dim, k = _int(dim), _int(k)
+        config = EigenspaceConfig(centered == "1", norm_mode, float(tau))
     except ValueError as exc:
         raise CorruptField(str(exc)) from exc
     if dim < 1 or k < 1 or centered not in ("0", "1"):
         raise CorruptField(f"bad header: dim {dim}, k {k}, centered flag {centered!r}")
     # header counts size nothing up front: a bad k must fail on a missing
-    # line, not on allocating k floats
+    # END, not on allocating k rows
     first_point = 6 + 2 * k
     try:
         n = lines.index("END", first_point) - first_point
     except ValueError:
         raise CorruptField("truncated file: missing END") from None
-    block = _sidecar_values(data, sidecar, dim + k + k * dim + n * k)
-    parse = block is None
-
-    mean = _row(lines, 5, "mean", 0, dim, parse)[1]
-    eig = [_row(lines, 6 + i, "eigenvalue", 1, 1, parse) for i in range(k)]
-    rows = [_row(lines, 6 + k + i, "basis", 1, dim, parse) for i in range(k)]
-    if [f[0] for f, _ in eig + rows] != [str(i) for i in range(k)] * 2:
-        raise CorruptField("eigenvalue and basis lines must be numbered 0..k-1")
-    points = [_row(lines, first_point + j, "point", 2, k, parse) for j in range(n)]
-    labels = []
-    for (angle, occluded), _ in points:
-        try:
-            labels.append(ViewLabel(object_id, int(angle), {"0": False, "1": True}[occluded]))
-        except (KeyError, ValueError) as exc:
-            raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
-    if not labels:
+    if n == 0:
         raise CorruptField("model has no manifold points")
 
-    if parse:
-        eigenvalues = np.concatenate([v for _, v in eig])
-        basis = np.array([v for _, v in rows])
-        coords = np.array([v for _, v in points])
-    else:
-        mean, eigenvalues, basis, coords = np.split(block, np.cumsum([dim, k, k * dim]))
-        basis, coords = basis.reshape(k, dim), coords.reshape(n, k)
-    if not all(np.isfinite(a).all() for a in (mean, eigenvalues, basis, coords)):
+    # every row lies before END; its values are split only when no sidecar holds them
+    layout = _layout(dim, k, n)
+    block = _sidecar_values(data, sidecar, sum(count for _, _, count in layout))
+    leads, tokens = [], []
+    for i, (keyword, lead, count) in enumerate(layout, 5):
+        fields = lines[i].split(" ", lead + 1)
+        if fields[0] != keyword or len(fields) != lead + 2:
+            raise CorruptField(f"line {i + 1}: expected {keyword!r}, {lead} labels and values")
+        leads.append(fields[1:-1])
+        if block is None:
+            values = fields[-1].split(" ")
+            if len(values) != count:
+                raise CorruptField(f"line {i + 1}: expected {count} values, got {len(values)}")
+            tokens += values
+    if block is None:
+        try:
+            block = np.array(tokens, dtype=np.float64)
+        except ValueError as exc:
+            raise CorruptField(str(exc)) from exc
+
+    if leads[1 : 1 + 2 * k] != [[str(i)] for i in range(k)] * 2:
+        raise CorruptField("eigenvalue and basis lines must be numbered 0..k-1")
+    labels = []
+    for angle, occluded in leads[1 + 2 * k :]:
+        try:
+            labels.append(ViewLabel(object_id, _int(angle), {"0": False, "1": True}[occluded]))
+        except (KeyError, ValueError) as exc:
+            raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
+
+    if not np.isfinite(block).all():
         raise CorruptField("non-finite value")
+    mean, eigenvalues, basis, coords = np.split(block, np.cumsum([dim, k, k * dim]))
+    basis, coords = basis.reshape(k, dim), coords.reshape(n, k)
     if not (eigenvalues > 0).all() or (np.diff(eigenvalues) > 0).any():
         raise CorruptField("eigenvalues must be positive and non-increasing")
     with np.errstate(over="ignore", invalid="ignore"):

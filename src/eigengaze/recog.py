@@ -11,6 +11,7 @@ queries with one matrix product per space. `recognize` scores one query;
 tie rules.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,27 +109,21 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
     spaces = _spaces(reg, [v for v, _ in queries])
     ids = [es.object_id for es in spaces]
 
-    confusion = {}
-    totals = {}
-    hits = {}
-    m = 0
+    confusion = Counter()
     for start in range(0, len(queries), _BLOCK):
         block = queries[start : start + _BLOCK]
         score = _score(spaces, np.array([v.values for v, _ in block]), in_space_only)[0]
         # argmin takes the first minimum: the earliest acquisition on a tie
         for (_, true_id), best in zip(block, score.argmin(axis=0)):
-            predicted = ids[best]
-            confusion[(true_id, predicted)] = confusion.get((true_id, predicted), 0) + 1
-            totals[true_id] = totals.get(true_id, 0) + 1
-            if predicted == true_id:
-                hits[true_id] = hits.get(true_id, 0) + 1
-                m += 1
+            confusion[true_id, ids[best]] += 1
 
-    P = len(queries)
+    # a Counter reads a missing (true, true) pair as 0 without adding it
+    totals = Counter(true_id for true_id, _ in confusion.elements())
     per_object = {
-        tid: (totals[tid], hits.get(tid, 0), Fraction(hits.get(tid, 0), totals[tid]))
-        for tid in totals
+        tid: (p_i, confusion[tid, tid], Fraction(confusion[tid, tid], p_i))
+        for tid, p_i in totals.items()
     }
+    m, P = sum(m_i for _, m_i, _ in per_object.values()), len(queries)
     return EvaluationReport(P, m, Fraction(m, P), per_object, confusion)
 
 

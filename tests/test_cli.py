@@ -133,9 +133,10 @@ class TestLearn:
         "columns",
         ["A\t-10\t0", "A\t1_0\t0", "A\t+10\t0", "A\t 10\t0", "A\t10.0\t0", "A\t\t0",
          "A\t\u0661\t0", "A\t10\tyes", "A\t10\ttrue", "A\t10\t2", "A\t10\t",
-         "A\t10\t0\tjunk"],
+         "A\t10\t0\tjunk", "mo,bile\t10\t0", "x y\t10\t0"],
         ids=["negative", "underscore", "plus", "space", "decimal", "empty", "arabic-indic",
-             "flag-yes", "flag-true", "flag-2", "flag-empty", "extra-column"],
+             "flag-yes", "flag-true", "flag-2", "flag-empty", "extra-column", "comma-in-id",
+             "space-in-id"],
     )
     @pytest.mark.parametrize("command", ["learn", "evaluate"])
     def test_bad_manifest_line_is_rejected(self, tmp_path, capsys, command, columns):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -30,15 +31,35 @@ def raw_vec(values, label=eg.ViewLabel("", 0)):
     return eg.AppearanceVector(values.size, values, "raw", label)
 
 
-def _set_field(keyword, index, value):
-    """Model-text edit: set one field of the first line starting with keyword."""
+def _respell(keyword, index, spell):
+    """Model-text edit: replace one field of the first line starting with
+    keyword by spell(field)."""
     def edit(lines):
         i = next(i for i, l in enumerate(lines) if l.startswith(keyword + " "))
         fields = lines[i].split(" ")
-        fields[index] = value
+        fields[index] = spell(fields[index])
         lines[i] = " ".join(fields)
         return lines
     return edit
+
+
+def _set_field(keyword, index, value):
+    """Model-text edit: set one field of the first line starting with keyword."""
+    return _respell(keyword, index, lambda _: value)
+
+
+# integer fields that int() reads but save_model never writes
+_NON_CANONICAL_INTS = [
+    _respell("dim", 1, "+{}".format),
+    _respell("dim", 1, lambda f: f[0] + "_" + f[1:]),
+    _respell("k", 1, "+{}".format),
+    _set_field("point", 1, "1_0"),
+    _set_field("point", 1, "+10"),
+    _set_field("point", 1, "\u0661\u0660"),
+]
+_NON_CANONICAL_IDS = [
+    "plus-dim", "underscore-dim", "plus-k", "underscore-angle", "plus-angle", "arabic-indic-angle",
+]
 
 
 @pytest.fixture(scope="module")
@@ -264,11 +285,12 @@ class TestPersistence:
             _set_field("basis", 2, "1e300"),
             lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
             _set_field("basis", 2, "0.5"),
+            *_NON_CANONICAL_INTS,
         ],
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
-            "huge-basis", "huge-basis-pair", "skewed-basis",
+            "huge-basis", "huge-basis-pair", "skewed-basis", *_NON_CANONICAL_IDS,
         ],
     )
     def test_rejects_what_scoring_cannot_use(self, synthetic_space, edit):
@@ -358,8 +380,9 @@ class TestSidecar:
         "edit",
         [_set_field("point", 1, "999"), _set_field("point", 2, "2"),
          _set_field("eigenvalue", 1, "5"), _set_field("basis", 1, "x y"),
-         _set_field("basis", 0, "bases")],
-        ids=["angle-999", "occluded-2", "misnumbered", "non-numeric-index", "wrong-keyword"],
+         _set_field("basis", 0, "bases"), *_NON_CANONICAL_INTS],
+        ids=["angle-999", "occluded-2", "misnumbered", "non-numeric-index", "wrong-keyword",
+             *_NON_CANONICAL_IDS],
     )
     def test_text_checks_run_beside_a_matching_sidecar(self, saved, edit):
         es, data, _ = saved
@@ -367,6 +390,37 @@ class TestSidecar:
         block = np.concatenate([es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
         with pytest.raises(CorruptField):
             eg.load_model(edited, _redigested(edited, block))
+
+
+def test_model_file_layout_is_pinned_to_literal_bytes():
+    # hand-built, so the bytes depend on no eigensolver; the points are given
+    # out of angle order, and the file holds them in angle order
+    es = eg.Eigenspace(
+        "toy", np.array([0.1, -2.5]), np.array([0.75]), np.array([[0.6, 0.8]]),
+        eg.EigenspaceConfig(centered=False, norm_mode="raw", energy_threshold=0.9),
+        np.array([[1 / 3], [-0.5]]), (eg.ViewLabel("toy", 90, True), eg.ViewLabel("toy", 0)),
+    )
+    data = eg.save_model(es)
+    assert data == (
+        b"EIGENGAZE 1\n"
+        b"object toy\n"
+        b"dim 2\n"
+        b"k 1\n"
+        b"config 0 raw 0.90000000000000002\n"
+        b"mean 0.10000000000000001 -2.5\n"
+        b"eigenvalue 0 0.75\n"
+        b"basis 0 0.59999999999999998 0.80000000000000004\n"
+        b"point 0 0 -0.5\n"
+        b"point 90 1 0.33333333333333331\n"
+        b"END\n"
+    )
+    sidecar = eg.save_sidecar(es, data)
+    assert sidecar == (
+        bytes.fromhex("bd1fb4fcb54edc260d15829688f320b7b527cee8ac04444b5071af3e30fe5b39")
+        + struct.pack("<7d", 0.1, -2.5, 0.75, 0.6, 0.8, -0.5, 1 / 3)
+    )
+    assert_same_space(eg.load_model(data), es)
+    assert_same_space(eg.load_model(data, sidecar), es)
 
 
 _BUILD_AND_HASH = """
