@@ -16,7 +16,7 @@ from . import imgio, recog
 from .eigenspace import EigenspaceConfig, load_model
 from .errors import EigengazeError, EmptyQuerySet, NoImages
 from .imgio import OcclusionSpec, ViewLabel
-from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry
+from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_object_id
 
 DEFAULT_ANGLES = list(range(0, 100, 10))
 # a training file's name ends in _<angle>[_occ], as cmd_synth writes it; ASCII digits only
@@ -122,8 +122,11 @@ def _config_from_args(args) -> EigenspaceConfig:
 # --- commands ---
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     objects = [o for o in args.objects.split(",") if o]
+    # an id names its files, so it follows the registry's rule
+    for obj in objects:
+        _check_object_id(obj)
+    os.makedirs(args.out, exist_ok=True)
     for obj in objects:
         for angle in args.angles:
             image = imgio.synth_view(obj, angle, args.side, args.seed)

@@ -5,10 +5,14 @@ occluded views included alongside clean ones. The model persists to a
 line-oriented text format that round-trips bit-exactly. A binary sidecar
 holds the same floats for fast loading; it is a cache tied to the text by a
 digest, and the text stays the source of truth.
+
+The `Eigenspace` constructor is the one place that checks a model's
+invariants, so a built, loaded or hand-made space meets the same ones;
+`load_model` checks only that the file parses.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,12 +72,49 @@ class Eigenspace:
     coords: np.ndarray       # shape (n, k), one manifold point per row
     labels: tuple            # of ViewLabel, one per row of coords
 
+    spread: float | None = field(init=False)  # None for a single point
+
     def __post_init__(self):
+        """Check every model invariant, then derive the manifold's spread."""
+        def invalid(why):
+            return CorruptField(f"model of {self.object_id!r}: {why}")
+
+        # shapes first, so no bad index escapes the sort below
+        dim, k, n = self.mean.size, self.eigenvalues.size, len(self.labels)
+        shapes = (self.mean.shape, self.eigenvalues.shape, self.basis.shape, self.coords.shape)
+        if shapes != ((dim,), (k,), (k, dim), (n, k)):
+            raise invalid(f"array shapes {shapes} do not agree")
+        if n == 0 or k == 0:
+            raise invalid(f"needs a manifold point and an eigenvalue, has {n} and {k}")
+        if any(label.object_id != self.object_id for label in self.labels):
+            raise invalid("a manifold label names another object")
+        arrays = (self.mean, self.eigenvalues, self.basis, self.coords)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise invalid("non-finite value")
+        if not (self.eigenvalues > 0).all() or (np.diff(self.eigenvalues) > 0).any():
+            raise invalid("eigenvalues must be positive and non-increasing")
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = np.abs(self.basis @ self.basis.T - np.eye(k)).max()
+        if not drift <= ORTHONORMAL_TOL:
+            raise invalid(f"basis rows are not orthonormal: max |BB^T - I| = {drift:.3g}")
+
         # the manifold is kept in view-angle order; a stable sort keeps twin
         # angles in the order given, and the first nearest point is the lowest angle
         order = np.argsort([label.view_angle_deg for label in self.labels], kind="stable")
         object.__setattr__(self, "coords", self.coords[order])
         object.__setattr__(self, "labels", tuple(self.labels[i] for i in order))
+
+        # the widest leave-self-out nearest-neighbour gap, which the auto threshold scales
+        spread = None
+        if n >= 2:
+            with np.errstate(over="ignore"):
+                dist = np.linalg.norm(self.coords[:, None] - self.coords[None], axis=2)
+            np.fill_diagonal(dist, np.inf)
+            spread = float(dist.min(axis=1).max())
+            if not np.isfinite(spread):
+                # an infinite spread would call every query Known
+                raise invalid("manifold spreads beyond float range")
+        object.__setattr__(self, "spread", spread)
 
     @property
     def dim(self) -> int:
@@ -124,7 +165,8 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
     eigenvalues = pca.eigenvalues[:k].copy()
     basis = pca.basis[:k].copy()
     coords = np.array([basis @ (v.values - pca.mean) for v in appearances])
-    labels = tuple(v.source_label for v in appearances)
+    # each label names this space, whatever object the view was labelled with
+    labels = tuple(replace(v.source_label, object_id=object_id) for v in appearances)
     # k_override has fixed k, and the file does not record it: keep the config a reload gives
     config = replace(config, k_override=None)
     return Eigenspace(object_id, pca.mean, eigenvalues, basis, config, coords, labels)
@@ -178,6 +220,15 @@ def _int(field: str) -> int:
     return value
 
 
+def _float(field: str) -> float:
+    """A float field, spelled only as `.17g` writes it (no `_`, needless sign
+    or digit, or non-ASCII digit), so a loaded value saves to the same bytes."""
+    value = float(field)
+    if format(value, ".17g") != field:
+        raise ValueError(f"float field {field!r} is not in canonical form")
+    return value
+
+
 def save_model(es: Eigenspace) -> bytes:
     points = [[str(label.view_angle_deg), "1" if label.occluded else "0"] for label in es.labels]
     leads = [[]] + [[str(i)] for i in range(es.k)] * 2 + points
@@ -227,7 +278,7 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     """Inverse of save_model. The floats come from `sidecar` when it is
     save_sidecar's output for exactly these bytes, and from the text
     otherwise. The id, config and labels always come from the text, and
-    every check runs on the floats from either source."""
+    the Eigenspace constructor checks the floats from either source."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -249,7 +300,7 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
             raise CorruptField("lines 3-5 must be the 'dim', 'k' and 'config' lines")
     try:
         dim, k = _int(dim), _int(k)
-        config = EigenspaceConfig(centered == "1", norm_mode, float(tau))
+        config = EigenspaceConfig(centered == "1", norm_mode, _float(tau))
     except ValueError as exc:
         raise CorruptField(str(exc)) from exc
     if dim < 1 or k < 1 or centered not in ("0", "1"):
@@ -261,8 +312,6 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
         n = lines.index("END", first_point) - first_point
     except ValueError:
         raise CorruptField("truncated file: missing END") from None
-    if n == 0:
-        raise CorruptField("model has no manifold points")
 
     # every row lies before END; its values are split only when no sidecar holds them
     layout = _layout(dim, k, n)
@@ -293,15 +342,6 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
         except (KeyError, ValueError) as exc:
             raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
 
-    if not np.isfinite(block).all():
-        raise CorruptField("non-finite value")
     mean, eigenvalues, basis, coords = np.split(block, np.cumsum([dim, k, k * dim]))
     basis, coords = basis.reshape(k, dim), coords.reshape(n, k)
-    if not (eigenvalues > 0).all() or (np.diff(eigenvalues) > 0).any():
-        raise CorruptField("eigenvalues must be positive and non-increasing")
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.abs(basis @ basis.T - np.eye(k)).max()
-    if not drift <= ORTHONORMAL_TOL:
-        raise CorruptField(f"basis rows are not orthonormal: max |BB^T - I| = {drift:.3g}")
-
     return Eigenspace(object_id, mean, eigenvalues, basis, config, coords, labels)

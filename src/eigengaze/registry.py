@@ -5,7 +5,8 @@ new object never touches existing spaces. Mutation (accumulate / enroll) is
 serialized behind an internal lock. Each mutation rebinds one immutable tuple
 of spaces, each holding its manifold in view-angle order; a read takes the
 tuple once, so classification may run concurrently with mutations and sees a
-whole set of spaces.
+whole set of spaces. The auto threshold reads each space's own `spread`; every
+model invariant is checked by the `Eigenspace` constructor, not here.
 """
 
 import math
@@ -14,11 +15,10 @@ import re
 import threading
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .eigenspace import (
     Eigenspace,
     EigenspaceConfig,
+    _float,
     build_eigenspace,
     load_model,
     save_model,
@@ -123,15 +123,8 @@ class ObjectRegistry:
                 raise DimensionMismatch(
                     "all enrolled spaces must share dim and norm_mode"
                 )
-        if len(es.coords) >= 2:
-            with np.errstate(over="ignore"):
-                dist = np.linalg.norm(es.coords[:, None] - es.coords[None], axis=2)
-            np.fill_diagonal(dist, np.inf)
-            spread = float(dist.min(axis=1).max())
-            if not math.isfinite(spread):
-                # an infinite spread would call every query Known
-                raise CorruptField(f"manifold of {es.object_id!r} spreads beyond float range")
-            self._spread = spread if self._spread is None else max(self._spread, spread)
+        if es.spread is not None:
+            self._spread = es.spread if self._spread is None else max(self._spread, es.spread)
         self._spaces = self._spaces + (es,)
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
@@ -147,7 +140,7 @@ class ObjectRegistry:
     def effective_threshold(self) -> float:
         """Known/unknown score cutoff: the explicit policy value, or the largest
         intra-space leave-self-out nearest-neighbor spread times the margin.
-        Each space's spread is computed once, when _append enrolls it."""
+        Each space's spread is computed once, when the space is made."""
         if self.policy.unknown_threshold != AUTO:
             return float(self.policy.unknown_threshold)
         if self._spread is None:
@@ -237,8 +230,8 @@ class ObjectRegistry:
         if len(fields) != 3:
             raise CorruptField(f"bad policy line {lines[1]!r}")
         try:
-            thr = AUTO if fields[1] == AUTO else float(fields[1])
-            reg = cls(EnrollmentPolicy(thr, float(fields[2])))
+            thr = AUTO if fields[1] == AUTO else _float(fields[1])
+            reg = cls(EnrollmentPolicy(thr, _float(fields[2])))
         except ValueError as exc:
             raise CorruptField(f"bad policy line {lines[1]!r}: {exc}") from exc
         for line in lines[2:]:

@@ -51,6 +51,11 @@ class TestSynth:
         b = synth_dataset(tmp_path / "b")
         assert file_hashes(a) == file_hashes(b)
 
+    def test_object_id_outside_the_registry_rule_writes_nothing(self, tmp_path, capsys):
+        assert run("synth", "--objects", "A,../esc", "--out", tmp_path / "out") == 1
+        assert "../esc" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOcclude:
     def test_total_occlusion(self, tmp_path):

@@ -48,17 +48,21 @@ def _set_field(keyword, index, value):
     return _respell(keyword, index, lambda _: value)
 
 
-# integer fields that int() reads but save_model never writes
-_NON_CANONICAL_INTS = [
+# integer and config fields that int() and float() read but save_model never writes
+_NON_CANONICAL_FIELDS = [
     _respell("dim", 1, "+{}".format),
     _respell("dim", 1, lambda f: f[0] + "_" + f[1:]),
     _respell("k", 1, "+{}".format),
     _set_field("point", 1, "1_0"),
     _set_field("point", 1, "+10"),
     _set_field("point", 1, "\u0661\u0660"),
+    _set_field("config", 3, "9_5e-2"),
+    _set_field("config", 3, "0.95"),
+    _set_field("config", 3, "\u0660.\u0669\u0665"),
 ]
 _NON_CANONICAL_IDS = [
     "plus-dim", "underscore-dim", "plus-k", "underscore-angle", "plus-angle", "arabic-indic-angle",
+    "underscore-tau", "short-tau", "arabic-indic-tau",
 ]
 
 
@@ -216,6 +220,68 @@ class TestManifoldOrder:
         assert np.array_equal(loaded.coords, es.coords)
 
 
+def _toy_space(**change):
+    """A valid hand-built space (dim 3, k 2, two points), with the named fields replaced."""
+    fields = dict(
+        object_id="toy",
+        mean=np.array([0.1, -2.5, 1.0]),
+        eigenvalues=np.array([0.75, 0.5]),
+        basis=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+        config=eg.EigenspaceConfig(),
+        coords=np.array([[1 / 3, 0.0], [-0.5, 0.25]]),
+        labels=(eg.ViewLabel("toy", 90, True), eg.ViewLabel("toy", 0)),
+    )
+    return eg.Eigenspace(**{**fields, **change})
+
+
+def _one_entry(name, value):
+    """Fields for _toy_space: the toy's array `name` with its last entry set to value."""
+    array = getattr(_toy_space(), name).copy()
+    array.flat[-1] = value
+    return {name: array}
+
+
+class TestInvariants:
+    def test_spread_is_the_widest_nearest_neighbour_gap(self):
+        assert _toy_space().spread == pytest.approx(np.hypot(1 / 3 + 0.5, 0.25), rel=1e-15)
+        single = _toy_space(coords=np.array([[0.5, 0.5]]), labels=(eg.ViewLabel("toy", 0),))
+        assert single.spread is None
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            *(_one_entry(name, value) for name in ("mean", "eigenvalues", "basis", "coords")
+              for value in (np.nan, np.inf)),
+            {"eigenvalues": np.array([0.5, 0.75])},
+            {"eigenvalues": np.array([0.75, 0.0])},
+            {"eigenvalues": np.array([0.75, -0.5])},
+            {"basis": np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])},
+            {"basis": np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0 + 1e-5]])},
+            {"coords": np.zeros((0, 2)), "labels": ()},
+            {"eigenvalues": np.zeros(0), "basis": np.zeros((0, 3)), "coords": np.zeros((2, 0))},
+            {"coords": np.array([[1 / 3, 0.0]])},
+            {"coords": np.zeros((3, 2))},
+            {"coords": np.zeros((2, 3))},
+            {"mean": np.zeros((3, 1))},
+            {"basis": np.eye(2)},
+            {"eigenvalues": np.array([0.75])},
+            {"labels": (eg.ViewLabel("toy", 90, True), eg.ViewLabel("cup", 0))},
+            {"coords": np.array([[1e200, 1e200], [-0.5, 0.25]])},
+        ],
+        ids=[
+            *(f"{value}-{name}" for name in ("mean", "eigenvalues", "basis", "coords")
+              for value in ("nan", "inf")),
+            "rising-eigenvalues", "zero-eigenvalue", "negative-eigenvalue", "repeated-basis-row",
+            "stretched-basis-row", "no-points", "no-eigenvalues", "fewer-points-than-labels",
+            "more-points-than-labels", "points-wider-than-k", "2d-mean", "basis-narrower-than-mean",
+            "fewer-eigenvalues-than-basis-rows", "foreign-label", "point-at-1e200",
+        ],
+    )
+    def test_constructor_rejects_every_violation(self, change):
+        with pytest.raises(CorruptField, match="'toy'"):
+            _toy_space(**change)
+
+
 class TestPersistence:
     def test_round_trip_exact(self, synthetic_space):
         es = synthetic_space
@@ -235,6 +301,17 @@ class TestPersistence:
             assert np.array_equal(got.coords, want.coords)
             assert got.label == want.label
         assert eg.save_model(loaded) == data
+
+    @pytest.mark.parametrize("label_id", [None, "cup"], ids=["unlabelled", "foreign-label"])
+    def test_built_labels_name_the_space_and_reload_unchanged(self, label_id):
+        views = [
+            eg.vectorize(eg.synth_view("mobile", angle, 32, 1), "unit",
+                         *([eg.ViewLabel(label_id, angle)] if label_id else []))
+            for angle in range(0, 100, 10)
+        ]
+        es = eg.build_eigenspace("pen", views, eg.EigenspaceConfig())
+        assert {label.object_id for label in es.labels} == {"pen"}
+        assert_same_space(eg.load_model(eg.save_model(es)), es)
 
     def test_reload_gives_the_built_config(self):
         config = eg.EigenspaceConfig(k_override=2)
@@ -285,7 +362,7 @@ class TestPersistence:
             _set_field("basis", 2, "1e300"),
             lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
             _set_field("basis", 2, "0.5"),
-            *_NON_CANONICAL_INTS,
+            *_NON_CANONICAL_FIELDS,
         ],
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
@@ -380,7 +457,7 @@ class TestSidecar:
         "edit",
         [_set_field("point", 1, "999"), _set_field("point", 2, "2"),
          _set_field("eigenvalue", 1, "5"), _set_field("basis", 1, "x y"),
-         _set_field("basis", 0, "bases"), *_NON_CANONICAL_INTS],
+         _set_field("basis", 0, "bases"), *_NON_CANONICAL_FIELDS],
         ids=["angle-999", "occluded-2", "misnumbered", "non-numeric-index", "wrong-keyword",
              *_NON_CANONICAL_IDS],
     )

@@ -99,6 +99,8 @@ def check_model(data: bytes, sidecar=None):
         assert np.isfinite(values).all()
     assert (es.eigenvalues > 0).all() and (np.diff(es.eigenvalues) <= 0).all()
     assert np.abs(es.basis @ es.basis.T - np.eye(es.k)).max() <= 1e-6
+    assert es.spread is None or np.isfinite(es.spread)
+    assert all(label.object_id == es.object_id for label in es.labels)
 
 
 @FUZZ

@@ -192,6 +192,15 @@ class TestClassifyOrEnroll:
         assert reg.find("object-5") is not None
         assert len(reg.spaces) == 5
 
+    def test_enrolled_space_reloads_unchanged(self):
+        reg = build_registry(policy=EnrollmentPolicy(1e-6), objects=["mobile"])
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        # the pending views are labelled "widget", the space is named object-2
+        decision = reg.classify_or_enroll(query, pending_views=training_appearances("widget"))
+        es = reg.find(decision.enrolled_id)
+        assert {label.object_id for label in es.labels} == {"object-2"}
+        assert_same_space(eg.load_model(eg.save_model(es)), es)
+
     def test_unknown_without_views_does_not_enroll(self):
         reg = build_registry(policy=EnrollmentPolicy(1e-6))
         query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
@@ -296,11 +305,15 @@ class TestPersistence:
             (b"policy auto 1.5", b"policy auto nan", "policy"),
             (b"policy auto 1.5", b"policy auto inf", "policy"),
             (b"policy auto 1.5", b"policy inf 1.5", "policy"),
+            (b"policy auto 1.5", b"policy auto 1_5", "policy"),
+            (b"policy auto 1.5", "policy auto \u0661.\u0665".encode(), "policy"),
+            (b"policy auto 1.5", b"policy 0.3 1.5", "policy"),
             (b"object stapler", b"object ghost", "ghost"),
             (b"object stapler", b"object stapler\xff", "manifest"),
         ],
         ids=["abc", "negative", "margin-below-1", "nan-margin", "inf-margin", "inf-threshold",
-             "missing-model", "not-utf8"],
+             "underscore-margin", "arabic-indic-margin", "short-threshold", "missing-model",
+             "not-utf8"],
     )
     def test_load_rejects_bad_manifest(self, tmp_path, old, new, match):
         build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
