@@ -21,7 +21,7 @@ from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_ob
 DEFAULT_ANGLES = list(range(0, 100, 10))
 # a training file's name ends in _<angle>[_occ], as cmd_synth writes it; ASCII digits only
 _VIEW_STEM = re.compile(r".*_([0-9]+)(_occ)?")
-# a manifest's angle column follows the same digit rule
+# a manifest's angle column and synth --angles follow the same digit rule
 _ANGLE = re.compile(r"[0-9]+")
 
 EXIT_OK = 0
@@ -30,10 +30,10 @@ EXIT_UNKNOWN = 2
 
 
 def _parse_angles(text: str):
-    angles = [int(a) for a in text.split(",") if a.strip() != ""]
-    if not angles or any(a < 0 or a > 359 for a in angles):
-        raise ValueError("angles must be a non-empty list of integers in [0,359]")
-    return angles
+    fields = [a.strip() for a in text.split(",") if a.strip() != ""]
+    if not fields or not all(_ANGLE.fullmatch(a) and int(a) <= 359 for a in fields):
+        raise ValueError("angles must be a non-empty list of ASCII-digit integers in [0,359]")
+    return [int(a) for a in fields]
 
 
 def _parse_threshold(text: str):

@@ -4,7 +4,9 @@ One eigenspace is built per object from all of its training appearances,
 occluded views included alongside clean ones. The model persists to a
 line-oriented text format that round-trips bit-exactly. A binary sidecar
 holds the same floats for fast loading; it is a cache tied to the text by a
-digest, and the text stays the source of truth.
+digest, and the text stays the source of truth. One renderer, shared by
+save_model and load_model, writes every line but the float values, so a file
+loads only if it is spelled and laid out as save_model writes it.
 
 The `Eigenspace` constructor is the one place that checks a model's
 invariants, so a built, loaded or hand-made space meets the same ones;
@@ -13,6 +15,7 @@ invariants, so a built, loaded or hand-made space meets the same ones;
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -56,13 +59,14 @@ class EigenspaceConfig:
             raise ValueError("k_override must be >= 1")
 
 
-@dataclass(frozen=True)
+# it holds arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     coords: np.ndarray
     label: ViewLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenspace:
     object_id: str
     mean: np.ndarray         # shape (dim,)
@@ -194,16 +198,11 @@ def residual(es: Eigenspace, v: AppearanceVector) -> float:
 # --- persistence ---
 
 def _layout(dim: int, k: int, n: int):
-    """A model file's float rows, between its header and END, as (keyword,
-    label fields, values): the mean, each eigenvalue and basis row (labelled
-    with its index), and each manifold point (labelled with its angle and
+    """A model file's float rows, between its header and END, as (label
+    fields, values): the mean, each eigenvalue and basis row (labelled with
+    its index), and each manifold point (labelled with its angle and
     occluded flag). A sidecar's block holds their values in this order."""
-    return (
-        [("mean", 0, dim)]
-        + [("eigenvalue", 1, 1)] * k
-        + [("basis", 1, dim)] * k
-        + [("point", 2, k)] * n
-    )
+    return [(0, dim)] + [(1, 1)] * k + [(1, dim)] * k + [(2, k)] * n
 
 
 def _block(es: Eigenspace) -> np.ndarray:
@@ -211,40 +210,40 @@ def _block(es: Eigenspace) -> np.ndarray:
     return np.concatenate([es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
 
 
-def _int(field: str) -> int:
-    """An integer field, spelled only as save_model writes it (no sign, `_`,
-    leading zero or non-ASCII digit), so a loaded model saves to the same bytes."""
-    value = int(field)
-    if str(value) != field:
-        raise ValueError(f"integer field {field!r} is not in canonical form")
-    return value
-
-
-def _float(field: str) -> float:
-    """A float field, spelled only as `.17g` writes it (no `_`, needless sign
-    or digit, or non-ASCII digit), so a loaded value saves to the same bytes."""
-    value = float(field)
-    if format(value, ".17g") != field:
-        raise ValueError(f"float field {field!r} is not in canonical form")
-    return value
-
-
-def save_model(es: Eigenspace) -> bytes:
-    points = [[str(label.view_angle_deg), "1" if label.occluded else "0"] for label in es.labels]
-    leads = [[]] + [[str(i)] for i in range(es.k)] * 2 + points
-    lines = [
+def _render_heads(es: Eigenspace) -> list:
+    """Every line of es's model file without its float values: header lines
+    1-5 whole, each row's keyword and label fields, then END. save_model
+    writes these lines, and load_model accepts only a file that they match."""
+    return [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"object {es.object_id}",
         f"dim {es.dim}",
         f"k {es.k}",
         f"config {1 if es.config.centered else 0} {es.config.norm_mode} "
         + _fmt_row([es.config.energy_threshold]),
+        "mean",
+        *(f"eigenvalue {i}" for i in range(es.k)),
+        *(f"basis {i}" for i in range(es.k)),
+        *(f"point {label.view_angle_deg} {1 if label.occluded else 0}" for label in es.labels),
+        "END",
     ]
+
+
+def check_rendered(got: list, rendered: list, name: str):
+    """Raise CorruptField on the first of the lines `got` that differs from
+    the line its writer renders, naming the line and quoting it (None where
+    one list has no line)."""
+    for number, (line, want) in enumerate(zip_longest(got, rendered), 1):
+        if line != want:
+            raise CorruptField(f"{name} line {number} is {line!r}; its writer writes {want!r}")
+
+
+def save_model(es: Eigenspace) -> bytes:
+    lines = _render_heads(es)
     values, start = _block(es).tolist(), 0
-    for (keyword, _, count), lead in zip(_layout(es.dim, es.k, len(es.labels)), leads):
-        lines.append(" ".join([keyword, *lead, _fmt_row(values[start : start + count])]))
+    for i, (_, count) in enumerate(_layout(es.dim, es.k, len(es.labels)), 5):
+        lines[i] += " " + _fmt_row(values[start : start + count])
         start += count
-    lines.append("END")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -278,7 +277,9 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     """Inverse of save_model. The floats come from `sidecar` when it is
     save_sidecar's output for exactly these bytes, and from the text
     otherwise. The id, config and labels always come from the text, and
-    the Eigenspace constructor checks the floats from either source."""
+    the Eigenspace constructor checks the floats from either source. The
+    file loads only if save_model would write it: every line but the float
+    values must be what _render_heads renders for the loaded space."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -289,22 +290,20 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
         raise BadMagic(f"bad magic line {lines[0]!r}")
     if header[1] != str(MODEL_VERSION):
         raise VersionMismatch(f"unsupported model version {header[1]!r}")
-    keyword, _, object_id = (lines[1] if len(lines) > 1 else "").partition(" ")
-    if keyword != "object":
-        raise CorruptField("expected 'object' line 2")
 
-    match [line.split(" ") for line in lines[2:5]]:
-        case [["dim", dim], ["k", k], ["config", centered, norm_mode, tau]]:
+    match [line.split() for line in lines[2:5]]:
+        case [[_, dim], [_, k], [_, centered, norm_mode, tau]]:
             pass
         case _:
             raise CorruptField("lines 3-5 must be the 'dim', 'k' and 'config' lines")
     try:
-        dim, k = _int(dim), _int(k)
-        config = EigenspaceConfig(centered == "1", norm_mode, _float(tau))
+        dim, k = int(dim), int(k)
+        config = EigenspaceConfig(centered == "1", norm_mode, float(tau))
     except ValueError as exc:
         raise CorruptField(str(exc)) from exc
-    if dim < 1 or k < 1 or centered not in ("0", "1"):
-        raise CorruptField(f"bad header: dim {dim}, k {k}, centered flag {centered!r}")
+    if dim < 1 or k < 1:
+        raise CorruptField(f"bad header: dim {dim}, k {k}")
+    object_id = lines[1].partition(" ")[2]
     # header counts size nothing up front: a bad k must fail on a missing
     # END, not on allocating k rows
     first_point = 6 + 2 * k
@@ -315,33 +314,26 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
 
     # every row lies before END; its values are split only when no sidecar holds them
     layout = _layout(dim, k, n)
-    block = _sidecar_values(data, sidecar, sum(count for _, _, count in layout))
-    leads, tokens = [], []
-    for i, (keyword, lead, count) in enumerate(layout, 5):
-        fields = lines[i].split(" ", lead + 1)
-        if fields[0] != keyword or len(fields) != lead + 2:
-            raise CorruptField(f"line {i + 1}: expected {keyword!r}, {lead} labels and values")
-        leads.append(fields[1:-1])
+    block = _sidecar_values(data, sidecar, sum(count for _, count in layout))
+    heads, tokens = lines[:5], []
+    for i, (lead, count) in enumerate(layout, 5):
+        *head, values = lines[i].split(" ", lead + 1)
+        heads.append(" ".join(head))
         if block is None:
-            values = fields[-1].split(" ")
+            values = values.split(" ")
             if len(values) != count:
                 raise CorruptField(f"line {i + 1}: expected {count} values, got {len(values)}")
             tokens += values
-    if block is None:
-        try:
+    try:
+        if block is None:
             block = np.array(tokens, dtype=np.float64)
-        except ValueError as exc:
-            raise CorruptField(str(exc)) from exc
-
-    if leads[1 : 1 + 2 * k] != [[str(i)] for i in range(k)] * 2:
-        raise CorruptField("eigenvalue and basis lines must be numbered 0..k-1")
-    labels = []
-    for angle, occluded in leads[1 + 2 * k :]:
-        try:
-            labels.append(ViewLabel(object_id, _int(angle), {"0": False, "1": True}[occluded]))
-        except (KeyError, ValueError) as exc:
-            raise CorruptField(f"bad point label {angle!r} {occluded!r}: {exc}") from exc
+        points = [head.split(" ") for head in heads[first_point:]]
+        labels = [ViewLabel(object_id, int(angle), flag == "1") for _, angle, flag in points]
+    except ValueError as exc:
+        raise CorruptField(str(exc)) from exc
 
     mean, eigenvalues, basis, coords = np.split(block, np.cumsum([dim, k, k * dim]))
     basis, coords = basis.reshape(k, dim), coords.reshape(n, k)
-    return Eigenspace(object_id, mean, eigenvalues, basis, config, coords, labels)
+    es = Eigenspace(object_id, mean, eigenvalues, basis, config, coords, labels)
+    check_rendered(heads + lines[first_point + n :], _render_heads(es) + [""], "model file")
+    return es

@@ -79,7 +79,8 @@ class RasterImage:
         return self.samples.reshape(self.height, self.width)
 
 
-@dataclass(frozen=True)
+# it holds arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class AppearanceVector:
     dim: int
     values: np.ndarray

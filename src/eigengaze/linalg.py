@@ -30,13 +30,14 @@ SYMMETRY_TOL = 1e-12
 CLUSTER_GAP = 1e-9
 
 
-@dataclass(frozen=True)
+# both results hold arrays, so they compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     values: np.ndarray   # descending, shape (n,)
     vectors: np.ndarray  # orthonormal rows, vectors[i] pairs with values[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaResult:
     mean: np.ndarray         # length d (zeros when uncentered)
     eigenvalues: np.ndarray  # descending, strictly positive after clamping

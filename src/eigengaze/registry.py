@@ -6,7 +6,9 @@ serialized behind an internal lock. Each mutation rebinds one immutable tuple
 of spaces, each holding its manifold in view-angle order; a read takes the
 tuple once, so classification may run concurrently with mutations and sees a
 whole set of spaces. The auto threshold reads each space's own `spread`; every
-model invariant is checked by the `Eigenspace` constructor, not here.
+model invariant is checked by the `Eigenspace` constructor, not here. The
+manifest has one renderer: save_dir writes it, and load_dir accepts only a
+manifest that it reproduces byte for byte.
 """
 
 import math
@@ -14,12 +16,13 @@ import os
 import re
 import threading
 from dataclasses import dataclass, replace
+from itertools import takewhile
 
 from .eigenspace import (
     Eigenspace,
     EigenspaceConfig,
-    _float,
     build_eigenspace,
+    check_rendered,
     load_model,
     save_model,
     save_sidecar,
@@ -83,6 +86,20 @@ class EnrollmentPolicy:
             raise ValueError("explicit unknown_threshold must be positive and finite")
         if not 1.0 <= self.auto_margin < math.inf:
             raise ValueError("auto_margin must be finite and >= 1")
+
+
+def render_manifest(policy: EnrollmentPolicy, object_ids) -> str:
+    """The manifest text: the policy, then the ids in acquisition order.
+    save_dir writes it, and load_dir accepts only a manifest it reproduces."""
+    thr = policy.unknown_threshold
+    thr_text = AUTO if thr == AUTO else format(float(thr), ".17g")
+    lines = [
+        f"{MANIFEST_MAGIC} {MANIFEST_VERSION}",
+        f"policy {thr_text} {format(policy.auto_margin, '.17g')}",
+        *(f"object {object_id}" for object_id in object_ids),
+        "END",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -203,43 +220,27 @@ class ObjectRegistry:
                 data = save_model(es)
                 _write_atomic(os.path.join(path, f"{es.object_id}.eig"), data)
                 _write_atomic(os.path.join(path, f"{es.object_id}.f8"), save_sidecar(es, data))
-            thr = self.policy.unknown_threshold
-            thr_text = AUTO if thr == AUTO else format(float(thr), ".17g")
-            manifest = [
-                f"{MANIFEST_MAGIC} {MANIFEST_VERSION}",
-                f"policy {thr_text} {format(self.policy.auto_margin, '.17g')}",
-            ]
-            manifest += [f"object {es.object_id}" for es in spaces]
-            manifest.append("END")
-            text = "\n".join(manifest) + "\n"
-            _write_atomic(os.path.join(path, MANIFEST_NAME), text.encode("utf-8"))
+            manifest = render_manifest(self.policy, [es.object_id for es in spaces])
+            _write_atomic(os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
 
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":
+        """Load a directory that save_dir wrote. The manifest loads only if it
+        is, byte for byte, what render_manifest writes for its policy and ids;
+        each id is checked before its model file is opened."""
         manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path, "rb") as f:
+            data = f.read()
         try:
-            with open(manifest_path, "r", encoding="utf-8") as f:
-                lines = f.read().split("\n")
-        except UnicodeDecodeError as exc:
-            raise CorruptField(f"manifest is not text: {exc}") from exc
-        if not lines or lines[0] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
-            raise CorruptField(f"bad manifest header in {manifest_path}")
-        if len(lines) < 2 or not lines[1].startswith("policy "):
-            raise CorruptField("manifest missing policy line")
-        fields = lines[1].split()
-        if len(fields) != 3:
-            raise CorruptField(f"bad policy line {lines[1]!r}")
-        try:
-            thr = AUTO if fields[1] == AUTO else _float(fields[1])
-            reg = cls(EnrollmentPolicy(thr, _float(fields[2])))
-        except ValueError as exc:
-            raise CorruptField(f"bad policy line {lines[1]!r}: {exc}") from exc
-        for line in lines[2:]:
-            if line == "END":
-                break
-            if not line.startswith("object "):
-                raise CorruptField(f"bad manifest line {line!r}")
-            object_id = line[len("object ") :]
+            lines = data.decode("utf-8").split("\n")
+            _, thr, margin = lines[1].split()
+            policy = EnrollmentPolicy(AUTO if thr == AUTO else float(thr), float(margin))
+        except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise CorruptField(f"{manifest_path}: not text, or a bad policy line: {exc}") from exc
+        ids = [line.partition(" ")[2] for line in takewhile("END".__ne__, lines[2:])]
+        check_rendered(lines, render_manifest(policy, ids).split("\n"), manifest_path)
+        reg = cls(policy)
+        for object_id in ids:
             _check_object_id(object_id)
             try:
                 with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
@@ -250,6 +251,4 @@ class ObjectRegistry:
             if es.object_id != object_id:
                 raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
             reg._append(es)
-        else:
-            raise CorruptField("manifest missing END")
         return reg

@@ -51,6 +51,15 @@ class TestSynth:
         b = synth_dataset(tmp_path / "b")
         assert file_hashes(a) == file_hashes(b)
 
+    @pytest.mark.parametrize("angles", ["1_0", "+5", "\u0665", "10,-5", "360"])
+    def test_angle_outside_the_digit_rule_writes_nothing(self, tmp_path, angles):
+        assert run("synth", "--objects", "A", "--out", tmp_path / "out", "--angles", angles) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_angles_may_carry_spaces(self, tmp_path):
+        assert run("synth", "--objects", "A", "--out", tmp_path / "out", "--angles", "10, 20") == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["A_10.pgm", "A_20.pgm"]
+
     def test_object_id_outside_the_registry_rule_writes_nothing(self, tmp_path, capsys):
         assert run("synth", "--objects", "A,../esc", "--out", tmp_path / "out") == 1
         assert "../esc" in capsys.readouterr().err

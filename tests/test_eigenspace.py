@@ -16,6 +16,7 @@ from eigengaze.errors import (
     DimensionMismatch,
     VersionMismatch,
 )
+from eigengaze.linalg import gram_pca, sym_eigen
 
 from conftest import assert_same_space, training_appearances
 
@@ -63,6 +64,25 @@ _NON_CANONICAL_FIELDS = [
 _NON_CANONICAL_IDS = [
     "plus-dim", "underscore-dim", "plus-k", "underscore-angle", "plus-angle", "arabic-indic-angle",
     "underscore-tau", "short-tau", "arabic-indic-tau",
+]
+
+
+def _swap_first_points(lines):
+    i = next(i for i, l in enumerate(lines) if l.startswith("point "))
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return lines
+
+
+# layouts that save_model never writes
+_UNWRITTEN_LAYOUTS = [
+    lambda lines: lines[:-1] + ["text after END"],
+    lambda lines: lines[:-1],
+    lambda lines: ["EIGENGAZE  1", *lines[1:]],
+    lambda lines: ["EIGENGAZE\t1", *lines[1:]],
+    _swap_first_points,
+]
+_UNWRITTEN_LAYOUT_IDS = [
+    "text-after-end", "no-newline-after-end", "two-space-magic", "tab-magic", "points-out-of-order",
 ]
 
 
@@ -363,17 +383,42 @@ class TestPersistence:
             lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
             _set_field("basis", 2, "0.5"),
             *_NON_CANONICAL_FIELDS,
+            *_UNWRITTEN_LAYOUTS,
         ],
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
             "huge-basis", "huge-basis-pair", "skewed-basis", *_NON_CANONICAL_IDS,
+            *_UNWRITTEN_LAYOUT_IDS,
         ],
     )
     def test_rejects_what_scoring_cannot_use(self, synthetic_space, edit):
         lines = eg.save_model(synthetic_space).decode().split("\n")
         with pytest.raises(CorruptField):
             eg.load_model("\n".join(edit(lines)).encode())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: eg.build_eigenspace("pen", training_appearances("mobile"), eg.EigenspaceConfig()),
+        lambda: eg.load_model(eg.save_model(_toy_space())).manifold[0],
+        lambda: training_appearances("mobile")[0],
+        lambda: gram_pca(np.eye(3)),
+        lambda: sym_eigen(np.eye(2)),
+    ],
+    ids=["Eigenspace", "ManifoldPoint", "AppearanceVector", "PcaResult", "EigenDecomposition"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False and a == a
+    assert len({a, a, b}) == 2
+
+
+def test_a_reloaded_space_is_another_object(synthetic_space):
+    es = synthetic_space
+    assert (es == eg.load_model(eg.save_model(es))) is False
+    assert es == es and {es} == {es}
 
 
 def _redigested(data, block):
@@ -457,9 +502,9 @@ class TestSidecar:
         "edit",
         [_set_field("point", 1, "999"), _set_field("point", 2, "2"),
          _set_field("eigenvalue", 1, "5"), _set_field("basis", 1, "x y"),
-         _set_field("basis", 0, "bases"), *_NON_CANONICAL_FIELDS],
+         _set_field("basis", 0, "bases"), *_NON_CANONICAL_FIELDS, *_UNWRITTEN_LAYOUTS],
         ids=["angle-999", "occluded-2", "misnumbered", "non-numeric-index", "wrong-keyword",
-             *_NON_CANONICAL_IDS],
+             *_NON_CANONICAL_IDS, *_UNWRITTEN_LAYOUT_IDS],
     )
     def test_text_checks_run_beside_a_matching_sidecar(self, saved, edit):
         es, data, _ = saved

@@ -23,6 +23,8 @@ MODEL = eg.build_eigenspace("mobile", training_appearances("mobile"), eg.Eigensp
 MODEL_DATA = eg.save_model(MODEL)
 MODEL_LINES = MODEL_DATA.decode().split("\n")
 SIDECAR = eg.save_sidecar(MODEL, MODEL_DATA)
+# the first two point lines, newline included
+POINTS = [line.encode() + b"\n" for line in MODEL_LINES if line.startswith("point ")][:2]
 
 
 def saved_registry():
@@ -45,6 +47,17 @@ REGISTRY_FILES, SIDECARS = saved_registry()
 _POINT = next(i for i, l in enumerate(REGISTRY_FILES["stapler.eig"]) if l.startswith("point "))
 _FIELDS = REGISTRY_FILES["stapler.eig"][_POINT].split(" ")
 HUGE_POINT = " ".join(_FIELDS[:3] + ["1e200"] * (len(_FIELDS) - 3))
+
+# each row's label fields, which sit between its keyword and its float values
+LABEL_FIELDS = {"mean": 0, "eigenvalue": 1, "basis": 1, "point": 2}
+
+
+def without_floats(data: bytes):
+    """A model file's lines, each row's float values cut off."""
+    lines = data.decode("utf-8").split("\n")
+    heads = [line.split(" ") for line in lines[5:]]
+    return lines[:5] + [" ".join(h[: 1 + LABEL_FIELDS.get(h[0], 0)]) for h in heads]
+
 
 TOKENS = st.one_of(
     st.text(max_size=12),
@@ -101,6 +114,25 @@ def check_model(data: bytes, sidecar=None):
     assert np.abs(es.basis @ es.basis.T - np.eye(es.k)).max() <= 1e-6
     assert es.spread is None or np.isfinite(es.spread)
     assert all(label.object_id == es.object_id for label in es.labels)
+    # a model loads only as save_model writes it, float values aside
+    assert without_floats(eg.save_model(es)) == without_floats(data)
+
+
+def check_registry_dir(reg_dir):
+    """The directory loads a registry with a finite threshold that writes
+    the same manifest back, or raises an EigengazeError."""
+    try:
+        reg = eg.ObjectRegistry.load_dir(reg_dir)
+    except EigengazeError:
+        return
+    assert np.isfinite(reg.effective_threshold())
+    with tempfile.TemporaryDirectory() as resaved:
+        reg.save_dir(resaved)
+        for name in ("registry.manifest", *(f"{es.object_id}.eig" for es in reg.spaces)):
+            written, read = Path(resaved, name).read_bytes(), Path(reg_dir, name).read_bytes()
+            if name.endswith(".eig"):
+                written, read = without_floats(written), without_floats(read)
+            assert written == read, name
 
 
 @FUZZ
@@ -139,6 +171,11 @@ def test_model_row_text_is_each_value_at_17_digits(row):
         st.text(max_size=256).map(lambda t: f"EIGENGAZE 1\n{t}".encode()),
     )
 )
+@example(MODEL_DATA + b"text after END")
+@example(MODEL_DATA[:-1])
+@example(MODEL_DATA.replace(b"EIGENGAZE 1", b"EIGENGAZE  1", 1))
+@example(MODEL_DATA.replace(b"EIGENGAZE 1", b"EIGENGAZE\t1", 1))
+@example(MODEL_DATA.replace(POINTS[0] + POINTS[1], POINTS[1] + POINTS[0], 1))
 def test_load_model_any_bytes_loads_or_raises(data):
     check_model(data)
 
@@ -212,8 +249,32 @@ def test_load_dir_with_one_line_replaced(name, index, line):
             Path(reg_dir, file_name).write_text("\n".join(lines), encoding="utf-8")
         for file_name, data in SIDECARS.items():
             Path(reg_dir, file_name).write_bytes(data)
-        try:
-            reg = eg.ObjectRegistry.load_dir(reg_dir)
-        except EigengazeError:
-            return
-        assert np.isfinite(reg.effective_threshold())
+        check_registry_dir(reg_dir)
+
+
+MANIFEST = "\n".join(REGISTRY_FILES["registry.manifest"]).encode()
+
+
+@FUZZ
+@given(
+    st.one_of(
+        st.binary(max_size=128),
+        st.binary(max_size=32).map(lambda tail: MANIFEST + tail),
+        st.tuples(st.integers(0, len(MANIFEST) - 1), st.binary(max_size=8)).map(
+            lambda cut: MANIFEST[: cut[0]] + cut[1] + MANIFEST[cut[0] :]
+        ),
+    )
+)
+@example(MANIFEST.replace(b"policy auto", b"policy  auto"))
+@example(MANIFEST.replace(b"1.5", b"1.5 "))
+@example(MANIFEST.replace(b"\n", b"\r\n"))
+@example(MANIFEST + b"object mobile\n")
+@example(MANIFEST[:-1])
+def test_load_dir_with_any_manifest_loads_or_raises(manifest):
+    with tempfile.TemporaryDirectory() as reg_dir:
+        for file_name, lines in REGISTRY_FILES.items():
+            Path(reg_dir, file_name).write_text("\n".join(lines), encoding="utf-8")
+        for file_name, data in SIDECARS.items():
+            Path(reg_dir, file_name).write_bytes(data)
+        Path(reg_dir, "registry.manifest").write_bytes(manifest)
+        check_registry_dir(reg_dir)

@@ -310,10 +310,17 @@ class TestPersistence:
             (b"policy auto 1.5", b"policy 0.3 1.5", "policy"),
             (b"object stapler", b"object ghost", "ghost"),
             (b"object stapler", b"object stapler\xff", "manifest"),
+            (b"policy auto 1.5", b"policy  auto 1.5", "policy"),
+            (b"policy auto 1.5", b"policy auto 1.5 ", "policy"),
+            (b"1\npolicy auto 1.5\nobject mobile\nobject stapler\nEND\n",
+             b"1\r\npolicy auto 1.5\r\nobject mobile\r\nobject stapler\r\nEND\r\n", "line 1"),
+            (b"END\n", b"END\nobject ghost\n", "line 6"),
+            (b"END\n", b"END", "line 6"),
         ],
         ids=["abc", "negative", "margin-below-1", "nan-margin", "inf-margin", "inf-threshold",
              "underscore-margin", "arabic-indic-margin", "short-threshold", "missing-model",
-             "not-utf8"],
+             "not-utf8", "two-space-policy", "trailing-space-policy", "crlf", "line-after-end",
+             "no-final-newline"],
     )
     def test_load_rejects_bad_manifest(self, tmp_path, old, new, match):
         build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
