@@ -1,5 +1,11 @@
 """Command-line pipeline: synth, occlude, learn, recognize, evaluate, inspect.
 
+Every integer the CLI reads, in a flag, a `--rect` or `--angles` field, a
+training file name or a manifest, is ASCII decimal digits and nothing else
+(no sign, `_`, surrounding space or other digits), read by `_integer`. A
+manifest line has one grammar, `_MANIFEST_LINE`. Range checks stay with the
+types that hold the values.
+
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
 """
@@ -19,21 +25,30 @@ from .imgio import OcclusionSpec, ViewLabel
 from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_object_id
 
 DEFAULT_ANGLES = list(range(0, 100, 10))
-# a training file's name ends in _<angle>[_occ], as cmd_synth writes it; ASCII digits only
-_VIEW_STEM = re.compile(r".*_([0-9]+)(_occ)?")
-# a manifest's angle column and synth --angles follow the same digit rule
-_ANGLE = re.compile(r"[0-9]+")
+# every integer the CLI reads, in flags, file names and manifests; ASCII only, unlike int()
+_DIGITS = re.compile(r"[0-9]+")
+# a training file's name ends in _<angle>[_occ], as cmd_synth writes it
+_VIEW_STEM = re.compile(rf".*_({_DIGITS.pattern})(_occ)?")
+# path<TAB>object_id[<TAB>angle[<TAB>occluded]]
+_MANIFEST_LINE = re.compile(
+    rf"([^\t]*)\t({_OBJECT_ID.pattern})(?:\t({_DIGITS.pattern})(?:\t([01]))?)?")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 
+def _integer(text: str) -> int:
+    if _DIGITS.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _parse_angles(text: str):
-    fields = [a.strip() for a in text.split(",") if a.strip() != ""]
-    if not fields or not all(_ANGLE.fullmatch(a) and int(a) <= 359 for a in fields):
+    angles = [_integer(a.strip()) for a in text.split(",") if a.strip() != ""]
+    if not angles or max(angles) > 359:
         raise ValueError("angles must be a non-empty list of ASCII-digit integers in [0,359]")
-    return [int(a) for a in fields]
+    return angles
 
 
 def _parse_threshold(text: str):
@@ -73,7 +88,7 @@ def _label_from_filename(path: str, object_id: str) -> ViewLabel:
     match = _VIEW_STEM.fullmatch(os.path.splitext(os.path.basename(path))[0])
     if match is None:
         raise EigengazeError(f"{path}: file name must end in _<angle> or _<angle>_occ")
-    return ViewLabel(object_id, int(match[1]) % 360, match[2] is not None)
+    return ViewLabel(object_id, _integer(match[1]) % 360, match[2] is not None)
 
 
 def _read_image(path: str) -> imgio.RasterImage:
@@ -82,11 +97,10 @@ def _read_image(path: str) -> imgio.RasterImage:
 
 
 def _read_manifest(path: str):
-    """Lines: path<TAB>object_id[<TAB>angle[<TAB>occluded]], and no more
-    columns. The object id follows the registry's rule, the angle is ASCII
-    decimal digits, taken modulo 360 as in file names, and the occluded flag
-    is 0 or 1; a missing column reads as 0. Paths are resolved relative to
-    the manifest file."""
+    """Each line is path<TAB>object_id[<TAB>angle[<TAB>occluded]], as
+    _MANIFEST_LINE spells it; a missing angle or occluded column reads as 0,
+    and the angle is taken modulo 360 as in file names. Paths are resolved
+    relative to the manifest file."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, "r") as f:
@@ -94,19 +108,14 @@ def _read_manifest(path: str):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            fields = line.split("\t")
-            angle = fields[2] if len(fields) > 2 else "0"
-            occluded = fields[3] if len(fields) > 3 else "0"
-            if not (2 <= len(fields) <= 4 and _OBJECT_ID.fullmatch(fields[1])
-                    and _ANGLE.fullmatch(angle) and occluded in ("0", "1")):
+            match = _MANIFEST_LINE.fullmatch(line)
+            if match is None:
                 raise EigengazeError(
                     f"{path}:{number}: bad manifest line {line!r} (path, object id "
                     f"{_OBJECT_ID.pattern}, angle in ASCII digits, occluded 0 or 1)"
                 )
-            img_path = fields[0]
-            if not os.path.isabs(img_path):
-                img_path = os.path.join(base, img_path)
-            entries.append((img_path, fields[1], int(angle) % 360, occluded == "1"))
+            image, obj, angle, flag = match.groups("0")
+            entries.append((os.path.join(base, image), obj, _integer(angle) % 360, flag == "1"))
     return entries
 
 
@@ -123,6 +132,8 @@ def _config_from_args(args) -> EigenspaceConfig:
 
 def cmd_synth(args) -> int:
     objects = [o for o in args.objects.split(",") if o]
+    if not objects:
+        raise EigengazeError(f"--objects {args.objects!r} names no object")
     # an id names its files, so it follows the registry's rule
     for obj in objects:
         _check_object_id(obj)
@@ -138,7 +149,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    x0, y0, w, h = (int(v) for v in args.rect.split(","))
+    x0, y0, w, h = (_integer(v.strip()) for v in args.rect.split(","))
     image = _read_image(args.input)
     occluded = imgio.apply_occlusion(image, OcclusionSpec(x0, y0, w, h, args.fill))
     with open(args.output, "wb") as f:
@@ -149,6 +160,9 @@ def cmd_occlude(args) -> int:
 
 def cmd_learn(args) -> int:
     config = _config_from_args(args)
+    if args.manifest and args.images:
+        raise EigengazeError(f"learn takes its labels from --manifest ({args.manifest}) or "
+                             f"from image file names ({args.images[0]}, ...), not both")
     if args.manifest:
         entries = [
             (path, ViewLabel(obj, angle, occ))
@@ -244,7 +258,7 @@ def cmd_inspect(args) -> int:
 
 def _add_config_flags(p):
     p.add_argument("--tau", type=float, default=0.95, help="energy threshold for k")
-    p.add_argument("--k", type=int, default=None, help="fixed k override")
+    p.add_argument("--k", type=_integer, default=None, help="fixed k override")
     p.add_argument("--norm", choices=["raw", "unit"], default="unit")
     centering = p.add_mutually_exclusive_group()
     centering.add_argument("--centered", dest="centered", action="store_true", default=True)
@@ -261,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic view images")
     p.add_argument("--objects", required=True, help="comma-separated object ids")
     p.add_argument("--out", required=True)
-    p.add_argument("--side", type=int, default=32)
+    p.add_argument("--side", type=_integer, default=32)
     p.add_argument("--angles", type=_parse_angles, default=DEFAULT_ANGLES)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_integer, default=1)
     p.add_argument("--binary", action="store_true", help="write P5 instead of P2")
     p.set_defaults(func=cmd_synth)
 
@@ -271,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--rect", required=True, help="x0,y0,w,h")
-    p.add_argument("--fill", type=int, default=0)
+    p.add_argument("--fill", type=_integer, default=0)
     p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_occlude)
 
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="dump manifold coordinates as CSV")
     p.add_argument("model")
-    p.add_argument("--dims", type=int, default=3)
+    p.add_argument("--dims", type=_integer, default=3)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_inspect)
 

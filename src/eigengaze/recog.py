@@ -7,8 +7,12 @@ query far from a subspace cannot win on in-space proximity alone.
 One scorer serves both entry points. It reads the registry's tuple of spaces
 once, each holding its manifold in view-angle order, and scores a block of
 queries with one matrix product per space. `recognize` scores one query;
-`evaluate` scores its queries in blocks of `_BLOCK`, with the same scores and
-tie rules.
+`evaluate` scores its queries in blocks of `_BLOCK`, with the same tie rules.
+The two agree on scores only to rounding: a block product sums in another
+order than a one-query product, so a score may differ in its last bits (by
+up to about 1e-15 on unit vectors), and two spaces within rounding of each
+other may rank differently in the two calls. Exact ties follow the tie rules
+in both.
 """
 
 from collections import Counter

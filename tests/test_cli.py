@@ -4,7 +4,8 @@ import os
 import pytest
 
 import eigengaze as eg
-from eigengaze.cli import _label_from_filename, main
+from eigengaze.cli import _label_from_filename, build_parser, main
+from eigengaze.errors import EigengazeError, NoImages
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
 
@@ -18,6 +19,24 @@ def file_hashes(directory):
         name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir(directory))
     }
+
+
+def tree(directory):
+    """Every path under directory, each file with its digest, each directory with None."""
+    return {
+        str(p.relative_to(directory)): hashlib.sha256(p.read_bytes()).hexdigest()
+        if p.is_file() else None
+        for p in directory.rglob("*")
+    }
+
+
+def raises(error, *argv):
+    """argv's command raises exactly `error`, and main reports it as exit 1."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(error) as info:
+        args.func(args)
+    assert info.type is error
+    assert run(*argv) == 1
 
 
 def synth_dataset(tmp_path, objects=OBJECTS, angles=None, seed=1):
@@ -65,6 +84,11 @@ class TestSynth:
         assert "../esc" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("objects", ["", ","], ids=["empty", "comma"])
+    def test_objects_naming_no_object_writes_nothing(self, tmp_path, objects):
+        raises(EigengazeError, "synth", "--objects", objects, "--out", tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOcclude:
     def test_total_occlusion(self, tmp_path):
@@ -90,6 +114,12 @@ class TestOcclude:
         after = eg.parse_pgm(dst.read_bytes())
         assert int((before.samples != after.samples).sum()) <= 160
         assert int((after.grid()[2:12, 2:18] == 0).sum()) == 160
+
+    def test_rect_fields_may_carry_spaces(self, tmp_path):
+        out = synth_dataset(tmp_path, objects=["A"], angles=[0])
+        for name, rect in [("plain.pgm", "2,2,16,10"), ("spaced.pgm", "2, 2, 16, 10")]:
+            assert run("occlude", out / "A_0.pgm", tmp_path / name, "--rect", rect) == 0
+        assert (tmp_path / "plain.pgm").read_bytes() == (tmp_path / "spaced.pgm").read_bytes()
 
 
 class TestLearn:
@@ -174,6 +204,56 @@ class TestLearn:
         else:
             assert file_hashes(reg) == before
             assert not (tmp_path / "report.csv").exists()
+
+    def test_manifest_skips_blank_and_comment_lines_and_resolves_paths_from_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0, 10, 20])
+        (tmp_path / "lists").mkdir()
+        (tmp_path / "lists" / "train.tsv").write_text(
+            "# three views of A\n\n../imgs/A_0.pgm\tA\t0\n"
+            f"{imgs / 'A_10.pgm'}\tA\t10\n\n#../imgs/A_20.pgm\tA\t20\t0\n"
+            "../imgs/A_20.pgm\tA\t20\t1\n"
+        )
+        # a path relative to the working directory would name cwd/../imgs, which does not exist
+        (tmp_path / "cwd" / "deeper").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "cwd" / "deeper")
+        assert run("learn", "--object", "A", "--manifest", "../../lists/train.tsv",
+                   "--registry", tmp_path / "reg") == 0
+        labels = eg.load_model((tmp_path / "reg" / "A.eig").read_bytes()).labels
+        assert labels == (eg.ViewLabel("A", 0), eg.ViewLabel("A", 10), eg.ViewLabel("A", 20, True))
+
+    def test_manifest_and_image_files_together_are_rejected(self, tmp_path, capsys):
+        imgs = synth_dataset(tmp_path, objects=["a"], angles=[0, 10, 20])
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{imgs / 'a_0.pgm'}\ta\t0\n{imgs / 'a_10.pgm'}\ta\t10\n")
+        before = tree(tmp_path)
+        raises(EigengazeError, "learn", "--object", "a", "--manifest", manifest,
+               "--registry", tmp_path / "reg", imgs / "a_20.pgm")
+        err = capsys.readouterr().err
+        assert str(manifest) in err and str(imgs / "a_20.pgm") in err
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("source", [(), ("--manifest", "b.tsv")], ids=["none", "manifest"])
+    def test_no_images_writes_nothing(self, tmp_path, monkeypatch, source):
+        imgs = synth_dataset(tmp_path, objects=["B"], angles=[0, 10])
+        (tmp_path / "b.tsv").write_text(f"{imgs / 'B_0.pgm'}\tB\n{imgs / 'B_10.pgm'}\tB\t10\n")
+        monkeypatch.chdir(tmp_path)
+        before = tree(tmp_path)
+        raises(NoImages, "learn", "--object", "A", "--registry", "reg", *source)
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+    def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, env):
+        imgs = synth_dataset(tmp_path, objects=["A"])
+        if env is None:
+            monkeypatch.delenv("EIGENGAZE_REGISTRY", raising=False)
+        else:
+            monkeypatch.setenv("EIGENGAZE_REGISTRY", env)
+        monkeypatch.chdir(tmp_path)
+        before = tree(tmp_path)
+        raises(EigengazeError, "learn", "--object", "A", *sorted(imgs.glob("A_*.pgm")))
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "flags", [("--margin", "nan"), ("--margin", "inf"), ("--threshold", "inf")]
@@ -265,6 +345,13 @@ class TestRecognize:
         assert run("recognize", imgs / "A_0.pgm",
                    "--registry", tmp_path / "nope") == 1
 
+    def test_registry_naming_no_object_writes_nothing(self, tmp_path):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0])
+        eg.ObjectRegistry().save_dir(str(tmp_path / "reg"))
+        before = tree(tmp_path)
+        raises(EigengazeError, "recognize", imgs / "A_0.pgm", "--registry", tmp_path / "reg")
+        assert tree(tmp_path) == before
+
     def test_explicit_threshold_override(self, tmp_path):
         imgs = synth_dataset(tmp_path)
         reg = learn_all(tmp_path, imgs)
@@ -337,6 +424,35 @@ class TestInspect:
         out = tmp_path / "coords.csv"
         assert run("inspect", reg / "mobile.eig", "--dims", "2", "--out", out) == 0
         assert out.read_text().startswith("angle_deg,occluded,c1,c2")
+
+
+class TestIntegers:
+    """Every integer the CLI reads is ASCII decimal digits and nothing else."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "--objects", "A", "--out", "out", "--side", "1_6"),
+            ("synth", "--objects", "A", "--out", "out", "--side", " 16"),
+            ("synth", "--objects", "A", "--out", "out", "--seed", "+1"),
+            ("synth", "--objects", "A", "--out", "out", "--seed", "-1"),
+            ("occlude", "imgs/A_0.pgm", "occ.pgm", "--rect", "\u0661,+2,1_0,4"),
+            ("occlude", "imgs/A_0.pgm", "occ.pgm", "--rect", "2,2,16,10", "--fill", "+0"),
+            ("learn", "--object", "B", "--registry", "registry", "--k", "\u0662",
+             "imgs/B_0.pgm", "imgs/B_10.pgm", "imgs/B_20.pgm"),
+            ("inspect", "registry/A.eig", "--dims", "\uff13", "--out", "coords.csv"),
+        ],
+        ids=["side-underscore", "side-space", "seed-plus", "seed-negative", "rect-mixed",
+             "fill-plus", "k-arabic-indic", "dims-fullwidth"],
+    )
+    def test_integer_outside_the_digit_rule_writes_nothing(self, tmp_path, monkeypatch, argv):
+        # ten views give A a k of at least 3, so --dims 3 would succeed
+        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+        learn_all(tmp_path, imgs, objects=["A"])
+        monkeypatch.chdir(tmp_path)
+        before = tree(tmp_path)
+        assert run(*argv) == 1
+        assert tree(tmp_path) == before
 
 
 class TestUsage:

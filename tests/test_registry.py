@@ -7,6 +7,7 @@ import pytest
 import eigengaze as eg
 from eigengaze.errors import (
     CorruptField,
+    DimensionMismatch,
     DuplicateObject,
     EmptyRegistryNoViews,
     InsufficientData,
@@ -46,6 +47,14 @@ class TestAccumulate:
         reg.accumulate("A", training_appearances("A"), eg.EigenspaceConfig())
         with pytest.raises(DuplicateObject):
             reg.accumulate("A", training_appearances("A"), eg.EigenspaceConfig())
+
+    @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")], ids=["dim", "norm"])
+    def test_space_of_another_dim_or_norm_mode_is_rejected(self, side, norm_mode):
+        reg = build_registry(objects=["A"])
+        with pytest.raises(DimensionMismatch):
+            reg.accumulate("B", training_appearances("B", norm_mode, side=side),
+                           eg.EigenspaceConfig(norm_mode=norm_mode))
+        assert [es.object_id for es in reg.spaces] == ["A"]
 
     def test_existing_space_untouched(self, tmp_path):
         config = eg.EigenspaceConfig()
@@ -287,6 +296,13 @@ class TestPersistence:
         manifest.write_text(manifest.read_text().replace("object escape", "object ../escape"))
         with pytest.raises(InvalidObjectId):
             ObjectRegistry.load_dir(str(tmp_path / "reg"))
+
+    def test_load_rejects_a_manifest_naming_one_id_twice(self, tmp_path):
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
+        manifest = tmp_path / "registry.manifest"
+        manifest.write_bytes(manifest.read_bytes().replace(b"object stapler", b"object mobile"))
+        with pytest.raises(DuplicateObject, match="mobile"):
+            ObjectRegistry.load_dir(str(tmp_path))
 
     def test_load_rejects_model_named_differently_from_manifest(self, tmp_path):
         reg = build_registry(objects=["mobile", "stapler"])
