@@ -2,9 +2,13 @@
 
 Every integer the CLI reads, in a flag, a `--rect` or `--angles` field, a
 training file name or a manifest, is ASCII decimal digits and nothing else
-(no sign, `_`, surrounding space or other digits), read by `_integer`. A
-manifest line has one grammar, `_MANIFEST_LINE`. Range checks stay with the
-types that hold the values.
+(no sign, `_`, surrounding space or other digits), read by `_integer`. Every
+decimal flag (`--tau`, `--margin`, `--threshold`) is read by `_decimal`: ASCII
+digits, then an optional fraction and an optional exponent. A comma list
+(`--objects`, `--angles`, `--rect`) is split by `_fields`, which strips each
+field and rejects an empty one; `synth` also rejects a repeated object or
+angle. A manifest line has one grammar, `_MANIFEST_LINE`. Range checks stay
+with the types that hold the values.
 
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
@@ -24,9 +28,11 @@ from .errors import EigengazeError, EmptyQuerySet, NoImages
 from .imgio import OcclusionSpec, ViewLabel
 from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_object_id
 
-DEFAULT_ANGLES = list(range(0, 100, 10))
+DEFAULT_ANGLES = "0,10,20,30,40,50,60,70,80,90"
 # every integer the CLI reads, in flags, file names and manifests; ASCII only, unlike int()
 _DIGITS = re.compile(r"[0-9]+")
+# every decimal flag: digits, an optional fraction and exponent; ASCII only, unlike float()
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 # a training file's name ends in _<angle>[_occ], as cmd_synth writes it
 _VIEW_STEM = re.compile(rf".*_({_DIGITS.pattern})(_occ)?")
 # path<TAB>object_id[<TAB>angle[<TAB>occluded]]
@@ -44,17 +50,32 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _parse_angles(text: str):
-    angles = [_integer(a.strip()) for a in text.split(",") if a.strip() != ""]
-    if not angles or max(angles) > 359:
-        raise ValueError("angles must be a non-empty list of ASCII-digit integers in [0,359]")
-    return angles
+def _decimal(text: str) -> float:
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a decimal number in ASCII digits")
+    return float(text)
+
+
+def _fields(text: str, flag: str) -> list:
+    """A comma-separated list's fields, each stripped of spaces; none may be empty."""
+    fields = [field.strip() for field in text.split(",")]
+    if "" in fields:
+        raise EigengazeError(f"{flag} {text!r} has an empty field")
+    return fields
+
+
+def _distinct(values: list, flag: str) -> list:
+    """values, none of which may repeat, since each one names its own files."""
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise EigengazeError(f"{flag} names {', '.join(map(str, repeated))} more than once")
+    return values
 
 
 def _parse_threshold(text: str):
     if text == AUTO:
         return AUTO
-    value = float(text)
+    value = _decimal(text)
     if value <= 0:
         raise ValueError("threshold must be positive or 'auto'")
     return value
@@ -131,25 +152,26 @@ def _config_from_args(args) -> EigenspaceConfig:
 # --- commands ---
 
 def cmd_synth(args) -> int:
-    objects = [o for o in args.objects.split(",") if o]
-    if not objects:
-        raise EigengazeError(f"--objects {args.objects!r} names no object")
+    objects = _distinct(_fields(args.objects, "--objects"), "--objects")
     # an id names its files, so it follows the registry's rule
     for obj in objects:
         _check_object_id(obj)
+    angles = _distinct([_integer(a) for a in _fields(args.angles, "--angles")], "--angles")
+    if max(angles) > 359:
+        raise ValueError("--angles must lie in [0, 359]")
     os.makedirs(args.out, exist_ok=True)
     for obj in objects:
-        for angle in args.angles:
+        for angle in angles:
             image = imgio.synth_view(obj, angle, args.side, args.seed)
             out = os.path.join(args.out, f"{obj}_{angle}.pgm")
             with open(out, "wb") as f:
                 f.write(imgio.write_pgm(image, binary=args.binary))
-    print(f"wrote {len(objects) * len(args.angles)} images to {args.out}")
+    print(f"wrote {len(objects) * len(angles)} images to {args.out}")
     return EXIT_OK
 
 
 def cmd_occlude(args) -> int:
-    x0, y0, w, h = (_integer(v.strip()) for v in args.rect.split(","))
+    x0, y0, w, h = (_integer(v) for v in _fields(args.rect, "--rect"))
     image = _read_image(args.input)
     occluded = imgio.apply_occlusion(image, OcclusionSpec(x0, y0, w, h, args.fill))
     with open(args.output, "wb") as f:
@@ -257,7 +279,7 @@ def cmd_inspect(args) -> int:
 # --- argument parsing ---
 
 def _add_config_flags(p):
-    p.add_argument("--tau", type=float, default=0.95, help="energy threshold for k")
+    p.add_argument("--tau", type=_decimal, default=0.95, help="energy threshold for k")
     p.add_argument("--k", type=_integer, default=None, help="fixed k override")
     p.add_argument("--norm", choices=["raw", "unit"], default="unit")
     centering = p.add_mutually_exclusive_group()
@@ -276,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", required=True, help="comma-separated object ids")
     p.add_argument("--out", required=True)
     p.add_argument("--side", type=_integer, default=32)
-    p.add_argument("--angles", type=_parse_angles, default=DEFAULT_ANGLES)
+    p.add_argument("--angles", default=DEFAULT_ANGLES)
     p.add_argument("--seed", type=_integer, default=1)
     p.add_argument("--binary", action="store_true", help="write P5 instead of P2")
     p.set_defaults(func=cmd_synth)
@@ -296,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", default=None)
     p.add_argument("--threshold", type=_parse_threshold, default=None,
                    help="unknown cutoff or 'auto' (default: keep the registry's, else auto)")
-    p.add_argument("--margin", type=float, default=None,
+    p.add_argument("--margin", type=_decimal, default=None,
                    help="auto threshold margin (default: keep the registry's, else 1.5)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_learn)

@@ -5,8 +5,8 @@ occluded views included alongside clean ones. The model persists to a
 line-oriented text format that round-trips bit-exactly. A binary sidecar
 holds the same floats for fast loading; it is a cache tied to the text by a
 digest, and the text stays the source of truth. One renderer, shared by
-save_model and load_model, writes every line but the float values, so a file
-loads only if it is spelled and laid out as save_model writes it.
+save_model and load_model, writes every line, so a file loads only as saved,
+floats included, unless a matching sidecar's floats stand in for the text's.
 
 The `Eigenspace` constructor is the one place that checks a model's
 invariants, so a built, loaded or hand-made space meets the same ones;
@@ -210,26 +210,34 @@ def _block(es: Eigenspace) -> np.ndarray:
     return np.concatenate([es.mean, es.eigenvalues, es.basis.ravel(), es.coords.ravel()])
 
 
-def _render_heads(es: Eigenspace) -> list:
-    """Every line of es's model file without its float values: header lines
-    1-5 whole, each row's keyword and label fields, then END. save_model
-    writes these lines, and load_model accepts only a file that they match."""
-    return [
-        f"{MODEL_MAGIC} {MODEL_VERSION}",
-        f"object {es.object_id}",
-        f"dim {es.dim}",
-        f"k {es.k}",
-        f"config {1 if es.config.centered else 0} {es.config.norm_mode} "
-        + _fmt_row([es.config.energy_threshold]),
-        "mean",
-        *(f"eigenvalue {i}" for i in range(es.k)),
-        *(f"basis {i}" for i in range(es.k)),
-        *(f"point {label.view_angle_deg} {1 if label.occluded else 0}" for label in es.labels),
-        "END",
-    ]
+def _text_rows(es: Eigenspace):
+    """Each float row's values as save_model spells them, in _layout order."""
+    rows = (es.mean, *es.eigenvalues[:, None], *es.basis, *es.coords)
+    return (_fmt_row(row.tolist()) for row in rows)
 
 
-def check_rendered(got: list, rendered: list, name: str):
+def _render(es: Eigenspace, rows):
+    """Yield every line of es's model file, END and the final newline (an
+    empty last line) included; `rows` gives each float row's value text, in
+    _layout order. save_model writes these lines, and load_model accepts only
+    a file that they match, holding one rendered float row at a time."""
+    rows = iter(rows)
+    yield f"{MODEL_MAGIC} {MODEL_VERSION}"
+    yield f"object {es.object_id}"
+    yield f"dim {es.dim}"
+    yield f"k {es.k}"
+    yield (f"config {1 if es.config.centered else 0} {es.config.norm_mode} "
+           + _fmt_row([es.config.energy_threshold]))
+    yield f"mean {next(rows)}"
+    yield from (f"eigenvalue {i} {next(rows)}" for i in range(es.k))
+    yield from (f"basis {i} {next(rows)}" for i in range(es.k))
+    for label in es.labels:
+        yield f"point {label.view_angle_deg} {1 if label.occluded else 0} {next(rows)}"
+    yield "END"
+    yield ""
+
+
+def check_rendered(got: list, rendered, name: str):
     """Raise CorruptField on the first of the lines `got` that differs from
     the line its writer renders, naming the line and quoting it (None where
     one list has no line)."""
@@ -239,12 +247,7 @@ def check_rendered(got: list, rendered: list, name: str):
 
 
 def save_model(es: Eigenspace) -> bytes:
-    lines = _render_heads(es)
-    values, start = _block(es).tolist(), 0
-    for i, (_, count) in enumerate(_layout(es.dim, es.k, len(es.labels)), 5):
-        lines[i] += " " + _fmt_row(values[start : start + count])
-        start += count
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(_render(es, _text_rows(es))).encode("utf-8")
 
 
 def _sidecar_digest(data: bytes, block) -> bytes:
@@ -278,8 +281,8 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     save_sidecar's output for exactly these bytes, and from the text
     otherwise. The id, config and labels always come from the text, and
     the Eigenspace constructor checks the floats from either source. The
-    file loads only if save_model would write it: every line but the float
-    values must be what _render_heads renders for the loaded space."""
+    file loads only if it is what _render renders for the loaded space, its
+    text floats spelled as save_model spells them unless a sidecar's stand in."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -291,16 +294,12 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     if header[1] != str(MODEL_VERSION):
         raise VersionMismatch(f"unsupported model version {header[1]!r}")
 
-    match [line.split() for line in lines[2:5]]:
-        case [[_, dim], [_, k], [_, centered, norm_mode, tau]]:
-            pass
-        case _:
-            raise CorruptField("lines 3-5 must be the 'dim', 'k' and 'config' lines")
     try:
+        (_, dim), (_, k), (_, centered, norm_mode, tau) = (line.split() for line in lines[2:5])
         dim, k = int(dim), int(k)
         config = EigenspaceConfig(centered == "1", norm_mode, float(tau))
     except ValueError as exc:
-        raise CorruptField(str(exc)) from exc
+        raise CorruptField(f"lines 3-5 are not the 'dim', 'k' and 'config' lines: {exc}") from exc
     if dim < 1 or k < 1:
         raise CorruptField(f"bad header: dim {dim}, k {k}")
     object_id = lines[1].partition(" ")[2]
@@ -312,28 +311,27 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     except ValueError:
         raise CorruptField("truncated file: missing END") from None
 
-    # every row lies before END; its values are split only when no sidecar holds them
+    # each float row's value text, after its keyword and label fields; read once,
+    # by the parse when no sidecar holds the floats, else by the render check
     layout = _layout(dim, k, n)
-    block = _sidecar_values(data, sidecar, sum(count for _, count in layout))
-    heads, tokens = lines[:5], []
-    for i, (lead, count) in enumerate(layout, 5):
-        *head, values = lines[i].split(" ", lead + 1)
-        heads.append(" ".join(head))
-        if block is None:
-            values = values.split(" ")
-            if len(values) != count:
-                raise CorruptField(f"line {i + 1}: expected {count} values, got {len(values)}")
-            tokens += values
+    rows = (lines[i].split(" ", lead + 1)[-1] for i, (lead, _) in enumerate(layout, 5))
+    size = sum(count for _, count in layout)
+    block = _sidecar_values(data, sidecar, size)
+    from_text = block is None
     try:
-        if block is None:
+        if from_text:
+            tokens = " ".join(rows).split(" ")
+            if len(tokens) != size:
+                raise CorruptField(f"expected {size} float values, got {len(tokens)}")
             block = np.array(tokens, dtype=np.float64)
-        points = [head.split(" ") for head in heads[first_point:]]
-        labels = [ViewLabel(object_id, int(angle), flag == "1") for _, angle, flag in points]
+        points = (line.split(" ", 3) for line in lines[first_point : first_point + n])
+        labels = [ViewLabel(object_id, int(angle), flag == "1") for _, angle, flag, _ in points]
     except ValueError as exc:
         raise CorruptField(str(exc)) from exc
 
-    mean, eigenvalues, basis, coords = np.split(block, np.cumsum([dim, k, k * dim]))
-    basis, coords = basis.reshape(k, dim), coords.reshape(n, k)
-    es = Eigenspace(object_id, mean, eigenvalues, basis, config, coords, labels)
-    check_rendered(heads + lines[first_point + n :], _render_heads(es) + [""], "model file")
+    # where the eigenvalues and the basis end; plain slices cost far less than np.split
+    ev_end, basis_end = dim + k, dim + k + k * dim
+    basis, coords = block[ev_end:basis_end].reshape(k, dim), block[basis_end:].reshape(n, k)
+    es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, coords, labels)
+    check_rendered(lines, _render(es, _text_rows(es) if from_text else rows), "model file")
     return es

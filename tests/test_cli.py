@@ -89,6 +89,16 @@ class TestSynth:
         raises(EigengazeError, "synth", "--objects", objects, "--out", tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "objects, angles",
+        [(",A,,B,", ",10,,20,"), ("A,A", "0,10"), ("A", "10,010")],
+        ids=["empty-fields", "repeated-object", "repeated-angle-value"],
+    )
+    def test_list_outside_the_list_rule_writes_nothing(self, tmp_path, objects, angles):
+        raises(EigengazeError, "synth", "--objects", objects, "--angles", angles,
+               "--out", tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOcclude:
     def test_total_occlusion(self, tmp_path):
@@ -452,6 +462,25 @@ class TestIntegers:
         monkeypatch.chdir(tmp_path)
         before = tree(tmp_path)
         assert run(*argv) == 1
+        assert tree(tmp_path) == before
+
+
+class TestDecimals:
+    """Every decimal flag is ASCII digits, an optional fraction and an optional exponent."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--margin", "1_5"), ("--tau", ".9_5"), ("--threshold", "\u0660.\u0665"),
+         ("--margin", " 2")],
+        ids=["margin-underscore", "tau-underscore", "threshold-arabic-indic", "margin-space"],
+    )
+    def test_decimal_outside_the_decimal_rule_writes_nothing(self, tmp_path, flags):
+        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+        learn_all(tmp_path, imgs, objects=["A"])
+        before = tree(tmp_path)
+        code = run("learn", "--object", "B", "--registry", tmp_path / "registry",
+                   *sorted(imgs.glob("B_*.pgm")), *flags)
+        assert code == 1
         assert tree(tmp_path) == before
 
 

@@ -66,6 +66,18 @@ _NON_CANONICAL_IDS = [
     "underscore-tau", "short-tau", "arabic-indic-tau",
 ]
 
+# a mean value that float() reads as the saved one, but not spelled as save_model spells it
+_NON_CANONICAL_FLOATS = [
+    _respell("mean", 1, "+{}".format),
+    _respell("mean", 1, "{}0".format),
+    _respell("mean", 1, lambda f: format(float(f), ".16e")),
+    _respell("mean", 1, lambda f: f[:3] + "_" + f[3:]),
+    _respell("mean", 1, lambda f: f.replace("0", "\u0660", 1)),
+]
+_NON_CANONICAL_FLOAT_IDS = [
+    "plus-mean", "trailing-zero-mean", "exponent-mean", "underscore-mean", "arabic-indic-mean",
+]
+
 
 def _swap_first_points(lines):
     i = next(i for i, l in enumerate(lines) if l.startswith("point "))
@@ -383,13 +395,14 @@ class TestPersistence:
             lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
             _set_field("basis", 2, "0.5"),
             *_NON_CANONICAL_FIELDS,
+            *_NON_CANONICAL_FLOATS,
             *_UNWRITTEN_LAYOUTS,
         ],
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
             "huge-basis", "huge-basis-pair", "skewed-basis", *_NON_CANONICAL_IDS,
-            *_UNWRITTEN_LAYOUT_IDS,
+            *_NON_CANONICAL_FLOAT_IDS, *_UNWRITTEN_LAYOUT_IDS,
         ],
     )
     def test_rejects_what_scoring_cannot_use(self, synthetic_space, edit):

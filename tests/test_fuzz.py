@@ -114,8 +114,12 @@ def check_model(data: bytes, sidecar=None):
     assert np.abs(es.basis @ es.basis.T - np.eye(es.k)).max() <= 1e-6
     assert es.spread is None or np.isfinite(es.spread)
     assert all(label.object_id == es.object_id for label in es.labels)
-    # a model loads only as save_model writes it, float values aside
-    assert without_floats(eg.save_model(es)) == without_floats(data)
+    # a model loads only as save_model writes it; a matching sidecar's floats
+    # stand in for the text's
+    if sidecar is None:
+        assert eg.save_model(es) == data
+    else:
+        assert without_floats(eg.save_model(es)) == without_floats(data)
 
 
 def check_registry_dir(reg_dir):
