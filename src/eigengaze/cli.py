@@ -44,15 +44,22 @@ EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 
+class _BadValue(ValueError, argparse.ArgumentTypeError):
+    """A value outside a reader's rule. As an ArgumentTypeError, argparse
+    reports its message after the flag's name (for a plain ValueError it
+    names the reader function); as a ValueError, main reports it as error."""
+
+
 def _integer(text: str) -> int:
     if _DIGITS.fullmatch(text) is None:
-        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+        raise _BadValue(f"{text!r} is not an integer in ASCII digits 0-9")
     return int(text)
 
 
 def _decimal(text: str) -> float:
     if _DECIMAL.fullmatch(text) is None:
-        raise ValueError(f"{text!r} is not a decimal number in ASCII digits")
+        raise _BadValue(f"{text!r} is not a decimal number: ASCII digits 0-9, "
+                        "then an optional .digits and an optional e[+-]digits")
     return float(text)
 
 
@@ -77,7 +84,7 @@ def _parse_threshold(text: str):
         return AUTO
     value = _decimal(text)
     if value <= 0:
-        raise ValueError("threshold must be positive or 'auto'")
+        raise _BadValue(f"{text!r} is not a positive decimal number or 'auto'")
     return value
 
 

@@ -14,6 +14,7 @@ invariants, so a built, loaded or hand-made space meets the same ones;
 """
 
 import hashlib
+import os
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 
@@ -237,13 +238,27 @@ def _render(es: Eigenspace, rows):
     yield ""
 
 
+# characters quoted on each side of the first difference in a CorruptField message
+_QUOTE = 30
+
+
+def _excerpt(line, column: int) -> str:
+    """line's characters within _QUOTE of column, quoted, with ... where it is cut."""
+    if line is None:
+        return "None"
+    start, end = max(column - _QUOTE, 0), column + _QUOTE
+    return ("..." if start else "") + repr(line[start:end]) + ("..." if end < len(line) else "")
+
+
 def check_rendered(got: list, rendered, name: str):
     """Raise CorruptField on the first of the lines `got` that differs from
-    the line its writer renders, naming the line and quoting it (None where
-    one list has no line)."""
+    the line its writer renders, naming the line and the first differing
+    column, and quoting both lines around it (None where one list has no line)."""
     for number, (line, want) in enumerate(zip_longest(got, rendered), 1):
         if line != want:
-            raise CorruptField(f"{name} line {number} is {line!r}; its writer writes {want!r}")
+            column = len(os.path.commonprefix([line or "", want or ""]))
+            raise CorruptField(f"{name} line {number} column {column + 1} is "
+                               f"{_excerpt(line, column)}; its writer writes {_excerpt(want, column)}")
 
 
 def save_model(es: Eigenspace) -> bytes:

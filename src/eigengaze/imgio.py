@@ -2,7 +2,8 @@
 
 Images are plain PGM (P2 text / P5 binary). Appearance vectors are the
 flattened, optionally unit-normalized pixel intensities that feed the
-eigenspace builder.
+eigenspace builder. synth_view stands in for a camera; it and write_pgm
+run on whole arrays, with no Python loop over pixels or samples.
 """
 
 import hashlib
@@ -177,7 +178,7 @@ def write_pgm(image: RasterImage, binary: bool = False) -> bytes:
     """Serialize to canonical PGM; identical inputs give identical bytes."""
     header = f"{image.width} {image.height}\n{image.max_value}\n"
     if not binary:
-        body = " ".join(str(int(s)) for s in image.samples)
+        body = " ".join(map(str, image.samples.tolist()))
         return ("P2\n" + header + body + "\n").encode("ascii")
     per = 1 if image.max_value < 256 else 2
     dtype = np.dtype(">u2") if per == 2 else np.uint8
@@ -259,16 +260,17 @@ def synth_view(object_id: str, angle_deg: int, side: int, seed: int) -> RasterIm
 
     ss = _SUPERSAMPLE
     coords = (np.arange(side * ss, dtype=np.float64) + 0.5) / ss
-    px, py = np.meshgrid(coords, coords)
-
-    inside = np.ones(px.shape, dtype=bool)
-    n = len(rvx)
-    # counter-clockwise vertex order: point is inside iff left of every edge
-    for i in range(n):
-        j = (i + 1) % n
-        ex, ey = rvx[j] - rvx[i], rvy[j] - rvy[i]
-        inside &= ex * (py - rvy[i]) - ey * (px - rvx[i]) >= 0.0
-
-    coverage = inside.reshape(side, ss, side, ss).mean(axis=(1, 3))
+    ex, ey = np.diff(rvx, append=rvx[:1]), np.diff(rvy, append=rvy[:1])
+    inside = np.ones((side * ss, side * ss), dtype=bool)
+    # counter-clockwise vertex order: a subsample is inside iff left of every
+    # edge, ex·(y − rvy[i]) >= ey·(x − rvx[i]), each side taken over one axis;
+    # a >= b agrees with a - b >= 0 for finite doubles, as underflow is gradual
+    for a, b in zip(ex[:, None] * (coords - rvy[:, None]), ey[:, None] * (coords - rvx[:, None])):
+        inside &= a[:, None] >= b
+    # covered subsamples per pixel, summed over column then row phases; at most
+    # ss² = 16, so count / ss² is exactly the mean coverage
+    hits = inside.view(np.uint8)
+    per_column = sum((hits[:, p::ss] for p in range(1, ss)), hits[:, ::ss])
+    coverage = sum((per_column[p::ss] for p in range(1, ss)), per_column[::ss]) / ss**2
     shade = np.rint(_BACKGROUND + coverage * (foreground - _BACKGROUND))
     return RasterImage(side, side, 255, shade.astype(np.int64).ravel())

@@ -499,6 +499,33 @@ class TestUsage:
         assert run(*argv) == 1
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("learn", "--object", "a", "--margin", "1_5"),
+             "argument --margin: '1_5' is not a decimal number: ASCII digits"),
+            (("synth", "--objects", "a", "--out", "out", "--side", "1_6"),
+             "argument --side: '1_6' is not an integer in ASCII digits"),
+            (("recognize", "x.pgm", "--threshold", "1_5"),
+             "argument --threshold: '1_5' is not a decimal number: ASCII digits"),
+            (("recognize", "x.pgm", "--threshold", "0"),
+             "argument --threshold: '0' is not a positive decimal number or 'auto'"),
+            (("synth", "--objects", "a", "--out", "out", "--angles", "+5"),
+             "error: '+5' is not an integer in ASCII digits"),
+            (("occlude", "x.pgm", "y.pgm", "--rect", "1,2,3,1_0"),
+             "error: '1_0' is not an integer in ASCII digits"),
+        ],
+        ids=["decimal", "integer", "threshold-decimal", "threshold-zero", "angles", "rect"],
+    )
+    def test_bad_value_names_its_flag_and_rule_not_its_reader(self, tmp_path, monkeypatch,
+                                                               capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert not any(name in err for name in ("_decimal", "_integer", "_parse_threshold"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_0(self, capsys):
         assert run("recognize", "--help") == 0
         assert "usage:" in capsys.readouterr().out

@@ -410,6 +410,14 @@ class TestPersistence:
         with pytest.raises(CorruptField):
             eg.load_model("\n".join(edit(lines)).encode())
 
+    def test_a_respelled_float_is_quoted_around_its_column(self, synthetic_space):
+        # a d = 1024 mean row is about 20,000 characters; the message quotes
+        # a window of it, not the whole row twice
+        lines = _NON_CANONICAL_FLOATS[0](eg.save_model(synthetic_space).decode().split("\n"))
+        with pytest.raises(CorruptField, match="line 6 column 6 is 'mean [+]0[.]") as info:
+            eg.load_model("\n".join(lines).encode())
+        assert len(str(info.value)) < 300
+
 
 @pytest.mark.parametrize(
     "make",

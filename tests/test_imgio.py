@@ -1,4 +1,6 @@
+import math
 import time
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -12,8 +14,49 @@ from eigengaze.errors import (
     SideTooSmall,
     ZeroImage,
 )
+from eigengaze.imgio import _BACKGROUND, _SUPERSAMPLE, _object_shape
 
 from conftest import random_image
+
+
+def oracle_synth_view(object_id, angle_deg, side, seed):
+    """synth_view as first written: every edge tested over a meshgrid of
+    subsample centres, then the supersamples pooled by a 4-D mean."""
+    thetas, rx, ry, foreground = _object_shape(object_id, seed)
+    vx = rx * side * np.cos(thetas)
+    vy = ry * side * np.sin(thetas)
+    phi = math.radians(angle_deg)
+    c, s = math.cos(phi), math.sin(phi)
+    half = side / 2.0
+    rvx = c * vx - s * vy + half
+    rvy = s * vx + c * vy + half
+    ss = _SUPERSAMPLE
+    coords = (np.arange(side * ss, dtype=np.float64) + 0.5) / ss
+    px, py = np.meshgrid(coords, coords)
+    inside = np.ones(px.shape, dtype=bool)
+    n = len(rvx)
+    for i in range(n):
+        j = (i + 1) % n
+        ex, ey = rvx[j] - rvx[i], rvy[j] - rvy[i]
+        inside &= ex * (py - rvy[i]) - ey * (px - rvx[i]) >= 0.0
+    coverage = inside.reshape(side, ss, side, ss).mean(axis=(1, 3))
+    shade = np.rint(_BACKGROUND + coverage * (foreground - _BACKGROUND))
+    return eg.RasterImage(side, side, 255, shade.astype(np.int64).ravel())
+
+
+def oracle_write_pgm(image, binary):
+    """write_pgm as first written, formatting P2 samples one at a time."""
+    header = f"{image.width} {image.height}\n{image.max_value}\n"
+    if not binary:
+        body = " ".join(str(int(s)) for s in image.samples)
+        return ("P2\n" + header + body + "\n").encode("ascii")
+    dtype = np.dtype(">u2") if image.max_value >= 256 else np.uint8
+    return ("P5\n" + header).encode("ascii") + image.samples.astype(dtype).tobytes()
+
+
+def _object_with(n_verts, seed):
+    """The first id obj<i> whose polygon has n_verts vertices at seed."""
+    return next(f"obj{i}" for i in count() if len(_object_shape(f"obj{i}", seed)[0]) == n_verts)
 
 
 class TestParsePgm:
@@ -247,3 +290,19 @@ class TestSynthView:
     def test_side_too_small(self):
         with pytest.raises(SideTooSmall):
             eg.synth_view("A", 0, 7, 1)
+
+    def test_matches_the_oracle_bytes_for_bytes(self):
+        # one object per vertex count (4 to 8) for each seed, at every angle;
+        # the side cycles through `sides` and the written view through plain
+        # and occluded, so each pair of the two occurs; each is written as P2 and P5
+        sides = (8, 9, 31, 32, 64)
+        cases = [(_object_with(n, seed), seed) for seed in (0, 1, 12) for n in range(4, 9)]
+        for index, ((object_id, seed), angle) in enumerate(product(cases, range(0, 360, 5))):
+            side = sides[index % len(sides)]
+            image = eg.synth_view(object_id, angle, side, seed)
+            assert image == oracle_synth_view(object_id, angle, side, seed), (object_id, angle)
+            if index % 2:
+                spec = eg.OcclusionSpec(side // 4, side // 3, side // 2, side // 4, index % 256)
+                image = eg.apply_occlusion(image, spec)
+            for binary in (False, True):
+                assert eg.write_pgm(image, binary) == oracle_write_pgm(image, binary)
