@@ -71,6 +71,14 @@ def _fields(text: str, flag: str) -> list:
     return fields
 
 
+def _integers(text: str, flag: str) -> list:
+    """A comma list's fields, each read by _integer; a bad one's error names flag."""
+    try:
+        return [_integer(field) for field in _fields(text, flag)]
+    except _BadValue as exc:
+        raise EigengazeError(f"{flag} {text!r}: {exc}") from None
+
+
 def _distinct(values: list, flag: str) -> list:
     """values, none of which may repeat, since each one names its own files."""
     repeated = sorted({value for value in values if values.count(value) > 1})
@@ -163,7 +171,7 @@ def cmd_synth(args) -> int:
     # an id names its files, so it follows the registry's rule
     for obj in objects:
         _check_object_id(obj)
-    angles = _distinct([_integer(a) for a in _fields(args.angles, "--angles")], "--angles")
+    angles = _distinct(_integers(args.angles, "--angles"), "--angles")
     if max(angles) > 359:
         raise ValueError("--angles must lie in [0, 359]")
     os.makedirs(args.out, exist_ok=True)
@@ -178,7 +186,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    x0, y0, w, h = (_integer(v) for v in _fields(args.rect, "--rect"))
+    rect = _integers(args.rect, "--rect")
+    if len(rect) != 4:
+        raise EigengazeError(f"--rect {args.rect!r} must be four integers x0,y0,w,h")
+    x0, y0, w, h = rect
     image = _read_image(args.input)
     occluded = imgio.apply_occlusion(image, OcclusionSpec(x0, y0, w, h, args.fill))
     with open(args.output, "wb") as f:

@@ -21,6 +21,7 @@ from itertools import takewhile
 from .eigenspace import (
     Eigenspace,
     EigenspaceConfig,
+    _block,
     build_eigenspace,
     check_rendered,
     load_model,
@@ -31,6 +32,7 @@ from .errors import (
     CorruptField,
     DimensionMismatch,
     DuplicateObject,
+    EigengazeError,
     EmptyRegistryNoViews,
     InsufficientData,
     InvalidObjectId,
@@ -74,6 +76,21 @@ def _read_sidecar(path: str) -> bytes | None:
             return f.read()
     except OSError:
         return None
+
+
+def _held_model(path: str, es: Eigenspace) -> bytes | None:
+    """es's `.eig` bytes in directory `path` if they load, with their
+    sidecar, as es itself: the same id, config and labels, and bit-identical
+    floats (so -0.0 is not 0.0). They are then what save_model(es) renders.
+    None when they are missing, unreadable, damaged, stale or another space's."""
+    try:
+        with open(os.path.join(path, f"{es.object_id}.eig"), "rb") as f:
+            data = f.read()
+        held = load_model(data, _read_sidecar(os.path.join(path, f"{es.object_id}.f8")))
+    except (OSError, EigengazeError):
+        return None
+    same = (held.object_id, held.config, held.labels) == (es.object_id, es.config, es.labels)
+    return data if same and _block(held).tobytes() == _block(es).tobytes() else None
 
 
 @dataclass(frozen=True)
@@ -209,15 +226,17 @@ class ObjectRegistry:
 
     def save_dir(self, path: str):
         """Write every model (its `.eig` text, then its `.f8` sidecar), then
-        the manifest. Each file is written beside its target and renamed into
-        place, so a save that fails part-way leaves no truncated file, and the
-        old manifest names only old models. Loading ignores a sidecar whose
-        digest does not match its `.eig`, so a stale sidecar changes nothing."""
+        the manifest. A model whose `.eig` already loads as its space is
+        written from those bytes, not rendered again. Each file is written
+        beside its target and renamed into place, so a save that fails
+        part-way leaves no truncated file, and the old manifest names only old
+        models. Loading ignores a sidecar whose digest does not match its
+        `.eig`, so a stale sidecar changes nothing."""
         os.makedirs(path, exist_ok=True)
         with self._lock:
             spaces = self.spaces
             for es in spaces:
-                data = save_model(es)
+                data = _held_model(path, es) or save_model(es)
                 _write_atomic(os.path.join(path, f"{es.object_id}.eig"), data)
                 _write_atomic(os.path.join(path, f"{es.object_id}.f8"), save_sidecar(es, data))
             manifest = render_manifest(self.policy, [es.object_id for es in spaces])

@@ -511,11 +511,16 @@ class TestUsage:
             (("recognize", "x.pgm", "--threshold", "0"),
              "argument --threshold: '0' is not a positive decimal number or 'auto'"),
             (("synth", "--objects", "a", "--out", "out", "--angles", "+5"),
-             "error: '+5' is not an integer in ASCII digits"),
+             "error: --angles '+5': '+5' is not an integer in ASCII digits"),
+            (("synth", "--objects", "a", "--out", "out", "--angles", "0,\u0661\u0660"),
+             "error: --angles '0,\u0661\u0660': '\u0661\u0660' is not an integer in ASCII digits"),
             (("occlude", "x.pgm", "y.pgm", "--rect", "1,2,3,1_0"),
-             "error: '1_0' is not an integer in ASCII digits"),
+             "error: --rect '1,2,3,1_0': '1_0' is not an integer in ASCII digits"),
+            (("occlude", "x.pgm", "y.pgm", "--rect", "1,2,3"),
+             "error: --rect '1,2,3' must be four integers x0,y0,w,h"),
         ],
-        ids=["decimal", "integer", "threshold-decimal", "threshold-zero", "angles", "rect"],
+        ids=["decimal", "integer", "threshold-decimal", "threshold-zero", "angles",
+             "arabic-indic-angle", "rect", "rect-of-three"],
     )
     def test_bad_value_names_its_flag_and_rule_not_its_reader(self, tmp_path, monkeypatch,
                                                                capsys, argv, message):

@@ -12,7 +12,7 @@ import eigengaze as eg
 from eigengaze import recog as recog_module
 from eigengaze.errors import DimensionMismatch, DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from eigengaze.recog import RecognitionResult, report_csv, report_text
-from eigengaze.registry import ObjectRegistry
+from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 
 from conftest import (
     OBJECTS,
@@ -83,11 +83,17 @@ def twin_view_registry():
     return reg
 
 
-def twin_space_registry():
-    """Two spaces built from the same views of A, acquired as zeta, then alpha."""
+# twins of A and of B, alternating, acquired in reverse name order: two groups
+# of tied scores, which an unstable sort need not keep in order
+MANY_TWINS = tuple((f"twin-{i:02d}", "AB"[i % 2]) for i in range(24, 0, -1))
+
+
+def twin_space_registry(twins=(("zeta", "A"), ("alpha", "A"))):
+    """Spaces acquired in order, each (name, obj) built from obj's views, so
+    the spaces of one obj are twins."""
     reg = ObjectRegistry()
-    for name in ("zeta", "alpha"):
-        reg.accumulate(name, training_appearances("A"), eg.EigenspaceConfig())
+    for name, obj in twins:
+        reg.accumulate(name, training_appearances(obj), eg.EigenspaceConfig())
     return reg
 
 
@@ -202,13 +208,30 @@ class TestRecognizeOracle:
 
     @pytest.mark.parametrize("in_space_only", [False, True])
     def test_tied_spaces_resolve_to_earlier_acquisition(self, in_space_only):
-        reg = twin_space_registry()
-        v = query_set(objects=["A"])[3][0]
-        result = eg.recognize(reg, v, in_space_only)
-        assert result.best_object == "zeta"
-        assert [o for o, _ in result.ranked_candidates] == ["zeta", "alpha"]
-        assert result.ranked_candidates[0][1] == result.ranked_candidates[1][1]
-        assert_matches_oracle(reg, v, in_space_only)
+        queries = query_set(objects=["A"])
+        v = queries[3][0]
+        for twins in ((("zeta", "A"), ("alpha", "A")), MANY_TWINS):
+            reg = twin_space_registry(twins)
+            result = eg.recognize(reg, v, in_space_only)
+            of_a = [name for name, obj in twins if obj == "A"]
+            ranked = of_a + [name for name, obj in twins if obj == "B"]
+            assert result.best_object == of_a[0]
+            assert [o for o, _ in result.ranked_candidates] == ranked
+            assert len({score for _, score in result.ranked_candidates[:len(of_a)]}) == 1
+            assert_matches_oracle(reg, v, in_space_only)
+            report = eg.evaluate(reg, [(q, of_a[0]) for q, _ in queries], in_space_only)
+            assert report.confusion == {(of_a[0], of_a[0]): len(queries)}
+
+    def test_a_score_on_the_threshold_is_known(self):
+        """Known means a score within the threshold, the threshold included."""
+        reg = build_registry(objects=["A", "B"])
+        v = training_appearances("A")[3]
+        score = eg.recognize(reg, v).combined_score
+        assert score > 0
+        reg.policy = EnrollmentPolicy(score)
+        assert reg.decide(v).known
+        reg.policy = EnrollmentPolicy(float(np.nextafter(score, 0)))
+        assert not reg.decide(v).known
 
 
 class TestTrainingOrder:

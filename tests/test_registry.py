@@ -423,6 +423,111 @@ class TestPersistence:
         assert len(names) == 9
 
 
+def count_renders(monkeypatch) -> list:
+    """The ids of the spaces save_dir renders with save_model, in call order."""
+    rendered = []
+
+    def counting(es):
+        rendered.append(es.object_id)
+        return eg.save_model(es)
+
+    monkeypatch.setattr(registry_module, "save_model", counting)
+    return rendered
+
+
+def flip_byte(path, after: bytes):
+    """Flip the low bit of the byte that follows the first `after` in path."""
+    data = bytearray(path.read_bytes())
+    data[data.index(after) + len(after)] ^= 1
+    path.write_bytes(data)
+
+
+def registry_of(object_id, views_of):
+    """A registry holding one space, object_id, built from the views of views_of."""
+    reg = ObjectRegistry()
+    reg.accumulate(object_id, training_appearances(views_of), eg.EigenspaceConfig())
+    return reg
+
+
+def toy_registry(mean0=0.0, occluded=False, tau=0.95):
+    """A registry of one hand-built space, whose mean starts with mean0 (0.0
+    or -0.0 spell differently), whose first view is or is not occluded, and
+    whose config has energy threshold tau."""
+    es = eg.Eigenspace(
+        "toy", np.array([mean0, 0.25, 0.5]), np.array([1.0]), np.array([[1.0, 0.0, 0.0]]),
+        eg.EigenspaceConfig(energy_threshold=tau), np.array([[0.5], [1.0]]),
+        (eg.ViewLabel("toy", 0, occluded), eg.ViewLabel("toy", 10)),
+    )
+    reg = ObjectRegistry()
+    reg._append(es)
+    return reg
+
+
+class TestResave:
+    def test_resave_renders_only_the_new_model(self, tmp_path, monkeypatch):
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        reg = ObjectRegistry.load_dir(str(tmp_path))
+        reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
+        rendered = count_renders(monkeypatch)
+        reg.save_dir(str(tmp_path))
+        assert rendered == ["widget"]
+        for name in ("mobile.eig", "mobile.f8", "stapler.eig", "stapler.f8"):
+            assert (tmp_path / name).read_bytes() == before[name], name
+        for es in reg.spaces:
+            assert (tmp_path / f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
+
+    @pytest.mark.parametrize(
+        "damage, reused",
+        [
+            (lambda eig, f8: flip_byte(eig, b"dim "), False),
+            (lambda eig, f8: flip_byte(eig, b"mean "), False),
+            (lambda eig, f8: f8.unlink(), True),
+            (lambda eig, f8: flip_byte(f8, b""), True),
+            # the digest of the sidecar written for another .eig text
+            (lambda eig, f8: f8.write_bytes(
+                eg.save_sidecar(eg.load_model(eig.read_bytes()), b"EIGENGAZE 1\n")), True),
+        ],
+        ids=["damaged-header", "damaged-float", "no-sidecar", "damaged-sidecar", "stale-sidecar"],
+    )
+    def test_save_repairs_the_target_model(self, tmp_path, monkeypatch, damage, reused):
+        """A damaged .eig is rendered again. Beside a missing, damaged or stale
+        sidecar the .eig still loads, from its text, as the space: its bytes
+        are kept and the sidecar is written again."""
+        reg = build_registry(objects=["mobile", "stapler"])
+        reg.save_dir(str(tmp_path))
+        eig, f8 = tmp_path / "mobile.eig", tmp_path / "mobile.f8"
+        damage(eig, f8)
+        rendered = count_renders(monkeypatch)
+        reg.save_dir(str(tmp_path))
+        assert rendered == ([] if reused else ["mobile"])
+        es = reg.find("mobile")
+        assert eig.read_bytes() == eg.save_model(es)
+        assert f8.read_bytes() == eg.save_sidecar(es, eg.save_model(es))
+        assert_same_space(ObjectRegistry.load_dir(str(tmp_path)).find("mobile"), es)
+
+    @pytest.mark.parametrize(
+        "held, saved",
+        [
+            (lambda: registry_of("mobile", "mobile"), lambda: registry_of("mobile", "stapler")),
+            (toy_registry, lambda: toy_registry(mean0=-0.0)),
+            (lambda: toy_registry(mean0=-0.0), toy_registry),
+            (lambda: toy_registry(occluded=True), toy_registry),
+            (lambda: toy_registry(tau=0.9), toy_registry),
+        ],
+        ids=["another-registry", "zero-to-minus-zero", "minus-zero-to-zero", "another-label",
+             "another-config"],
+    )
+    def test_another_space_under_the_same_id_is_rendered(self, tmp_path, monkeypatch, held, saved):
+        held().save_dir(str(tmp_path))
+        reg = saved()
+        rendered = count_renders(monkeypatch)
+        reg.save_dir(str(tmp_path))
+        (es,) = reg.spaces
+        assert rendered == [es.object_id]
+        assert (tmp_path / f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
+
+
 class TestSidecar:
     @pytest.mark.parametrize(
         "config",
