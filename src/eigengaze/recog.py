@@ -4,20 +4,24 @@ A query is projected into every object's eigenspace; the in-space distance to
 the nearest manifold point is combined with the off-subspace residual so a
 query far from a subspace cannot win on in-space proximity alone.
 
-One scorer serves both entry points. It reads the registry's tuple of spaces
-once, each holding its manifold in view-angle order, and scores a block of
-queries with one matrix product per space. `recognize` scores one query;
-`evaluate` scores its queries in blocks of `_BLOCK`, with the same tie rules.
-The two agree on scores only to rounding: a block product sums in another
-order than a one-query product, so a score may differ in its last bits (by
-up to about 1e-15 on unit vectors), and two spaces within rounding of each
-other may rank differently in the two calls. Exact ties follow the tie rules
-in both.
+One scorer serves both entry points. It reads the registry's snapshot once: a
+tuple of spaces, each holding its manifold in view-angle order, with their
+means and manifolds stacked into whole-registry arrays, built once per
+mutation. Each space makes its own two matrix products, the projection and
+the reconstruction, so twin spaces score bit for bit alike; every other step
+runs once over all spaces. `recognize` scores one query; `evaluate` scores
+its queries in blocks sized so that no (spaces x queries x dim) temporary
+holds more than `_BUDGET` float64 elements, with the same tie rules. The two
+agree on scores only to rounding: a block product sums in another order than
+a one-query product, so a score may differ in its last bits (by up to about
+1e-15 on unit vectors), and two spaces within rounding of each other may rank
+differently in the two calls. Exact ties follow the tie rules in both.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +29,8 @@ from .eigenspace import Eigenspace, _check_vector
 from .errors import DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
 
-# queries per scoring block: bounds evaluate's (block, dim) temporaries
-_BLOCK = 64
+# float64 elements in one (spaces x queries x dim) temporary: sets evaluate's block size
+_BUDGET = 2**19
 
 
 @dataclass(frozen=True)
@@ -48,38 +52,80 @@ class EvaluationReport:
     confusion: dict    # (true_id, predicted_id) -> count
 
 
-def _spaces(reg, queries):
-    """The registry's spaces, after checking every query against them."""
-    spaces = reg.spaces
-    if not spaces:
+class Snapshot:
+    """One immutable tuple of spaces and the whole-registry arrays the scorer
+    reads: the means stacked as (spaces, dim), and the manifold coordinates
+    padded to (spaces, n_max, k_max). A space's coordinates are padded with
+    zeros beyond its k, as its query projections are, and its padded points
+    lie at infinity, so no padded point is ever nearest and no padding
+    computes inf - inf. The arrays are built on the first score."""
+
+    def __init__(self, spaces: tuple = ()):
+        self.spaces = spaces
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        return np.array([es.mean for es in self.spaces])
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        n_max = max(len(es.coords) for es in self.spaces)
+        k_max = max(es.k for es in self.spaces)
+        coords = np.full((len(self.spaces), n_max, k_max), np.inf)
+        for s, es in enumerate(self.spaces):
+            coords[s, : len(es.coords)] = 0.0
+            coords[s, : len(es.coords), : es.k] = es.coords
+        return coords
+
+    def block_size(self) -> int:
+        """Queries per evaluate block: neither the (spaces, queries, dim)
+        temporaries nor the (spaces, queries, n_max, k_max) point distances
+        hold more than _BUDGET elements, unless one query alone does."""
+        spaces, n_max, k_max = self.coords.shape
+        return max(1, _BUDGET // (spaces * max(self.spaces[0].dim, n_max * k_max)))
+
+
+def _snapshot(reg, queries) -> Snapshot:
+    """The registry's snapshot, after checking every query against its spaces."""
+    snap = reg.snapshot
+    if not snap.spaces:
         raise EmptyRegistry("no enrolled objects")
     # the registry admits only spaces of one dim and norm mode, so one check covers all
+    first = snap.spaces[0]
     for v in queries:
-        _check_vector(spaces[0].dim, spaces[0].config.norm_mode, v)
-    return spaces
+        _check_vector(first.dim, first.config.norm_mode, v)
+    return snap
 
 
-def _score(spaces, W: np.ndarray, in_space_only: bool):
-    """Score each row of W (queries x dim) against every space.
+def _score(snap: Snapshot, queries: list, step: int, in_space_only: bool):
+    """Score the query vectors against every space, `step` queries a block.
 
-    Returns (score, in_space, residual, nearest), each of shape
-    (spaces, queries). `nearest` indexes a space's angle-ordered points, so a
+    Yields (score, in_space, residual, nearest) per block, each of shape
+    (spaces, block). `nearest` indexes a space's angle-ordered points, so a
     tie inside one space goes to the lowest view angle. Both distances are
     taken directly, not as differences of squared norms, so equal inputs
-    give equal scores.
+    give equal scores. Every block reuses one set of temporaries.
     """
-    shape = (len(spaces), len(W))
-    in_space, res = np.empty(shape), np.empty(shape)
-    nearest = np.empty(shape, dtype=np.intp)
-    for s, es in enumerate(spaces):
-        Wc = W - es.mean
-        G = Wc @ es.basis.T
-        res[s] = np.linalg.norm(Wc - G @ es.basis, axis=1)
-        dist = np.linalg.norm(G[:, None, :] - es.coords, axis=2)
-        nearest[s] = dist.argmin(axis=1)
-        in_space[s] = dist.min(axis=1)
-    score = in_space if in_space_only else np.hypot(in_space, res)
-    return score, in_space, res, nearest
+    spaces, (_, n_max, k_max) = snap.spaces, snap.coords.shape
+    shape = (len(spaces), min(step, len(queries)))
+    Wc, R = np.empty((2, *shape, spaces[0].dim))
+    G = np.zeros((*shape, k_max))  # a space's columns beyond its k stay 0
+    diff = np.empty((*shape, n_max, k_max))
+    for start in range(0, len(queries), step):
+        block = np.array(queries[start : start + step])
+        wc, r, g, d = (a[:, : len(block)] for a in (Wc, R, G, diff))
+        np.subtract(block, snap.means[:, None], out=wc)
+        # each space's own products: its projection g and reconstruction g B
+        for es, wc_s, g_s, r_s in zip(spaces, wc, g, r):
+            np.matmul(wc_s, es.basis.T, out=g_s[:, : es.k])
+            np.matmul(g_s[:, : es.k], es.basis, out=r_s)
+        res = np.sqrt(np.square(np.subtract(wc, r, out=r), out=r).sum(axis=2))
+        np.subtract(g[:, :, None], snap.coords[:, None], out=d)
+        dist = np.sqrt(np.square(d, out=d).sum(axis=3))
+        nearest = dist.argmin(axis=2)
+        in_space = np.take_along_axis(dist, nearest[..., None], axis=2)[..., 0]
+        score = in_space if in_space_only else np.hypot(in_space, res)
+        yield score, in_space, res, nearest
 
 
 def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> RecognitionResult:
@@ -88,10 +134,10 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
     Ties on score are broken by acquisition order, then by the nearest view's
     angle, so output is deterministic.
     """
-    spaces = _spaces(reg, [v])
-    score, in_space, res, nearest = (
-        a[:, 0] for a in _score(spaces, v.values[None], in_space_only)
-    )
+    snap = _snapshot(reg, [v])
+    spaces = snap.spaces
+    (block,) = _score(snap, [v.values], 1, in_space_only)
+    score, in_space, res, nearest = (a[:, 0] for a in block)
     # a stable sort keeps equal scores in acquisition order
     ranked = np.argsort(score, kind="stable")
     best = ranked[0]
@@ -110,16 +156,12 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
     queries = list(queries)
     if not queries:
         raise EmptyQuerySet("no queries")
-    spaces = _spaces(reg, [v for v, _ in queries])
-    ids = [es.object_id for es in spaces]
-
-    confusion = Counter()
-    for start in range(0, len(queries), _BLOCK):
-        block = queries[start : start + _BLOCK]
-        score = _score(spaces, np.array([v.values for v, _ in block]), in_space_only)[0]
-        # argmin takes the first minimum: the earliest acquisition on a tie
-        for (_, true_id), best in zip(block, score.argmin(axis=0)):
-            confusion[true_id, ids[best]] += 1
+    snap = _snapshot(reg, [v for v, _ in queries])
+    ids = [es.object_id for es in snap.spaces]
+    blocks = _score(snap, [v.values for v, _ in queries], snap.block_size(), in_space_only)
+    # argmin takes the first minimum: the earliest acquisition on a tie
+    best = np.concatenate([score.argmin(axis=0) for score, *_ in blocks])
+    confusion = Counter((true_id, ids[b]) for (_, true_id), b in zip(queries, best))
 
     # a Counter reads a missing (true, true) pair as 0 without adding it
     totals = Counter(true_id for true_id, _ in confusion.elements())

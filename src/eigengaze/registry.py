@@ -2,13 +2,15 @@
 
 Each enrolled object keeps its own independently built eigenspace; enrolling a
 new object never touches existing spaces. Mutation (accumulate / enroll) is
-serialized behind an internal lock. Each mutation rebinds one immutable tuple
-of spaces, each holding its manifold in view-angle order; a read takes the
-tuple once, so classification may run concurrently with mutations and sees a
-whole set of spaces. The auto threshold reads each space's own `spread`; every
-model invariant is checked by the `Eigenspace` constructor, not here. The
-manifest has one renderer: save_dir writes it, and load_dir accepts only a
-manifest that it reproduces byte for byte.
+serialized behind an internal lock. Each mutation rebinds one snapshot: an
+immutable tuple of spaces, each holding its manifold in view-angle order, and
+the scorer's whole-registry arrays over them, built on the first score after
+the mutation. A read takes the snapshot once, so classification may run
+concurrently with mutations and sees a whole set of spaces. The auto threshold
+reads each space's own `spread`; every model invariant is checked by the
+`Eigenspace` constructor, not here. The manifest has one renderer: save_dir
+writes it, and load_dir accepts only a manifest that it reproduces byte for
+byte.
 """
 
 import math
@@ -132,7 +134,7 @@ class ObjectRegistry:
 
     def __init__(self, policy: EnrollmentPolicy | None = None):
         # rebound by _append, never mutated in place
-        self._spaces: tuple[Eigenspace, ...] = ()
+        self._snapshot = recog.Snapshot()
         self._spread: float | None = None  # widest manifold gap of any space
         self.policy = policy if policy is not None else EnrollmentPolicy()
         self._lock = threading.RLock()
@@ -140,10 +142,15 @@ class ObjectRegistry:
     @property
     def spaces(self) -> tuple[Eigenspace, ...]:
         """The enrolled spaces in acquisition order, as one immutable tuple."""
-        return self._spaces
+        return self._snapshot.spaces
+
+    @property
+    def snapshot(self) -> recog.Snapshot:
+        """The enrolled spaces with the scorer's arrays over them, as one value."""
+        return self._snapshot
 
     def find(self, object_id: str) -> Eigenspace | None:
-        for es in self._spaces:
+        for es in self.spaces:
             if es.object_id == object_id:
                 return es
         return None
@@ -151,15 +158,15 @@ class ObjectRegistry:
     def _append(self, es: Eigenspace):
         if self.find(es.object_id) is not None:
             raise DuplicateObject(f"object {es.object_id!r} already enrolled")
-        if self._spaces:
-            first = self._spaces[0]
+        if self.spaces:
+            first = self.spaces[0]
             if es.dim != first.dim or es.config.norm_mode != first.config.norm_mode:
                 raise DimensionMismatch(
                     "all enrolled spaces must share dim and norm_mode"
                 )
         if es.spread is not None:
             self._spread = es.spread if self._spread is None else max(self._spread, es.spread)
-        self._spaces = self._spaces + (es,)
+        self._snapshot = recog.Snapshot(self.spaces + (es,))
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
         """Build and enroll one object's eigenspace; existing spaces untouched."""
@@ -185,7 +192,7 @@ class ObjectRegistry:
 
     def next_auto_name(self) -> str:
         """The first free object-N, counting up from the number of spaces + 1."""
-        n = len(self._spaces) + 1
+        n = len(self.spaces) + 1
         while self.find(f"object-{n}") is not None:
             n += 1
         return f"object-{n}"
@@ -208,7 +215,7 @@ class ObjectRegistry:
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object."""
         with self._lock:
-            if self._spaces:
+            if self.spaces:
                 decision = self.decide(v)
             elif pending_views is None:
                 raise EmptyRegistryNoViews("empty registry and no pending views to enroll")
@@ -217,7 +224,7 @@ class ObjectRegistry:
             if decision.known or pending_views is None:
                 return decision
             if config is None:
-                config = self._spaces[0].config if self._spaces else EigenspaceConfig()
+                config = self.spaces[0].config if self.spaces else EigenspaceConfig()
             name = self.next_auto_name()
             self.accumulate(name, pending_views, config)
             return replace(decision, enrolled_id=name)

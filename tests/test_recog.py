@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
-from eigengaze import recog as recog_module
 from eigengaze.errors import DimensionMismatch, DimsTooLarge, EmptyQuerySet, EmptyRegistry
 from eigengaze.recog import RecognitionResult, report_csv, report_text
 from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
@@ -71,6 +71,11 @@ def oracle_queries():
     return queries
 
 
+def cycled(items, n):
+    """The first n items of items repeated end to end."""
+    return [items[i % len(items)] for i in range(n)]
+
+
 def twin_view_registry():
     """Object A, with its view at 50 degrees enrolled twice, first labelled 70."""
     apps = training_appearances("A")
@@ -94,6 +99,21 @@ def twin_space_registry(twins=(("zeta", "A"), ("alpha", "A"))):
     reg = ObjectRegistry()
     for name, obj in twins:
         reg.accumulate(name, training_appearances(obj), eg.EigenspaceConfig())
+    return reg
+
+
+def mixed_shape_registry():
+    """Spaces of every shape the stacked scorer pads: (views, k) of (1, 1),
+    (3, 1), (36, 3) and (36, full k by the energy rule)."""
+    def views(obj, angles):
+        return [eg.vectorize(eg.synth_view(obj, a, 32, 1), "unit", eg.ViewLabel(obj, a))
+                for a in angles]
+
+    reg = ObjectRegistry()
+    reg.accumulate("solo", views("solo", [30]), eg.EigenspaceConfig(centered=False))
+    reg.accumulate("trio", views("trio", [0, 120, 240]), eg.EigenspaceConfig(k_override=1))
+    reg.accumulate("wide", views("wide", range(0, 360, 10)), eg.EigenspaceConfig(k_override=3))
+    reg.accumulate("full", views("full", range(0, 360, 10)), eg.EigenspaceConfig())
     return reg
 
 
@@ -222,6 +242,30 @@ class TestRecognizeOracle:
             report = eg.evaluate(reg, [(q, of_a[0]) for q, _ in queries], in_space_only)
             assert report.confusion == {(of_a[0], of_a[0]): len(queries)}
 
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_spaces_of_mixed_k_and_point_count(self, in_space_only):
+        """No padded point or axis of a smaller space is ever nearest, and the
+        padding computes nothing that warns."""
+        reg = mixed_shape_registry()
+        assert [(len(es.labels), es.k) for es in reg.spaces[:3]] == [(1, 1), (3, 1), (36, 3)]
+        assert reg.spaces[3].k > 3
+        spaces = {es.object_id: es for es in reg.spaces}
+        queries = [eg.vectorize(eg.synth_view(obj, angle, 32, 1), "unit")
+                   for obj in ("solo", "trio", "wide", "full", "widget")
+                   for angle in range(0, 360, 25)]
+        queries += [eg.vectorize(eg.synth_view("solo", 30, 32, 1), "unit")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labelled = []
+            for v in queries:
+                result = eg.recognize(reg, v, in_space_only)
+                assert result.best_view in spaces[result.best_object].labels
+                assert_matches_oracle(reg, v, in_space_only)
+                labelled.append((v, recognize_oracle(reg, v, in_space_only).best_object))
+            report = eg.evaluate(reg, labelled, in_space_only)
+        assert {obj for _, obj in labelled} == set(spaces)
+        assert report.m == report.P == len(queries)
+
     def test_a_score_on_the_threshold_is_known(self):
         """Known means a score within the threshold, the threshold included."""
         reg = build_registry(objects=["A", "B"])
@@ -298,8 +342,9 @@ class TestEvaluate:
 
 
 class TestEvaluateBlocks:
-    """evaluate scores its queries in blocks; each prediction must be the one
-    recognize makes for that query alone."""
+    """evaluate scores its queries in blocks, as many as the registry's
+    budget allows; each prediction must be the one recognize makes for that
+    query alone."""
 
     @pytest.mark.parametrize("registry", ["four", "twin_spaces", "twin_views"])
     @pytest.mark.parametrize("in_space_only", [False, True])
@@ -310,8 +355,9 @@ class TestEvaluateBlocks:
             "twin_spaces": twin_space_registry,
             "twin_views": twin_view_registry,
         }[registry]()
-        queries = oracle_queries()
-        assert len(queries) > recog_module._BLOCK
+        step = reg.snapshot.block_size()
+        queries = cycled(oracle_queries(), step + 1)
+        assert len(queries) > step
         # each query is labelled with recognize's answer, so every miss is a disagreement
         labelled = [(v, eg.recognize(reg, v, in_space_only).best_object) for v in queries]
         report = eg.evaluate(reg, labelled, in_space_only)
@@ -319,12 +365,15 @@ class TestEvaluateBlocks:
         if registry == "twin_spaces":
             assert set(report.confusion) == {("zeta", "zeta")}
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65])
+    # n is 1, or s - 1, s or s + 1 for the registry's block size s
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1)],
+                             ids=["1", "s-1", "s", "s+1"])
     def test_block_boundaries_give_the_same_report_as_single_queries(
-        self, four_object_registry, n
+        self, four_object_registry, blocks, extra
     ):
+        n = blocks * four_object_registry.snapshot.block_size() + extra
         queries = query_set() + [(v, "widget") for v in oracle_queries()[len(query_set()):]]
-        queries = queries[:n]
+        queries = cycled(queries, n)
         assert len(queries) == n
         alone = [next(iter(eg.evaluate(four_object_registry, [q]).confusion)) for q in queries]
         report = eg.evaluate(four_object_registry, queries)
@@ -345,17 +394,21 @@ class TestEvaluateBlocks:
 
 class TestConcurrentReads:
     def test_reads_during_accumulate_see_whole_snapshots(self):
-        """Threads call decide and recognize while objects are enrolled one by
-        one. Each result must rank a prefix of the final acquisition order,
-        scored exactly as a registry holding just that prefix scores it."""
+        """Threads call decide, recognize and evaluate while objects are
+        enrolled one by one. Each result must rank a prefix of the final
+        acquisition order, scored exactly as a registry holding just that
+        prefix scores it, and each report must predict every query as some
+        prefix registry does."""
         objects = OBJECTS + ["A", "B", "widget"]
         appearances = {obj: training_appearances(obj) for obj in objects}
         queries = [v for v, _ in query_set()[::7]]
+        # one true id per query, so a report's confusion lists every prediction
+        labelled = [(v, f"query-{i}") for i, v in enumerate(queries)]
         reg = ObjectRegistry()
         reg.accumulate(objects[0], appearances[objects[0]], eg.EigenspaceConfig())
 
         # more readers than cores, switching often
-        kinds = ("decide", "recognize", "recognize")
+        kinds = ("decide", "recognize", "recognize", "evaluate")
         stop = threading.Event()
         calls = [0] * len(kinds)
         seen = [[] for _ in kinds]
@@ -369,6 +422,8 @@ class TestConcurrentReads:
                     in_space_only = bool(i // len(queries) % 2)
                     if kinds[slot] == "decide":
                         out = reg.decide(v, in_space_only)
+                    elif kinds[slot] == "evaluate":
+                        out = eg.evaluate(reg, labelled, in_space_only)
                     else:
                         out = eg.recognize(reg, v, in_space_only)
                     seen[slot].append((v, in_space_only, out))
@@ -410,9 +465,17 @@ class TestConcurrentReads:
             prefixes[j] = ObjectRegistry()
             for es in final[:j]:
                 prefixes[j]._append(es)
+        reports = {
+            in_space_only: [eg.evaluate(prefix, labelled, in_space_only)
+                            for prefix in prefixes.values()]
+            for in_space_only in (False, True)
+        }
         lengths = set()
         for kind, records in zip(kinds, seen):
             for v, in_space_only, out in records:
+                if kind == "evaluate":
+                    assert out in reports[in_space_only]
+                    continue
                 result = out.result if kind == "decide" else out
                 ids = [o for o, _ in result.ranked_candidates]
                 n = len(ids)
