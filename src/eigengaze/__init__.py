@@ -6,9 +6,6 @@ from .eigenspace import (
     ManifoldPoint,
     build_eigenspace,
     load_model,
-    project,
-    reconstruct,
-    residual,
     save_model,
     save_sidecar,
 )
@@ -49,10 +46,7 @@ __all__ = [
     "gram_pca",
     "load_model",
     "parse_pgm",
-    "project",
-    "reconstruct",
     "recognize",
-    "residual",
     "save_model",
     "save_sidecar",
     "sym_eigen",

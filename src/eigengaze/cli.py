@@ -135,11 +135,11 @@ def _read_image(path: str) -> imgio.RasterImage:
 def _read_manifest(path: str):
     """Each line is path<TAB>object_id[<TAB>angle[<TAB>occluded]], as
     _MANIFEST_LINE spells it; a missing angle or occluded column reads as 0,
-    and the angle is taken modulo 360 as in file names. Paths are resolved
-    relative to the manifest file."""
+    and the angle is taken modulo 360 as in file names. The file is UTF-8, and a
+    path names the file spelt by its UTF-8 bytes, relative to the manifest."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r") as f:
+    with open(path, encoding="utf-8") as f:
         for number, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
@@ -151,7 +151,8 @@ def _read_manifest(path: str):
                     f"{_OBJECT_ID.pattern}, angle in ASCII digits, occluded 0 or 1)"
                 )
             image, obj, angle, flag = match.groups("0")
-            entries.append((os.path.join(base, image), obj, _integer(angle) % 360, flag == "1"))
+            image = os.path.join(base, os.fsdecode(image.encode("utf-8")))
+            entries.append((image, obj, _integer(angle) % 360, flag == "1"))
     return entries
 
 
@@ -174,10 +175,10 @@ def cmd_synth(args) -> int:
     angles = _distinct(_integers(args.angles, "--angles"), "--angles")
     if max(angles) > 359:
         raise ValueError("--angles must lie in [0, 359]")
-    os.makedirs(args.out, exist_ok=True)
     for obj in objects:
         for angle in angles:
             image = imgio.synth_view(obj, angle, args.side, args.seed)
+            os.makedirs(args.out, exist_ok=True)  # after a render: a bad --side writes nothing
             out = os.path.join(args.out, f"{obj}_{angle}.pgm")
             with open(out, "wb") as f:
                 f.write(imgio.write_pgm(image, binary=args.binary))
@@ -229,7 +230,7 @@ def cmd_learn(args) -> int:
     reg.save_dir(reg_dir)
 
     print(f"object {args.object}: {len(appearances)} appearances, k = {es.k}")
-    total = float(np.sum(es.eigenvalues)) or 1.0
+    total = float(np.sum(es.eigenvalues))
     cum = 0.0
     print("  i  eigenvalue        energy  cumulative")
     for i, lam in enumerate(es.eigenvalues):
@@ -267,10 +268,10 @@ def cmd_evaluate(args) -> int:
 
     report = recog.evaluate(reg, queries, in_space_only=args.in_space_only)
     if args.csv:
-        with open(args.csv, "w", newline="\n") as f:
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as f:
             f.write(recog.report_csv(report))
     if args.text:
-        with open(args.text, "w", newline="\n") as f:
+        with open(args.text, "w", encoding="utf-8", newline="\n") as f:
             f.write(recog.report_text(report))
     print(f"r = {float(report.r):.4f} ({report.m}/{report.P})")
     return EXIT_OK
@@ -287,7 +288,7 @@ def cmd_inspect(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as f:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
     else:
         sys.stdout.write(text)

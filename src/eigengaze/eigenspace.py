@@ -1,4 +1,4 @@
-"""Per-object eigenspace: build, project, reconstruct, persist.
+"""Per-object eigenspace: build and persist.
 
 One eigenspace is built per object from all of its training appearances,
 occluded views included alongside clean ones. The model persists to a
@@ -60,7 +60,7 @@ class EigenspaceConfig:
             raise ValueError("k_override must be >= 1")
 
 
-# it holds arrays, so it compares and hashes by identity
+# Eigenspace.manifold's items, kept for the benchmark; it holds arrays, so eq is identity
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     coords: np.ndarray
@@ -131,7 +131,7 @@ class Eigenspace:
 
     @property
     def manifold(self) -> tuple:
-        """The manifold points as ManifoldPoints, in view-angle order."""
+        """The manifold as ManifoldPoints, in view-angle order; kept for the benchmark's checks."""
         return tuple(map(ManifoldPoint, self.coords, self.labels))
 
 
@@ -175,25 +175,6 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
     # k_override has fixed k, and the file does not record it: keep the config a reload gives
     config = replace(config, k_override=None)
     return Eigenspace(object_id, pca.mean, eigenvalues, basis, config, coords, labels)
-
-
-def project(es: Eigenspace, v: AppearanceVector) -> np.ndarray:
-    _check_vector(es.dim, es.config.norm_mode, v)
-    return es.basis @ (v.values - es.mean)
-
-
-def reconstruct(es: Eigenspace, coords) -> np.ndarray:
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape != (es.k,):
-        raise DimensionMismatch(f"coords length {coords.size} != k {es.k}")
-    return es.mean + es.basis.T @ coords
-
-
-def residual(es: Eigenspace, v: AppearanceVector) -> float:
-    """Norm of the query component orthogonal to the eigenspace."""
-    _check_vector(es.dim, es.config.norm_mode, v)
-    w = v.values - es.mean
-    return float(np.linalg.norm(w - es.basis.T @ (es.basis @ w)))
 
 
 # --- persistence ---

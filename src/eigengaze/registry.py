@@ -71,24 +71,25 @@ def _write_atomic(target: str, data: bytes):
         raise
 
 
-def _read_sidecar(path: str) -> bytes | None:
-    """A model's sidecar, or None when it cannot be read: it is only a cache."""
+def _read_model(path: str, object_id: str) -> tuple[bytes, Eigenspace]:
+    """object_id's `.eig` bytes in directory `path` and the space they load as,
+    its floats from the `.f8` sidecar if that matches; it is only a cache."""
+    with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
+        data = f.read()
     try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError:
-        return None
+        with open(os.path.join(path, f"{object_id}.f8"), "rb") as f:
+            sidecar = f.read()
+    except OSError:  # an unreadable sidecar leaves the floats to the text
+        sidecar = None
+    return data, load_model(data, sidecar)
 
 
 def _held_model(path: str, es: Eigenspace) -> bytes | None:
-    """es's `.eig` bytes in directory `path` if they load, with their
-    sidecar, as es itself: the same id, config and labels, and bit-identical
-    floats (so -0.0 is not 0.0). They are then what save_model(es) renders.
-    None when they are missing, unreadable, damaged, stale or another space's."""
+    """es's `.eig` bytes in directory `path` if they load as es itself, with the
+    same id, config and labels and bit-identical floats (so -0.0 is not 0.0), and
+    so are what save_model(es) renders; None if missing, damaged or another space's."""
     try:
-        with open(os.path.join(path, f"{es.object_id}.eig"), "rb") as f:
-            data = f.read()
-        held = load_model(data, _read_sidecar(os.path.join(path, f"{es.object_id}.f8")))
+        data, held = _read_model(path, es.object_id)
     except (OSError, EigengazeError):
         return None
     same = (held.object_id, held.config, held.labels) == (es.object_id, es.config, es.labels)
@@ -269,11 +270,9 @@ class ObjectRegistry:
         for object_id in ids:
             _check_object_id(object_id)
             try:
-                with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
-                    data = f.read()
+                _, es = _read_model(path, object_id)
             except FileNotFoundError as exc:
                 raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
-            es = load_model(data, _read_sidecar(os.path.join(path, f"{object_id}.f8")))
             if es.object_id != object_id:
                 raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
             reg._append(es)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
+from eigengaze.eigenspace import _check_vector
+from eigengaze.errors import DimensionMismatch
 from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 
 SIDE = 32
@@ -72,6 +74,27 @@ def assert_same_space(got, want):
 @pytest.fixture(scope="session")
 def four_object_registry():
     return build_registry()
+
+
+# --- per-vector projection oracle, independent of recog's whole-registry scorer ---
+
+def project(es, v):
+    _check_vector(es.dim, es.config.norm_mode, v)
+    return es.basis @ (v.values - es.mean)
+
+
+def reconstruct(es, coords):
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (es.k,):
+        raise DimensionMismatch(f"coords length {coords.size} != k {es.k}")
+    return es.mean + es.basis.T @ coords
+
+
+def residual(es, v):
+    """Norm of the query component orthogonal to the eigenspace."""
+    _check_vector(es.dim, es.config.norm_mode, v)
+    w = v.values - es.mean
+    return float(np.linalg.norm(w - es.basis.T @ (es.basis @ w)))
 
 
 def random_symmetric(rng, n):

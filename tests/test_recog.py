@@ -17,7 +17,9 @@ from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 from conftest import (
     OBJECTS,
     build_registry,
+    project,
     query_set,
+    residual,
     training_appearances,
 )
 
@@ -26,14 +28,14 @@ def recognize_oracle(reg, v, in_space_only=False):
     """Reference: recognize written as a loop over every manifold point."""
     entries = []
     for order, es in enumerate(reg.spaces):
-        g = eg.project(es, v)
+        g = project(es, v)
         dists = [float(np.linalg.norm(g - p.coords)) for p in es.manifold]
         best_idx = min(
             range(len(dists)),
             key=lambda i: (dists[i], es.manifold[i].label.view_angle_deg),
         )
         in_space = dists[best_idx]
-        res = eg.residual(es, v)
+        res = residual(es, v)
         score = in_space if in_space_only else math.hypot(in_space, res)
         label = es.manifold[best_idx].label
         entries.append((score, order, label.view_angle_deg, es, in_space, res, label))

@@ -16,7 +16,13 @@ from eigengaze.errors import (
 from eigengaze import registry as registry_module
 from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
 
-from conftest import assert_same_space, build_registry, query_set, training_appearances
+from conftest import (
+    assert_same_space,
+    build_registry,
+    project,
+    query_set,
+    training_appearances,
+)
 
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
@@ -90,7 +96,7 @@ class TestSnapshot:
         assert angles == sorted(angles)
         by_label = {v.source_label: v for v in apps}
         for label, row in zip(es.labels, es.coords):
-            assert np.array_equal(row, eg.project(es, by_label[label]))
+            assert np.array_equal(row, project(es, by_label[label]))
 
     def test_mutation_rebinds_the_snapshot(self):
         reg = build_registry(objects=["A"])
