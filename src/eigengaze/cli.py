@@ -139,9 +139,12 @@ def _read_manifest(path: str):
     path names the file spelt by its UTF-8 bytes, relative to the manifest."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for number, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
+            if line.encode("utf-8", "replace").decode() != line:  # a byte that is not UTF-8
+                spelt = line.encode("utf-8", "surrogateescape")
+                raise EigengazeError(f"{path}:{number}: manifest line {spelt!r} is not UTF-8")
             if not line or line.startswith("#"):
                 continue
             match = _MANIFEST_LINE.fullmatch(line)

@@ -171,7 +171,8 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
     basis = pca.basis[:k].copy()
     coords = np.array([basis @ (v.values - pca.mean) for v in appearances])
     # each label names this space, whatever object the view was labelled with
-    labels = tuple(replace(v.source_label, object_id=object_id) for v in appearances)
+    labels = tuple(ViewLabel(object_id, v.source_label.view_angle_deg, v.source_label.occluded)
+                   for v in appearances)
     # k_override has fixed k, and the file does not record it: keep the config a reload gives
     config = replace(config, k_override=None)
     return Eigenspace(object_id, pca.mean, eigenvalues, basis, config, coords, labels)

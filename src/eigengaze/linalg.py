@@ -59,12 +59,8 @@ def check_symmetric(Q: np.ndarray) -> np.ndarray:
 
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude component (first on ties) is positive."""
-    out = vectors.copy()
-    for row in out:
-        idx = int(np.argmax(np.abs(row)))
-        if row[idx] < 0:
-            row *= -1.0
-    return out
+    flip = vectors[np.arange(len(vectors)), np.abs(vectors).argmax(axis=1)] < 0
+    return np.negative(vectors, out=vectors.copy(), where=flip[:, None])  # negation is exact
 
 
 def off_diagonal_norm(A: np.ndarray) -> float:

@@ -7,15 +7,15 @@ query far from a subspace cannot win on in-space proximity alone.
 One scorer serves both entry points. It reads the registry's snapshot once: a
 tuple of spaces, each holding its manifold in view-angle order, with their
 means and manifolds stacked into whole-registry arrays, built once per
-mutation. Each space makes its own two matrix products, the projection and
-the reconstruction, so twin spaces score bit for bit alike; every other step
-runs once over all spaces. `recognize` scores one query; `evaluate` scores
-its queries in blocks sized so that no (spaces x queries x dim) temporary
-holds more than `_BUDGET` float64 elements, with the same tie rules. The two
-agree on scores only to rounding: a block product sums in another order than
-a one-query product, so a score may differ in its last bits (by up to about
-1e-15 on unit vectors), and two spaces within rounding of each other may rank
-differently in the two calls. Exact ties follow the tie rules in both.
+mutation. Each space makes its own two products, the projection and the
+reconstruction, one `np.dot` each, so twin spaces score bit for bit alike;
+every other step runs once over all spaces. `recognize` scores one query;
+`evaluate` scores blocks of queries, sized so that no (spaces x queries x dim)
+temporary holds more than `_BUDGET` float64 elements. The two agree on scores
+only to rounding: a block product sums in another order than a one-query
+product, so a score may differ in its last bits (by up to about 2e-15 on unit
+vectors), and two spaces within rounding of each other may rank differently
+in the two calls. Exact ties follow the same tie rules in both.
 """
 
 from collections import Counter
@@ -55,9 +55,9 @@ class EvaluationReport:
 class Snapshot:
     """One immutable tuple of spaces and the whole-registry arrays the scorer
     reads: the means stacked as (spaces, dim), and the manifold coordinates
-    padded to (spaces, n_max, k_max). A space's coordinates are padded with
-    zeros beyond its k, as its query projections are, and its padded points
-    lie at infinity, so no padded point is ever nearest and no padding
+    padded to (spaces, k_max, n_max), a column per point. A space's coordinates
+    are padded with zeros beyond its k, as its projections are, and its padded
+    points lie at infinity, so no padded point is ever nearest and no padding
     computes inf - inf. The arrays are built on the first score."""
 
     def __init__(self, spaces: tuple = ()):
@@ -71,17 +71,17 @@ class Snapshot:
     def coords(self) -> np.ndarray:
         n_max = max(len(es.coords) for es in self.spaces)
         k_max = max(es.k for es in self.spaces)
-        coords = np.full((len(self.spaces), n_max, k_max), np.inf)
+        coords = np.zeros((len(self.spaces), k_max, n_max))
         for s, es in enumerate(self.spaces):
-            coords[s, : len(es.coords)] = 0.0
-            coords[s, : len(es.coords), : es.k] = es.coords
+            coords[s, :, len(es.coords) :] = np.inf
+            coords[s, : es.k, : len(es.coords)] = es.coords.T
         return coords
 
     def block_size(self) -> int:
         """Queries per evaluate block: neither the (spaces, queries, dim)
-        temporaries nor the (spaces, queries, n_max, k_max) point distances
+        temporaries nor the (spaces, k_max, queries, n_max) point differences
         hold more than _BUDGET elements, unless one query alone does."""
-        spaces, n_max, k_max = self.coords.shape
+        spaces, k_max, n_max = self.coords.shape
         return max(1, _BUDGET // (spaces * max(self.spaces[0].dim, n_max * k_max)))
 
 
@@ -104,26 +104,29 @@ def _score(snap: Snapshot, queries: list, step: int, in_space_only: bool):
     (spaces, block). `nearest` indexes a space's angle-ordered points, so a
     tie inside one space goes to the lowest view angle. Both distances are
     taken directly, not as differences of squared norms, so equal inputs
-    give equal scores. Every block reuses one set of temporaries.
+    give equal scores. Every block reuses one set of large temporaries.
     """
-    spaces, (_, n_max, k_max) = snap.spaces, snap.coords.shape
-    shape = (len(spaces), min(step, len(queries)))
-    Wc, R = np.empty((2, *shape, spaces[0].dim))
-    G = np.zeros((*shape, k_max))  # a space's columns beyond its k stay 0
-    diff = np.empty((*shape, n_max, k_max))
+    spaces, (S, k_max, n_max) = snap.spaces, snap.coords.shape
+    bases = [es.basis for es in spaces]
+    Q = min(step, len(queries))
+    Wc, R = np.empty((2, S, Q, spaces[0].dim))
+    diff = np.empty((S, k_max, Q, n_max))
     for start in range(0, len(queries), step):
         block = np.array(queries[start : start + step])
-        wc, r, g, d = (a[:, : len(block)] for a in (Wc, R, G, diff))
+        q = len(block)
+        wc, r, d = Wc[:, :q], R[:, :q], diff[:, :, :q]
+        G = np.zeros((S, k_max, q))  # C-contiguous for np.dot; rows past a space's k stay 0
         np.subtract(block, snap.means[:, None], out=wc)
         # each space's own products: its projection g and reconstruction g B
-        for es, wc_s, g_s, r_s in zip(spaces, wc, g, r):
-            np.matmul(wc_s, es.basis.T, out=g_s[:, : es.k])
-            np.matmul(g_s[:, : es.k], es.basis, out=r_s)
-        res = np.sqrt(np.square(np.subtract(wc, r, out=r), out=r).sum(axis=2))
-        np.subtract(g[:, :, None], snap.coords[:, None], out=d)
-        dist = np.sqrt(np.square(d, out=d).sum(axis=3))
-        nearest = dist.argmin(axis=2)
-        in_space = np.take_along_axis(dist, nearest[..., None], axis=2)[..., 0]
+        for basis, wc_s, g_s, r_s in zip(bases, wc, G, r):
+            g_s = g_s[: len(basis)]
+            np.dot(basis, wc_s.T, out=g_s)
+            np.dot(g_s.T, basis, out=r_s)
+        np.subtract(wc, r, out=r)
+        res = np.sqrt(np.einsum("sqd,sqd->sq", r, r))
+        np.subtract(G[:, :, :, None], snap.coords[:, :, None], out=d)
+        dist = np.sqrt(np.einsum("skqn,skqn->sqn", d, d))
+        nearest, in_space = dist.argmin(axis=2), dist.min(axis=2)
         score = in_space if in_space_only else np.hypot(in_space, res)
         yield score, in_space, res, nearest
 
@@ -137,17 +140,14 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
     snap = _snapshot(reg, [v])
     spaces = snap.spaces
     (block,) = _score(snap, [v.values], 1, in_space_only)
-    score, in_space, res, nearest = (a[:, 0] for a in block)
+    score, in_space, res, nearest = (a[:, 0].tolist() for a in block)
     # a stable sort keeps equal scores in acquisition order
-    ranked = np.argsort(score, kind="stable")
+    ranked = sorted(range(len(spaces)), key=score.__getitem__)
     best = ranked[0]
     return RecognitionResult(
-        spaces[best].object_id,
-        spaces[best].labels[nearest[best]],
-        float(in_space[best]),
-        float(res[best]),
-        float(score[best]),
-        tuple((spaces[i].object_id, float(score[i])) for i in ranked),
+        spaces[best].object_id, spaces[best].labels[nearest[best]],
+        in_space[best], res[best], score[best],
+        tuple((spaces[i].object_id, score[i]) for i in ranked),
     )
 
 

@@ -218,6 +218,24 @@ class TestLearn:
             assert file_hashes(reg) == before
             assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("command", ["learn", "evaluate"])
+    def test_manifest_line_that_is_not_utf8_is_rejected(self, tmp_path, capsys, command):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0, 10])
+        reg = learn_all(tmp_path, imgs, objects=["A"])
+        manifest = tmp_path / "latin1.tsv"
+        manifest.write_bytes("dätä/A_30.pgm\tA\t30\t0\n".encode("latin-1"))
+        before = tree(tmp_path)
+        if command == "learn":
+            code = run("learn", "--object", "A", "--manifest", manifest,
+                       "--registry", tmp_path / "reg")
+        else:
+            code = run("evaluate", "--manifest", manifest, "--registry", reg,
+                       "--csv", tmp_path / "report.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:1:" in err and "not UTF-8" in err
+        assert tree(tmp_path) == before
+
     def test_manifest_skips_blank_and_comment_lines_and_resolves_paths_from_its_directory(
         self, tmp_path, monkeypatch
     ):

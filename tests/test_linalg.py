@@ -271,3 +271,31 @@ class TestChooseK:
 def test_canonical_signs_tie_uses_first_component():
     flipped = canonical_signs(np.array([[-0.5, 0.5], [0.5, -0.5]]))
     assert np.allclose(flipped, [[0.5, -0.5], [0.5, -0.5]])
+
+
+def canonical_signs_loop(vectors):
+    """Reference: canonical_signs as a loop over rows, flipping by -1.0."""
+    out = vectors.copy()
+    for row in out:
+        idx = int(np.argmax(np.abs(row)))
+        if row[idx] < 0:
+            row *= -1.0
+    return out
+
+
+def test_canonical_signs_matches_the_row_loop():
+    """The same bits as the row loop, signed zeros included, on random
+    matrices, rows whose largest magnitude is tied, zero rows and -0.0."""
+    rng = np.random.default_rng(5)
+    cases = [rng.standard_normal((n, d)) for n, d in [(1, 1), (3, 7), (15, 1024), (40, 40)]]
+    cases += [
+        rng.integers(-2, 3, size=(50, 6)).astype(np.float64),  # ties and zero rows
+        np.array([[-0.5, 0.5], [0.5, -0.5], [-0.5, -0.5], [0.0, -0.0], [-0.0, -0.0]]),
+        np.array([[-0.0, -1e-300, 0.0], [0.0, 0.0, 0.0], [-3.0, 3.0, -0.0]]),
+        np.zeros((0, 4)),
+    ]
+    for vectors in cases:
+        got, want = canonical_signs(vectors), canonical_signs_loop(vectors)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.flags.c_contiguous and got is not vectors

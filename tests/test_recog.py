@@ -11,7 +11,7 @@ import pytest
 
 import eigengaze as eg
 from eigengaze.errors import DimensionMismatch, DimsTooLarge, EmptyQuerySet, EmptyRegistry
-from eigengaze.recog import RecognitionResult, report_csv, report_text
+from eigengaze.recog import RecognitionResult, _score, report_csv, report_text
 from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 
 from conftest import (
@@ -267,6 +267,47 @@ class TestRecognizeOracle:
             report = eg.evaluate(reg, labelled, in_space_only)
         assert {obj for _, obj in labelled} == set(spaces)
         assert report.m == report.P == len(queries)
+
+    @pytest.mark.parametrize("in_space_only", [False, True])
+    def test_twins_are_exact_at_every_stacked_offset(self, in_space_only):
+        """Twins of A interleaved with one space of odd, larger k and point
+        count: k_max and n_max are odd, so the twins' slices of the stacked
+        arrays start at different alignments. recognize, and every block of
+        evaluate whatever its length, must still score the twins bit for bit
+        alike and break their ties in acquisition order."""
+        odd = [eg.vectorize(eg.synth_view("odd", a, 32, 1), "unit", eg.ViewLabel("odd", a))
+               for a in range(0, 350, 10)]
+        names = ["twin-0", "odd", "twin-1", "twin-2", "twin-3"]
+        reg = ObjectRegistry()
+        for name in names:
+            views, k = (odd, 7) if name == "odd" else (training_appearances("A"), None)
+            reg.accumulate(name, views, eg.EigenspaceConfig(k_override=k))
+        twins = [s for s, name in enumerate(names) if name != "odd"]
+        assert reg.snapshot.coords.shape[1:] == (7, 35)
+        assert all(reg.spaces[s].k < 7 and len(reg.spaces[s].labels) < 35 for s in twins)
+        views = [v for v, _ in query_set(objects=["A", "B"])]
+        views += [eg.vectorize(eg.synth_view("odd", a, 32, 1), "unit") for a in (5, 95, 185)]
+
+        labelled = []
+        for v in views:
+            result = eg.recognize(reg, v, in_space_only)
+            ranked = [name for name, _ in result.ranked_candidates]
+            assert [name for name in ranked if name != "odd"] == [names[s] for s in twins]
+            assert len({score for name, score in result.ranked_candidates if name != "odd"}) == 1
+            assert result.best_object in ("twin-0", "odd")
+            labelled.append((v, result.best_object))
+        assert {obj for _, obj in labelled} == {"twin-0", "odd"}
+
+        s = reg.snapshot.block_size()
+        for n in (1, 2, s - 1, s, s + 1):
+            queries = cycled(labelled, n)
+            blocks = list(_score(reg.snapshot, [v.values for v, _ in queries], s, in_space_only))
+            assert sum(block[0].shape[1] for block in blocks) == n
+            for block in blocks:
+                for a in block:
+                    assert all(np.array_equal(a[t], a[twins[0]]) for t in twins)
+            report = eg.evaluate(reg, queries, in_space_only)
+            assert report.m == report.P == n
 
     def test_a_score_on_the_threshold_is_known(self):
         """Known means a score within the threshold, the threshold included."""
