@@ -23,10 +23,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import imgio, recog
-from .eigenspace import EigenspaceConfig, load_model
+from .eigenspace import EigenspaceConfig
 from .errors import EigengazeError, EmptyQuerySet, NoImages
 from .imgio import OcclusionSpec, ViewLabel
-from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_object_id
+from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_object_id, _read_model
 
 DEFAULT_ANGLES = "0,10,20,30,40,50,60,70,80,90"
 # every integer the CLI reads, in flags, file names and manifests; ASCII only, unlike int()
@@ -159,15 +159,6 @@ def _read_manifest(path: str):
     return entries
 
 
-def _config_from_args(args) -> EigenspaceConfig:
-    return EigenspaceConfig(
-        centered=args.centered,
-        norm_mode=args.norm,
-        energy_threshold=args.tau,
-        k_override=getattr(args, "k", None),
-    )
-
-
 # --- commands ---
 
 def cmd_synth(args) -> int:
@@ -203,7 +194,7 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    config = _config_from_args(args)
+    config = EigenspaceConfig(args.centered, args.norm, args.tau, args.k)
     if args.manifest and args.images:
         raise EigengazeError(f"learn takes its labels from --manifest ({args.manifest}) or "
                              f"from image file names ({args.images[0]}, ...), not both")
@@ -281,8 +272,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    with open(args.model, "rb") as f:
-        es = load_model(f.read())
+    _, es = _read_model(args.model)
     rows = recog.dump_coordinates(es, args.dims)
     lines = ["angle_deg,occluded," + ",".join(f"c{i + 1}" for i in range(args.dims))]
     for angle, occluded, coords in rows:
@@ -299,15 +289,6 @@ def cmd_inspect(args) -> int:
 
 
 # --- argument parsing ---
-
-def _add_config_flags(p):
-    p.add_argument("--tau", type=_decimal, default=0.95, help="energy threshold for k")
-    p.add_argument("--k", type=_integer, default=None, help="fixed k override")
-    p.add_argument("--norm", choices=["raw", "unit"], default="unit")
-    centering = p.add_mutually_exclusive_group()
-    centering.add_argument("--centered", dest="centered", action="store_true", default=True)
-    centering.add_argument("--uncentered", dest="centered", action="store_false")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -342,7 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unknown cutoff or 'auto' (default: keep the registry's, else auto)")
     p.add_argument("--margin", type=_decimal, default=None,
                    help="auto threshold margin (default: keep the registry's, else 1.5)")
-    _add_config_flags(p)
+    p.add_argument("--tau", type=_decimal, default=0.95, help="energy threshold for k")
+    p.add_argument("--k", type=_integer, default=None, help="fixed k override")
+    p.add_argument("--norm", choices=["raw", "unit"], default="unit")
+    centering = p.add_mutually_exclusive_group()
+    centering.add_argument("--centered", dest="centered", action="store_true", default=True)
+    centering.add_argument("--uncentered", dest="centered", action="store_false")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("recognize", help="classify one appearance")

@@ -29,6 +29,10 @@ SYMMETRY_TOL = 1e-12
 # choose_k never cuts between eigenvalues closer than this relative gap
 CLUSTER_GAP = 1e-9
 
+# sym_eigen's stopping rule, relative to ||Q||_F, and its sweep limit
+OFF_DIAG_TOL = 1e-12
+MAX_SWEEPS = 100
+
 
 # both results hold arrays, so they compare and hash by identity
 @dataclass(frozen=True, eq=False)
@@ -68,30 +72,25 @@ def off_diagonal_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def sym_eigen(Q, off_diag_tol: float | None = None, max_sweeps: int = 100) -> EigenDecomposition:
+def sym_eigen(Q) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
-    Rotations continue until the off-diagonal Frobenius norm falls to
-    off_diag_tol (default 1e-12 * ||Q||_F). Results are sorted by descending
-    eigenvalue with the canonical sign convention applied.
+    Rotations continue, for at most MAX_SWEEPS sweeps, until the off-diagonal
+    Frobenius norm is at most OFF_DIAG_TOL * ||Q||_F (the smallest normal double
+    if that is 0). Results are in descending eigenvalue order, signs canonical.
     """
     Q = check_symmetric(Q)
     n = Q.shape[0]
-    if off_diag_tol is None:
-        off_diag_tol = 1e-12 * float(np.linalg.norm(Q))
-    if off_diag_tol <= 0.0:
-        off_diag_tol = np.finfo(np.float64).tiny
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
+    off_diag_tol = OFF_DIAG_TOL * float(np.linalg.norm(Q)) or np.finfo(np.float64).tiny
 
     A = Q.copy()
     V = np.eye(n)
     off = off_diagonal_norm(A)
     sweeps = 0
     while off > off_diag_tol:
-        if sweeps >= max_sweeps:
+        if sweeps >= MAX_SWEEPS:
             raise NoConvergence(
-                f"Jacobi failed to converge in {max_sweeps} sweeps "
+                f"Jacobi failed to converge in {MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {off:.3e})",
                 off_norm=off,
             )

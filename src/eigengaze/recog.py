@@ -53,15 +53,20 @@ class EvaluationReport:
 
 
 class Snapshot:
-    """One immutable tuple of spaces and the whole-registry arrays the scorer
-    reads: the means stacked as (spaces, dim), and the manifold coordinates
-    padded to (spaces, k_max, n_max), a column per point. A space's coordinates
-    are padded with zeros beyond its k, as its projections are, and its padded
-    points lie at infinity, so no padded point is ever nearest and no padding
-    computes inf - inf. The arrays are built on the first score."""
+    """One immutable tuple of spaces and, each computed on first use, the
+    widest `spread` of any space (None if none has two points), which the auto
+    threshold scales, and the scorer's whole-registry arrays: the means stacked
+    as (spaces, dim), and the manifold coordinates padded to (spaces, k_max,
+    n_max), a column per point. A space's coordinates are padded with zeros
+    beyond its k, as its projections are, and its padded points lie at infinity,
+    so no padded point is ever nearest and no padding computes inf - inf."""
 
     def __init__(self, spaces: tuple = ()):
         self.spaces = spaces
+
+    @cached_property
+    def spread(self) -> float | None:
+        return max((es.spread for es in self.spaces if es.spread is not None), default=None)
 
     @cached_property
     def means(self) -> np.ndarray:

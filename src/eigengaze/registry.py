@@ -3,14 +3,14 @@
 Each enrolled object keeps its own independently built eigenspace; enrolling a
 new object never touches existing spaces. Mutation (accumulate / enroll) is
 serialized behind an internal lock. Each mutation rebinds one snapshot: an
-immutable tuple of spaces, each holding its manifold in view-angle order, and
-the scorer's whole-registry arrays over them, built on the first score after
-the mutation. A read takes the snapshot once, so classification may run
-concurrently with mutations and sees a whole set of spaces. The auto threshold
-reads each space's own `spread`; every model invariant is checked by the
-`Eigenspace` constructor, not here. The manifest has one renderer: save_dir
-writes it, and load_dir accepts only a manifest that it reproduces byte for
-byte.
+immutable tuple of spaces, each holding its manifold in view-angle order, with
+the scorer's arrays and the widest `spread`, which the auto threshold scales,
+each derived once per snapshot. A read takes the snapshot once, so
+classification may run concurrently with mutations and sees a whole set of
+spaces. Every model invariant is checked by the `Eigenspace` constructor, not
+here. `_read_model` alone knows which files make up a stored model. The
+manifest has one renderer: save_dir writes it, and load_dir accepts only a
+manifest that it reproduces byte for byte.
 """
 
 import math
@@ -71,13 +71,13 @@ def _write_atomic(target: str, data: bytes):
         raise
 
 
-def _read_model(path: str, object_id: str) -> tuple[bytes, Eigenspace]:
-    """object_id's `.eig` bytes in directory `path` and the space they load as,
-    its floats from the `.f8` sidecar if that matches; it is only a cache."""
-    with open(os.path.join(path, f"{object_id}.eig"), "rb") as f:
+def _read_model(eig_path: str) -> tuple[bytes, Eigenspace]:
+    """The `.eig` file's bytes and the space they load as, its floats from the
+    `.f8` sidecar beside it if that matches; the sidecar is only a cache."""
+    with open(eig_path, "rb") as f:
         data = f.read()
     try:
-        with open(os.path.join(path, f"{object_id}.f8"), "rb") as f:
+        with open(os.path.splitext(eig_path)[0] + ".f8", "rb") as f:
             sidecar = f.read()
     except OSError:  # an unreadable sidecar leaves the floats to the text
         sidecar = None
@@ -89,7 +89,7 @@ def _held_model(path: str, es: Eigenspace) -> bytes | None:
     same id, config and labels and bit-identical floats (so -0.0 is not 0.0), and
     so are what save_model(es) renders; None if missing, damaged or another space's."""
     try:
-        data, held = _read_model(path, es.object_id)
+        data, held = _read_model(os.path.join(path, f"{es.object_id}.eig"))
     except (OSError, EigengazeError):
         return None
     same = (held.object_id, held.config, held.labels) == (es.object_id, es.config, es.labels)
@@ -102,8 +102,9 @@ class EnrollmentPolicy:
     auto_margin: float = 1.5
 
     def __post_init__(self):
-        if self.unknown_threshold != AUTO and not 0 < self.unknown_threshold < math.inf:
-            raise ValueError("explicit unknown_threshold must be positive and finite")
+        thr = self.unknown_threshold
+        if thr != AUTO and (isinstance(thr, str) or not 0 < thr < math.inf):
+            raise ValueError("unknown_threshold must be 'auto' or positive and finite")
         if not 1.0 <= self.auto_margin < math.inf:
             raise ValueError("auto_margin must be finite and >= 1")
 
@@ -136,7 +137,6 @@ class ObjectRegistry:
     def __init__(self, policy: EnrollmentPolicy | None = None):
         # rebound by _append, never mutated in place
         self._snapshot = recog.Snapshot()
-        self._spread: float | None = None  # widest manifold gap of any space
         self.policy = policy if policy is not None else EnrollmentPolicy()
         self._lock = threading.RLock()
 
@@ -165,8 +165,6 @@ class ObjectRegistry:
                 raise DimensionMismatch(
                     "all enrolled spaces must share dim and norm_mode"
                 )
-        if es.spread is not None:
-            self._spread = es.spread if self._spread is None else max(self._spread, es.spread)
         self._snapshot = recog.Snapshot(self.spaces + (es,))
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
@@ -182,14 +180,15 @@ class ObjectRegistry:
     def effective_threshold(self) -> float:
         """Known/unknown score cutoff: the explicit policy value, or the largest
         intra-space leave-self-out nearest-neighbor spread times the margin.
-        Each space's spread is computed once, when the space is made."""
+        The widest spread is computed once per snapshot."""
         if self.policy.unknown_threshold != AUTO:
             return float(self.policy.unknown_threshold)
-        if self._spread is None:
+        spread = self._snapshot.spread
+        if spread is None:
             raise InsufficientData(
                 "auto threshold needs at least one space with 2+ manifold points"
             )
-        return self.policy.auto_margin * self._spread
+        return self.policy.auto_margin * spread
 
     def next_auto_name(self) -> str:
         """The first free object-N, counting up from the number of spaces + 1."""
@@ -206,15 +205,11 @@ class ObjectRegistry:
             threshold = self.effective_threshold()
             return Decision(result.combined_score <= threshold, result, threshold)
 
-    def classify_or_enroll(
-        self,
-        v: AppearanceVector,
-        pending_views=None,
-        config: EigenspaceConfig | None = None,
-    ) -> Decision:
+    def classify_or_enroll(self, v: AppearanceVector, pending_views=None) -> Decision:
         """Recognize v if close enough to an enrolled object; otherwise report
         unknown and, when pending_views are supplied, enroll them as a new
-        auto-named object."""
+        auto-named object, built with the first space's config (the default
+        config in an empty registry)."""
         with self._lock:
             if self.spaces:
                 decision = self.decide(v)
@@ -224,8 +219,7 @@ class ObjectRegistry:
                 decision = Decision(False, None, float("inf"))
             if decision.known or pending_views is None:
                 return decision
-            if config is None:
-                config = self.spaces[0].config if self.spaces else EigenspaceConfig()
+            config = self.spaces[0].config if self.spaces else EigenspaceConfig()
             name = self.next_auto_name()
             self.accumulate(name, pending_views, config)
             return replace(decision, enrolled_id=name)
@@ -270,7 +264,7 @@ class ObjectRegistry:
         for object_id in ids:
             _check_object_id(object_id)
             try:
-                _, es = _read_model(path, object_id)
+                _, es = _read_model(os.path.join(path, f"{object_id}.eig"))
             except FileNotFoundError as exc:
                 raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
             if es.object_id != object_id:

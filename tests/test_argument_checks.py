@@ -28,14 +28,13 @@ from eigengaze.linalg import check_symmetric
         (lambda: eg.parse_pgm(b"P2 0 1 255\n"), MalformedHeader, "invalid dimensions"),
         (lambda: check_symmetric(np.zeros((2, 3))), ValueError, "square"),
         (lambda: check_symmetric([[np.nan]]), ValueError, "finite"),
-        (lambda: eg.sym_eigen(np.eye(2), max_sweeps=0), ValueError, "max_sweeps"),
         (lambda: eg.gram_pca(np.ones(3)), ValueError, "d x m"),
         (lambda: eg.choose_k([1.0], 0.0), ValueError, "energy_threshold"),
     ],
     ids=["no-views", "zero-energy", "zero-k", "zero-size-image", "zero-max-value",
          "sample-count", "vector-length", "non-finite-vector", "unknown-norm-mode",
          "non-unit-vector", "negative-offset", "zero-extent", "negative-fill", "pgm-str",
-         "pgm-zero-width", "non-square", "non-finite-matrix", "zero-sweeps", "1d-gram-input",
+         "pgm-zero-width", "non-square", "non-finite-matrix", "1d-gram-input",
          "zero-energy-choose-k"],
 )
 def test_bad_argument_raises_its_error(call, error, match):

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import eigengaze as eg
+from eigengaze import registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
+from eigengaze.eigenspace import load_model
 from eigengaze.errors import EigengazeError, NoImages
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
@@ -474,6 +476,30 @@ class TestInspect:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "angle_deg,occluded,c1,c2,c3"
         assert len(lines) == 11
+
+    def test_output_does_not_depend_on_the_sidecar(self, tmp_path, capsys, monkeypatch):
+        imgs = synth_dataset(tmp_path)
+        reg = learn_all(tmp_path, imgs)
+        sidecars = []
+
+        def spy(data, sidecar=None):
+            sidecars.append(sidecar)
+            return load_model(data, sidecar)
+
+        monkeypatch.setattr(registry_module, "load_model", spy)
+        own, other = (reg / "mobile.f8").read_bytes(), (reg / "stapler.f8").read_bytes()
+        capsys.readouterr()
+        outputs = []
+        for f8 in (own, other, None):
+            if f8 is None:
+                os.remove(reg / "mobile.f8")
+            else:
+                (reg / "mobile.f8").write_bytes(f8)
+            assert run("inspect", reg / "mobile.eig", "--dims", "3") == 0
+            outputs.append(capsys.readouterr())
+        assert outputs == [outputs[0]] * 3 and outputs[0].err == ""
+        # inspect passes the sidecar beside the model, which loads only if it matches
+        assert sidecars == [own, other, None]
 
     def test_dims_too_large(self, tmp_path):
         imgs = synth_dataset(tmp_path)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 
 import numpy as np
@@ -102,23 +103,30 @@ class TestSnapshot:
         reg = build_registry(objects=["A"])
         before = reg.spaces
         assert reg.spaces is before
+        snapshot, threshold = reg.snapshot, reg.effective_threshold()
         clone = copy.copy(reg)
-        clone.accumulate("B", training_appearances("B"), eg.EigenspaceConfig())
+        # two views far apart on the unit sphere: a wider gap than any of A's
+        wide = [unit_vec([1.0, 0.0] * 512), unit_vec([0.0, 1.0] * 512, eg.ViewLabel("", 90))]
+        clone.accumulate("B", wide, eg.EigenspaceConfig(k_override=1))
+        assert clone.spaces[1].spread > reg.snapshot.spread
         assert reg.spaces is before
+        assert reg.snapshot is snapshot and reg.effective_threshold() == threshold
         assert [es.object_id for es in reg.spaces] == ["A"]
         assert [es.object_id for es in clone.spaces] == ["A", "B"]
         assert clone.spaces[0] is before[0]
+        assert clone.effective_threshold() == clone.policy.auto_margin * clone.spaces[1].spread
 
 
 class TestEffectiveThreshold:
     @pytest.mark.parametrize(
         "threshold, margin",
         [(float("nan"), 1.5), (float("inf"), 1.5), (0.0, 1.5), (AUTO, float("nan")),
-         (AUTO, float("inf")), (AUTO, 0.5)],
+         (AUTO, float("inf")), (AUTO, 0.5), ("foo", 1.5), ("", 1.5)],
     )
     def test_policy_rejects_non_finite_or_out_of_range(self, threshold, margin):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             EnrollmentPolicy(threshold, margin)
+        assert info.type is ValueError
 
     def test_explicit(self):
         reg = ObjectRegistry(EnrollmentPolicy(0.3))
@@ -231,20 +239,33 @@ class TestClassifyOrEnroll:
         assert decision.enrolled_id == "object-3"
         assert [es.object_id for es in reg.spaces] == ["object-2", "object-3"]
 
-    def test_reloaded_registry_enrolls_like_the_original(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config",
+        [eg.EigenspaceConfig(), eg.EigenspaceConfig(centered=False),
+         eg.EigenspaceConfig(energy_threshold=0.9)],
+        ids=["default", "uncentered", "tau-0.9"],
+    )
+    def test_reloaded_registry_enrolls_like_the_original(self, tmp_path, config):
         pending = training_appearances("widget")
         query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
         # k_override is not saved, so the new space must not inherit it either
         for k_override in (None, 2):
-            config = eg.EigenspaceConfig(k_override=k_override)
-            reg = build_registry(config=config, policy=EnrollmentPolicy(1e-6))
-            reg.save_dir(str(tmp_path / f"k{k_override}"))
-            loaded = ObjectRegistry.load_dir(str(tmp_path / f"k{k_override}"))
+            first = dataclasses.replace(config, k_override=k_override)
+            reg = build_registry(config=first, policy=EnrollmentPolicy(1e-6))
+            path = str(tmp_path / f"k{k_override}")
+            reg.save_dir(path)
+            loaded = ObjectRegistry.load_dir(path)
             for r in (reg, loaded):
                 assert r.classify_or_enroll(query, pending_views=pending).enrolled_id == "object-5"
             want, got = reg.find("object-5"), loaded.find("object-5")
-            assert got.k == want.k != reg.spaces[0].k
-            assert eg.save_model(got) == eg.save_model(want)
+            # the first space's config, as a reload gives it: what accumulate builds from config
+            assert want.config == got.config == reg.spaces[0].config == config
+            direct = eg.build_eigenspace("object-5", pending, config)
+            assert eg.save_model(got) == eg.save_model(want) == eg.save_model(direct)
+            if k_override is not None:
+                assert got.k != reg.spaces[0].k
+            reg.save_dir(path)
+            assert ObjectRegistry.load_dir(path).find("object-5").config == config
 
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
