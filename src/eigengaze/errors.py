@@ -34,6 +34,9 @@ class SideTooSmall(EigengazeError):
 # --- linear algebra ---
 
 class NoConvergence(EigengazeError):
+    """An eigensolver's rotation leaves its matrix off-diagonal beyond
+    tolerance; `off_norm` is the off-diagonal Frobenius norm it left."""
+
     def __init__(self, message, off_norm=None):
         super().__init__(message)
         self.off_norm = off_norm

@@ -1,16 +1,14 @@
-"""Dense symmetric eigendecomposition (cyclic Jacobi) and Gram-trick PCA.
+"""Dense symmetric eigendecomposition and Gram-trick PCA.
 
 The appearance covariance of a d-pixel image set is d x d, far too large to
 form when d = width*height. For m training vectors we instead eigendecompose
 the m x m Gram matrix and lift its eigenvectors back to pixel space; the two
 routes share nonzero eigenvalues exactly.
 
-`gram_pca` diagonalises the Gram matrix with LAPACK (`np.linalg.eigh`) and
-hands the rotated matrix to the Jacobi solver `sym_eigen`, whose stopping
-rule then serves as the acceptance test: a rotation that is already
-diagonal to tolerance costs no sweep, and one that is not is finished by
-Jacobi. `sym_eigen` on its own remains the reference the fast path is
-tested against.
+`sym_eigen` is the one eigensolver: it takes LAPACK's rotation
+(`np.linalg.eigh`) and accepts it only if it diagonalises the matrix to
+OFF_DIAG_TOL. The tests keep a cyclic Jacobi solver as the reference it is
+checked against.
 """
 
 from dataclasses import dataclass
@@ -29,9 +27,8 @@ SYMMETRY_TOL = 1e-12
 # choose_k never cuts between eigenvalues closer than this relative gap
 CLUSTER_GAP = 1e-9
 
-# sym_eigen's stopping rule, relative to ||Q||_F, and its sweep limit
+# sym_eigen's acceptance bound on the off-diagonal norm, relative to ||R||_F
 OFF_DIAG_TOL = 1e-12
-MAX_SWEEPS = 100
 
 
 # both results hold arrays, so they compare and hash by identity
@@ -73,54 +70,27 @@ def off_diagonal_norm(A: np.ndarray) -> float:
 
 
 def sym_eigen(Q) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK, checked.
 
-    Rotations continue, for at most MAX_SWEEPS sweeps, until the off-diagonal
-    Frobenius norm is at most OFF_DIAG_TOL * ||Q||_F (the smallest normal double
-    if that is 0). Results are in descending eigenvalue order, signs canonical.
+    The rotation V that `np.linalg.eigh` returns is accepted only if it
+    diagonalises Q: the off-diagonal Frobenius norm of R = V^T Q V
+    (symmetrised) must be at most OFF_DIAG_TOL * ||R||_F, or the smallest
+    normal double if that is 0; otherwise NoConvergence is raised. The values
+    are R's diagonal in descending order, the vectors V's columns, signs
+    canonical.
     """
     Q = check_symmetric(Q)
-    n = Q.shape[0]
-    off_diag_tol = OFF_DIAG_TOL * float(np.linalg.norm(Q)) or np.finfo(np.float64).tiny
-
-    A = Q.copy()
-    V = np.eye(n)
-    off = off_diagonal_norm(A)
-    sweeps = 0
-    while off > off_diag_tol:
-        if sweeps >= MAX_SWEEPS:
-            raise NoConvergence(
-                f"Jacobi failed to converge in {MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {off:.3e})",
-                off_norm=off,
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-        sweeps += 1
-        off = off_diagonal_norm(A)
-
-    values = np.diag(A).copy()
+    _, V = np.linalg.eigh(Q)
+    R = V.T @ Q @ V
+    R = 0.5 * (R + R.T)
+    off = off_diagonal_norm(R)
+    if off > (OFF_DIAG_TOL * float(np.linalg.norm(R)) or np.finfo(np.float64).tiny):
+        raise NoConvergence(
+            f"eigh's rotation leaves an off-diagonal norm of {off:.3e}", off_norm=off
+        )
+    values = np.diag(R)
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = canonical_signs(V[:, order].T)
-    return EigenDecomposition(values, vectors)
+    return EigenDecomposition(values[order], canonical_signs(V.T[order]))
 
 
 def gram_pca(X, centered: bool = True) -> PcaResult:
@@ -134,17 +104,15 @@ def gram_pca(X, centered: bool = True) -> PcaResult:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("X must be a d x m matrix with d, m >= 1")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X entries must be finite")
     d, m = X.shape
-    mean = X.mean(axis=1) if centered else np.zeros(d)
-    Xt = X - mean[:, None]
-
-    G = Xt.T @ Xt
-    _, V0 = np.linalg.eigh(G)
-    R = V0.T @ G @ V0
-    # Jacobi accepts R if its off-diagonal norm is within 1e-12 ||R||_F and
-    # otherwise rotates on; symmetrising first meets check_symmetric exactly
-    decomp = sym_eigen(0.5 * (R + R.T))
-    vectors = decomp.vectors @ V0.T  # rows are eigenvectors of G
+    # an overflow leaves inf or nan in the Gram matrix, which sym_eigen rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=1) if centered else np.zeros(d)
+        Xt = X - mean[:, None]
+        G = Xt.T @ Xt
+    decomp = sym_eigen(G)
 
     lam_max = max(float(decomp.values[0]), 0.0)
     cutoff = max(ABS_CLAMP, REL_CLAMP * lam_max)
@@ -153,7 +121,7 @@ def gram_pca(X, centered: bool = True) -> PcaResult:
     if eigenvalues.size == 0:
         return PcaResult(mean, np.empty(0), np.empty((0, d)))
 
-    lifted = (Xt @ vectors[keep].T) / np.sqrt(eigenvalues)
+    lifted = (Xt @ decomp.vectors[keep].T) / np.sqrt(eigenvalues)
     # renormalize: the lift is exact in theory, unit only up to round-off
     lifted /= np.linalg.norm(lifted, axis=0)
     basis = canonical_signs(lifted.T)

@@ -3,7 +3,14 @@ import pytest
 
 import eigengaze as eg
 from eigengaze.eigenspace import _check_vector
-from eigengaze.errors import DimensionMismatch
+from eigengaze.errors import DimensionMismatch, NoConvergence
+from eigengaze.linalg import (
+    OFF_DIAG_TOL,
+    EigenDecomposition,
+    canonical_signs,
+    check_symmetric,
+    off_diagonal_norm,
+)
 from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 
 SIDE = 32
@@ -100,6 +107,62 @@ def residual(es, v):
 def random_symmetric(rng, n):
     A = rng.standard_normal((n, n))
     return 0.5 * (A + A.T)
+
+
+# --- eigensolver oracle, independent of LAPACK: cyclic Jacobi ---
+
+MAX_SWEEPS = 100
+
+
+def jacobi_eigen(Q) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+
+    Rotations continue, for at most MAX_SWEEPS sweeps, until the off-diagonal
+    Frobenius norm is at most OFF_DIAG_TOL * ||Q||_F (the smallest normal double
+    if that is 0). Results are in descending eigenvalue order, signs canonical.
+    """
+    Q = check_symmetric(Q)
+    n = Q.shape[0]
+    off_diag_tol = OFF_DIAG_TOL * float(np.linalg.norm(Q)) or np.finfo(np.float64).tiny
+
+    A = Q.copy()
+    V = np.eye(n)
+    off = off_diagonal_norm(A)
+    sweeps = 0
+    while off > off_diag_tol:
+        if sweeps >= MAX_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi failed to converge in {MAX_SWEEPS} sweeps "
+                f"(off-diagonal norm {off:.3e})",
+                off_norm=off,
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0.0 else 1.0
+                t = t / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.hypot(t, 1.0)
+                s = t * c
+                rot_p = c * A[p, :] - s * A[q, :]
+                rot_q = s * A[p, :] + c * A[q, :]
+                A[p, :], A[q, :] = rot_p, rot_q
+                rot_p = c * A[:, p] - s * A[:, q]
+                rot_q = s * A[:, p] + c * A[:, q]
+                A[:, p], A[:, q] = rot_p, rot_q
+                rot_p = c * V[:, p] - s * V[:, q]
+                rot_q = s * V[:, p] + c * V[:, q]
+                V[:, p], V[:, q] = rot_p, rot_q
+        sweeps += 1
+        off = off_diagonal_norm(A)
+
+    values = np.diag(A).copy()
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = canonical_signs(V[:, order].T)
+    return EigenDecomposition(values, vectors)
 
 
 # --- independent eigenvalue oracle: bisection on matrix inertia ---

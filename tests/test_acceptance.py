@@ -13,6 +13,7 @@ from conftest import (
     OBJECTS,
     build_registry,
     charpoly_roots_3x3,
+    jacobi_eigen,
     project,
     query_set,
     random_symmetric,
@@ -89,7 +90,7 @@ def test_criterion_3_gram_trick_equivalence():
         mean = X.mean(axis=1) if centered else np.zeros(d)
         Xt = X - mean[:, None]
         C = Xt @ Xt.T
-        direct = eg.sym_eigen(0.5 * (C + C.T))
+        direct = jacobi_eigen(0.5 * (C + C.T))
         cutoff = max(1e-10, 1e-12 * max(float(direct.values[0]), 0.0))
         keep = direct.values > cutoff
         want_vals, want_vecs = direct.values[keep], direct.vectors[keep]

@@ -6,7 +6,8 @@ from eigengaze import linalg
 from eigengaze.errors import AllZero, NoConvergence
 from eigengaze.linalg import canonical_signs, off_diagonal_norm
 
-from conftest import bisect_eigenvalues, charpoly_roots_3x3, random_symmetric
+import conftest
+from conftest import bisect_eigenvalues, charpoly_roots_3x3, jacobi_eigen, random_symmetric
 
 
 def direct_covariance_pca(X, centered):
@@ -15,7 +16,7 @@ def direct_covariance_pca(X, centered):
     mean = X.mean(axis=1) if centered else np.zeros(X.shape[0])
     Xt = X - mean[:, None]
     C = Xt @ Xt.T
-    decomp = eg.sym_eigen(0.5 * (C + C.T))
+    decomp = jacobi_eigen(0.5 * (C + C.T))
     cutoff = max(1e-10, 1e-12 * max(float(decomp.values[0]), 0.0))
     keep = decomp.values > cutoff
     return decomp.values[keep], decomp.vectors[keep]
@@ -27,7 +28,7 @@ def cold_start_pca(X, centered=True):
     mean = X.mean(axis=1) if centered else np.zeros(X.shape[0])
     Xt = X - mean[:, None]
     G = Xt.T @ Xt
-    decomp = eg.sym_eigen(0.5 * (G + G.T))
+    decomp = jacobi_eigen(0.5 * (G + G.T))
     keep = decomp.values > max(1e-10, 1e-12 * max(float(decomp.values[0]), 0.0))
     lam = decomp.values[keep]
     lifted = (Xt @ decomp.vectors[keep].T) / np.sqrt(lam)
@@ -70,15 +71,20 @@ def assert_matches_cold_start(got, X, centered=True):
 
 
 class TestSymEigen:
+    """The program's eigensolver; TestJacobiEigen runs the same checks on the
+    Jacobi oracle the other tests trust."""
+
+    solve = staticmethod(eg.sym_eigen)
+
     def test_identity(self):
-        decomp = eg.sym_eigen(np.eye(3))
+        decomp = self.solve(np.eye(3))
         assert decomp.values == pytest.approx([1, 1, 1])
         assert np.allclose(decomp.vectors @ decomp.vectors.T, np.eye(3), atol=1e-12)
         for row in decomp.vectors:
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_two_by_two_closed_form(self):
-        decomp = eg.sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        decomp = self.solve(np.array([[2.0, 1.0], [1.0, 2.0]]))
         s = 1.0 / np.sqrt(2.0)
         assert decomp.values == pytest.approx([3.0, 1.0], abs=1e-12)
         assert decomp.vectors[0] == pytest.approx([s, s], abs=1e-12)
@@ -89,7 +95,7 @@ class TestSymEigen:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             Q = random_symmetric(rng, n)
-            decomp = eg.sym_eigen(Q)
+            decomp = self.solve(Q)
             assert np.all(np.diff(decomp.values) <= 1e-12)
             gram = decomp.vectors @ decomp.vectors.T
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
@@ -101,7 +107,7 @@ class TestSymEigen:
         rng = np.random.default_rng(5)
         for _ in range(20):
             Q = random_symmetric(rng, int(rng.integers(2, 10)))
-            decomp = eg.sym_eigen(Q)
+            decomp = self.solve(Q)
             trace = float(np.trace(Q))
             assert abs(float(decomp.values.sum()) - trace) <= 1e-8 * (1 + abs(trace))
 
@@ -111,18 +117,44 @@ class TestSymEigen:
             Q = random_symmetric(rng, 3)
             roots = charpoly_roots_3x3(Q)
             assert len(roots) == 3
-            assert eg.sym_eigen(Q).values == pytest.approx(roots, abs=1e-7)
+            assert self.solve(Q).values == pytest.approx(roots, abs=1e-7)
 
     def test_no_convergence_reports_norm(self, monkeypatch):
         Q = random_symmetric(np.random.default_rng(0), 8)
-        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
-        with pytest.raises(NoConvergence, match="in 1 sweeps") as info:
-            eg.sym_eigen(Q)
-        assert info.value.off_norm is not None and info.value.off_norm > 0
+        # a rotation that leaves Q as it is
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: (np.diag(A).copy(), np.eye(len(A))))
+        with pytest.raises(NoConvergence, match="off-diagonal norm") as info:
+            self.solve(Q)
+        assert info.value.off_norm == off_diagonal_norm(Q) > 0
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            eg.sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            self.solve(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestJacobiEigen(TestSymEigen):
+    solve = staticmethod(jacobi_eigen)
+
+    def test_no_convergence_reports_norm(self, monkeypatch):
+        Q = random_symmetric(np.random.default_rng(0), 8)
+        monkeypatch.setattr(conftest, "MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match="in 1 sweeps") as info:
+            self.solve(Q)
+        assert info.value.off_norm is not None and info.value.off_norm > 0
+
+
+def test_lapack_and_jacobi_agree():
+    """Values within 1e-12 ||Q||_F, and the same canonical vectors wherever
+    the eigenvalue gaps on both sides exceed 1e-6."""
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        n = int(rng.integers(1, 13))
+        Q = random_symmetric(rng, n)
+        got, want = eg.sym_eigen(Q), jacobi_eigen(Q)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.linalg.norm(Q)
+        gaps = np.diff(want.values, prepend=np.inf, append=-np.inf)
+        isolated = (-gaps[:-1] > 1e-6) & (-gaps[1:] > 1e-6)
+        assert np.max(np.abs(got.vectors[isolated] - want.vectors[isolated]), initial=0.0) <= 1e-9
 
 
 class TestGramPca:
@@ -192,15 +224,17 @@ class TestGramPcaOracle:
         assert_matches_cold_start(eg.gram_pca(X), X)
 
     @pytest.mark.parametrize("obj", ["A", "mobile"])
-    def test_lapack_rotation_needs_no_jacobi_sweep(self, obj, monkeypatch):
+    def test_gram_matrix_is_decomposed_by_lapack_once(self, obj, monkeypatch):
         seen = spy_sym_eigen(monkeypatch)
         eg.gram_pca(synthetic_views(obj))
         assert len(seen) == 1 and seen[0].shape == (36, 36)
-        # Jacobi's own stopping rule, met before its first sweep
-        assert off_diagonal_norm(seen[0]) <= 1e-12 * np.linalg.norm(seen[0])
+        # eigh's rotation of it meets sym_eigen's acceptance bound
+        _, V = np.linalg.eigh(seen[0])
+        R = V.T @ seen[0] @ V
+        assert off_diagonal_norm(R) <= 1e-12 * np.linalg.norm(R)
 
     @pytest.mark.parametrize("rotation", ["identity", "perturbed"])
-    def test_jacobi_finishes_a_poor_rotation(self, rotation, monkeypatch):
+    def test_a_poor_rotation_raises_no_convergence(self, rotation, monkeypatch):
         real_eigh = np.linalg.eigh
 
         def poor_eigh(G):
@@ -210,12 +244,9 @@ class TestGramPcaOracle:
             return real_eigh(G + 1e-6 * np.linalg.norm(G) * noise)
 
         monkeypatch.setattr(np.linalg, "eigh", poor_eigh)
-        seen = spy_sym_eigen(monkeypatch)
-        X = synthetic_views("mobile")
-        got = eg.gram_pca(X)
-        # the rotated matrix misses Jacobi's tolerance, so sweeps run
-        assert off_diagonal_norm(seen[0]) > 1e-12 * np.linalg.norm(seen[0])
-        assert_matches_cold_start(got, X)
+        with pytest.raises(NoConvergence) as info:
+            eg.gram_pca(synthetic_views("mobile"))
+        assert info.value.off_norm > 0
 
 
 class TestChooseK:
