@@ -2,10 +2,13 @@
 
 Images are plain PGM (P2 text / P5 binary). Appearance vectors are the
 flattened, optionally unit-normalized pixel intensities that feed the
-eigenspace builder. synth_view stands in for a camera; it and write_pgm
-run on whole arrays, with no Python loop over pixels or samples.
+eigenspace builder. synth_view stands in for a camera: a scan-line fill
+finds each subsample row's covered columns with one binary search per edge,
+and each object's polygon is derived once per (object, seed, side). Neither
+it nor write_pgm loops in Python over pixels or samples.
 """
 
+import functools
 import hashlib
 import math
 import re
@@ -178,7 +181,8 @@ def write_pgm(image: RasterImage, binary: bool = False) -> bytes:
     """Serialize to canonical PGM; identical inputs give identical bytes."""
     header = f"{image.width} {image.height}\n{image.max_value}\n"
     if not binary:
-        body = " ".join(map(str, image.samples.tolist()))
+        samples = image.samples.tolist()
+        body = " ".join(["%d"] * len(samples)) % tuple(samples)
         return ("P2\n" + header + body + "\n").encode("ascii")
     per = 1 if image.max_value < 256 else 2
     dtype = np.dtype(">u2") if per == 2 else np.uint8
@@ -239,38 +243,67 @@ def _object_shape(object_id: str, seed: int):
     return thetas, rx, ry, foreground
 
 
+@functools.lru_cache(maxsize=128)
+def _polygon(object_id: str, seed: int, side: int):
+    """An object's vertices scaled to side, and its foreground; the arrays are
+    shared by every view of it, so they are read-only."""
+    thetas, rx, ry, foreground = _object_shape(object_id, seed)
+    vx = rx * side * np.cos(thetas)
+    vy = ry * side * np.sin(thetas)
+    vx.flags.writeable = vy.flags.writeable = False
+    return vx, vy, foreground
+
+
+def _shade(rvx, rvy, side: int, foreground: int) -> np.ndarray:
+    """The side x side shades, 4x4 supersampled, of the polygon with vertices
+    (rvx, rvy) in pixel units, filled with foreground on a mid-gray
+    background. A subsample is covered iff it lies left of (or on) every edge:
+    for counter-clockwise convex vertices, inside the polygon."""
+    ss = _SUPERSAMPLE
+    n = side * ss
+    coords = (np.arange(n, dtype=np.float64) + 0.5) / ss
+    ex = np.concatenate((rvx[1:], rvx[:1])) - rvx
+    ey = np.concatenate((rvy[1:], rvy[:1])) - rvy
+    # edge i's test ex·(y − rvy[i]) >= ey·(x − rvx[i]) has its left side a
+    # function of the subsample's row and its right side one of the column;
+    # rounding is monotone, so the right side is non-decreasing in x where
+    # ey >= 0 (-0.0 included: its products all compare equal) and
+    # non-increasing otherwise. A row's columns that pass an edge are thus a
+    # prefix or a suffix, and those that pass every edge one run [lo, hi)
+    lo, hi = np.zeros(n, dtype=np.intp), np.full(n, n, dtype=np.intp)
+    for a, b, rising in zip(ex[:, None] * (coords - rvy[:, None]),
+                            ey[:, None] * (coords - rvx[:, None]), ey >= 0):
+        if rising:
+            np.minimum(hi, np.searchsorted(b, a, side="right"), out=hi)
+        else:
+            np.maximum(lo, n - np.searchsorted(b[::-1], a, side="right"), out=lo)
+    # each pixel boundary clipped to [lo, hi], which is hi throughout when the
+    # run is empty: the differences of neighbours, summed over a pixel's
+    # subrows, count its covered subsamples, at most ss² = 16, so count / ss²
+    # is exactly the mean coverage
+    dtype = np.min_scalar_type(n)
+    bounds = np.arange(0, n + 1, ss, dtype=dtype)
+    left = np.minimum(np.maximum(bounds, lo.astype(dtype)[:, None]), hi.astype(dtype)[:, None])
+    count = (left[:, 1:] - left[:, :-1]).reshape(side, ss, side).sum(axis=1, dtype=np.uint8)
+    return np.rint(_BACKGROUND + count / ss**2 * (foreground - _BACKGROUND))
+
+
 def synth_view(object_id: str, angle_deg: int, side: int, seed: int) -> RasterImage:
     """Render one deterministic synthetic appearance of an object.
 
     The object is a filled convex polygon derived from (object_id, seed),
     rotated by angle_deg about the image center and anti-aliased (4x4
-    supersampling) onto a mid-gray background.
+    supersampling) onto a mid-gray background. Each row of subsamples is
+    filled as one run of columns (a scan-line fill); the polygon is derived
+    once per (object_id, seed, side) and cached.
     """
     if side < 8:
         raise SideTooSmall("side must be at least 8 pixels")
-    thetas, rx, ry, foreground = _object_shape(object_id, seed)
-    vx = rx * side * np.cos(thetas)
-    vy = ry * side * np.sin(thetas)
-
+    vx, vy, foreground = _polygon(object_id, seed, side)
     phi = math.radians(angle_deg)
     c, s = math.cos(phi), math.sin(phi)
     half = side / 2.0
     rvx = c * vx - s * vy + half
     rvy = s * vx + c * vy + half
-
-    ss = _SUPERSAMPLE
-    coords = (np.arange(side * ss, dtype=np.float64) + 0.5) / ss
-    ex, ey = np.diff(rvx, append=rvx[:1]), np.diff(rvy, append=rvy[:1])
-    inside = np.ones((side * ss, side * ss), dtype=bool)
-    # counter-clockwise vertex order: a subsample is inside iff left of every
-    # edge, ex·(y − rvy[i]) >= ey·(x − rvx[i]), each side taken over one axis;
-    # a >= b agrees with a - b >= 0 for finite doubles, as underflow is gradual
-    for a, b in zip(ex[:, None] * (coords - rvy[:, None]), ey[:, None] * (coords - rvx[:, None])):
-        inside &= a[:, None] >= b
-    # covered subsamples per pixel, summed over column then row phases; at most
-    # ss² = 16, so count / ss² is exactly the mean coverage
-    hits = inside.view(np.uint8)
-    per_column = sum((hits[:, p::ss] for p in range(1, ss)), hits[:, ::ss])
-    coverage = sum((per_column[p::ss] for p in range(1, ss)), per_column[::ss]) / ss**2
-    shade = np.rint(_BACKGROUND + coverage * (foreground - _BACKGROUND))
+    shade = _shade(rvx, rvy, side, foreground)
     return RasterImage(side, side, 255, shade.astype(np.int64).ravel())

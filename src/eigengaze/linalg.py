@@ -11,6 +11,7 @@ OFF_DIAG_TOL. The tests keep a cyclic Jacobi solver as the reference it is
 checked against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +76,22 @@ def sym_eigen(Q) -> EigenDecomposition:
     The rotation V that `np.linalg.eigh` returns is accepted only if it
     diagonalises Q: the off-diagonal Frobenius norm of R = V^T Q V
     (symmetrised) must be at most OFF_DIAG_TOL * ||R||_F, or the smallest
-    normal double if that is 0; otherwise NoConvergence is raised. The values
-    are R's diagonal in descending order, the vectors V's columns, signs
-    canonical.
+    normal double if that is 0; otherwise NoConvergence is raised. A Q whose
+    R or norms overflow float64 raises ValueError. The values are R's
+    diagonal in descending order, the vectors V's columns, signs canonical.
     """
     Q = check_symmetric(Q)
     _, V = np.linalg.eigh(Q)
-    R = V.T @ Q @ V
-    R = 0.5 * (R + R.T)
-    off = off_diagonal_norm(R)
-    if off > (OFF_DIAG_TOL * float(np.linalg.norm(R)) or np.finfo(np.float64).tiny):
+    # entries near the float64 limit can overflow R or its norms: inf or nan
+    # in R makes both norms non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = V.T @ Q @ V
+        R = 0.5 * (R + R.T)
+        off = off_diagonal_norm(R)
+        norm = float(np.linalg.norm(R))
+    if not (math.isfinite(off) and math.isfinite(norm)):
+        raise ValueError("matrix is too large to decompose: its rotation overflows")
+    if off > (OFF_DIAG_TOL * norm or np.finfo(np.float64).tiny):
         raise NoConvergence(
             f"eigh's rotation leaves an off-diagonal norm of {off:.3e}", off_norm=off
         )

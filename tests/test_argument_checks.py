@@ -32,13 +32,15 @@ from eigengaze.linalg import check_symmetric
         (lambda: eg.gram_pca([[np.inf], [1.0]]), ValueError, "X entries must be finite"),
         (lambda: eg.gram_pca([[1e200, 1.0], [2.0, -1e200]]), ValueError,
          "matrix entries must be finite"),
+        (lambda: eg.gram_pca([[1e154, 1.0], [2.0, -1e154]]), ValueError,
+         "too large to decompose"),
         (lambda: eg.choose_k([1.0], 0.0), ValueError, "energy_threshold"),
     ],
     ids=["no-views", "zero-energy", "zero-k", "zero-size-image", "zero-max-value",
          "sample-count", "vector-length", "non-finite-vector", "unknown-norm-mode",
          "non-unit-vector", "negative-offset", "zero-extent", "negative-fill", "pgm-str",
          "pgm-zero-width", "non-square", "non-finite-matrix", "1d-gram-input",
-         "non-finite-gram-input", "gram-overflow",
+         "non-finite-gram-input", "gram-overflow", "gram-near-limit",
          "zero-energy-choose-k"],
 )
 def test_bad_argument_raises_its_error(call, error, match):

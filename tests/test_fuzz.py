@@ -1,4 +1,5 @@
-"""Fuzzed load paths: any input either loads or raises an EigengazeError."""
+"""Fuzzed load paths: any input either loads or raises an EigengazeError.
+And the scan-line renderer: any polygon shades as its oracle does."""
 
 import hashlib
 import tempfile
@@ -13,8 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 import eigengaze as eg
 from eigengaze.eigenspace import _fmt_row
 from eigengaze.errors import EigengazeError
+from eigengaze.imgio import _shade
 
 from conftest import assert_same_space, build_registry, training_appearances
+from test_imgio import oracle_shade
 
 # derandomized so that every run checks the same inputs
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -282,3 +285,26 @@ def test_load_dir_with_any_manifest_loads_or_raises(manifest):
             Path(reg_dir, file_name).write_bytes(data)
         Path(reg_dir, "registry.manifest").write_bytes(manifest)
         check_registry_dir(reg_dir)
+
+
+# vertex coordinates in pixel units, around and beyond a side-8 or side-9
+# image: any double in range, or a multiple of 1/8, which puts subsample
+# centres (odd multiples) on edges and makes edges horizontal or vertical
+COORD = st.one_of(
+    st.floats(-4.0, 14.0),
+    st.integers(-32, 112).map(lambda k: k / 8),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@FUZZ
+@given(
+    st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(COORD, min_size=n, max_size=n), st.lists(COORD, min_size=n, max_size=n))),
+    st.sampled_from([8, 9]),
+    st.integers(0, 255),
+)
+def test_shade_matches_the_oracle_for_any_vertices(vertices, side, foreground):
+    rvx, rvy = map(np.array, vertices)
+    shade = _shade(rvx, rvy, side, foreground)
+    assert np.array_equal(shade, oracle_shade(rvx, rvy, side, foreground))

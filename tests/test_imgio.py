@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
+from eigengaze import imgio
 from eigengaze.errors import (
     EmptyOcclusion,
     MalformedHeader,
@@ -14,7 +15,7 @@ from eigengaze.errors import (
     SideTooSmall,
     ZeroImage,
 )
-from eigengaze.imgio import _BACKGROUND, _SUPERSAMPLE, _object_shape
+from eigengaze.imgio import _BACKGROUND, _SUPERSAMPLE, _object_shape, _shade
 
 from conftest import random_image
 
@@ -30,6 +31,12 @@ def oracle_synth_view(object_id, angle_deg, side, seed):
     half = side / 2.0
     rvx = c * vx - s * vy + half
     rvy = s * vx + c * vy + half
+    shade = oracle_shade(rvx, rvy, side, foreground)
+    return eg.RasterImage(side, side, 255, shade.astype(np.int64).ravel())
+
+
+def oracle_shade(rvx, rvy, side, foreground):
+    """The shades of the polygon with vertices (rvx, rvy), as first written."""
     ss = _SUPERSAMPLE
     coords = (np.arange(side * ss, dtype=np.float64) + 0.5) / ss
     px, py = np.meshgrid(coords, coords)
@@ -40,8 +47,7 @@ def oracle_synth_view(object_id, angle_deg, side, seed):
         ex, ey = rvx[j] - rvx[i], rvy[j] - rvy[i]
         inside &= ex * (py - rvy[i]) - ey * (px - rvx[i]) >= 0.0
     coverage = inside.reshape(side, ss, side, ss).mean(axis=(1, 3))
-    shade = np.rint(_BACKGROUND + coverage * (foreground - _BACKGROUND))
-    return eg.RasterImage(side, side, 255, shade.astype(np.int64).ravel())
+    return np.rint(_BACKGROUND + coverage * (foreground - _BACKGROUND))
 
 
 def oracle_write_pgm(image, binary):
@@ -183,6 +189,19 @@ class TestWritePgm:
         img = eg.synth_view("A", 30, 16, 5)
         assert eg.write_pgm(img) == eg.write_pgm(img)
 
+    @pytest.mark.parametrize(
+        "image",
+        [
+            eg.RasterImage(1, 1, 255, [7]),
+            eg.RasterImage(5, 3, 1, np.arange(15) % 2),
+            eg.RasterImage(4, 4, 65535, np.arange(16) * 4369),
+        ],
+        ids=["1x1", "max-value-1", "max-value-65535"],
+    )
+    def test_matches_the_oracle_bytes_for_bytes(self, image):
+        for binary in (False, True):
+            assert eg.write_pgm(image, binary) == oracle_write_pgm(image, binary)
+
 
 class TestVectorize:
     def test_three_four_five(self):
@@ -291,6 +310,20 @@ class TestSynthView:
         with pytest.raises(SideTooSmall):
             eg.synth_view("A", 0, 7, 1)
 
+    def test_polygon_is_derived_once_per_object_and_read_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(imgio, "_object_shape",
+                            lambda *args: calls.append(args) or _object_shape(*args))
+        imgio._polygon.cache_clear()
+        for angle in range(0, 360, 10):
+            eg.synth_view("cached", angle, 16, 3)
+        assert calls == [("cached", 3)]
+        vx, vy, _ = imgio._polygon("cached", 3, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            vx[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            vy[0] = 0.0
+
     def test_matches_the_oracle_bytes_for_bytes(self):
         # one object per vertex count (4 to 8) for each seed, at every angle;
         # the side cycles through `sides` and the written view through plain
@@ -306,3 +339,42 @@ class TestSynthView:
                 image = eg.apply_occlusion(image, spec)
             for binary in (False, True):
                 assert eg.write_pgm(image, binary) == oracle_write_pgm(image, binary)
+
+
+# vertices in pixel units, counter-clockwise unless named otherwise; subsample
+# centres lie at odd multiples of 1/8, so an edge between two of them can pass
+# through others, where a subsample's two sides of the edge test are equal
+SHADE_CASES = {
+    "diagonal-through-centres": ([0.125, 6.125, 0.125], [0.125, 0.125, 6.125]),
+    "edges-through-centres": ([1.375, 6.625, 6.625, 1.375], [2.125, 2.125, 5.875, 5.875]),
+    "horizontal-edge-plus-zero": ([1.0, 7.0, 7.0, 1.0], [0.0, 0.0, 5.0, 5.0]),
+    # its first edge's ey is -0.0 - 0.0, which is -0.0
+    "horizontal-edge-minus-zero": ([1.0, 7.0, 7.0, 1.0], [0.0, -0.0, 5.0, 5.0]),
+    "vertical-edge": ([2.375, 7.5, 2.375], [1.0, 4.0, 7.125]),
+    "repeated-vertex": ([0.125, 6.125, 6.125, 0.125], [0.125, 0.125, 0.125, 6.125]),
+    "clockwise": ([0.125, 0.125, 6.125], [0.125, 6.125, 0.125]),
+    "beyond-the-image": ([-3.0, 12.0, 4.0], [-2.0, 1.0, 11.5]),
+}
+
+
+class TestShade:
+    @pytest.mark.parametrize("rvx, rvy", SHADE_CASES.values(), ids=SHADE_CASES.keys())
+    def test_matches_the_oracle_at_the_edges(self, rvx, rvy):
+        rvx, rvy = np.array(rvx), np.array(rvy)
+        for side in (8, 9):
+            shade = _shade(rvx, rvy, side, 255)
+            assert np.array_equal(shade, oracle_shade(rvx, rvy, side, 255))
+
+    def test_a_subsample_on_an_edge_is_inside(self):
+        # the triangle's edges run along the subsample row y = 0.125, the
+        # column x = 0.125 and the centres with x + y = 6.25; with a
+        # foreground of 144 each pixel reads 128 plus its covered count
+        rvx, rvy = map(np.array, SHADE_CASES["diagonal-through-centres"])
+        shade = _shade(rvx, rvy, 8, 144)
+        # pixel (0, 0) holds 7 subsamples on an edge, (0, 5) holds 7 of its 13
+        # and (1, 5) holds one, on the diagonal
+        assert (shade[0, 0], shade[0, 5], shade[1, 5]) == (144, 141, 129)
+
+    def test_clockwise_polygon_covers_nothing(self):
+        rvx, rvy = map(np.array, SHADE_CASES["clockwise"])
+        assert np.all(_shade(rvx, rvy, 8, 255) == _BACKGROUND)

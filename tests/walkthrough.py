@@ -4,9 +4,10 @@
 
 The walkthrough runs in a fresh temporary directory, with the package
 imported from the given `src` path. It learns a registry from P2 views and
-another from the same views written as P5, recognizes, evaluates, inspects,
-tries each documented usage error, resaves the loaded registry, and then
-repeats the queries and a `learn` after deleting the `.f8` sidecars.
+another from the same views written as P5, writes side-33 views of a second
+seed as P2 and P5, recognizes, evaluates, inspects, tries each documented
+usage error, resaves the loaded registry, and then repeats the queries and a
+`learn` after deleting the `.f8` sidecars.
 
 It prints one JSON object. `steps` holds, for each command, its argv, exit
 code, stdout, stderr and the sha256 of every file it created or changed
@@ -84,6 +85,9 @@ def walkthrough(walk: Walk):
 
     run("synth", "--objects", "mobile,stapler", "--out", "held-out", "--side", "32",
         "--seed", "1", "--angles", "15,45")
+    # an odd side and a second seed
+    for out, binary in (("side-33", []), ("side-33-p5", ["--binary"])):
+        run("synth", "--objects", names, "--out", out, "--side", "33", "--seed", "12", *binary)
     (work / "queries.tsv").write_text("".join(
         f"held-out/{obj}_{angle}.pgm\t{obj}\t{angle}\t0\n"
         for obj in ("mobile", "stapler") for angle in (15, 45)
