@@ -3,7 +3,6 @@
 from .eigenspace import (
     Eigenspace,
     EigenspaceConfig,
-    ManifoldPoint,
     build_eigenspace,
     load_model,
     save_model,
@@ -21,7 +20,7 @@ from .imgio import (
     write_pgm,
 )
 from .linalg import choose_k, gram_pca, sym_eigen
-from .recog import EvaluationReport, RecognitionResult, dump_coordinates, evaluate, recognize
+from .recog import EvaluationReport, RecognitionResult, evaluate, recognize
 from .registry import EnrollmentPolicy, ObjectRegistry
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "EigenspaceConfig",
     "EnrollmentPolicy",
     "EvaluationReport",
-    "ManifoldPoint",
     "ObjectRegistry",
     "OcclusionSpec",
     "RasterImage",
@@ -41,7 +39,6 @@ __all__ = [
     "apply_occlusion",
     "build_eigenspace",
     "choose_k",
-    "dump_coordinates",
     "evaluate",
     "gram_pca",
     "load_model",

@@ -1,32 +1,32 @@
 """Command-line pipeline: synth, occlude, learn, recognize, evaluate, inspect.
 
-Every integer the CLI reads, in a flag, a `--rect` or `--angles` field, a
-training file name or a manifest, is ASCII decimal digits and nothing else
-(no sign, `_`, surrounding space or other digits), read by `_integer`. Every
-decimal flag (`--tau`, `--margin`, `--threshold`) is read by `_decimal`: ASCII
-digits, then an optional fraction and an optional exponent. A comma list
-(`--objects`, `--angles`, `--rect`) is split by `_fields`, which strips each
-field and rejects an empty one; `synth` also rejects a repeated object or
-angle. A manifest line has one grammar, `_MANIFEST_LINE`. Range checks stay
-with the types that hold the values.
+Every flag value is read by an argparse `type=` reader, so a bad one is a
+usage error naming the flag, raised before any command runs. Every integer
+the CLI reads is ASCII decimal digits and nothing else (no sign, `_`,
+surrounding space or other digits): `_integer` reads flags and list fields,
+`_VIEW_STEM` file names and `_MANIFEST_LINE` manifest lines. Every decimal
+flag (`--tau`, `--margin`, `--threshold`) is read by `_decimal`: ASCII digits,
+then an optional fraction and exponent. A comma list is split by `_fields`,
+which strips each field, rejects an empty one and quotes the list in a bad
+field's error. Other range checks stay with the types that hold the values.
 
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
 """
 
-import argparse
 import os
 import re
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
 from dataclasses import replace
 
 import numpy as np
 
 from . import imgio, recog
 from .eigenspace import EigenspaceConfig
-from .errors import EigengazeError, EmptyQuerySet, NoImages
+from .errors import DimsTooLarge, EigengazeError, EmptyQuerySet, NoImages
 from .imgio import OcclusionSpec, ViewLabel
-from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _check_object_id, _read_model
+from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _read_model
 
 DEFAULT_ANGLES = "0,10,20,30,40,50,60,70,80,90"
 # every integer the CLI reads, in flags, file names and manifests; ASCII only, unlike int()
@@ -44,47 +44,58 @@ EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
 
 
-class _BadValue(ValueError, argparse.ArgumentTypeError):
-    """A value outside a reader's rule. As an ArgumentTypeError, argparse
-    reports its message after the flag's name (for a plain ValueError it
-    names the reader function); as a ValueError, main reports it as error."""
-
-
 def _integer(text: str) -> int:
     if _DIGITS.fullmatch(text) is None:
-        raise _BadValue(f"{text!r} is not an integer in ASCII digits 0-9")
+        raise ArgumentTypeError(f"{text!r} is not an integer in ASCII digits 0-9")
     return int(text)
 
 
 def _decimal(text: str) -> float:
     if _DECIMAL.fullmatch(text) is None:
-        raise _BadValue(f"{text!r} is not a decimal number: ASCII digits 0-9, "
-                        "then an optional .digits and an optional e[+-]digits")
+        raise ArgumentTypeError(f"{text!r} is not a decimal number: ASCII digits 0-9, "
+                                "then an optional .digits and an optional e[+-]digits")
     return float(text)
 
 
-def _fields(text: str, flag: str) -> list:
-    """A comma-separated list's fields, each stripped of spaces; none may be empty."""
+def _fields(text: str, read) -> list:
+    """A comma list's fields, each stripped and read by `read`; none may be empty."""
     fields = [field.strip() for field in text.split(",")]
     if "" in fields:
-        raise EigengazeError(f"{flag} {text!r} has an empty field")
-    return fields
-
-
-def _integers(text: str, flag: str) -> list:
-    """A comma list's fields, each read by _integer; a bad one's error names flag."""
+        raise ArgumentTypeError(f"{text!r} has an empty field")
     try:
-        return [_integer(field) for field in _fields(text, flag)]
-    except _BadValue as exc:
-        raise EigengazeError(f"{flag} {text!r}: {exc}") from None
+        return [read(field) for field in fields]
+    except ArgumentTypeError as exc:
+        raise ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def _distinct(values: list, flag: str) -> list:
-    """values, none of which may repeat, since each one names its own files."""
+def _distinct(text: str, read) -> list:
+    """The list's fields, none of which may repeat, since each one names its own files."""
+    values = _fields(text, read)
     repeated = sorted({value for value in values if values.count(value) > 1})
     if repeated:
-        raise EigengazeError(f"{flag} names {', '.join(map(str, repeated))} more than once")
+        raise ArgumentTypeError(f"{text!r} names {', '.join(map(str, repeated))} more than once")
     return values
+
+
+def _object_id(text: str) -> str:
+    """An id names its files, so it follows the registry's rule."""
+    if _OBJECT_ID.fullmatch(text) is None:
+        raise ArgumentTypeError(f"object id {text!r} must match {_OBJECT_ID.pattern}")
+    return text
+
+
+def _angles(text: str) -> list:
+    angles = _distinct(text, _integer)
+    if max(angles) > 359:
+        raise ArgumentTypeError(f"{text!r} names an angle outside [0, 359]")
+    return angles
+
+
+def _rect(text: str) -> list:
+    rect = _fields(text, _integer)
+    if len(rect) != 4:
+        raise ArgumentTypeError(f"{text!r} must be four integers x0,y0,w,h")
+    return rect
 
 
 def _parse_threshold(text: str):
@@ -92,7 +103,7 @@ def _parse_threshold(text: str):
         return AUTO
     value = _decimal(text)
     if value <= 0:
-        raise _BadValue(f"{text!r} is not a positive decimal number or 'auto'")
+        raise ArgumentTypeError(f"{text!r} is not a positive decimal number or 'auto'")
     return value
 
 
@@ -124,7 +135,7 @@ def _label_from_filename(path: str, object_id: str) -> ViewLabel:
     match = _VIEW_STEM.fullmatch(os.path.splitext(os.path.basename(path))[0])
     if match is None:
         raise EigengazeError(f"{path}: file name must end in _<angle> or _<angle>_occ")
-    return ViewLabel(object_id, _integer(match[1]) % 360, match[2] is not None)
+    return ViewLabel(object_id, int(match[1]) % 360, match[2] is not None)
 
 
 def _read_image(path: str) -> imgio.RasterImage:
@@ -155,38 +166,26 @@ def _read_manifest(path: str):
                 )
             image, obj, angle, flag = match.groups("0")
             image = os.path.join(base, os.fsdecode(image.encode("utf-8")))
-            entries.append((image, obj, _integer(angle) % 360, flag == "1"))
+            entries.append((image, obj, int(angle) % 360, flag == "1"))
     return entries
 
 
 # --- commands ---
 
 def cmd_synth(args) -> int:
-    objects = _distinct(_fields(args.objects, "--objects"), "--objects")
-    # an id names its files, so it follows the registry's rule
-    for obj in objects:
-        _check_object_id(obj)
-    angles = _distinct(_integers(args.angles, "--angles"), "--angles")
-    if max(angles) > 359:
-        raise ValueError("--angles must lie in [0, 359]")
-    for obj in objects:
-        for angle in angles:
+    for obj in args.objects:
+        for angle in args.angles:
             image = imgio.synth_view(obj, angle, args.side, args.seed)
             os.makedirs(args.out, exist_ok=True)  # after a render: a bad --side writes nothing
             out = os.path.join(args.out, f"{obj}_{angle}.pgm")
             with open(out, "wb") as f:
                 f.write(imgio.write_pgm(image, binary=args.binary))
-    print(f"wrote {len(objects) * len(angles)} images to {args.out}")
+    print(f"wrote {len(args.objects) * len(args.angles)} images to {args.out}")
     return EXIT_OK
 
 
 def cmd_occlude(args) -> int:
-    rect = _integers(args.rect, "--rect")
-    if len(rect) != 4:
-        raise EigengazeError(f"--rect {args.rect!r} must be four integers x0,y0,w,h")
-    x0, y0, w, h = rect
-    image = _read_image(args.input)
-    occluded = imgio.apply_occlusion(image, OcclusionSpec(x0, y0, w, h, args.fill))
+    occluded = imgio.apply_occlusion(_read_image(args.input), OcclusionSpec(*args.rect, args.fill))
     with open(args.output, "wb") as f:
         f.write(imgio.write_pgm(occluded, binary=args.binary))
     print(f"wrote {args.output}")
@@ -224,12 +223,11 @@ def cmd_learn(args) -> int:
     reg.save_dir(reg_dir)
 
     print(f"object {args.object}: {len(appearances)} appearances, k = {es.k}")
-    total = float(np.sum(es.eigenvalues))
-    cum = 0.0
+    # shares of the whole spectrum's energy, the Gram trace: the views' summed |v - mean|^2
+    shares = es.eigenvalues / float(sum(np.sum((v.values - es.mean) ** 2) for v in appearances))
     print("  i  eigenvalue        energy  cumulative")
-    for i, lam in enumerate(es.eigenvalues):
-        cum += float(lam) / total
-        print(f"  {i:<2} {float(lam):<16.10g} {float(lam) / total:7.4f}  {cum:9.4f}")
+    for i, (lam, share, cum) in enumerate(zip(es.eigenvalues, shares, np.cumsum(shares))):
+        print(f"  {i:<2} {lam:<16.10g} {share:7.4f}  {cum:9.4f}")
     return EXIT_OK
 
 
@@ -273,12 +271,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_inspect(args) -> int:
     _, es = _read_model(args.model)
-    rows = recog.dump_coordinates(es, args.dims)
+    if not 1 <= args.dims <= es.k:
+        raise DimsTooLarge(f"dims must be in [1, {es.k}], got {args.dims}")
     lines = ["angle_deg,occluded," + ",".join(f"c{i + 1}" for i in range(args.dims))]
-    for angle, occluded, coords in rows:
-        lines.append(
-            f"{angle},{1 if occluded else 0}," + ",".join(format(c, ".17g") for c in coords)
-        )
+    for label, coords in zip(es.labels, es.coords[:, : args.dims].tolist()):
+        lines.append(f"{label.view_angle_deg},{int(label.occluded)},"
+                     + ",".join(format(c, ".17g") for c in coords))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
@@ -290,18 +288,19 @@ def cmd_inspect(args) -> int:
 
 # --- argument parsing ---
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="eigengaze",
         description="Learn per-object eigenspaces and recognize appearances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic view images")
-    p.add_argument("--objects", required=True, help="comma-separated object ids")
+    p.add_argument("--objects", type=lambda text: _distinct(text, _object_id), required=True,
+                   help="comma-separated object ids")
     p.add_argument("--out", required=True)
     p.add_argument("--side", type=_integer, default=32)
-    p.add_argument("--angles", default=DEFAULT_ANGLES)
+    p.add_argument("--angles", type=_angles, default=DEFAULT_ANGLES)
     p.add_argument("--seed", type=_integer, default=1)
     p.add_argument("--binary", action="store_true", help="write P5 instead of P2")
     p.set_defaults(func=cmd_synth)
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("occlude", help="overwrite a rectangle of an image")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--rect", required=True, help="x0,y0,w,h")
+    p.add_argument("--rect", type=_rect, required=True, help="x0,y0,w,h")
     p.add_argument("--fill", type=_integer, default=0)
     p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_occlude)

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenspace import Eigenspace, _check_vector
-from .errors import DimsTooLarge, EmptyQuerySet, EmptyRegistry
+from .eigenspace import _check_vector
+from .errors import EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
 
 # float64 elements in one (spaces x queries x dim) temporary: sets evaluate's block size
@@ -176,17 +176,6 @@ def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
     }
     m, P = sum(m_i for _, m_i, _ in per_object.values()), len(queries)
     return EvaluationReport(P, m, Fraction(m, P), per_object, confusion)
-
-
-def dump_coordinates(es: Eigenspace, dims: int = 3):
-    """Rows (angle_deg, occluded, c1..c_dims) for each manifold point in
-    view-angle order, axes in eigenvalue-descending order."""
-    if dims < 1 or dims > es.k:
-        raise DimsTooLarge(f"dims must be in [1, {es.k}], got {dims}")
-    return [
-        (label.view_angle_deg, label.occluded, tuple(row))
-        for label, row in zip(es.labels, es.coords[:, :dims].tolist())
-    ]
 
 
 def report_text(report: EvaluationReport) -> str:

@@ -10,7 +10,7 @@ import eigengaze as eg
 from eigengaze import registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
 from eigengaze.eigenspace import load_model
-from eigengaze.errors import EigengazeError, NoImages
+from eigengaze.errors import DimsTooLarge, EigengazeError, NoImages
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
 
@@ -44,12 +44,34 @@ def raises(error, *argv):
     assert run(*argv) == 1
 
 
+# the CLI's value readers; argparse names one only in a message it phrases itself
+READERS = ("_integer", "_decimal", "_parse_threshold", "_object_id", "_distinct", "_angles",
+           "_rect", "lambda")
+
+
+def usage_error(capsys, message, *argv):
+    """argv exits 1 with argparse's usage error, which holds `message` and names no reader."""
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+    assert not any(name in err for name in READERS)
+
+
 def synth_dataset(tmp_path, objects=OBJECTS, angles=None, seed=1):
     out = tmp_path / "imgs"
     angle_arg = ",".join(str(a) for a in (angles or TRAIN_ANGLES))
     assert run("synth", "--objects", ",".join(objects), "--out", out,
                "--angles", angle_arg, "--seed", seed) == 0
     return out
+
+
+def training_views(tmp_path, obj):
+    """conftest.training_appearances as files: 10 views, the one at 40 degrees occluded."""
+    imgs = synth_dataset(tmp_path, objects=[obj])
+    assert run("occlude", imgs / f"{obj}_40.pgm", imgs / f"{obj}_40_occ.pgm",
+               "--rect", "2,2,16,10") == 0
+    (imgs / f"{obj}_40.pgm").unlink()
+    return imgs
 
 
 def learn_all(tmp_path, imgs, objects=OBJECTS, extra=()):
@@ -90,18 +112,22 @@ class TestSynth:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("objects", ["", ","], ids=["empty", "comma"])
-    def test_objects_naming_no_object_writes_nothing(self, tmp_path, objects):
-        raises(EigengazeError, "synth", "--objects", objects, "--out", tmp_path / "out")
+    def test_objects_naming_no_object_writes_nothing(self, tmp_path, capsys, objects):
+        usage_error(capsys, f"argument --objects: {objects!r} has an empty field",
+                    "synth", "--objects", objects, "--out", tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "objects, angles",
-        [(",A,,B,", ",10,,20,"), ("A,A", "0,10"), ("A", "10,010")],
+        "objects, angles, message",
+        [(",A,,B,", ",10,,20,", "argument --objects: ',A,,B,' has an empty field"),
+         ("A,A", "0,10", "argument --objects: 'A,A' names A more than once"),
+         ("A", "10,010", "argument --angles: '10,010' names 10 more than once")],
         ids=["empty-fields", "repeated-object", "repeated-angle-value"],
     )
-    def test_list_outside_the_list_rule_writes_nothing(self, tmp_path, objects, angles):
-        raises(EigengazeError, "synth", "--objects", objects, "--angles", angles,
-               "--out", tmp_path / "out")
+    def test_list_outside_the_list_rule_writes_nothing(self, tmp_path, capsys, objects, angles,
+                                                        message):
+        usage_error(capsys, message, "synth", "--objects", objects, "--angles", angles,
+                    "--out", tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -139,10 +165,7 @@ class TestOcclude:
 
 class TestLearn:
     def test_model_has_point_lines(self, tmp_path, capsys):
-        imgs = synth_dataset(tmp_path, objects=["A"])
-        occ = imgs / "A_40_occ.pgm"
-        assert run("occlude", imgs / "A_40.pgm", occ, "--rect", "2,2,16,10") == 0
-        (imgs / "A_40.pgm").unlink()
+        imgs = training_views(tmp_path, "A")
         reg = learn_all(tmp_path, imgs, objects=["A"])
         text = (reg / "A.eig").read_text()
         assert text.startswith("EIGENGAZE 1\n")
@@ -150,6 +173,21 @@ class TestLearn:
         assert len(point_lines) == 10
         assert sum(l.split()[2] == "1" for l in point_lines) == 1
         assert "k = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, last_row",
+        [(("--norm", "raw", "--uncentered", "--k", "3"), ("2", "0.9959")),
+         ((), ("3", "0.9541")), (("--k", "10"), ("8", "1.0000"))],
+        ids=["raw-uncentered-k3", "default", "every-eigenvalue"],
+    )
+    def test_energy_is_a_share_of_the_whole_spectrum(self, tmp_path, capsys, flags, last_row):
+        """Each share divides by the views' summed |v - mean|^2, so the cumulative
+        column shows what --k or --tau drops, and reaches 1 only with every eigenvalue."""
+        imgs = training_views(tmp_path, "mobile")
+        capsys.readouterr()
+        learn_all(tmp_path, imgs, objects=["mobile"], extra=flags)
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert (row[0], row[-1]) == last_row
 
     def test_single_view_centered_fails(self, tmp_path):
         imgs = synth_dataset(tmp_path, objects=["A"], angles=[0])
@@ -506,6 +544,36 @@ class TestInspect:
         reg = learn_all(tmp_path, imgs)
         assert run("inspect", reg / "mobile.eig", "--dims", "99") == 1
 
+    @pytest.fixture
+    def saved_space(self, tmp_path, four_object_registry):
+        """conftest's first space, saved without a sidecar for inspect to read."""
+        es = four_object_registry.spaces[0]
+        (tmp_path / "model.eig").write_bytes(eg.save_model(es))
+        return es, tmp_path / "model.eig"
+
+    def test_ten_views_three_dims(self, saved_space, capsys):
+        es, model = saved_space
+        assert es.k >= 3
+        assert run("inspect", model, "--dims", "3") == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 10
+        assert all(len(row) == 2 + 3 for row in rows)
+        assert sum(row[1] == "1" for row in rows) == 1
+
+    def test_dims_equals_k(self, saved_space, capsys):
+        es, model = saved_space
+        assert run("inspect", model, "--dims", es.k) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(int(angle), occluded == "1") for angle, occluded, *_ in rows] == [
+            (label.view_angle_deg, label.occluded) for label in es.labels]
+        assert [[float(c) for c in coords] for _, _, *coords in rows] == es.coords.tolist()
+
+    def test_dims_one_past_k(self, saved_space, capsys):
+        es, model = saved_space
+        raises(DimsTooLarge, "inspect", model, "--dims", es.k + 1)
+        err = capsys.readouterr().err
+        assert err == f"error: dims must be in [1, {es.k}], got {es.k + 1}\n"
+
     def test_out_file(self, tmp_path):
         imgs = synth_dataset(tmp_path)
         reg = learn_all(tmp_path, imgs)
@@ -591,13 +659,13 @@ class TestUsage:
             (("recognize", "x.pgm", "--threshold", "0"),
              "argument --threshold: '0' is not a positive decimal number or 'auto'"),
             (("synth", "--objects", "a", "--out", "out", "--angles", "+5"),
-             "error: --angles '+5': '+5' is not an integer in ASCII digits"),
+             "argument --angles: '+5': '+5' is not an integer in ASCII digits"),
             (("synth", "--objects", "a", "--out", "out", "--angles", "0,\u0661\u0660"),
-             "error: --angles '0,\u0661\u0660': '\u0661\u0660' is not an integer in ASCII digits"),
+             "argument --angles: '0,\u0661\u0660': '\u0661\u0660' is not an integer in ASCII"),
             (("occlude", "x.pgm", "y.pgm", "--rect", "1,2,3,1_0"),
-             "error: --rect '1,2,3,1_0': '1_0' is not an integer in ASCII digits"),
+             "argument --rect: '1,2,3,1_0': '1_0' is not an integer in ASCII digits"),
             (("occlude", "x.pgm", "y.pgm", "--rect", "1,2,3"),
-             "error: --rect '1,2,3' must be four integers x0,y0,w,h"),
+             "argument --rect: '1,2,3' must be four integers x0,y0,w,h"),
         ],
         ids=["decimal", "integer", "threshold-decimal", "threshold-zero", "angles",
              "arabic-indic-angle", "rect", "rect-of-three"],
@@ -605,10 +673,7 @@ class TestUsage:
     def test_bad_value_names_its_flag_and_rule_not_its_reader(self, tmp_path, monkeypatch,
                                                                capsys, argv, message):
         monkeypatch.chdir(tmp_path)
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert message in err
-        assert not any(name in err for name in ("_decimal", "_integer", "_parse_threshold"))
+        usage_error(capsys, message, *argv)
         assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):

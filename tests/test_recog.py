@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
-from eigengaze.errors import DimensionMismatch, DimsTooLarge, EmptyQuerySet, EmptyRegistry
+from eigengaze.errors import DimensionMismatch, EmptyQuerySet, EmptyRegistry
 from eigengaze.recog import RecognitionResult, _score, report_csv, report_text
 from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 
@@ -534,27 +534,6 @@ class TestConcurrentReads:
                     assert out.threshold == prefix.effective_threshold()
                     assert out.known == (result.combined_score <= out.threshold)
         assert lengths == set(range(1, len(objects) + 1))
-
-
-class TestDumpCoordinates:
-    def test_ten_views_three_dims(self, four_object_registry):
-        es = four_object_registry.spaces[0]
-        assert es.k >= 3
-        rows = eg.dump_coordinates(es, 3)
-        assert len(rows) == 10
-        assert all(len(coords) == 3 for _, _, coords in rows)
-        assert sum(occluded for _, occluded, _ in rows) == 1
-
-    def test_dims_equals_k(self, four_object_registry):
-        es = four_object_registry.spaces[0]
-        rows = eg.dump_coordinates(es, es.k)
-        for point, (_, _, coords) in zip(es.manifold, rows):
-            assert coords == tuple(point.coords)
-
-    def test_dims_too_large(self, four_object_registry):
-        es = four_object_registry.spaces[0]
-        with pytest.raises(DimsTooLarge):
-            eg.dump_coordinates(es, es.k + 1)
 
 
 class TestReports:
