@@ -193,7 +193,7 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    config = EigenspaceConfig(args.centered, args.norm, args.tau, args.k)
+    config = EigenspaceConfig(args.centered, args.norm, args.tau)
     if args.manifest and args.images:
         raise EigengazeError(f"learn takes its labels from --manifest ({args.manifest}) or "
                              f"from image file names ({args.images[0]}, ...), not both")
@@ -219,7 +219,7 @@ def cmd_learn(args) -> int:
     else:
         reg = ObjectRegistry()
     _override_policy(reg, args.threshold, args.margin)
-    es = reg.accumulate(args.object, appearances, config)
+    es = reg.accumulate(args.object, appearances, config, args.k)
     reg.save_dir(reg_dir)
 
     print(f"object {args.object}: {len(appearances)} appearances, k = {es.k}")
@@ -316,7 +316,7 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("learn", help="build and enroll one object's eigenspace")
     p.add_argument("images", nargs="*", help="PGM files named <obj>_<angle>[_occ].pgm")
     p.add_argument("--manifest", help="tab-separated path/object/angle/occluded list")
-    p.add_argument("--object", required=True)
+    p.add_argument("--object", type=_object_id, required=True)
     p.add_argument("--registry", default=None)
     p.add_argument("--threshold", type=_parse_threshold, default=None,
                    help="unknown cutoff or 'auto' (default: keep the registry's, else auto)")

@@ -15,7 +15,7 @@ invariants, so a built, loaded or hand-made space meets the same ones;
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -49,15 +49,12 @@ class EigenspaceConfig:
     centered: bool = True
     norm_mode: str = UNIT
     energy_threshold: float = 0.95
-    k_override: int | None = None
 
     def __post_init__(self):
         if self.norm_mode not in NORM_MODES:
             raise ValueError(f"norm_mode must be one of {NORM_MODES}")
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must be in (0, 1]")
-        if self.k_override is not None and self.k_override < 1:
-            raise ValueError("k_override must be >= 1")
 
 
 # Eigenspace.manifold's items, kept for the benchmark; it holds arrays, so eq is identity
@@ -144,8 +141,12 @@ def _check_vector(es_dim: int, norm_mode: str, v: AppearanceVector):
         )
 
 
-def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigenspace:
-    """Build an object's eigenspace from its full appearance set."""
+def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
+                     k: int | None = None) -> Eigenspace:
+    """Build an object's eigenspace from its full appearance set, keeping k
+    dimensions (at most the rank), or as many as config's energy threshold needs."""
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     appearances = list(appearances)
     if not appearances:
         raise DegenerateSet("appearance set is empty")
@@ -162,10 +163,7 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
             "(degenerate appearance set)"
         )
 
-    if config.k_override is not None:
-        k = min(config.k_override, rank)
-    else:
-        k = choose_k(pca.eigenvalues, config.energy_threshold)
+    k = choose_k(pca.eigenvalues, config.energy_threshold) if k is None else min(k, rank)
 
     eigenvalues = pca.eigenvalues[:k].copy()
     basis = pca.basis[:k].copy()
@@ -173,8 +171,6 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigens
     # each label names this space, whatever object the view was labelled with
     labels = tuple(ViewLabel(object_id, v.source_label.view_angle_deg, v.source_label.occluded)
                    for v in appearances)
-    # k_override has fixed k, and the file does not record it: keep the config a reload gives
-    config = replace(config, k_override=None)
     return Eigenspace(object_id, pca.mean, eigenvalues, basis, config, coords, labels)
 
 

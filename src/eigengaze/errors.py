@@ -82,10 +82,6 @@ class InsufficientData(EigengazeError):
     pass
 
 
-class EmptyRegistryNoViews(EigengazeError):
-    pass
-
-
 # --- recognition / evaluation ---
 
 class EmptyRegistry(EigengazeError):

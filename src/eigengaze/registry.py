@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateObject,
     EigengazeError,
-    EmptyRegistryNoViews,
     InsufficientData,
     InvalidObjectId,
 )
@@ -167,13 +166,12 @@ class ObjectRegistry:
                 )
         self._snapshot = recog.Snapshot(self.spaces + (es,))
 
-    def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
-        """Build and enroll one object's eigenspace; existing spaces untouched."""
+    def accumulate(self, object_id: str, appearances, config: EigenspaceConfig,
+                   k: int | None = None) -> Eigenspace:
+        """Build one object's eigenspace with build_eigenspace and enroll it; others untouched."""
         _check_object_id(object_id)
         with self._lock:
-            if self.find(object_id) is not None:
-                raise DuplicateObject(f"object {object_id!r} already enrolled")
-            es = build_eigenspace(object_id, appearances, config)
+            es = build_eigenspace(object_id, appearances, config, k)
             self._append(es)
             return es
 
@@ -209,12 +207,11 @@ class ObjectRegistry:
         """Recognize v if close enough to an enrolled object; otherwise report
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object, built with the first space's config (the default
-        config in an empty registry)."""
+        config in an empty registry). With no spaces and no pending views,
+        decide raises EmptyRegistry."""
         with self._lock:
-            if self.spaces:
+            if self.spaces or pending_views is None:
                 decision = self.decide(v)
-            elif pending_views is None:
-                raise EmptyRegistryNoViews("empty registry and no pending views to enroll")
             else:
                 decision = Decision(False, None, float("inf"))
             if decision.known or pending_views is None:

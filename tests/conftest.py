@@ -61,11 +61,11 @@ def query_set(objects=OBJECTS, norm_mode="unit", side=SIDE, seed=SEED):
     return queries
 
 
-def build_registry(config=None, policy=None, objects=OBJECTS):
+def build_registry(config=None, policy=None, objects=OBJECTS, k=None):
     config = config if config is not None else eg.EigenspaceConfig()
     reg = ObjectRegistry(policy if policy is not None else EnrollmentPolicy())
     for obj in objects:
-        reg.accumulate(obj, training_appearances(obj, config.norm_mode), config)
+        reg.accumulate(obj, training_appearances(obj, config.norm_mode), config, k)
     return reg
 
 

@@ -11,6 +11,11 @@ from eigengaze.registry import EnrollmentPolicy, ObjectRegistry
 
 from conftest import (
     OBJECTS,
+    QUERY_ANGLES,
+    SEED,
+    SIDE,
+    TRAIN_ANGLES,
+    TRAIN_OCCLUSION,
     build_registry,
     charpoly_roots_3x3,
     jacobi_eigen,
@@ -130,7 +135,7 @@ def test_criterion_4_projection_reconstruction():
         X = np.column_stack([a.values for a in apps])
         errors = []
         for k in range(1, 10):
-            space = eg.build_eigenspace(obj, apps, eg.EigenspaceConfig(k_override=k))
+            space = eg.build_eigenspace(obj, apps, eg.EigenspaceConfig(), k)
             Xt = X - space.mean[:, None]
             E = space.basis.T
             errors.append(float(np.linalg.norm(Xt - E @ (E.T @ Xt))))
@@ -147,7 +152,7 @@ def test_criterion_4_projection_reconstruction():
 
 
 def test_criterion_5_self_recognition():
-    reg = build_registry(config=eg.EigenspaceConfig(k_override=64))
+    reg = build_registry(k=64)
     queries = [(v, obj) for obj in OBJECTS for v in training_appearances(obj)]
     result = eg.evaluate(reg, queries)
     ok = result.m == result.P and result.r == Fraction(1)
@@ -248,3 +253,29 @@ def test_criterion_8_rate_arithmetic():
         got.append(float(result.r))
         ok &= result.r == expected and result.P == 10
     report("criterion 8: rate arithmetic", ok, f"rates {got}")
+
+
+def test_criterion_9_a_defined_occlusion_is_learned():
+    """Queries occluded by the training rectangle at every offset angle: a
+    registry that learned one view under that rectangle recognizes them at
+    a higher rate than one trained on the same ten views, all clean. At seed 1
+    the rates measure 0.950 and 0.725; the bounds leave three queries' slack."""
+    queries = [
+        (eg.vectorize(eg.apply_occlusion(eg.synth_view(obj, angle, SIDE, SEED), TRAIN_OCCLUSION),
+                      "unit"), obj)
+        for obj in OBJECTS for angle in QUERY_ANGLES
+    ]
+    clean = ObjectRegistry()
+    for obj in OBJECTS:
+        views = [eg.vectorize(eg.synth_view(obj, angle, SIDE, SEED), "unit",
+                              eg.ViewLabel(obj, angle)) for angle in TRAIN_ANGLES]
+        clean.accumulate(obj, views, eg.EigenspaceConfig())
+    r_occluded = eg.evaluate(build_registry(), queries).r
+    r_clean = eg.evaluate(clean, queries).r
+    ok = r_occluded - r_clean >= Fraction(3, 20) and r_occluded >= Fraction(9, 10)
+    report(
+        "criterion 9: defined occlusion",
+        ok,
+        f"r with the occluded view {float(r_occluded):.3f}, "
+        f"all views clean {float(r_clean):.3f} ({len(queries)} queries)",
+    )

@@ -314,6 +314,28 @@ class TestLearn:
         raises(NoImages, "learn", "--object", "A", "--registry", "reg", *source)
         assert tree(tmp_path) == before
 
+    @pytest.mark.parametrize("source", ["manifest", "files"])
+    def test_object_outside_the_registry_rule_writes_nothing(self, tmp_path, monkeypatch,
+                                                             capsys, source):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0, 10])
+        (tmp_path / "m.tsv").write_text(f"{imgs / 'A_0.pgm'}\t../x\n")
+        monkeypatch.chdir(tmp_path)
+        before = tree(tmp_path)
+        inputs = ("--manifest", "m.tsv") if source == "manifest" else sorted(imgs.glob("A_*"))
+        usage_error(capsys, f"argument --object: object id '../x' must match "
+                    f"{registry_module._OBJECT_ID.pattern}",
+                    "learn", "--object", "../x", "--registry", "reg", *inputs)
+        assert tree(tmp_path) == before
+
+    def test_zero_k_over_an_existing_registry_writes_nothing(self, tmp_path, capsys):
+        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+        learn_all(tmp_path, imgs, objects=["A"])
+        before = tree(tmp_path)
+        assert run("learn", "--object", "B", "--registry", tmp_path / "registry",
+                   *sorted(imgs.glob("B_*.pgm")), "--k", "0") == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert tree(tmp_path) == before
+
     @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
     def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, env):
         imgs = synth_dataset(tmp_path, objects=["A"])

@@ -137,8 +137,7 @@ class TestBuild:
 
     def test_k_override_clamped_to_rank(self):
         apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
-        config = eg.EigenspaceConfig(centered=False, k_override=50)
-        es = eg.build_eigenspace("x", apps, config)
+        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(centered=False), k=50)
         assert es.k == 2
 
     def test_scale_invariance_uncentered_raw(self):
@@ -190,8 +189,7 @@ class TestProjectReconstruct:
         X = np.column_stack([a.values for a in apps])
         errors = []
         for k in range(1, 9):
-            config = eg.EigenspaceConfig(k_override=k)
-            es = eg.build_eigenspace("stapler", apps, config)
+            es = eg.build_eigenspace("stapler", apps, eg.EigenspaceConfig(), k)
             Xt = X - es.mean[:, None]
             E = es.basis.T
             errors.append(float(np.linalg.norm(Xt - E @ (E.T @ Xt))))
@@ -346,10 +344,11 @@ class TestPersistence:
         assert_same_space(eg.load_model(eg.save_model(es)), es)
 
     def test_reload_gives_the_built_config(self):
-        config = eg.EigenspaceConfig(k_override=2)
-        es = eg.build_eigenspace("mobile", training_appearances("mobile"), config)
+        config = eg.EigenspaceConfig(energy_threshold=0.9)
+        es = eg.build_eigenspace("mobile", training_appearances("mobile"), config, k=2)
         assert es.k == 2
-        assert eg.load_model(eg.save_model(es)).config == es.config
+        assert es.config == config
+        assert eg.load_model(eg.save_model(es)).config == config
 
     def test_truncated_file(self, synthetic_space):
         data = eg.save_model(synthetic_space)

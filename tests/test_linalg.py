@@ -287,7 +287,7 @@ class TestChooseK:
         ]
         lam = eg.gram_pca(synthetic_views("A")).eigenvalues
         inside = next(k for k in range(1, lam.size) if lam[k - 1] - lam[k] < 1e-9 * lam[k - 1])
-        es = eg.build_eigenspace("A", views, eg.EigenspaceConfig(k_override=inside))
+        es = eg.build_eigenspace("A", views, eg.EigenspaceConfig(), k=inside)
         assert es.k == inside
 
     def test_monotone_in_threshold(self):

@@ -113,8 +113,8 @@ def mixed_shape_registry():
 
     reg = ObjectRegistry()
     reg.accumulate("solo", views("solo", [30]), eg.EigenspaceConfig(centered=False))
-    reg.accumulate("trio", views("trio", [0, 120, 240]), eg.EigenspaceConfig(k_override=1))
-    reg.accumulate("wide", views("wide", range(0, 360, 10)), eg.EigenspaceConfig(k_override=3))
+    reg.accumulate("trio", views("trio", [0, 120, 240]), eg.EigenspaceConfig(), k=1)
+    reg.accumulate("wide", views("wide", range(0, 360, 10)), eg.EigenspaceConfig(), k=3)
     reg.accumulate("full", views("full", range(0, 360, 10)), eg.EigenspaceConfig())
     return reg
 
@@ -122,8 +122,7 @@ def mixed_shape_registry():
 @pytest.fixture(scope="module")
 def full_rank_registry():
     # k pinned to full rank so training views project losslessly
-    config = eg.EigenspaceConfig(k_override=64)
-    return build_registry(config=config)
+    return build_registry(k=64)
 
 
 class TestRecognize:
@@ -281,7 +280,7 @@ class TestRecognizeOracle:
         reg = ObjectRegistry()
         for name in names:
             views, k = (odd, 7) if name == "odd" else (training_appearances("A"), None)
-            reg.accumulate(name, views, eg.EigenspaceConfig(k_override=k))
+            reg.accumulate(name, views, eg.EigenspaceConfig(), k)
         twins = [s for s, name in enumerate(names) if name != "odd"]
         assert reg.snapshot.coords.shape[1:] == (7, 35)
         assert all(reg.spaces[s].k < 7 and len(reg.spaces[s].labels) < 35 for s in twins)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 
 import numpy as np
@@ -10,7 +9,7 @@ from eigengaze.errors import (
     CorruptField,
     DimensionMismatch,
     DuplicateObject,
-    EmptyRegistryNoViews,
+    EmptyRegistry,
     InsufficientData,
     InvalidObjectId,
 )
@@ -51,9 +50,10 @@ class TestAccumulate:
 
     def test_duplicate_rejected(self):
         reg = ObjectRegistry()
-        reg.accumulate("A", training_appearances("A"), eg.EigenspaceConfig())
-        with pytest.raises(DuplicateObject):
+        es = reg.accumulate("A", training_appearances("A"), eg.EigenspaceConfig())
+        with pytest.raises(DuplicateObject, match="^object 'A' already enrolled$"):
             reg.accumulate("A", training_appearances("A"), eg.EigenspaceConfig())
+        assert reg.spaces == (es,)
 
     @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")], ids=["dim", "norm"])
     def test_space_of_another_dim_or_norm_mode_is_rejected(self, side, norm_mode):
@@ -107,7 +107,7 @@ class TestSnapshot:
         clone = copy.copy(reg)
         # two views far apart on the unit sphere: a wider gap than any of A's
         wide = [unit_vec([1.0, 0.0] * 512), unit_vec([0.0, 1.0] * 512, eg.ViewLabel("", 90))]
-        clone.accumulate("B", wide, eg.EigenspaceConfig(k_override=1))
+        clone.accumulate("B", wide, eg.EigenspaceConfig(), k=1)
         assert clone.spaces[1].spread > reg.snapshot.spread
         assert reg.spaces is before
         assert reg.snapshot is snapshot and reg.effective_threshold() == threshold
@@ -135,8 +135,7 @@ class TestEffectiveThreshold:
     def test_auto_needs_two_points(self):
         apps = [unit_vec([1.0, 0.0]), unit_vec([0.0, 1.0])]
         reg = ObjectRegistry(EnrollmentPolicy(AUTO))
-        config = eg.EigenspaceConfig(centered=False, k_override=1)
-        reg.accumulate("x", apps[:1], config)
+        reg.accumulate("x", apps[:1], eg.EigenspaceConfig(centered=False), k=1)
         with pytest.raises(InsufficientData):
             reg.effective_threshold()
 
@@ -248,11 +247,10 @@ class TestClassifyOrEnroll:
     def test_reloaded_registry_enrolls_like_the_original(self, tmp_path, config):
         pending = training_appearances("widget")
         query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
-        # k_override is not saved, so the new space must not inherit it either
-        for k_override in (None, 2):
-            first = dataclasses.replace(config, k_override=k_override)
-            reg = build_registry(config=first, policy=EnrollmentPolicy(1e-6))
-            path = str(tmp_path / f"k{k_override}")
+        # a fixed k is not saved, so the new space must not inherit it either
+        for k in (None, 2):
+            reg = build_registry(config=config, policy=EnrollmentPolicy(1e-6), k=k)
+            path = str(tmp_path / f"k{k}")
             reg.save_dir(path)
             loaded = ObjectRegistry.load_dir(path)
             for r in (reg, loaded):
@@ -262,7 +260,7 @@ class TestClassifyOrEnroll:
             assert want.config == got.config == reg.spaces[0].config == config
             direct = eg.build_eigenspace("object-5", pending, config)
             assert eg.save_model(got) == eg.save_model(want) == eg.save_model(direct)
-            if k_override is not None:
+            if k is not None:
                 assert got.k != reg.spaces[0].k
             reg.save_dir(path)
             assert ObjectRegistry.load_dir(path).find("object-5").config == config
@@ -270,7 +268,7 @@ class TestClassifyOrEnroll:
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
         query = eg.vectorize(eg.synth_view("A", 0, 32, 1), "unit")
-        with pytest.raises(EmptyRegistryNoViews):
+        with pytest.raises(EmptyRegistry, match="no enrolled objects"):
             reg.classify_or_enroll(query)
 
     def test_empty_registry_enrolls_pending(self):
@@ -307,6 +305,14 @@ class TestPersistence:
         assert loaded.policy == reg.policy
         for got, want in zip(loaded.spaces, reg.spaces):
             assert eg.save_model(got) == eg.save_model(want)
+
+    def test_fixed_k_space_keeps_the_given_config(self, tmp_path):
+        config = eg.EigenspaceConfig(centered=False, energy_threshold=0.9)
+        reg = build_registry(config=config, k=2)
+        reg.save_dir(str(tmp_path))
+        loaded = ObjectRegistry.load_dir(str(tmp_path))
+        for es in reg.spaces + loaded.spaces:
+            assert (es.k, es.config) == (2, config)
 
     def test_auto_policy_round_trip(self, tmp_path):
         reg = build_registry()
@@ -557,18 +563,18 @@ class TestResave:
 
 class TestSidecar:
     @pytest.mark.parametrize(
-        "config",
+        "config, k",
         [
-            eg.EigenspaceConfig(),
-            eg.EigenspaceConfig(centered=False),
-            eg.EigenspaceConfig(norm_mode="raw"),
-            eg.EigenspaceConfig(centered=False, norm_mode="raw"),
-            eg.EigenspaceConfig(k_override=3),
+            (eg.EigenspaceConfig(), None),
+            (eg.EigenspaceConfig(centered=False), None),
+            (eg.EigenspaceConfig(norm_mode="raw"), None),
+            (eg.EigenspaceConfig(centered=False, norm_mode="raw"), None),
+            (eg.EigenspaceConfig(), 3),
         ],
         ids=["centered-unit", "uncentered-unit", "centered-raw", "uncentered-raw", "k-3"],
     )
-    def test_sidecars_load_what_the_text_loads(self, tmp_path, config):
-        reg = build_registry(config=config)
+    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, k):
+        reg = build_registry(config=config, k=k)
         reg.save_dir(str(tmp_path))
         with_sidecars = ObjectRegistry.load_dir(str(tmp_path))
         texts = {es.object_id: (tmp_path / f"{es.object_id}.eig").read_bytes() for es in reg.spaces}

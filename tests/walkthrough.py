@@ -68,8 +68,9 @@ USAGE_ERRORS = [
     [*EXTRA, *flags]
     for flags in (["--k", "٢"], ["--margin", "1_5"], ["--tau", ".9_5"], ["--threshold", "٠.٥"],
                   ["--margin", " 2"], ["--threshold", "0"], ["--margin", "0.5"],
-                  ["--manifest", "queries.tsv"])
-] + [learn("extra", "models", "queries.tsv"), [*INSPECT, "３"]]
+                  ["--manifest", "queries.tsv"], ["--k", "0"])
+] + [learn("extra", "models", "queries.tsv"), learn("../x", "models", "--manifest", "queries.tsv"),
+     [*INSPECT, "３"]]
 RESAVE = ["python", "-c",
           "import eigengaze as eg; eg.ObjectRegistry.load_dir('models').save_dir('resaved')"]
 RM_SIDECARS = ["rm", "models/*.f8"]
