@@ -24,7 +24,7 @@ import numpy as np
 
 from . import imgio, recog
 from .eigenspace import EigenspaceConfig
-from .errors import DimsTooLarge, EigengazeError, EmptyQuerySet, NoImages
+from .errors import DimsTooLarge, EigengazeError, EmptyQuerySet, EmptyRegistry, NoImages
 from .imgio import OcclusionSpec, ViewLabel
 from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _read_model
 
@@ -120,7 +120,7 @@ def _load_registry(args):
     """The registry args name, which must hold a space, and its norm mode."""
     reg = ObjectRegistry.load_dir(_registry_dir(args))
     if not reg.spaces:
-        raise EigengazeError("registry is empty")
+        raise EmptyRegistry("no enrolled objects")
     return reg, reg.spaces[0].config.norm_mode
 
 
@@ -236,7 +236,7 @@ def cmd_recognize(args) -> int:
     _override_policy(reg, threshold=args.threshold)
     v = imgio.vectorize(_read_image(args.image), norm)
 
-    decision = reg.decide(v, in_space_only=args.in_space_only)
+    decision = reg.decide(v)
     result = decision.result
     status = "Known" if decision.known else "Unknown"
     print(
@@ -258,7 +258,7 @@ def cmd_evaluate(args) -> int:
     # evaluate reads only each query's true id
     queries = [(imgio.vectorize(_read_image(path), norm), obj) for path, obj, _, _ in entries]
 
-    report = recog.evaluate(reg, queries, in_space_only=args.in_space_only)
+    report = recog.evaluate(reg, queries)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as f:
             f.write(recog.report_csv(report))
@@ -334,8 +334,6 @@ def build_parser() -> ArgumentParser:
     p.add_argument("image")
     p.add_argument("--registry", default=None)
     p.add_argument("--threshold", type=_parse_threshold, default=None)
-    p.add_argument("--in-space-only", action="store_true",
-                   help="ignore the off-subspace residual in scores")
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("evaluate", help="recognition rate over a labeled manifest")
@@ -343,7 +341,6 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--registry", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--text", default=None)
-    p.add_argument("--in-space-only", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("inspect", help="dump manifold coordinates as CSV")

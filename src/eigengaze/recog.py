@@ -102,7 +102,7 @@ def _snapshot(reg, queries) -> Snapshot:
     return snap
 
 
-def _score(snap: Snapshot, queries: list, step: int, in_space_only: bool):
+def _score(snap: Snapshot, queries: list, step: int):
     """Score the query vectors against every space, `step` queries a block.
 
     Yields (score, in_space, residual, nearest) per block, each of shape
@@ -132,11 +132,10 @@ def _score(snap: Snapshot, queries: list, step: int, in_space_only: bool):
         np.subtract(G[:, :, :, None], snap.coords[:, :, None], out=d)
         dist = np.sqrt(np.einsum("skqn,skqn->sqn", d, d))
         nearest, in_space = dist.argmin(axis=2), dist.min(axis=2)
-        score = in_space if in_space_only else np.hypot(in_space, res)
-        yield score, in_space, res, nearest
+        yield np.hypot(in_space, res), in_space, res, nearest
 
 
-def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> RecognitionResult:
+def recognize(reg, v: AppearanceVector) -> RecognitionResult:
     """Best matching object and view for one query appearance.
 
     Ties on score are broken by acquisition order, then by the nearest view's
@@ -144,7 +143,7 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
     """
     snap = _snapshot(reg, [v])
     spaces = snap.spaces
-    (block,) = _score(snap, [v.values], 1, in_space_only)
+    (block,) = _score(snap, [v.values], 1)
     score, in_space, res, nearest = (a[:, 0].tolist() for a in block)
     # a stable sort keeps equal scores in acquisition order
     ranked = sorted(range(len(spaces)), key=score.__getitem__)
@@ -156,14 +155,14 @@ def recognize(reg, v: AppearanceVector, in_space_only: bool = False) -> Recognit
     )
 
 
-def evaluate(reg, queries, in_space_only: bool = False) -> EvaluationReport:
+def evaluate(reg, queries) -> EvaluationReport:
     """Recognition rate r = m/P over labeled queries (object identity only)."""
     queries = list(queries)
     if not queries:
         raise EmptyQuerySet("no queries")
     snap = _snapshot(reg, [v for v, _ in queries])
     ids = [es.object_id for es in snap.spaces]
-    blocks = _score(snap, [v.values for v, _ in queries], snap.block_size(), in_space_only)
+    blocks = _score(snap, [v.values for v, _ in queries], snap.block_size())
     # argmin takes the first minimum: the earliest acquisition on a tie
     best = np.concatenate([score.argmin(axis=0) for score, *_ in blocks])
     confusion = Counter((true_id, ids[b]) for (_, true_id), b in zip(queries, best))

@@ -195,11 +195,11 @@ class ObjectRegistry:
             n += 1
         return f"object-{n}"
 
-    def decide(self, v: AppearanceVector, in_space_only: bool = False) -> Decision:
+    def decide(self, v: AppearanceVector) -> Decision:
         """Known if v's best score is within the effective threshold. The lock
         makes the score and the threshold read the same set of spaces."""
         with self._lock:
-            result = recog.recognize(self, v, in_space_only=in_space_only)
+            result = recog.recognize(self, v)
             threshold = self.effective_threshold()
             return Decision(result.combined_score <= threshold, result, threshold)
 

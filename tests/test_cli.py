@@ -10,7 +10,7 @@ import eigengaze as eg
 from eigengaze import registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
 from eigengaze.eigenspace import load_model
-from eigengaze.errors import DimsTooLarge, EigengazeError, NoImages
+from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
 
@@ -442,7 +442,7 @@ class TestRecognize:
         imgs = synth_dataset(tmp_path, objects=["A"], angles=[0])
         eg.ObjectRegistry().save_dir(str(tmp_path / "reg"))
         before = tree(tmp_path)
-        raises(EigengazeError, "recognize", imgs / "A_0.pgm", "--registry", tmp_path / "reg")
+        raises(EmptyRegistry, "recognize", imgs / "A_0.pgm", "--registry", tmp_path / "reg")
         assert tree(tmp_path) == before
 
     def test_explicit_threshold_override(self, tmp_path):
@@ -450,6 +450,36 @@ class TestRecognize:
         reg = learn_all(tmp_path, imgs)
         assert run("recognize", imgs / "mobile_20.pgm", "--registry", reg,
                    "--threshold", "1e-12") == 2
+
+
+def scoring_command(tmp_path, command, imgs, reg):
+    """argv for recognize of A_0, or evaluate of a one-line manifest into report.csv."""
+    if command == "recognize":
+        return ["recognize", imgs / "A_0.pgm", "--registry", reg]
+    manifest = tmp_path / "q.tsv"
+    manifest.write_text(f"{imgs / 'A_0.pgm'}\tA\t0\t0\n")
+    return ["evaluate", "--manifest", manifest, "--registry", reg, "--csv", tmp_path / "report.csv"]
+
+
+@pytest.mark.parametrize("command", ["recognize", "evaluate"])
+class TestScoringCommands:
+    def test_empty_registry_is_the_library_error(self, tmp_path, capsys, command):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0])
+        eg.ObjectRegistry().save_dir(str(tmp_path / "reg"))
+        argv = scoring_command(tmp_path, command, imgs, tmp_path / "reg")
+        before = tree(tmp_path)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "error: no enrolled objects\n"
+        assert tree(tmp_path) == before
+
+    def test_in_space_only_is_a_usage_error(self, tmp_path, capsys, command):
+        imgs = synth_dataset(tmp_path, objects=["A", "B"], angles=TRAIN_ANGLES)
+        reg = learn_all(tmp_path, imgs, objects=["A", "B"])
+        argv = scoring_command(tmp_path, command, imgs, reg)
+        before = tree(tmp_path)
+        usage_error(capsys, "unrecognized arguments: --in-space-only", *argv, "--in-space-only")
+        assert tree(tmp_path) == before
 
 
 class TestEvaluate:

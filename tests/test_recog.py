@@ -24,7 +24,7 @@ from conftest import (
 )
 
 
-def recognize_oracle(reg, v, in_space_only=False):
+def recognize_oracle(reg, v):
     """Reference: recognize written as a loop over every manifold point."""
     entries = []
     for order, es in enumerate(reg.spaces):
@@ -36,7 +36,7 @@ def recognize_oracle(reg, v, in_space_only=False):
         )
         in_space = dists[best_idx]
         res = residual(es, v)
-        score = in_space if in_space_only else math.hypot(in_space, res)
+        score = math.hypot(in_space, res)
         label = es.manifold[best_idx].label
         entries.append((score, order, label.view_angle_deg, es, in_space, res, label))
     entries.sort(key=lambda e: e[:3])
@@ -45,9 +45,9 @@ def recognize_oracle(reg, v, in_space_only=False):
     return RecognitionResult(es.object_id, label, in_space, res, score, ranked)
 
 
-def assert_matches_oracle(reg, v, in_space_only):
-    got = eg.recognize(reg, v, in_space_only=in_space_only)
-    want = recognize_oracle(reg, v, in_space_only=in_space_only)
+def assert_matches_oracle(reg, v):
+    got = eg.recognize(reg, v)
+    want = recognize_oracle(reg, v)
     assert got.best_object == want.best_object
     assert got.best_view == want.best_view
     assert [o for o, _ in got.ranked_candidates] == [o for o, _ in want.ranked_candidates]
@@ -55,6 +55,13 @@ def assert_matches_oracle(reg, v, in_space_only):
         assert a == pytest.approx(b, abs=1e-12)
     assert got.in_space_distance == pytest.approx(want.in_space_distance, abs=1e-12)
     assert got.residual == pytest.approx(want.residual, abs=1e-12)
+
+
+def in_space_distances(reg, v):
+    """Each space's in-space distance from v, as the scorer computes it for
+    recognize: a list in acquisition order."""
+    ((_, in_space, _, _),) = _score(reg.snapshot, [v.values], 1)
+    return in_space[:, 0].tolist()
 
 
 def oracle_queries():
@@ -163,10 +170,18 @@ class TestRecognize:
         scores = [s for _, s in result.ranked_candidates]
         assert scores == sorted(scores)
 
-    def test_in_space_only_flag(self, four_object_registry):
-        v = query_set()[3][0]
-        result = eg.recognize(four_object_registry, v, in_space_only=True)
-        assert result.combined_score == pytest.approx(result.in_space_distance, abs=0)
+    def test_score_is_the_distance_to_the_nearest_reconstructed_view(self, four_object_registry):
+        """The residual is orthogonal to the subspace, so hypot(in_space,
+        residual) is the pixel-space distance from the query to the space's
+        nearest reconstructed training view."""
+        spaces = {es.object_id: es for es in four_object_registry.spaces}
+        for v, _ in query_set():
+            for object_id, score in eg.recognize(four_object_registry, v).ranked_candidates:
+                es = spaces[object_id]
+                views = es.mean + es.coords @ es.basis
+                assert score == pytest.approx(
+                    np.linalg.norm(v.values - views, axis=1).min(), abs=1e-12
+                )
 
     def test_pixel_space_oracle_agreement(self, full_rank_registry):
         train = [
@@ -214,37 +229,37 @@ class TestRecognize:
 
 
 class TestRecognizeOracle:
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_array_scoring_matches_point_loop(self, four_object_registry, in_space_only):
+    def test_array_scoring_matches_point_loop(self, four_object_registry):
         for v in oracle_queries():
-            assert_matches_oracle(four_object_registry, v, in_space_only)
+            assert_matches_oracle(four_object_registry, v)
 
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_tied_views_resolve_to_lower_angle(self, in_space_only):
+    def test_tied_views_resolve_to_lower_angle(self):
         reg = twin_view_registry()
         for angle in (50, 52):
             v = eg.vectorize(eg.synth_view("A", angle, 32, 1), "unit")
-            assert eg.recognize(reg, v, in_space_only).best_view.view_angle_deg == 50
-            assert_matches_oracle(reg, v, in_space_only)
+            assert eg.recognize(reg, v).best_view.view_angle_deg == 50
+            assert_matches_oracle(reg, v)
 
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_tied_spaces_resolve_to_earlier_acquisition(self, in_space_only):
+    def test_tied_spaces_resolve_to_earlier_acquisition(self):
         queries = query_set(objects=["A"])
         v = queries[3][0]
         for twins in ((("zeta", "A"), ("alpha", "A")), MANY_TWINS):
             reg = twin_space_registry(twins)
-            result = eg.recognize(reg, v, in_space_only)
+            result = eg.recognize(reg, v)
             of_a = [name for name, obj in twins if obj == "A"]
             ranked = of_a + [name for name, obj in twins if obj == "B"]
             assert result.best_object == of_a[0]
             assert [o for o, _ in result.ranked_candidates] == ranked
             assert len({score for _, score in result.ranked_candidates[:len(of_a)]}) == 1
-            assert_matches_oracle(reg, v, in_space_only)
-            report = eg.evaluate(reg, [(q, of_a[0]) for q, _ in queries], in_space_only)
+            in_space = in_space_distances(reg, v)
+            assert {in_space[s] for s, (_, obj) in enumerate(twins) if obj == "A"} == {
+                result.in_space_distance
+            }
+            assert_matches_oracle(reg, v)
+            report = eg.evaluate(reg, [(q, of_a[0]) for q, _ in queries])
             assert report.confusion == {(of_a[0], of_a[0]): len(queries)}
 
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_spaces_of_mixed_k_and_point_count(self, in_space_only):
+    def test_spaces_of_mixed_k_and_point_count(self):
         """No padded point or axis of a smaller space is ever nearest, and the
         padding computes nothing that warns."""
         reg = mixed_shape_registry()
@@ -259,16 +274,15 @@ class TestRecognizeOracle:
             warnings.simplefilter("error")
             labelled = []
             for v in queries:
-                result = eg.recognize(reg, v, in_space_only)
+                result = eg.recognize(reg, v)
                 assert result.best_view in spaces[result.best_object].labels
-                assert_matches_oracle(reg, v, in_space_only)
-                labelled.append((v, recognize_oracle(reg, v, in_space_only).best_object))
-            report = eg.evaluate(reg, labelled, in_space_only)
+                assert_matches_oracle(reg, v)
+                labelled.append((v, recognize_oracle(reg, v).best_object))
+            report = eg.evaluate(reg, labelled)
         assert {obj for _, obj in labelled} == set(spaces)
         assert report.m == report.P == len(queries)
 
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_twins_are_exact_at_every_stacked_offset(self, in_space_only):
+    def test_twins_are_exact_at_every_stacked_offset(self):
         """Twins of A interleaved with one space of odd, larger k and point
         count: k_max and n_max are odd, so the twins' slices of the stacked
         arrays start at different alignments. recognize, and every block of
@@ -289,10 +303,13 @@ class TestRecognizeOracle:
 
         labelled = []
         for v in views:
-            result = eg.recognize(reg, v, in_space_only)
+            result = eg.recognize(reg, v)
             ranked = [name for name, _ in result.ranked_candidates]
             assert [name for name in ranked if name != "odd"] == [names[s] for s in twins]
             assert len({score for name, score in result.ranked_candidates if name != "odd"}) == 1
+            in_space = in_space_distances(reg, v)
+            assert len({in_space[s] for s in twins}) == 1
+            assert result.in_space_distance == in_space[names.index(result.best_object)]
             assert result.best_object in ("twin-0", "odd")
             labelled.append((v, result.best_object))
         assert {obj for _, obj in labelled} == {"twin-0", "odd"}
@@ -300,12 +317,12 @@ class TestRecognizeOracle:
         s = reg.snapshot.block_size()
         for n in (1, 2, s - 1, s, s + 1):
             queries = cycled(labelled, n)
-            blocks = list(_score(reg.snapshot, [v.values for v, _ in queries], s, in_space_only))
+            blocks = list(_score(reg.snapshot, [v.values for v, _ in queries], s))
             assert sum(block[0].shape[1] for block in blocks) == n
             for block in blocks:
                 for a in block:
                     assert all(np.array_equal(a[t], a[twins[0]]) for t in twins)
-            report = eg.evaluate(reg, queries, in_space_only)
+            report = eg.evaluate(reg, queries)
             assert report.m == report.P == n
 
     def test_a_score_on_the_threshold_is_known(self):
@@ -321,16 +338,13 @@ class TestRecognizeOracle:
 
 
 class TestTrainingOrder:
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_reversed_training_order_gives_the_same_decisions(
-        self, four_object_registry, in_space_only
-    ):
+    def test_reversed_training_order_gives_the_same_decisions(self, four_object_registry):
         reversed_reg = ObjectRegistry()
         for obj in OBJECTS:
             reversed_reg.accumulate(obj, training_appearances(obj)[::-1], eg.EigenspaceConfig())
         for v, _ in query_set():
-            a = four_object_registry.decide(v, in_space_only=in_space_only)
-            b = reversed_reg.decide(v, in_space_only=in_space_only)
+            a = four_object_registry.decide(v)
+            b = reversed_reg.decide(v)
             assert (a.known, a.result.best_object, a.result.best_view) == (
                 b.known, b.result.best_object, b.result.best_view
             )
@@ -389,9 +403,7 @@ class TestEvaluateBlocks:
     query alone."""
 
     @pytest.mark.parametrize("registry", ["four", "twin_spaces", "twin_views"])
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_prediction_is_recognize_best_object(self, four_object_registry, registry,
-                                                 in_space_only):
+    def test_prediction_is_recognize_best_object(self, four_object_registry, registry):
         reg = {
             "four": lambda: four_object_registry,
             "twin_spaces": twin_space_registry,
@@ -401,8 +413,8 @@ class TestEvaluateBlocks:
         queries = cycled(oracle_queries(), step + 1)
         assert len(queries) > step
         # each query is labelled with recognize's answer, so every miss is a disagreement
-        labelled = [(v, eg.recognize(reg, v, in_space_only).best_object) for v in queries]
-        report = eg.evaluate(reg, labelled, in_space_only)
+        labelled = [(v, eg.recognize(reg, v).best_object) for v in queries]
+        report = eg.evaluate(reg, labelled)
         assert report.m == report.P == len(queries)
         if registry == "twin_spaces":
             assert set(report.confusion) == {("zeta", "zeta")}
@@ -461,14 +473,13 @@ class TestConcurrentReads:
             try:
                 while not stop.is_set():
                     v = queries[i % len(queries)]
-                    in_space_only = bool(i // len(queries) % 2)
                     if kinds[slot] == "decide":
-                        out = reg.decide(v, in_space_only)
+                        out = reg.decide(v)
                     elif kinds[slot] == "evaluate":
-                        out = eg.evaluate(reg, labelled, in_space_only)
+                        out = eg.evaluate(reg, labelled)
                     else:
-                        out = eg.recognize(reg, v, in_space_only)
-                    seen[slot].append((v, in_space_only, out))
+                        out = eg.recognize(reg, v)
+                    seen[slot].append((v, out))
                     calls[slot] += 1
                     i += 1
             except Exception as exc:  # reported by the main thread
@@ -507,16 +518,12 @@ class TestConcurrentReads:
             prefixes[j] = ObjectRegistry()
             for es in final[:j]:
                 prefixes[j]._append(es)
-        reports = {
-            in_space_only: [eg.evaluate(prefix, labelled, in_space_only)
-                            for prefix in prefixes.values()]
-            for in_space_only in (False, True)
-        }
+        reports = [eg.evaluate(prefix, labelled) for prefix in prefixes.values()]
         lengths = set()
         for kind, records in zip(kinds, seen):
-            for v, in_space_only, out in records:
+            for v, out in records:
                 if kind == "evaluate":
-                    assert out in reports[in_space_only]
+                    assert out in reports
                     continue
                 result = out.result if kind == "decide" else out
                 ids = [o for o, _ in result.ranked_candidates]
@@ -524,8 +531,8 @@ class TestConcurrentReads:
                 assert sorted(ids) == sorted(objects[:n])
                 lengths.add(n)
                 prefix = prefixes[n]
-                assert result == eg.recognize(prefix, v, in_space_only)
-                want = recognize_oracle(prefix, v, in_space_only)
+                assert result == eg.recognize(prefix, v)
+                want = recognize_oracle(prefix, v)
                 assert ids == [o for o, _ in want.ranked_candidates]
                 for (_, a), (_, b) in zip(result.ranked_candidates, want.ranked_candidates):
                     assert a == pytest.approx(b, abs=1e-12)

@@ -186,12 +186,11 @@ class TestEffectiveThreshold:
 
 
 class TestClassifyOrEnroll:
-    @pytest.mark.parametrize("in_space_only", [False, True])
-    def test_decide_is_recognize_against_threshold(self, four_object_registry, in_space_only):
+    def test_decide_is_recognize_against_threshold(self, four_object_registry):
         reg = four_object_registry
         for v, _ in query_set()[::4]:
-            decision = reg.decide(v, in_space_only=in_space_only)
-            assert decision.result == eg.recognize(reg, v, in_space_only=in_space_only)
+            decision = reg.decide(v)
+            assert decision.result == eg.recognize(reg, v)
             assert decision.threshold == reg.effective_threshold()
             assert decision.known == (decision.result.combined_score <= decision.threshold)
             assert decision.enrolled_id is None

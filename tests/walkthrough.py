@@ -49,9 +49,9 @@ UNKNOWN = [*RECOGNIZE, "--threshold", "1e-12"]
 EVALUATE = ["eigengaze", "evaluate", "--manifest", "queries.tsv", "--registry", "models"]
 INSPECT = ["eigengaze", "inspect", "models/mobile.eig", "--dims"]
 QUERIES = [
-    RECOGNIZE, UNKNOWN, [*RECOGNIZE, "--in-space-only"],
+    RECOGNIZE, UNKNOWN,
     ["EIGENGAZE_REGISTRY=models", "eigengaze", "recognize", "data/mobile_20.pgm"],
-    [*EVALUATE, "--csv", "report.csv"], [*EVALUATE, "--in-space-only", "--text", "report.txt"],
+    [*EVALUATE, "--csv", "report.csv"], [*EVALUATE, "--text", "report.txt"],
     [*INSPECT, "3"], [*INSPECT, "5", "--out", "coords.csv"],
 ]
 USAGE_ERRORS = [
@@ -70,7 +70,7 @@ USAGE_ERRORS = [
                   ["--margin", " 2"], ["--threshold", "0"], ["--margin", "0.5"],
                   ["--manifest", "queries.tsv"], ["--k", "0"])
 ] + [learn("extra", "models", "queries.tsv"), learn("../x", "models", "--manifest", "queries.tsv"),
-     [*INSPECT, "３"]]
+     [*INSPECT, "３"], [*RECOGNIZE, "--in-space-only"]]
 RESAVE = ["python", "-c",
           "import eigengaze as eg; eg.ObjectRegistry.load_dir('models').save_dir('resaved')"]
 RM_SIDECARS = ["rm", "models/*.f8"]
