@@ -270,7 +270,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _, es = _read_model(args.model)
+    es = _read_model(args.model)
     if not 1 <= args.dims <= es.k:
         raise DimsTooLarge(f"dims must be in [1, {es.k}], got {args.dims}")
     lines = ["angle_deg,occluded," + ",".join(f"c{i + 1}" for i in range(args.dims))]

@@ -16,7 +16,7 @@ invariants, so a built, loaded or hand-made space meets the same ones;
 import hashlib
 import os
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -198,8 +198,8 @@ def _text_rows(es: Eigenspace):
 def _render(es: Eigenspace, rows):
     """Yield every line of es's model file, END and the final newline (an
     empty last line) included; `rows` gives each float row's value text, in
-    _layout order. save_model writes these lines, and load_model accepts only
-    a file that they match, holding one rendered float row at a time."""
+    _layout order. save_model writes these lines, and check_model_lines accepts
+    only a file that they match, holding one rendered float row at a time."""
     rows = iter(rows)
     yield f"{MODEL_MAGIC} {MODEL_VERSION}"
     yield f"object {es.object_id}"
@@ -228,12 +228,12 @@ def _excerpt(line, column: int) -> str:
     return ("..." if start else "") + repr(line[start:end]) + ("..." if end < len(line) else "")
 
 
-def check_rendered(got: list, rendered, name: str):
-    """Raise CorruptField on the first of the lines `got` that differs from
-    the line its writer renders, naming the line and the first differing
-    column, and quoting both lines around it (None where one list has no line)."""
+def check_rendered(got: list, rendered, name: str, prefixed=()):
+    """Raise CorruptField on the first of the lines `got` unlike its writer's
+    render (at an index in `prefixed`: not starting with it), naming the line and
+    the first differing column and quoting both around it (None where absent)."""
     for number, (line, want) in enumerate(zip_longest(got, rendered), 1):
-        if line != want:
+        if line != want and not (number - 1 in prefixed and line and line.startswith(want)):
             column = len(os.path.commonprefix([line or "", want or ""]))
             raise CorruptField(f"{name} line {number} column {column + 1} is "
                                f"{_excerpt(line, column)}; its writer writes {_excerpt(want, column)}")
@@ -269,18 +269,30 @@ def _sidecar_values(data: bytes, sidecar, size: int):
     return np.frombuffer(block, dtype=SIDECAR_DTYPE).astype(np.float64)
 
 
+def model_lines(data: bytes) -> list:
+    """A model file's lines; BadMagic if it is not UTF-8 text."""
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise BadMagic(f"not a text model file: {exc}") from exc
+
+
+def check_model_lines(lines: list, es: Eigenspace, from_text: bool):
+    """Raise CorruptField on the first of a model file's lines that is not what
+    _render renders for es. Beside a sidecar whose floats stand in for the text's,
+    a float row need only begin with its keyword and labels (`point 40 1 `)."""
+    floats = () if from_text else range(5, 6 + 2 * es.k + len(es.labels))
+    rendered = _render(es, _text_rows(es) if from_text else repeat(""))
+    check_rendered(lines, rendered, "model file", floats)
+
+
 def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     """Inverse of save_model. The floats come from `sidecar` when it is
     save_sidecar's output for exactly these bytes, and from the text
     otherwise. The id, config and labels always come from the text, and
     the Eigenspace constructor checks the floats from either source. The
-    file loads only if it is what _render renders for the loaded space, its
-    text floats spelled as save_model spells them unless a sidecar's stand in."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BadMagic(f"not a text model file: {exc}") from exc
-    lines = text.split("\n")
+    file loads only if check_model_lines accepts it for the loaded space."""
+    lines = model_lines(data)
     header = lines[0].split()
     if len(header) != 2 or header[0] != MODEL_MAGIC:
         raise BadMagic(f"bad magic line {lines[0]!r}")
@@ -304,15 +316,14 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     except ValueError:
         raise CorruptField("truncated file: missing END") from None
 
-    # each float row's value text, after its keyword and label fields; read once,
-    # by the parse when no sidecar holds the floats, else by the render check
     layout = _layout(dim, k, n)
-    rows = (lines[i].split(" ", lead + 1)[-1] for i, (lead, _) in enumerate(layout, 5))
     size = sum(count for _, count in layout)
     block = _sidecar_values(data, sidecar, size)
     from_text = block is None
     try:
         if from_text:
+            # each float row's value text, after its keyword and label fields
+            rows = (lines[i].split(" ", lead + 1)[-1] for i, (lead, _) in enumerate(layout, 5))
             tokens = " ".join(rows).split(" ")
             if len(tokens) != size:
                 raise CorruptField(f"expected {size} float values, got {len(tokens)}")
@@ -326,5 +337,5 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     ev_end, basis_end = dim + k, dim + k + k * dim
     basis, coords = block[ev_end:basis_end].reshape(k, dim), block[basis_end:].reshape(n, k)
     es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, coords, labels)
-    check_rendered(lines, _render(es, _text_rows(es) if from_text else rows), "model file")
+    check_model_lines(lines, es, from_text)
     return es

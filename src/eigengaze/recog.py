@@ -20,7 +20,6 @@ in the two calls. Exact ties follow the same tie rules in both.
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +46,7 @@ class RecognitionResult:
 class EvaluationReport:
     P: int
     m: int
-    r: Fraction
+    r: "Fraction"
     per_object: dict   # true_id -> (P_i, m_i, Fraction r_i)
     confusion: dict    # (true_id, predicted_id) -> count
 
@@ -157,6 +156,7 @@ def recognize(reg, v: AppearanceVector) -> RecognitionResult:
 
 def evaluate(reg, queries) -> EvaluationReport:
     """Recognition rate r = m/P over labeled queries (object identity only)."""
+    from fractions import Fraction  # imported here, so learn and recognize skip it
     queries = list(queries)
     if not queries:
         raise EmptyQuerySet("no queries")

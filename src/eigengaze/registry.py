@@ -8,7 +8,7 @@ the scorer's arrays and the widest `spread`, which the auto threshold scales,
 each derived once per snapshot. A read takes the snapshot once, so
 classification may run concurrently with mutations and sees a whole set of
 spaces. Every model invariant is checked by the `Eigenspace` constructor, not
-here. `_read_model` alone knows which files make up a stored model. The
+here. `_model_files` alone knows which files make up a stored model. The
 manifest has one renderer: save_dir writes it, and load_dir accepts only a
 manifest that it reproduces byte for byte.
 """
@@ -23,10 +23,11 @@ from itertools import takewhile
 from .eigenspace import (
     Eigenspace,
     EigenspaceConfig,
-    _block,
     build_eigenspace,
+    check_model_lines,
     check_rendered,
     load_model,
+    model_lines,
     save_model,
     save_sidecar,
 )
@@ -70,9 +71,8 @@ def _write_atomic(target: str, data: bytes):
         raise
 
 
-def _read_model(eig_path: str) -> tuple[bytes, Eigenspace]:
-    """The `.eig` file's bytes and the space they load as, its floats from the
-    `.f8` sidecar beside it if that matches; the sidecar is only a cache."""
+def _model_files(eig_path: str) -> tuple[bytes, bytes | None]:
+    """A stored model's `.eig` bytes and its `.f8` sidecar's, None if unreadable."""
     with open(eig_path, "rb") as f:
         data = f.read()
     try:
@@ -80,19 +80,28 @@ def _read_model(eig_path: str) -> tuple[bytes, Eigenspace]:
             sidecar = f.read()
     except OSError:  # an unreadable sidecar leaves the floats to the text
         sidecar = None
-    return data, load_model(data, sidecar)
+    return data, sidecar
 
 
-def _held_model(path: str, es: Eigenspace) -> bytes | None:
-    """es's `.eig` bytes in directory `path` if they load as es itself, with the
-    same id, config and labels and bit-identical floats (so -0.0 is not 0.0), and
-    so are what save_model(es) renders; None if missing, damaged or another space's."""
+def _read_model(eig_path: str) -> Eigenspace:
+    """The space a stored model loads as, its floats from its sidecar if that matches."""
+    return load_model(*_model_files(eig_path))
+
+
+def _held_model(path: str, es: Eigenspace) -> tuple[bytes, bytes] | None:
+    """es's `.eig` bytes in directory `path` and their sidecar, if the text checks
+    against es and its floats are es's, bit for bit (so -0.0 is not 0.0): held
+    in a sidecar equal to es's own, or else as the file loads; None if missing,
+    damaged or another space's. save_dir then writes them without a render."""
     try:
-        data, held = _read_model(os.path.join(path, f"{es.object_id}.eig"))
+        data, held_f8 = _model_files(os.path.join(path, f"{es.object_id}.eig"))
+        sidecar = save_sidecar(es, data)
+        if held_f8 != sidecar and save_sidecar(load_model(data, held_f8), data) != sidecar:
+            return None
+        check_model_lines(model_lines(data), es, from_text=False)
     except (OSError, EigengazeError):
         return None
-    same = (held.object_id, held.config, held.labels) == (es.object_id, es.config, es.labels)
-    return data if same and _block(held).tobytes() == _block(es).tobytes() else None
+    return data, sidecar
 
 
 @dataclass(frozen=True)
@@ -224,20 +233,20 @@ class ObjectRegistry:
     # --- directory persistence ---
 
     def save_dir(self, path: str):
-        """Write every model (its `.eig` text, then its `.f8` sidecar), then
-        the manifest. A model whose `.eig` already loads as its space is
-        written from those bytes, not rendered again. Each file is written
-        beside its target and renamed into place, so a save that fails
-        part-way leaves no truncated file, and the old manifest names only old
-        models. Loading ignores a sidecar whose digest does not match its
-        `.eig`, so a stale sidecar changes nothing."""
+        """Write every model (its `.eig` text, then its `.f8` sidecar), then the
+        manifest; a model that _held_model finds held is written from its bytes,
+        not rendered again. Each file is written beside its target and renamed
+        into place, so a save that fails part-way leaves no truncated file, and
+        the old manifest names only old models. Loading ignores a sidecar whose
+        digest does not match its `.eig`, so a stale sidecar changes nothing."""
         os.makedirs(path, exist_ok=True)
         with self._lock:
             spaces = self.spaces
             for es in spaces:
-                data = _held_model(path, es) or save_model(es)
-                _write_atomic(os.path.join(path, f"{es.object_id}.eig"), data)
-                _write_atomic(os.path.join(path, f"{es.object_id}.f8"), save_sidecar(es, data))
+                data, sidecar = _held_model(path, es) or (save_model(es), None)
+                stem = os.path.join(path, es.object_id)
+                _write_atomic(stem + ".eig", data)
+                _write_atomic(stem + ".f8", sidecar or save_sidecar(es, data))
             manifest = render_manifest(self.policy, [es.object_id for es in spaces])
             _write_atomic(os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
 
@@ -261,7 +270,7 @@ class ObjectRegistry:
         for object_id in ids:
             _check_object_id(object_id)
             try:
-                _, es = _read_model(os.path.join(path, f"{object_id}.eig"))
+                es = _read_model(os.path.join(path, f"{object_id}.eig"))
             except FileNotFoundError as exc:
                 raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
             if es.object_id != object_id:

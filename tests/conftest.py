@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
-from eigengaze.eigenspace import _check_vector
+from eigengaze.eigenspace import _check_vector, _layout, _render, _text_rows, check_rendered
 from eigengaze.errors import DimensionMismatch, NoConvergence
 from eigengaze.linalg import (
     OFF_DIAG_TOL,
@@ -241,3 +241,18 @@ def charpoly_roots_3x3(Q, tol=1e-12):
                 a_ = mid
         roots.append(0.5 * (a_ + b_))
     return np.sort(np.array(roots))[::-1]
+
+
+# --- model line check oracle: each float row split off and its line rendered again ---
+
+def rebuilt_rows_check(lines, es, from_text):
+    """Oracle for check_model_lines, checking float rows beside a sidecar the
+    long way: each row's value text is split off after its keyword and label
+    fields, and _render builds the row's whole line again from that text.
+    Without a sidecar, every value is rendered at `.17g`, as there."""
+    if from_text:
+        rows = _text_rows(es)
+    else:
+        layout = _layout(es.dim, es.k, len(es.labels))
+        rows = (lines[i].split(" ", lead + 1)[-1] for i, (lead, _) in enumerate(layout, 5))
+    check_rendered(lines, _render(es, rows), "model file")

@@ -557,6 +557,18 @@ class TestLocale:
             assert Path(f"ascii.{suffix}").read_bytes() == Path(f"here.{suffix}").read_bytes()
 
 
+def test_importing_the_cli_leaves_fractions_to_evaluate():
+    """Only evaluate needs fractions (and the decimal module it imports), so
+    learn and recognize processes do not import it."""
+    src = str(Path(eg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, eigengaze.cli; print('fractions' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True,
+                          timeout=300)
+    assert done.stdout.strip() == b"False"
+
+
 class TestInspect:
     def test_csv_rows(self, tmp_path, capsys):
         imgs = synth_dataset(tmp_path)

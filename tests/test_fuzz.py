@@ -4,6 +4,7 @@ And the scan-line renderer: any polygon shades as its oracle does."""
 import hashlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 import eigengaze as eg
+from eigengaze import eigenspace
 from eigengaze.eigenspace import _fmt_row
 from eigengaze.errors import EigengazeError
 from eigengaze.imgio import _shade
 
-from conftest import assert_same_space, build_registry, training_appearances
+from conftest import assert_same_space, build_registry, rebuilt_rows_check, training_appearances
 from test_imgio import oracle_shade
 
 # derandomized so that every run checks the same inputs
@@ -240,6 +242,62 @@ def test_load_model_with_any_float_under_a_matching_digest_loads_or_raises(index
     block = bytearray(SIDECAR[32:])
     block[8 * index : 8 * index + 8] = value
     check_model(MODEL_DATA, hashlib.sha256(MODEL_DATA + block).digest() + bytes(block))
+
+
+def with_line(index: int, line: str) -> bytes:
+    """MODEL_DATA with line `index` replaced by `line`."""
+    return "\n".join(MODEL_LINES[:index] + [line] + MODEL_LINES[index + 1 :]).encode()
+
+
+@st.composite
+def one_line_edits(draw):
+    """MODEL_DATA with one line replaced, or with one span of one line
+    replaced, most often near its start, where its keyword and labels are."""
+    index = draw(st.integers(0, len(MODEL_LINES) - 1))
+    line = MODEL_LINES[index]
+    if draw(st.booleans()):
+        return with_line(index, draw(st.text(max_size=80)))
+    position = st.one_of(st.integers(0, 16), st.integers(0, len(line)))
+    start, end = sorted([min(draw(position), len(line)), min(draw(position), len(line))])
+    return with_line(index, line[:start] + draw(TOKENS) + line[end:])
+
+
+def load_outcome(data: bytes, sidecar: bytes):
+    """The space load_model loads, or the type of its error and the line the
+    error names (its whole message if it names none)."""
+    try:
+        return eg.load_model(data, sidecar)
+    except EigengazeError as exc:
+        return type(exc), str(exc).partition(" column ")[0]
+
+
+_MEAN, _BASIS, _POINT_LINE = 5, 6 + MODEL.k, 6 + 2 * MODEL.k
+
+
+@FUZZ
+@given(one_line_edits())
+@example(with_line(_MEAN, "mean"))
+@example(with_line(_MEAN, "mean "))
+@example(with_line(_MEAN, "mean  " + MODEL_LINES[_MEAN][5:]))
+@example(with_line(_MEAN, " mean " + MODEL_LINES[_MEAN][5:]))
+@example(with_line(_BASIS, "basis 0"))
+@example(with_line(_BASIS, "basis 00 " + MODEL_LINES[_BASIS][8:]))
+@example(with_line(_POINT_LINE, " ".join(MODEL_LINES[_POINT_LINE].split(" ")[:3])))
+@example(with_line(_POINT_LINE, MODEL_LINES[_POINT_LINE] + " 1e400"))
+@example(with_line(_MEAN, MODEL_LINES[_MEAN].replace(" ", "\t", 2)))
+def test_float_rows_beside_a_sidecar_load_as_the_rebuilt_rows_oracle_loads_them(edited):
+    """Beside a sidecar written for the edited bytes, load_model accepts the
+    file exactly when the oracle, which rebuilds each float row's line from its
+    own text, accepts it, and on a reject names the same line."""
+    sidecar = eg.save_sidecar(MODEL, edited)
+    got = load_outcome(edited, sidecar)
+    with mock.patch.object(eigenspace, "check_model_lines", rebuilt_rows_check):
+        want = load_outcome(edited, sidecar)
+    if isinstance(want, eg.Eigenspace):
+        assert isinstance(got, eg.Eigenspace)
+        assert_same_space(got, want)
+    else:
+        assert got == want
 
 
 @FUZZ

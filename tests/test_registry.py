@@ -13,6 +13,7 @@ from eigengaze.errors import (
     InsufficientData,
     InvalidObjectId,
 )
+from eigengaze import eigenspace as eigenspace_module
 from eigengaze import registry as registry_module
 from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
 
@@ -558,6 +559,56 @@ class TestResave:
         (es,) = reg.spaces
         assert rendered == [es.object_id]
         assert (tmp_path / f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
+
+    def test_a_learn_loads_each_stored_model_once_and_hashes_it_twice(self, tmp_path, monkeypatch):
+        """load_dir, accumulate and save_dir over sidecars that match: load_dir
+        loads and hashes each stored model, and save_dir hashes it once more to
+        write its sidecar, with no second load; the new model is hashed once."""
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        loaded, hashed = [], []
+        load, digest = registry_module.load_model, eigenspace_module._sidecar_digest
+        monkeypatch.setattr(registry_module, "load_model",
+                            lambda data, sidecar=None: loaded.append(data) or load(data, sidecar))
+        monkeypatch.setattr(eigenspace_module, "_sidecar_digest",
+                            lambda data, block: hashed.append(bytes(data)) or digest(data, block))
+        reg = ObjectRegistry.load_dir(str(tmp_path))
+        reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
+        reg.save_dir(str(tmp_path))
+        stored = [before["mobile.eig"], before["stapler.eig"]]
+        assert loaded == stored
+        assert hashed == stored + stored + [eg.save_model(reg.find("widget"))]
+        for name, data in before.items():
+            if name != "registry.manifest":
+                assert (tmp_path / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data.replace(b"mean ", b"mean \xff", 1),
+            lambda data: data.replace(b"\nEND\n", b"\nEND \n"),
+            lambda data: data.replace(b"\nbasis 0 ", b"\nbasis 00 "),
+            lambda data: data.replace(b"\ndim ", b"\ndim  "),
+        ],
+        ids=["non-utf8-float", "text-after-end", "misnumbered-row", "damaged-header"],
+    )
+    def test_a_damaged_model_beside_its_own_sidecar_is_rendered(self, tmp_path, monkeypatch,
+                                                                damage):
+        """A sidecar equal to the one es writes for the held `.eig` bytes
+        vouches only for the floats: the text is checked against es, and a
+        model whose text does not check is rendered again."""
+        reg = build_registry(objects=["mobile"])
+        reg.save_dir(str(tmp_path))
+        es, eig = reg.find("mobile"), tmp_path / "mobile.eig"
+        data = damage(eig.read_bytes())
+        assert data != eig.read_bytes()
+        eig.write_bytes(data)
+        (tmp_path / "mobile.f8").write_bytes(eg.save_sidecar(es, data))
+        rendered = count_renders(monkeypatch)
+        reg.save_dir(str(tmp_path))
+        assert rendered == ["mobile"]
+        assert eig.read_bytes() == eg.save_model(es)
+        assert (tmp_path / "mobile.f8").read_bytes() == eg.save_sidecar(es, eg.save_model(es))
 
 
 class TestSidecar:
