@@ -28,7 +28,7 @@ from .errors import (
     VersionMismatch,
 )
 from .imgio import NORM_MODES, UNIT, AppearanceVector, ViewLabel
-from .linalg import choose_k, gram_pca
+from .linalg import gram_pca
 
 MODEL_MAGIC = "EIGENGAZE"
 MODEL_VERSION = 1
@@ -155,23 +155,20 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
         _check_vector(d, config.norm_mode, v)
 
     X = np.column_stack([v.values for v in appearances])
-    pca = gram_pca(X, centered=config.centered)
-    rank = int(pca.eigenvalues.size)
-    if rank == 0:
+    pca = gram_pca(X, config.centered, config.energy_threshold, k)
+    if pca.eigenvalues.size == 0:
         raise DegenerateSet(
             f"no positive eigenvalue for object {object_id!r} "
             "(degenerate appearance set)"
         )
 
-    k = choose_k(pca.eigenvalues, config.energy_threshold) if k is None else min(k, rank)
-
-    eigenvalues = pca.eigenvalues[:k].copy()
-    basis = pca.basis[:k].copy()
+    # a fresh basis, allocated once gram_pca's temporaries are freed, scores faster
+    basis = pca.basis.copy()
     coords = np.array([basis @ (v.values - pca.mean) for v in appearances])
     # each label names this space, whatever object the view was labelled with
     labels = tuple(ViewLabel(object_id, v.source_label.view_angle_deg, v.source_label.occluded)
                    for v in appearances)
-    return Eigenspace(object_id, pca.mean, eigenvalues, basis, config, coords, labels)
+    return Eigenspace(object_id, pca.mean, pca.eigenvalues, basis, config, coords, labels)
 
 
 # --- persistence ---

@@ -100,14 +100,22 @@ def sym_eigen(Q) -> EigenDecomposition:
     return EigenDecomposition(values[order], canonical_signs(V.T[order]))
 
 
-def gram_pca(X, centered: bool = True) -> PcaResult:
+def gram_pca(X, centered: bool = True, energy_threshold: float | None = None,
+             k: int | None = None) -> PcaResult:
     """PCA of the columns of the d x m matrix X via the m x m Gram matrix.
 
     Eigenvalues are those of X~ X~^T (X~ = X minus the column mean when
-    centered); eigenvectors of the Gram matrix are lifted to pixel space and
-    renormalized. Rank-deficient directions are dropped; a fully degenerate
-    input yields an empty basis rather than an error.
+    centered). Rank-deficient directions are dropped; a fully degenerate
+    input yields an empty basis rather than an error. Of the rest, the rule
+    keeps the leading k (at most the rank), else as many as choose_k picks
+    for energy_threshold, else all. Only the Gram eigenvectors it keeps are
+    lifted to pixel space and renormalized, and they equal the leading rows
+    of the full result bit for bit.
     """
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    if energy_threshold is not None and not 0.0 < energy_threshold <= 1.0:
+        raise ValueError("energy_threshold must be in (0, 1]")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("X must be a d x m matrix with d, m >= 1")
@@ -123,16 +131,20 @@ def gram_pca(X, centered: bool = True) -> PcaResult:
 
     lam_max = max(float(decomp.values[0]), 0.0)
     cutoff = max(ABS_CLAMP, REL_CLAMP * lam_max)
-    keep = decomp.values > cutoff
-    eigenvalues = decomp.values[keep]
-    if eigenvalues.size == 0:
+    eigenvalues = decomp.values[decomp.values > cutoff]  # a prefix: values descend
+    rank = eigenvalues.size
+    if rank == 0:
         return PcaResult(mean, np.empty(0), np.empty((0, d)))
+    if k is None:
+        k = rank if energy_threshold is None else choose_k(eigenvalues, energy_threshold)
+    k = min(k, rank)
 
-    lifted = (Xt @ decomp.vectors[keep].T) / np.sqrt(eigenvalues)
+    # lift two columns at least: numpy rounds a one-column product differently
+    lift = slice(max(k, min(2, rank)))
+    lifted = (Xt @ decomp.vectors[lift].T) / np.sqrt(eigenvalues[lift])
     # renormalize: the lift is exact in theory, unit only up to round-off
     lifted /= np.linalg.norm(lifted, axis=0)
-    basis = canonical_signs(lifted.T)
-    return PcaResult(mean, eigenvalues, basis)
+    return PcaResult(mean, eigenvalues[:k], canonical_signs(lifted.T[:k]))
 
 
 def choose_k(eigenvalues, energy_threshold: float) -> int:

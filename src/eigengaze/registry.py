@@ -89,14 +89,14 @@ def _read_model(eig_path: str) -> Eigenspace:
 
 
 def _held_model(path: str, es: Eigenspace) -> tuple[bytes, bytes] | None:
-    """es's `.eig` bytes in directory `path` and their sidecar, if the text checks
-    against es and its floats are es's, bit for bit (so -0.0 is not 0.0): held
-    in a sidecar equal to es's own, or else as the file loads; None if missing,
-    damaged or another space's. save_dir then writes them without a render."""
+    """es's `.eig` bytes in directory `path` and their sidecar, if the held
+    sidecar is es's own for those bytes, so its floats are es's bit for bit (-0.0
+    is not 0.0), and the text checks against es; None if either file is missing,
+    damaged, stale or another space's. save_dir then writes them without a render."""
     try:
         data, held_f8 = _model_files(os.path.join(path, f"{es.object_id}.eig"))
         sidecar = save_sidecar(es, data)
-        if held_f8 != sidecar and save_sidecar(load_model(data, held_f8), data) != sidecar:
+        if held_f8 != sidecar:
             return None
         check_model_lines(model_lines(data), es, from_text=False)
     except (OSError, EigengazeError):

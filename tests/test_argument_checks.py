@@ -35,13 +35,18 @@ from eigengaze.linalg import check_symmetric
         (lambda: eg.gram_pca([[1e154, 1.0], [2.0, -1e154]]), ValueError,
          "too large to decompose"),
         (lambda: eg.choose_k([1.0], 0.0), ValueError, "energy_threshold"),
+        (lambda: eg.gram_pca(np.eye(3), k=0), ValueError, "k must be"),
+        (lambda: eg.gram_pca(np.eye(3), energy_threshold=0.0), ValueError, "energy_threshold"),
+        # a rank-0 input has no eigenvalue for choose_k to check the threshold against
+        (lambda: eg.gram_pca(np.ones((3, 2)), energy_threshold=1.5), ValueError,
+         "energy_threshold"),
     ],
     ids=["no-views", "zero-energy", "zero-k", "zero-size-image", "zero-max-value",
          "sample-count", "vector-length", "non-finite-vector", "unknown-norm-mode",
          "non-unit-vector", "negative-offset", "zero-extent", "negative-fill", "pgm-str",
          "pgm-zero-width", "non-square", "non-finite-matrix", "1d-gram-input",
          "non-finite-gram-input", "gram-overflow", "gram-near-limit",
-         "zero-energy-choose-k"],
+         "zero-energy-choose-k", "zero-k-gram", "zero-energy-gram", "energy-above-one-gram"],
 )
 def test_bad_argument_raises_its_error(call, error, match):
     with pytest.raises(error, match=match) as info:

@@ -167,9 +167,15 @@ class TestProjectReconstruct:
         assert project(es, v) == pytest.approx(expected, abs=1e-10)
 
     def test_training_projections_match_manifold(self, synthetic_space):
-        es = synthetic_space
-        for v, point in zip(training_appearances("mobile"), es.manifold):
-            assert np.array_equal(project(es, v), point.coords)
+        """Each manifold point is its view's projection, bit for bit, in a
+        default, an uncentered and a fixed-k build."""
+        apps = training_appearances("mobile")
+        built = [eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(centered=False)),
+                 *(eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(), k=k) for k in (1, 3))]
+        assert [es.k for es in built[1:]] == [1, 3]
+        for es in [synthetic_space, *built]:
+            for v, point in zip(apps, es.manifold):
+                assert np.array_equal(project(es, v), point.coords)
 
     def test_reconstruct_zeros_is_mean(self, synthetic_space):
         es = synthetic_space

@@ -209,6 +209,24 @@ class TestGramPca:
         assert scaled.eigenvalues == pytest.approx(9.0 * base.eigenvalues, rel=1e-8)
         assert scaled.basis == pytest.approx(base.basis, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [None, 1, 3, 99], ids=["tau-rule", "k-1", "k-3", "k-above-rank"])
+    @pytest.mark.parametrize("tau", [0.95, 1.0])
+    @pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
+    def test_the_k_rule_keeps_the_leading_rows_of_the_full_pca(self, centered, tau, k):
+        """Given build_eigenspace's rule, gram_pca keeps build_eigenspace's k and
+        returns the leading eigenvalues and basis rows of the full PCA, bit for bit."""
+        views = [eg.vectorize(eg.synth_view("mobile", a, 32, 1), "unit", eg.ViewLabel("mobile", a))
+                 for a in range(0, 360, 10)]
+        X = np.column_stack([v.values for v in views])
+        full = eg.gram_pca(X, centered)
+        got = eg.gram_pca(X, centered, energy_threshold=tau, k=k)
+        want_k = eg.choose_k(full.eigenvalues, tau) if k is None else min(k, full.eigenvalues.size)
+        config = eg.EigenspaceConfig(centered=centered, energy_threshold=tau)
+        assert got.basis.shape[0] == want_k == eg.build_eigenspace("mobile", views, config, k).k
+        for part, whole in [(got.mean, full.mean), (got.eigenvalues, full.eigenvalues[:want_k]),
+                            (got.basis, full.basis[:want_k])]:
+            assert part.shape == whole.shape and part.tobytes() == whole.tobytes()
+
 
 class TestGramPcaOracle:
     def test_random_inputs_match_cold_start_jacobi(self):
