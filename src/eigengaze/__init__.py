@@ -6,7 +6,6 @@ from .eigenspace import (
     build_eigenspace,
     load_model,
     save_model,
-    save_sidecar,
 )
 from .imgio import (
     AppearanceVector,
@@ -45,7 +44,6 @@ __all__ = [
     "parse_pgm",
     "recognize",
     "save_model",
-    "save_sidecar",
     "sym_eigen",
     "synth_view",
     "vectorize",

@@ -8,7 +8,8 @@ surrounding space or other digits): `_integer` reads flags and list fields,
 flag (`--tau`, `--margin`, `--threshold`) is read by `_decimal`: ASCII digits,
 then an optional fraction and exponent. A comma list is split by `_fields`,
 which strips each field, rejects an empty one and quotes the list in a bad
-field's error. Other range checks stay with the types that hold the values.
+field's error. Other range checks, and `learn`'s build and policy defaults,
+stay with the types that hold them: `EigenspaceConfig` and `EnrollmentPolicy`.
 
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
@@ -107,27 +108,18 @@ def _parse_threshold(text: str):
     return value
 
 
-def _registry_dir(args) -> str:
-    if args.registry:
-        return args.registry
-    env = os.environ.get("EIGENGAZE_REGISTRY")
-    if env:
-        return env
-    raise EigengazeError("no registry directory: pass --registry or set EIGENGAZE_REGISTRY")
-
-
 def _load_registry(args):
     """The registry args name, which must hold a space, and its norm mode."""
-    reg = ObjectRegistry.load_dir(_registry_dir(args))
+    reg = ObjectRegistry.load_dir(args.registry)
     if not reg.spaces:
         raise EmptyRegistry("no enrolled objects")
     return reg, reg.spaces[0].config.norm_mode
 
 
-def _override_policy(reg: ObjectRegistry, threshold=None, margin=None):
-    """Set the policy fields whose flag was given; keep the others."""
-    given = {"unknown_threshold": threshold, "auto_margin": margin}
-    reg.policy = replace(reg.policy, **{k: v for k, v in given.items() if v is not None})
+def _given(args, **dests) -> dict:
+    """field=value for each field whose flag, named by its dest, was given."""
+    return {field: getattr(args, dest) for field, dest in dests.items()
+            if getattr(args, dest) is not None}
 
 
 def _label_from_filename(path: str, object_id: str) -> ViewLabel:
@@ -193,7 +185,8 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    config = EigenspaceConfig(args.centered, args.norm, args.tau)
+    config = EigenspaceConfig(**_given(args, centered="centered", norm_mode="norm",
+                                       energy_threshold="tau"))
     if args.manifest and args.images:
         raise EigengazeError(f"learn takes its labels from --manifest ({args.manifest}) or "
                              f"from image file names ({args.images[0]}, ...), not both")
@@ -213,14 +206,14 @@ def cmd_learn(args) -> int:
         for path, label in entries
     ]
 
-    reg_dir = _registry_dir(args)
-    if os.path.exists(os.path.join(reg_dir, MANIFEST_NAME)):
-        reg = ObjectRegistry.load_dir(reg_dir)
+    if os.path.exists(os.path.join(args.registry, MANIFEST_NAME)):
+        reg = ObjectRegistry.load_dir(args.registry)
     else:
         reg = ObjectRegistry()
-    _override_policy(reg, args.threshold, args.margin)
+    reg.policy = replace(reg.policy, **_given(args, unknown_threshold="threshold",
+                                              auto_margin="margin"))
     es = reg.accumulate(args.object, appearances, config, args.k)
-    reg.save_dir(reg_dir)
+    reg.save_dir(args.registry)
 
     print(f"object {args.object}: {len(appearances)} appearances, k = {es.k}")
     # shares of the whole spectrum's energy, the Gram trace: the views' summed |v - mean|^2
@@ -233,7 +226,7 @@ def cmd_learn(args) -> int:
 
 def cmd_recognize(args) -> int:
     reg, norm = _load_registry(args)
-    _override_policy(reg, threshold=args.threshold)
+    reg.policy = replace(reg.policy, **_given(args, unknown_threshold="threshold"))
     v = imgio.vectorize(_read_image(args.image), norm)
 
     decision = reg.decide(v)
@@ -317,28 +310,26 @@ def build_parser() -> ArgumentParser:
     p.add_argument("images", nargs="*", help="PGM files named <obj>_<angle>[_occ].pgm")
     p.add_argument("--manifest", help="tab-separated path/object/angle/occluded list")
     p.add_argument("--object", type=_object_id, required=True)
-    p.add_argument("--registry", default=None)
-    p.add_argument("--threshold", type=_parse_threshold, default=None,
+    p.add_argument("--registry", required=True)
+    p.add_argument("--threshold", type=_parse_threshold,
                    help="unknown cutoff or 'auto' (default: keep the registry's, else auto)")
-    p.add_argument("--margin", type=_decimal, default=None,
+    p.add_argument("--margin", type=_decimal,
                    help="auto threshold margin (default: keep the registry's, else 1.5)")
-    p.add_argument("--tau", type=_decimal, default=0.95, help="energy threshold for k")
+    p.add_argument("--tau", type=_decimal, help="energy threshold for k")
     p.add_argument("--k", type=_integer, default=None, help="fixed k override")
-    p.add_argument("--norm", choices=["raw", "unit"], default="unit")
-    centering = p.add_mutually_exclusive_group()
-    centering.add_argument("--centered", dest="centered", action="store_true", default=True)
-    centering.add_argument("--uncentered", dest="centered", action="store_false")
+    p.add_argument("--norm", choices=imgio.NORM_MODES)
+    p.add_argument("--uncentered", dest="centered", action="store_const", const=False)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("recognize", help="classify one appearance")
     p.add_argument("image")
-    p.add_argument("--registry", default=None)
-    p.add_argument("--threshold", type=_parse_threshold, default=None)
+    p.add_argument("--registry", required=True)
+    p.add_argument("--threshold", type=_parse_threshold)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("evaluate", help="recognition rate over a labeled manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--registry", default=None)
+    p.add_argument("--registry", required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--text", default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -37,6 +37,9 @@ ORTHONORMAL_TOL = 1e-6
 # a sidecar is a sha256 digest, then one little-endian float64 block
 SIDECAR_DIGEST_SIZE = 32
 SIDECAR_DTYPE = np.dtype("<f8")
+# float64 elements in one temporary: a block of the spread's point differences
+# here, and of the scorer's (spaces x queries x dim) products in recog
+_BUDGET = 2**19
 
 
 def _fmt_row(values) -> str:
@@ -106,13 +109,17 @@ class Eigenspace:
         object.__setattr__(self, "coords", self.coords[order])
         object.__setattr__(self, "labels", tuple(self.labels[i] for i in order))
 
-        # the widest leave-self-out nearest-neighbour gap, which the auto threshold scales
+        # the widest leave-self-out nearest-neighbour gap, which the auto threshold scales,
+        # from blocks of rows whose differences hold at most _BUDGET elements (or one row)
         spread = None
         if n >= 2:
-            with np.errstate(over="ignore"):
-                dist = np.linalg.norm(self.coords[:, None] - self.coords[None], axis=2)
-            np.fill_diagonal(dist, np.inf)
-            spread = float(dist.min(axis=1).max())
+            rows, nearest = max(1, _BUDGET // (n * k)), np.empty(n)
+            for i in range(0, n, rows):
+                with np.errstate(over="ignore"):
+                    dist = np.linalg.norm(self.coords[i : i + rows, None] - self.coords, axis=2)
+                np.fill_diagonal(dist[:, i:], np.inf)
+                nearest[i : i + rows] = dist.min(axis=1)
+            spread = float(nearest.max())
             if not np.isfinite(spread):
                 # an infinite spread would call every query Known
                 raise invalid("manifold spreads beyond float range")
@@ -145,8 +152,6 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
                      k: int | None = None) -> Eigenspace:
     """Build an object's eigenspace from its full appearance set, keeping k
     dimensions (at most the rank), or as many as config's energy threshold needs."""
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
     appearances = list(appearances)
     if not appearances:
         raise DegenerateSet("appearance set is empty")

@@ -24,12 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenspace import _check_vector
+from .eigenspace import _BUDGET, _check_vector
 from .errors import EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
-
-# float64 elements in one (spaces x queries x dim) temporary: sets evaluate's block size
-_BUDGET = 2**19
 
 
 @dataclass(frozen=True)

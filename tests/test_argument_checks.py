@@ -13,7 +13,8 @@ from eigengaze.linalg import check_symmetric
     [
         (lambda: eg.build_eigenspace("A", [], eg.EigenspaceConfig()), DegenerateSet, "empty"),
         (lambda: eg.EigenspaceConfig(energy_threshold=0.0), ValueError, "energy_threshold"),
-        (lambda: eg.build_eigenspace("A", [], eg.EigenspaceConfig(), k=0), ValueError, "k must be"),
+        (lambda: eg.build_eigenspace("A", [eg.AppearanceVector(1, [1.0], "unit")],
+                                     eg.EigenspaceConfig(), k=0), ValueError, "k must be"),
         (lambda: eg.RasterImage(0, 1, 255, []), ValueError, "dimensions"),
         (lambda: eg.RasterImage(1, 1, 0, [0]), ValueError, "max_value"),
         (lambda: eg.RasterImage(2, 1, 255, [0]), SampleCountMismatch, "expected 2 samples"),

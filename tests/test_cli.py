@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import eigengaze as eg
-from eigengaze import registry as registry_module
+from eigengaze import imgio, registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
 from eigengaze.eigenspace import load_model
 from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
@@ -336,17 +337,34 @@ class TestLearn:
         assert capsys.readouterr().err == "error: k must be >= 1\n"
         assert tree(tmp_path) == before
 
-    @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
-    def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, env):
+    def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, capsys):
         imgs = synth_dataset(tmp_path, objects=["A"])
-        if env is None:
-            monkeypatch.delenv("EIGENGAZE_REGISTRY", raising=False)
-        else:
-            monkeypatch.setenv("EIGENGAZE_REGISTRY", env)
         monkeypatch.chdir(tmp_path)
         before = tree(tmp_path)
-        raises(EigengazeError, "learn", "--object", "A", *sorted(imgs.glob("A_*.pgm")))
+        usage_error(capsys, "the following arguments are required: --registry",
+                    "learn", "--object", "A", *sorted(imgs.glob("A_*.pgm")))
         assert tree(tmp_path) == before
+
+    def test_centered_is_not_a_flag(self, tmp_path, capsys):
+        imgs = synth_dataset(tmp_path, objects=["A"])
+        before = tree(tmp_path)
+        usage_error(capsys, "unrecognized arguments: --centered", "learn", "--object", "A",
+                    "--registry", tmp_path / "reg", *sorted(imgs.glob("A_*.pgm")), "--centered")
+        assert tree(tmp_path) == before
+
+    def test_omitted_build_flags_keep_the_config_defaults(self, tmp_path, monkeypatch):
+        defaults = dict(centered=False, norm_mode="raw", energy_threshold=0.9)
+        monkeypatch.setattr("eigengaze.cli.EigenspaceConfig",
+                            functools.partial(eg.EigenspaceConfig, **defaults))
+        reg = learn_all(tmp_path, synth_dataset(tmp_path, objects=["A"]), objects=["A"])
+        config = eg.load_model((reg / "A.eig").read_bytes()).config
+        assert config == eg.EigenspaceConfig(**defaults)
+
+    def test_norm_choices_are_the_library_modes(self):
+        (learn,) = (action.choices["learn"] for action in build_parser()._actions
+                    if action.dest == "command")
+        (norm,) = (action for action in learn._actions if action.dest == "norm")
+        assert norm.choices is imgio.NORM_MODES
 
     @pytest.mark.parametrize(
         "flags", [("--margin", "nan"), ("--margin", "inf"), ("--threshold", "inf")]
@@ -405,13 +423,6 @@ class TestLearn:
     def test_file_name_carries_the_label(self, name, angle, occluded):
         assert _label_from_filename(name, "c") == eg.ViewLabel("c", angle, occluded)
 
-    def test_env_var_registry(self, tmp_path, monkeypatch):
-        imgs = synth_dataset(tmp_path, objects=["A"])
-        monkeypatch.setenv("EIGENGAZE_REGISTRY", str(tmp_path / "envreg"))
-        files = sorted(imgs.glob("A_*.pgm"))
-        assert run("learn", "--object", "A", *files) == 0
-        assert (tmp_path / "envreg" / "A.eig").exists()
-
 
 class TestRecognize:
     def test_training_image_known(self, tmp_path, capsys):
@@ -459,6 +470,22 @@ def scoring_command(tmp_path, command, imgs, reg):
     manifest = tmp_path / "q.tsv"
     manifest.write_text(f"{imgs / 'A_0.pgm'}\tA\t0\t0\n")
     return ["evaluate", "--manifest", manifest, "--registry", reg, "--csv", tmp_path / "report.csv"]
+
+
+@pytest.mark.parametrize("command", ["learn", "recognize", "evaluate"])
+def test_the_registry_variable_names_no_registry(tmp_path, monkeypatch, capsys, command):
+    imgs = synth_dataset(tmp_path, objects=["A", "B"], angles=TRAIN_ANGLES)
+    reg = learn_all(tmp_path, imgs, objects=["A"])
+    monkeypatch.setenv("EIGENGAZE_REGISTRY", str(reg))
+    if command == "learn":
+        argv = ["learn", "--object", "B", "--registry", reg, *sorted(imgs.glob("B_*.pgm"))]
+    else:
+        argv = scoring_command(tmp_path, command, imgs, reg)
+    at = argv.index("--registry")
+    del argv[at : at + 2]
+    before = tree(tmp_path)
+    usage_error(capsys, "the following arguments are required: --registry", *argv)
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", ["recognize", "evaluate"])

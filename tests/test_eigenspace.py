@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ from eigengaze.errors import (
     DimensionMismatch,
     VersionMismatch,
 )
+from eigengaze.eigenspace import save_sidecar
 from eigengaze.linalg import gram_pca, sym_eigen
 
 from conftest import assert_same_space, project, reconstruct, residual, training_appearances
+from test_registry import spread_of
 
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
@@ -283,6 +286,35 @@ class TestInvariants:
         single = _toy_space(coords=np.array([[0.5, 0.5]]), labels=(eg.ViewLabel("toy", 0),))
         assert single.spread is None
 
+    @pytest.mark.parametrize("budget", [1, 7, 2**19])
+    @pytest.mark.parametrize("n, k", [(2, 1), (9, 3), (40, 2), (41, 5)])
+    def test_spread_from_blocks_of_rows_is_the_all_pairs_spread(self, monkeypatch, budget,
+                                                                n, k):
+        monkeypatch.setattr("eigengaze.eigenspace._BUDGET", budget)
+        rng = np.random.default_rng(n * k)
+        coords = rng.normal(size=(n, k))
+        coords[n // 2] = coords[0]  # twin points, whose nearest gap is 0
+        labels = tuple(eg.ViewLabel("toy", int(angle)) for angle in rng.integers(0, 360, n))
+        es = _toy_space(mean=np.zeros(k), eigenvalues=np.arange(k, 0.0, -1), basis=np.eye(k),
+                        coords=coords, labels=labels)
+        assert es.spread == spread_of([es])
+
+    def test_a_manifold_of_many_points_loads_in_bounded_memory(self):
+        """All pairs of 2,000 one-dimensional points would take 122 MiB."""
+        n = 2000
+        data = eg.save_model(_toy_space(
+            mean=np.zeros(1), eigenvalues=np.ones(1), basis=np.ones((1, 1)),
+            coords=np.linspace(0.0, 1.0, n)[:, None],
+            labels=tuple(eg.ViewLabel("toy", i % 360) for i in range(n))))
+        tracemalloc.start()
+        try:
+            es = eg.load_model(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert es.spread == spread_of([es])
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -457,7 +489,7 @@ class TestSidecar:
     @pytest.fixture
     def saved(self, synthetic_space):
         data = eg.save_model(synthetic_space)
-        return synthetic_space, data, eg.save_sidecar(synthetic_space, data)
+        return synthetic_space, data, save_sidecar(synthetic_space, data)
 
     def test_layout_is_digest_then_little_endian_floats(self, saved):
         es, data, sidecar = saved
@@ -562,7 +594,7 @@ def test_model_file_layout_is_pinned_to_literal_bytes():
         b"point 90 1 0.33333333333333331\n"
         b"END\n"
     )
-    sidecar = eg.save_sidecar(es, data)
+    sidecar = save_sidecar(es, data)
     assert sidecar == (
         bytes.fromhex("bd1fb4fcb54edc260d15829688f320b7b527cee8ac04444b5071af3e30fe5b39")
         + struct.pack("<7d", 0.1, -2.5, 0.75, 0.6, 0.8, -0.5, 1 / 3)

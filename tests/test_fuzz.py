@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import eigengaze as eg
 from eigengaze import eigenspace
-from eigengaze.eigenspace import _fmt_row
+from eigengaze.eigenspace import _fmt_row, save_sidecar
 from eigengaze.errors import EigengazeError
 from eigengaze.imgio import _shade
 
@@ -27,7 +27,7 @@ FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None
 MODEL = eg.build_eigenspace("mobile", training_appearances("mobile"), eg.EigenspaceConfig())
 MODEL_DATA = eg.save_model(MODEL)
 MODEL_LINES = MODEL_DATA.decode().split("\n")
-SIDECAR = eg.save_sidecar(MODEL, MODEL_DATA)
+SIDECAR = save_sidecar(MODEL, MODEL_DATA)
 # the first two point lines, newline included
 POINTS = [line.encode() + b"\n" for line in MODEL_LINES if line.startswith("point ")][:2]
 
@@ -289,7 +289,7 @@ def test_float_rows_beside_a_sidecar_load_as_the_rebuilt_rows_oracle_loads_them(
     """Beside a sidecar written for the edited bytes, load_model accepts the
     file exactly when the oracle, which rebuilds each float row's line from its
     own text, accepts it, and on a reject names the same line."""
-    sidecar = eg.save_sidecar(MODEL, edited)
+    sidecar = save_sidecar(MODEL, edited)
     got = load_outcome(edited, sidecar)
     with mock.patch.object(eigenspace, "check_model_lines", rebuilt_rows_check):
         want = load_outcome(edited, sidecar)

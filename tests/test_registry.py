@@ -15,6 +15,7 @@ from eigengaze.errors import (
 )
 from eigengaze import eigenspace as eigenspace_module
 from eigengaze import registry as registry_module
+from eigengaze.eigenspace import save_sidecar
 from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
 
 from conftest import (
@@ -442,7 +443,7 @@ class TestPersistence:
             # the new model landed; the manifest does not list it
             assert after.pop("widget.eig") == widget
         if failing_write == "registry.manifest":
-            assert after.pop("widget.f8") == eg.save_sidecar(reg.find("widget"), widget)
+            assert after.pop("widget.f8") == save_sidecar(reg.find("widget"), widget)
         assert after == before
 
     def test_layout(self, tmp_path):
@@ -519,7 +520,7 @@ class TestResave:
             lambda eig, f8: flip_byte(f8, b""),
             # the digest of the sidecar written for another .eig text
             lambda eig, f8: f8.write_bytes(
-                eg.save_sidecar(eg.load_model(eig.read_bytes()), b"EIGENGAZE 1\n")),
+                save_sidecar(eg.load_model(eig.read_bytes()), b"EIGENGAZE 1\n")),
         ],
         ids=["damaged-header", "damaged-float", "no-sidecar", "damaged-sidecar", "stale-sidecar"],
     )
@@ -536,7 +537,7 @@ class TestResave:
         assert rendered == ["mobile"]
         es = reg.find("mobile")
         assert eig.read_bytes() == eg.save_model(es)
-        assert f8.read_bytes() == eg.save_sidecar(es, eg.save_model(es))
+        assert f8.read_bytes() == save_sidecar(es, eg.save_model(es))
         assert_same_space(ObjectRegistry.load_dir(str(tmp_path)).find("mobile"), es)
 
     @pytest.mark.parametrize(
@@ -603,12 +604,12 @@ class TestResave:
         data = damage(eig.read_bytes())
         assert data != eig.read_bytes()
         eig.write_bytes(data)
-        (tmp_path / "mobile.f8").write_bytes(eg.save_sidecar(es, data))
+        (tmp_path / "mobile.f8").write_bytes(save_sidecar(es, data))
         rendered = count_renders(monkeypatch)
         reg.save_dir(str(tmp_path))
         assert rendered == ["mobile"]
         assert eig.read_bytes() == eg.save_model(es)
-        assert (tmp_path / "mobile.f8").read_bytes() == eg.save_sidecar(es, eg.save_model(es))
+        assert (tmp_path / "mobile.f8").read_bytes() == save_sidecar(es, eg.save_model(es))
 
 
 class TestSidecar:

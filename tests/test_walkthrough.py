@@ -16,6 +16,14 @@ wt = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(wt)
 
 SAVED = [obj + ext for obj in wt.OBJECTS for ext in (".eig", ".f8")] + ["registry.manifest"]
+# the steps the mutations below break, named by argv so that no reordering retargets one
+BAD_SIDE = ["eigengaze", "synth", "--out", "bad", "--side", "1_6", "--objects", "mobile"]
+REPEATED_OBJECT = ["eigengaze", "synth", "--out", "bad", "--objects", "A,A"]
+IN_SPACE_ONLY = [*wt.RECOGNIZE, "--in-space-only"]
+REGISTRY_VARIABLE = ["EIGENGAZE_REGISTRY=models", "eigengaze", "recognize", "data/mobile_20.pgm"]
+EVALUATE_CSV = [*wt.EVALUATE, "--csv", "report.csv"]
+EVALUATE_TEXT = [*wt.EVALUATE, "--text", "report.txt"]
+INSPECT_OUT = [*wt.INSPECT, "5", "--out", "coords.csv"]
 
 
 def registry(directory):
@@ -67,13 +75,15 @@ BREAKS = {
     "p5-learn-missing": ("I1", lambda r: drop(r, wt.LAST_P5)),
     "usage-error-writes": ("I2", lambda r: runs(r, [*wt.EXTRA, "--margin", "1_5"])[0].update(
         written={"models/extra.eig": "new"})),
-    "usage-error-exits-0": ("I2", lambda r: runs(r, wt.USAGE_ERRORS[0])[0].update(exit=0)),
-    "usage-error-makes-a-directory": ("I2", lambda r: runs(r, wt.USAGE_ERRORS[5])[0].update(
+    "usage-error-exits-0": ("I2", lambda r: runs(r, BAD_SIDE)[0].update(exit=0)),
+    "usage-error-makes-a-directory": ("I2", lambda r: runs(r, REPEATED_OBJECT)[0].update(
         written={"bad": "dir"})),
-    "usage-error-missing": ("I2", lambda r: drop(r, wt.USAGE_ERRORS[-1])),
+    "usage-error-missing": ("I2", lambda r: drop(r, IN_SPACE_ONLY)),
+    "registry-variable-read": ("I2", lambda r: [step.update(exit=0)
+                                                for step in runs(r, REGISTRY_VARIABLE)]),
     "unknown-exits-0": ("I3", lambda r: runs(r, wt.UNKNOWN)[0].update(exit=0)),
     "known-exits-2": ("I3", lambda r: runs(r, wt.RECOGNIZE)[-1].update(exit=2)),
-    "evaluate-exits-1": ("I3", lambda r: [step.update(exit=1) for step in runs(r, wt.QUERIES[4])]),
+    "evaluate-exits-1": ("I3", lambda r: [step.update(exit=1) for step in runs(r, EVALUATE_TEXT)]),
     "p5-learn-fails": ("I3", lambda r: runs(r, wt.LAST_P5)[0].update(exit=1)),
     "rm-fails": ("I3", lambda r: runs(r, wt.RM_SIDECARS)[0].update(exit=1, written={})),
     "last-learn-fails": ("I3", lambda r: runs(r, wt.EXTRA)[0].update(exit=1)),
@@ -83,13 +93,13 @@ BREAKS = {
         "resaved/registry.manifest")),
     "resave-fails": ("I4", lambda r: runs(r, wt.RESAVE)[0].update(exit=1, written={})),
     "stdout-changes": ("I5", lambda r: runs(r, wt.RECOGNIZE)[-1].update(stdout="other")),
-    "exit-changes": ("I5", lambda r: runs(r, wt.QUERIES[4])[-1].update(exit=1)),
-    "stderr-changes": ("I5", lambda r: runs(r, wt.QUERIES[-1])[-1].update(stderr="warning")),
-    "query-writes": ("I5", lambda r: runs(r, wt.QUERIES[4])[-1].update(
+    "exit-changes": ("I5", lambda r: runs(r, EVALUATE_TEXT)[-1].update(exit=1)),
+    "stderr-changes": ("I5", lambda r: runs(r, INSPECT_OUT)[-1].update(stderr="warning")),
+    "query-writes": ("I5", lambda r: runs(r, EVALUATE_TEXT)[-1].update(
         written={"report.csv": "other"})),
-    "query-skipped": ("I5", lambda r: r["steps"].remove(runs(r, wt.QUERIES[3])[-1])),
-    "query-replaced": ("I5", lambda r: runs(r, wt.QUERIES[3])[-1].update(argv=wt.QUERIES[0])),
-    "last-query-not-repeated": ("I5", lambda r: r["steps"].remove(runs(r, wt.QUERIES[-1])[-1])),
+    "query-skipped": ("I5", lambda r: r["steps"].remove(runs(r, EVALUATE_CSV)[-1])),
+    "query-replaced": ("I5", lambda r: runs(r, EVALUATE_CSV)[-1].update(argv=wt.RECOGNIZE)),
+    "last-query-not-repeated": ("I5", lambda r: r["steps"].remove(runs(r, INSPECT_OUT)[-1])),
     "eig-changes": ("I6", lambda r: runs(r, wt.EXTRA)[0]["written"].update(
         {"models/mobile.eig": "other"})),
     "sidecar-not-rewritten": ("I6", lambda r: runs(r, wt.EXTRA)[0]["written"].pop(

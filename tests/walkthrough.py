@@ -49,9 +49,7 @@ UNKNOWN = [*RECOGNIZE, "--threshold", "1e-12"]
 EVALUATE = ["eigengaze", "evaluate", "--manifest", "queries.tsv", "--registry", "models"]
 INSPECT = ["eigengaze", "inspect", "models/mobile.eig", "--dims"]
 QUERIES = [
-    RECOGNIZE, UNKNOWN,
-    ["EIGENGAZE_REGISTRY=models", "eigengaze", "recognize", "data/mobile_20.pgm"],
-    [*EVALUATE, "--csv", "report.csv"], [*EVALUATE, "--text", "report.txt"],
+    RECOGNIZE, UNKNOWN, [*EVALUATE, "--csv", "report.csv"], [*EVALUATE, "--text", "report.txt"],
     [*INSPECT, "3"], [*INSPECT, "5", "--out", "coords.csv"],
 ]
 USAGE_ERRORS = [
@@ -68,9 +66,10 @@ USAGE_ERRORS = [
     [*EXTRA, *flags]
     for flags in (["--k", "٢"], ["--margin", "1_5"], ["--tau", ".9_5"], ["--threshold", "٠.٥"],
                   ["--margin", " 2"], ["--threshold", "0"], ["--margin", "0.5"],
-                  ["--manifest", "queries.tsv"], ["--k", "0"])
+                  ["--manifest", "queries.tsv"], ["--k", "0"], ["--centered"])
 ] + [learn("extra", "models", "queries.tsv"), learn("../x", "models", "--manifest", "queries.tsv"),
-     [*INSPECT, "３"], [*RECOGNIZE, "--in-space-only"]]
+     [*INSPECT, "３"], [*RECOGNIZE, "--in-space-only"],
+     ["EIGENGAZE_REGISTRY=models", "eigengaze", "recognize", "data/mobile_20.pgm"]]
 RESAVE = ["python", "-c",
           "import eigengaze as eg; eg.ObjectRegistry.load_dir('models').save_dir('resaved')"]
 RM_SIDECARS = ["rm", "models/*.f8"]
@@ -110,8 +109,7 @@ def walk(src: Path, work: Path) -> list:
     """Run `commands()` in `work` as a shell would: leading NAME=value words set
     the environment, a word with `*` expands to the sorted paths it matches,
     `eigengaze` is the package's CLI and `python` this interpreter."""
-    base = {k: v for k, v in os.environ.items() if k != "EIGENGAZE_REGISTRY"}
-    base.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    base = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     prefix = {"eigengaze": [sys.executable, "-m", "eigengaze.cli"], "python": [sys.executable]}
     steps, seen = [], digests(work)
     for argv in commands():
