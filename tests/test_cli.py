@@ -337,8 +337,13 @@ class TestLearn:
         assert capsys.readouterr().err == "error: k must be >= 1\n"
         assert tree(tmp_path) == before
 
-    def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+    def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, capsys, env):
         imgs = synth_dataset(tmp_path, objects=["A"])
+        if env is None:
+            monkeypatch.delenv("EIGENGAZE_REGISTRY", raising=False)
+        else:
+            monkeypatch.setenv("EIGENGAZE_REGISTRY", env)
         monkeypatch.chdir(tmp_path)
         before = tree(tmp_path)
         usage_error(capsys, "the following arguments are required: --registry",
