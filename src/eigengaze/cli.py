@@ -99,6 +99,13 @@ def _rect(text: str) -> list:
     return rect
 
 
+def _registry(text: str) -> str:
+    """A registry directory's path; an empty one would name the working directory."""
+    if not text:
+        raise ArgumentTypeError("the registry path is empty")
+    return text
+
+
 def _parse_threshold(text: str):
     if text == AUTO:
         return AUTO
@@ -310,7 +317,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("images", nargs="*", help="PGM files named <obj>_<angle>[_occ].pgm")
     p.add_argument("--manifest", help="tab-separated path/object/angle/occluded list")
     p.add_argument("--object", type=_object_id, required=True)
-    p.add_argument("--registry", required=True)
+    p.add_argument("--registry", type=_registry, required=True)
     p.add_argument("--threshold", type=_parse_threshold,
                    help="unknown cutoff or 'auto' (default: keep the registry's, else auto)")
     p.add_argument("--margin", type=_decimal,
@@ -323,13 +330,13 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("recognize", help="classify one appearance")
     p.add_argument("image")
-    p.add_argument("--registry", required=True)
+    p.add_argument("--registry", type=_registry, required=True)
     p.add_argument("--threshold", type=_parse_threshold)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("evaluate", help="recognition rate over a labeled manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--registry", required=True)
+    p.add_argument("--registry", type=_registry, required=True)
     p.add_argument("--csv", default=None)
     p.add_argument("--text", default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -91,6 +91,9 @@ class Eigenspace:
             raise invalid(f"array shapes {shapes} do not agree")
         if n == 0 or k == 0:
             raise invalid(f"needs a manifold point and an eigenvalue, has {n} and {k}")
+        if k > dim:
+            # k orthonormal rows need k <= dim; checked before BB^T takes k x k floats
+            raise invalid(f"{k} basis rows cannot be orthonormal in {dim} dimensions")
         if any(label.object_id != self.object_id for label in self.labels):
             raise invalid("a manifold label names another object")
         arrays = (self.mean, self.eigenvalues, self.basis, self.coords)

@@ -7,13 +7,18 @@ query far from a subspace cannot win on in-space proximity alone.
 One scorer serves both entry points. It reads the registry's snapshot once: a
 tuple of spaces, each holding its manifold in view-angle order, with their
 means and manifolds stacked into whole-registry arrays, built once per
-mutation. Each space makes its own two products, the projection and the
-reconstruction, one `np.dot` each, so twin spaces score bit for bit alike;
-every other step runs once over all spaces. `recognize` scores one query;
-`evaluate` scores blocks of queries, sized so that no (spaces x queries x dim)
-temporary holds more than `_BUDGET` float64 elements. The two agree on scores
+mutation. Each space makes one product of its own, the projection g of the
+centred query wc, in one `np.dot`. The residual needs no reconstruction: a
+basis has orthonormal rows, so |wc - g B|^2 = |wc|^2 - |g|^2. Only where that
+difference is at most 1e-6 |wc|^2, so near the subspace that rounding would
+leave a residual of about sqrt(eps) |wc|, is |wc - g B| formed, for that
+(space, query) alone. Every other step runs once over all spaces, and each
+(space, query) goes through the same arithmetic whatever space it is, so twin
+spaces score bit for bit alike. `recognize` scores one query; `evaluate`
+scores blocks of queries, sized so that no (spaces x queries x dim) temporary
+holds more than `_BUDGET` float64 elements. The two agree on scores
 only to rounding: a block product sums in another order than a one-query
-product, so a score may differ in its last bits (by up to about 2e-15 on unit
+product, so a score may differ in its last bits (by up to about 3.4e-15 on unit
 vectors), and two spaces within rounding of each other may rank differently
 in the two calls. Exact ties follow the same tie rules in both.
 """
@@ -27,6 +32,10 @@ import numpy as np
 from .eigenspace import _BUDGET, _check_vector
 from .errors import EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
+
+# |wc|^2 - |g|^2 at or below this share of |wc|^2 is mostly rounding, and its
+# square root would be about sqrt(eps) |wc|, so such a residual is taken directly
+_NEAR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ class Snapshot:
 
     def block_size(self) -> int:
         """Queries per evaluate block: neither the (spaces, queries, dim)
-        temporaries nor the (spaces, k_max, queries, n_max) point differences
+        centred queries nor the (spaces, k_max, queries, n_max) point differences
         hold more than _BUDGET elements, unless one query alone does."""
         spaces, k_max, n_max = self.coords.shape
         return max(1, _BUDGET // (spaces * max(self.spaces[0].dim, n_max * k_max)))
@@ -103,28 +112,36 @@ def _score(snap: Snapshot, queries: list, step: int):
 
     Yields (score, in_space, residual, nearest) per block, each of shape
     (spaces, block). `nearest` indexes a space's angle-ordered points, so a
-    tie inside one space goes to the lowest view angle. Both distances are
-    taken directly, not as differences of squared norms, so equal inputs
-    give equal scores. Every block reuses one set of large temporaries.
+    tie inside one space goes to the lowest view angle. A basis has
+    orthonormal rows, so the residual of wc = w - m is sqrt(|wc|^2 - |g|^2),
+    from the projection g = B wc alone. Where that difference is at most
+    `_NEAR` |wc|^2 it holds little but rounding, so the residual of that
+    (space, query) is taken directly, as |wc - g B|. The in-space distance
+    is always taken directly. No step depends on which space a (space,
+    query) is, so twin spaces score alike, bit for bit. Every block reuses
+    one set of large temporaries.
     """
     spaces, (S, k_max, n_max) = snap.spaces, snap.coords.shape
     bases = [es.basis for es in spaces]
     Q = min(step, len(queries))
-    Wc, R = np.empty((2, S, Q, spaces[0].dim))
+    Wc = np.empty((S, Q, spaces[0].dim))
     diff = np.empty((S, k_max, Q, n_max))
     for start in range(0, len(queries), step):
         block = np.array(queries[start : start + step])
         q = len(block)
-        wc, r, d = Wc[:, :q], R[:, :q], diff[:, :, :q]
+        wc, d = Wc[:, :q], diff[:, :, :q]
         G = np.zeros((S, k_max, q))  # C-contiguous for np.dot; rows past a space's k stay 0
         np.subtract(block, snap.means[:, None], out=wc)
-        # each space's own products: its projection g and reconstruction g B
-        for basis, wc_s, g_s, r_s in zip(bases, wc, G, r):
-            g_s = g_s[: len(basis)]
-            np.dot(basis, wc_s.T, out=g_s)
-            np.dot(g_s.T, basis, out=r_s)
-        np.subtract(wc, r, out=r)
-        res = np.sqrt(np.einsum("sqd,sqd->sq", r, r))
+        # each space's own product: its projection g
+        for basis, wc_s, g_s in zip(bases, wc, G):
+            np.dot(basis, wc_s.T, out=g_s[: len(basis)])
+        w2 = np.einsum("sqd,sqd->sq", wc, wc)
+        r2 = w2 - np.einsum("skq,skq->sq", G, G)
+        res = np.sqrt(np.maximum(r2, 0))
+        for s, j in zip(*np.nonzero(r2 <= _NEAR * w2)):
+            g = G[s, : len(bases[s]), j]
+            r = wc[s, j] - np.dot(g, bases[s])
+            res[s, j] = np.sqrt(np.dot(r, r))
         np.subtract(G[:, :, :, None], snap.coords[:, :, None], out=d)
         dist = np.sqrt(np.einsum("skqn,skqn->sqn", d, d))
         nearest, in_space = dist.argmin(axis=2), dist.min(axis=2)

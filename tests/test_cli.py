@@ -47,7 +47,7 @@ def raises(error, *argv):
 
 # the CLI's value readers; argparse names one only in a message it phrases itself
 READERS = ("_integer", "_decimal", "_parse_threshold", "_object_id", "_distinct", "_angles",
-           "_rect", "lambda")
+           "_rect", "_registry", "lambda")
 
 
 def usage_error(capsys, message, *argv):
@@ -490,6 +490,22 @@ def test_the_registry_variable_names_no_registry(tmp_path, monkeypatch, capsys, 
     del argv[at : at + 2]
     before = tree(tmp_path)
     usage_error(capsys, "the following arguments are required: --registry", *argv)
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["learn", "recognize", "evaluate"])
+def test_an_empty_registry_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    """Run inside a registry, where an empty path would name it for reading."""
+    imgs = synth_dataset(tmp_path, objects=["A", "B"], angles=TRAIN_ANGLES)
+    reg = learn_all(tmp_path, imgs, objects=["A"])
+    if command == "learn":
+        argv = ["learn", "--object", "B", "--registry", reg, *sorted(imgs.glob("B_*.pgm"))]
+    else:
+        argv = scoring_command(tmp_path, command, imgs, reg)
+    argv[argv.index("--registry") + 1] = ""
+    monkeypatch.chdir(reg)
+    before = tree(tmp_path)
+    usage_error(capsys, "argument --registry: the registry path is empty", *argv)
     assert tree(tmp_path) == before
 
 

@@ -315,6 +315,20 @@ class TestInvariants:
         assert peak < 48 * 2**20
         assert es.spread == spread_of([es])
 
+    def test_more_basis_rows_than_dimensions_fail_before_their_k_by_k_check(self):
+        """2,000 rows of dimension 1 cannot be orthonormal; BB^T would take 61 MiB."""
+        k = 2000
+        fields = dict(mean=np.zeros(1), eigenvalues=np.arange(k, 0.0, -1), basis=np.ones((k, 1)),
+                      coords=np.zeros((1, k)), labels=(eg.ViewLabel("toy", 0),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptField, match="'toy'"):
+                _toy_space(**fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     @pytest.mark.parametrize(
         "change",
         [

@@ -4,6 +4,7 @@ import threading
 import time
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -111,18 +112,19 @@ def twin_space_registry(twins=(("zeta", "A"), ("alpha", "A"))):
     return reg
 
 
-def mixed_shape_registry():
+def mixed_shape_registry(norm_mode="unit"):
     """Spaces of every shape the stacked scorer pads: (views, k) of (1, 1),
     (3, 1), (36, 3) and (36, full k by the energy rule)."""
     def views(obj, angles):
-        return [eg.vectorize(eg.synth_view(obj, a, 32, 1), "unit", eg.ViewLabel(obj, a))
+        return [eg.vectorize(eg.synth_view(obj, a, 32, 1), norm_mode, eg.ViewLabel(obj, a))
                 for a in angles]
 
+    config = eg.EigenspaceConfig(norm_mode=norm_mode)
     reg = ObjectRegistry()
-    reg.accumulate("solo", views("solo", [30]), eg.EigenspaceConfig(centered=False))
-    reg.accumulate("trio", views("trio", [0, 120, 240]), eg.EigenspaceConfig(), k=1)
-    reg.accumulate("wide", views("wide", range(0, 360, 10)), eg.EigenspaceConfig(), k=3)
-    reg.accumulate("full", views("full", range(0, 360, 10)), eg.EigenspaceConfig())
+    reg.accumulate("solo", views("solo", [30]), replace(config, centered=False))
+    reg.accumulate("trio", views("trio", [0, 120, 240]), config, k=1)
+    reg.accumulate("wide", views("wide", range(0, 360, 10)), config, k=3)
+    reg.accumulate("full", views("full", range(0, 360, 10)), config)
     return reg
 
 
@@ -281,6 +283,50 @@ class TestRecognizeOracle:
             report = eg.evaluate(reg, labelled)
         assert {obj for _, obj in labelled} == set(spaces)
         assert report.m == report.P == len(queries)
+
+    # a residual share of 1.1e-3 takes |wc|^2 - |g|^2, and 0.9e-3 the direct |wc - g B|
+    @pytest.mark.parametrize("share", [1.1e-3, 0.9e-3])
+    def test_residuals_on_both_sides_of_the_direct_rule(self, share):
+        """Queries a distance 0.25 from each space's mean, about where a
+        unit-norm view lies from the means of the benchmark's registry (0.02
+        to 0.62), inside the subspace but for a residual of `share` of that
+        distance, score as the per-point oracle does in recognize and in
+        evaluate's blocks. Just above the rule the difference of squares
+        is within about 1.5e-12 |wc| of the direct residual. A reconstructed
+        manifold point, a residual of 0, still scores as a match: the
+        difference of squares alone would leave about 1e-8."""
+        reg = mixed_shape_registry("raw")
+        rng = np.random.default_rng(31)
+        queries = []
+        for es in reg.spaces:
+            for _ in range(3):
+                p = rng.standard_normal(es.k) @ es.basis
+                u = rng.standard_normal(es.dim)
+                for _ in range(2):
+                    u -= es.basis.T @ (es.basis @ u)
+                r = share / math.sqrt(1 - share**2) * u / np.linalg.norm(u)
+                v = eg.AppearanceVector(es.dim, es.mean + 0.25 * (p / np.linalg.norm(p) + r), "raw")
+                assert (residual(es, v) / np.linalg.norm(v.values - es.mean)) ** 2 == (
+                    pytest.approx(share**2, rel=1e-6))
+                queries.append((v, recognize_oracle(reg, v).best_object))
+        snap = reg.snapshot
+        blocks = list(_score(snap, [v.values for v, _ in queries], 5))
+        score, _, res, _ = (np.concatenate(a, axis=1) for a in zip(*blocks))
+        for j, (v, _) in enumerate(queries):
+            assert_matches_oracle(reg, v)
+            want = {o: s for o, s in recognize_oracle(reg, v).ranked_candidates}
+            for s, es in enumerate(snap.spaces):
+                assert score[s, j] == pytest.approx(want[es.object_id], abs=1e-12)
+                assert res[s, j] == pytest.approx(residual(es, v), abs=1e-12)
+        report = eg.evaluate(reg, queries)
+        assert report.m == report.P == len(queries)
+
+        for es in reg.spaces:
+            for point in es.coords:
+                v = eg.AppearanceVector(es.dim, es.mean + point @ es.basis, "raw")
+                result = eg.recognize(reg, v)
+                assert result.best_object == es.object_id
+                assert result.combined_score <= 1e-8
 
     def test_twins_are_exact_at_every_stacked_offset(self):
         """Twins of A interleaved with one space of odd, larger k and point
