@@ -8,8 +8,8 @@ surrounding space or other digits): `_integer` reads flags and list fields,
 flag (`--tau`, `--margin`, `--threshold`) is read by `_decimal`: ASCII digits,
 then an optional fraction and exponent. A comma list is split by `_fields`,
 which strips each field, rejects an empty one and quotes the list in a bad
-field's error. Other range checks, and `learn`'s build and policy defaults,
-stay with the types that hold them: `EigenspaceConfig` and `EnrollmentPolicy`.
+field's error. Other range checks, and `learn`'s defaults, stay with the code
+that holds them: `imgio.vectorize`, `EigenspaceConfig` and `EnrollmentPolicy`.
 
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
@@ -120,7 +120,7 @@ def _load_registry(args):
     reg = ObjectRegistry.load_dir(args.registry)
     if not reg.spaces:
         raise EmptyRegistry("no enrolled objects")
-    return reg, reg.spaces[0].config.norm_mode
+    return reg, reg.spaces[0].norm_mode
 
 
 def _given(args, **dests) -> dict:
@@ -192,8 +192,7 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    config = EigenspaceConfig(**_given(args, centered="centered", norm_mode="norm",
-                                       energy_threshold="tau"))
+    config = EigenspaceConfig(**_given(args, centered="centered", energy_threshold="tau"))
     if args.manifest and args.images:
         raise EigengazeError(f"learn takes its labels from --manifest ({args.manifest}) or "
                              f"from image file names ({args.images[0]}, ...), not both")
@@ -209,7 +208,7 @@ def cmd_learn(args) -> int:
         raise NoImages(f"no input images for object {args.object!r}")
 
     appearances = [
-        imgio.vectorize(_read_image(path), config.norm_mode, label)
+        imgio.vectorize(_read_image(path), label=label, **_given(args, norm_mode="norm"))
         for path, label in entries
     ]
 

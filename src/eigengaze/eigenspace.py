@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatch,
     VersionMismatch,
 )
-from .imgio import NORM_MODES, UNIT, AppearanceVector, ViewLabel
+from .imgio import NORM_MODES, ViewLabel
 from .linalg import gram_pca
 
 MODEL_MAGIC = "EIGENGAZE"
@@ -50,12 +50,9 @@ def _fmt_row(values) -> str:
 @dataclass(frozen=True)
 class EigenspaceConfig:
     centered: bool = True
-    norm_mode: str = UNIT
     energy_threshold: float = 0.95
 
     def __post_init__(self):
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}")
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must be in (0, 1]")
 
@@ -74,6 +71,7 @@ class Eigenspace:
     eigenvalues: np.ndarray  # descending, length k
     basis: np.ndarray        # shape (k, dim), orthonormal rows
     config: EigenspaceConfig
+    norm_mode: str           # its views' norm mode, one of NORM_MODES
     coords: np.ndarray       # shape (n, k), one manifold point per row
     labels: tuple            # of ViewLabel, one per row of coords
 
@@ -89,6 +87,8 @@ class Eigenspace:
         shapes = (self.mean.shape, self.eigenvalues.shape, self.basis.shape, self.coords.shape)
         if shapes != ((dim,), (k,), (k, dim), (n, k)):
             raise invalid(f"array shapes {shapes} do not agree")
+        if self.norm_mode not in NORM_MODES:
+            raise invalid(f"norm mode {self.norm_mode!r} is not one of {NORM_MODES}")
         if n == 0 or k == 0:
             raise invalid(f"needs a manifold point and an eigenvalue, has {n} and {k}")
         if k > dim:
@@ -142,25 +142,26 @@ class Eigenspace:
         return tuple(map(ManifoldPoint, self.coords, self.labels))
 
 
-def _check_vector(es_dim: int, norm_mode: str, v: AppearanceVector):
-    if v.dim != es_dim:
-        raise DimensionMismatch(f"vector dim {v.dim} != eigenspace dim {es_dim}")
-    if v.norm_mode != norm_mode:
-        raise DimensionMismatch(
-            f"vector norm_mode {v.norm_mode!r} != eigenspace norm_mode {norm_mode!r}"
-        )
+def check_shape(want, got):
+    """Raise DimensionMismatch unless got has want's dim and norm mode: the one
+    rule that admits a view into a build, a query into the scorer and a space
+    into a registry. Each argument is an AppearanceVector or an Eigenspace."""
+    if (got.dim, got.norm_mode) != (want.dim, want.norm_mode):
+        raise DimensionMismatch(f"dim {got.dim} and norm mode {got.norm_mode!r} do not match "
+                                f"dim {want.dim} and norm mode {want.norm_mode!r}")
 
 
 def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
                      k: int | None = None) -> Eigenspace:
     """Build an object's eigenspace from its full appearance set, keeping k
-    dimensions (at most the rank), or as many as config's energy threshold needs."""
+    dimensions (at most the rank), or as many as config's energy threshold needs.
+    Its dim and norm mode are its first view's, which every view must share."""
     appearances = list(appearances)
     if not appearances:
         raise DegenerateSet("appearance set is empty")
-    d = appearances[0].dim
+    first = appearances[0]
     for v in appearances:
-        _check_vector(d, config.norm_mode, v)
+        check_shape(first, v)
 
     X = np.column_stack([v.values for v in appearances])
     pca = gram_pca(X, config.centered, config.energy_threshold, k)
@@ -170,13 +171,12 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
             "(degenerate appearance set)"
         )
 
-    # a fresh basis, allocated once gram_pca's temporaries are freed, scores faster
-    basis = pca.basis.copy()
-    coords = np.array([basis @ (v.values - pca.mean) for v in appearances])
+    coords = np.array([pca.basis @ (v.values - pca.mean) for v in appearances])
     # each label names this space, whatever object the view was labelled with
     labels = tuple(ViewLabel(object_id, v.source_label.view_angle_deg, v.source_label.occluded)
                    for v in appearances)
-    return Eigenspace(object_id, pca.mean, pca.eigenvalues, basis, config, coords, labels)
+    return Eigenspace(object_id, pca.mean, pca.eigenvalues, pca.basis, config, first.norm_mode,
+                      coords, labels)
 
 
 # --- persistence ---
@@ -210,7 +210,7 @@ def _render(es: Eigenspace, rows):
     yield f"object {es.object_id}"
     yield f"dim {es.dim}"
     yield f"k {es.k}"
-    yield (f"config {1 if es.config.centered else 0} {es.config.norm_mode} "
+    yield (f"config {1 if es.config.centered else 0} {es.norm_mode} "
            + _fmt_row([es.config.energy_threshold]))
     yield f"mean {next(rows)}"
     yield from (f"eigenvalue {i} {next(rows)}" for i in range(es.k))
@@ -307,7 +307,7 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     try:
         (_, dim), (_, k), (_, centered, norm_mode, tau) = (line.split() for line in lines[2:5])
         dim, k = int(dim), int(k)
-        config = EigenspaceConfig(centered == "1", norm_mode, float(tau))
+        config = EigenspaceConfig(centered == "1", float(tau))
     except ValueError as exc:
         raise CorruptField(f"lines 3-5 are not the 'dim', 'k' and 'config' lines: {exc}") from exc
     if dim < 1 or k < 1:
@@ -341,6 +341,7 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     # where the eigenvalues and the basis end; plain slices cost far less than np.split
     ev_end, basis_end = dim + k, dim + k + k * dim
     basis, coords = block[ev_end:basis_end].reshape(k, dim), block[basis_end:].reshape(n, k)
-    es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, coords, labels)
+    es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, norm_mode,
+                    coords, labels)
     check_model_lines(lines, es, from_text)
     return es

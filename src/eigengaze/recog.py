@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenspace import _BUDGET, _check_vector
+from .eigenspace import _BUDGET, check_shape
 from .errors import EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
 
@@ -101,9 +101,8 @@ def _snapshot(reg, queries) -> Snapshot:
     if not snap.spaces:
         raise EmptyRegistry("no enrolled objects")
     # the registry admits only spaces of one dim and norm mode, so one check covers all
-    first = snap.spaces[0]
     for v in queries:
-        _check_vector(first.dim, first.config.norm_mode, v)
+        check_shape(snap.spaces[0], v)
     return snap
 
 

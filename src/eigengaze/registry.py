@@ -26,6 +26,7 @@ from .eigenspace import (
     build_eigenspace,
     check_model_lines,
     check_rendered,
+    check_shape,
     load_model,
     model_lines,
     save_model,
@@ -33,7 +34,6 @@ from .eigenspace import (
 )
 from .errors import (
     CorruptField,
-    DimensionMismatch,
     DuplicateObject,
     EigengazeError,
     InsufficientData,
@@ -168,11 +168,7 @@ class ObjectRegistry:
         if self.find(es.object_id) is not None:
             raise DuplicateObject(f"object {es.object_id!r} already enrolled")
         if self.spaces:
-            first = self.spaces[0]
-            if es.dim != first.dim or es.config.norm_mode != first.config.norm_mode:
-                raise DimensionMismatch(
-                    "all enrolled spaces must share dim and norm_mode"
-                )
+            check_shape(self.spaces[0], es)
         self._snapshot = recog.Snapshot(self.spaces + (es,))
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig,
@@ -216,8 +212,8 @@ class ObjectRegistry:
         """Recognize v if close enough to an enrolled object; otherwise report
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object, built with the first space's config (the default
-        config in an empty registry). With no spaces and no pending views,
-        decide raises EmptyRegistry."""
+        config in an empty registry) in the views' own norm mode. With no
+        spaces and no pending views, decide raises EmptyRegistry."""
         with self._lock:
             if self.spaces or pending_views is None:
                 decision = self.decide(v)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigengaze as eg
-from eigengaze.eigenspace import _check_vector, _layout, _render, _text_rows, check_rendered
+from eigengaze.eigenspace import _layout, _render, _text_rows, check_rendered, check_shape
 from eigengaze.errors import DimensionMismatch, NoConvergence
 from eigengaze.linalg import (
     OFF_DIAG_TOL,
@@ -61,17 +61,18 @@ def query_set(objects=OBJECTS, norm_mode="unit", side=SIDE, seed=SEED):
     return queries
 
 
-def build_registry(config=None, policy=None, objects=OBJECTS, k=None):
+def build_registry(config=None, policy=None, objects=OBJECTS, k=None, norm_mode="unit"):
     config = config if config is not None else eg.EigenspaceConfig()
     reg = ObjectRegistry(policy if policy is not None else EnrollmentPolicy())
     for obj in objects:
-        reg.accumulate(obj, training_appearances(obj, config.norm_mode), config, k)
+        reg.accumulate(obj, training_appearances(obj, norm_mode), config, k)
     return reg
 
 
 def assert_same_space(got, want):
-    """Equal id, config and labels, and bit-identical arrays."""
-    assert (got.object_id, got.config, got.labels) == (want.object_id, want.config, want.labels)
+    """Equal id, config, norm mode and labels, and bit-identical arrays."""
+    assert ((got.object_id, got.config, got.norm_mode, got.labels)
+            == (want.object_id, want.config, want.norm_mode, want.labels))
     for name in ("mean", "eigenvalues", "basis", "coords"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -86,7 +87,7 @@ def four_object_registry():
 # --- per-vector projection oracle, independent of recog's whole-registry scorer ---
 
 def project(es, v):
-    _check_vector(es.dim, es.config.norm_mode, v)
+    check_shape(es, v)
     return es.basis @ (v.values - es.mean)
 
 
@@ -99,7 +100,7 @@ def reconstruct(es, coords):
 
 def residual(es, v):
     """Norm of the query component orthogonal to the eigenspace."""
-    _check_vector(es.dim, es.config.norm_mode, v)
+    check_shape(es, v)
     w = v.values - es.mean
     return float(np.linalg.norm(w - es.basis.T @ (es.basis @ w)))
 

@@ -205,8 +205,8 @@ def test_criterion_6_determinism_and_persistence(tmp_path):
 
 
 def test_criterion_7_scale_invariance():
-    config = eg.EigenspaceConfig(centered=False, norm_mode="raw")
-    base = build_registry(config=config)
+    config = eg.EigenspaceConfig(centered=False)
+    base = build_registry(config=config, norm_mode="raw")
     scaled = ObjectRegistry(EnrollmentPolicy())
     for obj in OBJECTS:
         apps = [

@@ -358,12 +358,29 @@ class TestLearn:
         assert tree(tmp_path) == before
 
     def test_omitted_build_flags_keep_the_config_defaults(self, tmp_path, monkeypatch):
-        defaults = dict(centered=False, norm_mode="raw", energy_threshold=0.9)
+        """An omitted --uncentered or --tau leaves its value to EigenspaceConfig,
+        and an omitted --norm leaves the norm mode to imgio.vectorize."""
+        defaults = dict(centered=False, energy_threshold=0.9)
         monkeypatch.setattr("eigengaze.cli.EigenspaceConfig",
                             functools.partial(eg.EigenspaceConfig, **defaults))
+        monkeypatch.setattr(imgio, "vectorize", functools.partial(imgio.vectorize, norm_mode="raw"))
         reg = learn_all(tmp_path, synth_dataset(tmp_path, objects=["A"]), objects=["A"])
-        config = eg.load_model((reg / "A.eig").read_bytes()).config
-        assert config == eg.EigenspaceConfig(**defaults)
+        es = eg.load_model((reg / "A.eig").read_bytes())
+        assert (es.config, es.norm_mode) == (eg.EigenspaceConfig(**defaults), "raw")
+
+    @pytest.mark.parametrize("held, given", [("unit", "raw"), ("raw", "unit")])
+    def test_a_space_of_another_norm_mode_is_not_enrolled(self, tmp_path, capsys, held, given):
+        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+        reg = tmp_path / "reg"
+        assert run("learn", "--object", "A", "--registry", reg, "--norm", held,
+                   *sorted(imgs.glob("A_*.pgm"))) == 0
+        before = tree(reg)
+        capsys.readouterr()
+        assert run("learn", "--object", "B", "--registry", reg, "--norm", given,
+                   *sorted(imgs.glob("B_*.pgm"))) == 1
+        assert capsys.readouterr().err == (f"error: dim 1024 and norm mode {given!r} do not "
+                                           f"match dim 1024 and norm mode {held!r}\n")
+        assert tree(reg) == before
 
     def test_norm_choices_are_the_library_modes(self):
         (learn,) = (action.choices["learn"] for action in build_parser()._actions

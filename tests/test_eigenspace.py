@@ -133,10 +133,20 @@ class TestBuild:
         with pytest.raises(DimensionMismatch):
             eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
 
-    def test_norm_mode_mismatch(self):
-        apps = [raw_vec([1.0, 2.0]), raw_vec([2.0, 1.0])]
-        with pytest.raises(DimensionMismatch):
-            eg.build_eigenspace("x", apps, eg.EigenspaceConfig(norm_mode="unit"))
+    @pytest.mark.parametrize("first", ["raw", "unit"])
+    def test_views_of_mixed_norm_modes_are_rejected(self, first):
+        raw, unit = raw_vec([1.0, 2.0]), unit_vec([2.0, 1.0])
+        apps = [raw, unit] if first == "raw" else [unit, raw]
+        with pytest.raises(DimensionMismatch, match="norm mode"):
+            eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
+
+    def test_raw_views_build_a_raw_space_under_the_default_config(self):
+        apps = training_appearances("mobile", "raw")
+        es = eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig())
+        assert (es.norm_mode, es.config) == ("raw", eg.EigenspaceConfig())
+        loaded = eg.load_model(eg.save_model(es))
+        assert_same_space(loaded, es)
+        assert eg.save_model(es).split(b"\n")[4] == b"config 1 raw 0.94999999999999996"
 
     def test_k_override_clamped_to_rank(self):
         apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
@@ -146,7 +156,7 @@ class TestBuild:
     def test_scale_invariance_uncentered_raw(self):
         rng = np.random.default_rng(4)
         data = rng.uniform(0.1, 1.0, (6, 5))
-        config = eg.EigenspaceConfig(centered=False, norm_mode="raw")
+        config = eg.EigenspaceConfig(centered=False)
         base = eg.build_eigenspace("x", [raw_vec(c) for c in data.T], config)
         scaled = eg.build_eigenspace("x", [raw_vec(3.0 * c) for c in data.T], config)
         assert scaled.k == base.k
@@ -157,13 +167,13 @@ class TestBuild:
 class TestProjectReconstruct:
     def test_mean_projects_to_origin(self):
         apps = [raw_vec([1.0, 0.0, 0.0]), raw_vec([0.0, 1.0, 0.0])]
-        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(norm_mode="raw"))
+        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
         v = raw_vec(es.mean)
         assert project(es, v) == pytest.approx(np.zeros(es.k), abs=1e-12)
 
     def test_mean_plus_basis_vector(self):
         apps = [raw_vec([1.0, 0.0, 0.0]), raw_vec([0.0, 1.0, 0.0])]
-        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(norm_mode="raw"))
+        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
         v = raw_vec(es.mean + es.basis[0])
         expected = np.zeros(es.k)
         expected[0] = 1.0
@@ -267,6 +277,7 @@ def _toy_space(**change):
         eigenvalues=np.array([0.75, 0.5]),
         basis=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
         config=eg.EigenspaceConfig(),
+        norm_mode="unit",
         coords=np.array([[1 / 3, 0.0], [-0.5, 0.25]]),
         labels=(eg.ViewLabel("toy", 90, True), eg.ViewLabel("toy", 0)),
     )
@@ -349,6 +360,7 @@ class TestInvariants:
             {"eigenvalues": np.array([0.75])},
             {"labels": (eg.ViewLabel("toy", 90, True), eg.ViewLabel("cup", 0))},
             {"coords": np.array([[1e200, 1e200], [-0.5, 0.25]])},
+            {"norm_mode": "cubic"},
         ],
         ids=[
             *(f"{value}-{name}" for name in ("mean", "eigenvalues", "basis", "coords")
@@ -357,6 +369,7 @@ class TestInvariants:
             "stretched-basis-row", "no-points", "no-eigenvalues", "fewer-points-than-labels",
             "more-points-than-labels", "points-wider-than-k", "2d-mean", "basis-narrower-than-mean",
             "fewer-eigenvalues-than-basis-rows", "foreign-label", "point-at-1e200",
+            "unknown-norm-mode",
         ],
     )
     def test_constructor_rejects_every_violation(self, change):
@@ -376,7 +389,7 @@ class TestPersistence:
         assert np.array_equal(loaded.eigenvalues, es.eigenvalues)
         assert np.array_equal(loaded.basis, es.basis)
         assert loaded.config.centered == es.config.centered
-        assert loaded.config.norm_mode == es.config.norm_mode
+        assert loaded.norm_mode == es.norm_mode
         assert loaded.config.energy_threshold == es.config.energy_threshold
         assert len(loaded.manifold) == len(es.manifold)
         for got, want in zip(loaded.manifold, es.manifold):
@@ -445,6 +458,7 @@ class TestPersistence:
             _set_field("basis", 2, "1e300"),
             lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
             _set_field("basis", 2, "0.5"),
+            _set_field("config", 2, "cubic"),
             *_NON_CANONICAL_FIELDS,
             *_NON_CANONICAL_FLOATS,
             *_UNWRITTEN_LAYOUTS,
@@ -452,7 +466,8 @@ class TestPersistence:
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
-            "huge-basis", "huge-basis-pair", "skewed-basis", *_NON_CANONICAL_IDS,
+            "huge-basis", "huge-basis-pair", "skewed-basis", "unknown-norm-mode",
+            *_NON_CANONICAL_IDS,
             *_NON_CANONICAL_FLOAT_IDS, *_UNWRITTEN_LAYOUT_IDS,
         ],
     )
@@ -591,7 +606,7 @@ def test_model_file_layout_is_pinned_to_literal_bytes():
     # out of angle order, and the file holds them in angle order
     es = eg.Eigenspace(
         "toy", np.array([0.1, -2.5]), np.array([0.75]), np.array([[0.6, 0.8]]),
-        eg.EigenspaceConfig(centered=False, norm_mode="raw", energy_threshold=0.9),
+        eg.EigenspaceConfig(centered=False, energy_threshold=0.9), "raw",
         np.array([[1 / 3], [-0.5]]), (eg.ViewLabel("toy", 90, True), eg.ViewLabel("toy", 0)),
     )
     data = eg.save_model(es)

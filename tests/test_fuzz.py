@@ -3,6 +3,7 @@ And the scan-line renderer: any polygon shades as its oracle does."""
 
 import hashlib
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -242,6 +243,40 @@ def test_load_model_with_any_float_under_a_matching_digest_loads_or_raises(index
     block = bytearray(SIDECAR[32:])
     block[8 * index : 8 * index + 8] = value
     check_model(MODEL_DATA, hashlib.sha256(MODEL_DATA + block).digest() + bytes(block))
+
+
+def grown_model(k: int, n: int, value: str) -> bytes:
+    """A dim-2 model file whose header says k, with k eigenvalue and basis rows
+    and n points of k coordinates, each float spelt `value`: its size grows as
+    k + n k, while BB^T would take k^2 floats and all pairs of points n^2."""
+    rows = [f"eigenvalue {i} {value}" for i in range(k)]
+    rows += [f"basis {i} {value} {value}" for i in range(k)]
+    rows += [f"point {i % 360} 0 " + " ".join([value] * k) for i in range(n)]
+    return "\n".join(["EIGENGAZE 1", "object toy", "dim 2", f"k {k}", "config 1 unit 0.5",
+                      f"mean {value} {value}", *rows, "END", ""]).encode()
+
+
+@FUZZ
+@given(st.integers(1, 3000), st.integers(1, 2), st.booleans(),
+       st.sampled_from(["0.5", "1", "10", "0.59999999999999998", "-1e-300"]))
+@example(3000, 1, True, "1")   # BB^T would take 69 MiB
+@example(3000, 1, False, "1")  # all pairs of points would take 69 MiB
+def test_a_grown_model_loads_or_raises_in_memory_bounded_by_its_size(big, small, grow_k,
+                                                                       value):
+    """A load's tracemalloc peak stays below 64 times the file's size plus
+    32 MiB, which holds the spread's blocks of at most _BUDGET elements."""
+    k, n = (big, small) if grow_k else (small, big)
+    data = grown_model(k, n, value)
+    tracemalloc.start()
+    try:
+        try:
+            eg.load_model(data)
+        except EigengazeError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(data) + 32 * 2**20
 
 
 def with_line(index: int, line: str) -> bytes:

@@ -119,7 +119,7 @@ def mixed_shape_registry(norm_mode="unit"):
         return [eg.vectorize(eg.synth_view(obj, a, 32, 1), norm_mode, eg.ViewLabel(obj, a))
                 for a in angles]
 
-    config = eg.EigenspaceConfig(norm_mode=norm_mode)
+    config = eg.EigenspaceConfig()
     reg = ObjectRegistry()
     reg.accumulate("solo", views("solo", [30]), replace(config, centered=False))
     reg.accumulate("trio", views("trio", [0, 120, 240]), config, k=1)
@@ -209,8 +209,8 @@ class TestRecognize:
             eg.recognize(four_object_registry, v)
 
     def test_scale_invariant_decisions(self):
-        config = eg.EigenspaceConfig(centered=False, norm_mode="raw")
-        base = build_registry(config=config)
+        config = eg.EigenspaceConfig(centered=False)
+        base = build_registry(config=config, norm_mode="raw")
         scaled = ObjectRegistry()
         for obj in OBJECTS:
             apps = [

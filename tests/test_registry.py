@@ -62,7 +62,7 @@ class TestAccumulate:
         reg = build_registry(objects=["A"])
         with pytest.raises(DimensionMismatch):
             reg.accumulate("B", training_appearances("B", norm_mode, side=side),
-                           eg.EigenspaceConfig(norm_mode=norm_mode))
+                           eg.EigenspaceConfig())
         assert [es.object_id for es in reg.spaces] == ["A"]
 
     def test_existing_space_untouched(self, tmp_path):
@@ -280,6 +280,15 @@ class TestClassifyOrEnroll:
         assert decision.enrolled_id == "object-1"
         assert len(reg.spaces) == 1
 
+    def test_empty_registry_enrolls_raw_pending_as_a_raw_space(self):
+        reg = ObjectRegistry()
+        query = eg.vectorize(eg.synth_view("A", 0, 32, 1), "raw")
+        decision = reg.classify_or_enroll(query, pending_views=training_appearances("A", "raw"))
+        (es,) = reg.spaces
+        assert (decision.enrolled_id, es.norm_mode, es.config) == ("object-1", "raw",
+                                                                   eg.EigenspaceConfig())
+        assert reg.decide(query).result.best_object == "object-1"
+
 
 class TestOrderIndependence:
     def test_permuted_enrollment_same_decisions(self):
@@ -489,7 +498,7 @@ def toy_registry(mean0=0.0, occluded=False, tau=0.95):
     whose config has energy threshold tau."""
     es = eg.Eigenspace(
         "toy", np.array([mean0, 0.25, 0.5]), np.array([1.0]), np.array([[1.0, 0.0, 0.0]]),
-        eg.EigenspaceConfig(energy_threshold=tau), np.array([[0.5], [1.0]]),
+        eg.EigenspaceConfig(energy_threshold=tau), "unit", np.array([[0.5], [1.0]]),
         (eg.ViewLabel("toy", 0, occluded), eg.ViewLabel("toy", 10)),
     )
     reg = ObjectRegistry()
@@ -614,18 +623,18 @@ class TestResave:
 
 class TestSidecar:
     @pytest.mark.parametrize(
-        "config, k",
+        "config, norm_mode, k",
         [
-            (eg.EigenspaceConfig(), None),
-            (eg.EigenspaceConfig(centered=False), None),
-            (eg.EigenspaceConfig(norm_mode="raw"), None),
-            (eg.EigenspaceConfig(centered=False, norm_mode="raw"), None),
-            (eg.EigenspaceConfig(), 3),
+            (eg.EigenspaceConfig(), "unit", None),
+            (eg.EigenspaceConfig(centered=False), "unit", None),
+            (eg.EigenspaceConfig(), "raw", None),
+            (eg.EigenspaceConfig(centered=False), "raw", None),
+            (eg.EigenspaceConfig(), "unit", 3),
         ],
         ids=["centered-unit", "uncentered-unit", "centered-raw", "uncentered-raw", "k-3"],
     )
-    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, k):
-        reg = build_registry(config=config, k=k)
+    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, norm_mode, k):
+        reg = build_registry(config=config, k=k, norm_mode=norm_mode)
         reg.save_dir(str(tmp_path))
         with_sidecars = ObjectRegistry.load_dir(str(tmp_path))
         texts = {es.object_id: (tmp_path / f"{es.object_id}.eig").read_bytes() for es in reg.spaces}
