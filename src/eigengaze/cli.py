@@ -8,8 +8,8 @@ surrounding space or other digits): `_integer` reads flags and list fields,
 flag (`--tau`, `--margin`, `--threshold`) is read by `_decimal`: ASCII digits,
 then an optional fraction and exponent. A comma list is split by `_fields`,
 which strips each field, rejects an empty one and quotes the list in a bad
-field's error. Other range checks, and `learn`'s defaults, stay with the code
-that holds them: `imgio.vectorize`, `EigenspaceConfig` and `EnrollmentPolicy`.
+field's error. Every range check but `--angles`', and `learn`'s defaults, stay
+with the code that holds them: `imgio.vectorize`, `EigenspaceConfig`, `EnrollmentPolicy`.
 
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import imgio, recog
 from .eigenspace import EigenspaceConfig
-from .errors import DimsTooLarge, EigengazeError, EmptyQuerySet, EmptyRegistry, NoImages
+from .errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
 from .imgio import OcclusionSpec, ViewLabel
 from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _read_model
 
@@ -107,12 +107,7 @@ def _registry(text: str) -> str:
 
 
 def _parse_threshold(text: str):
-    if text == AUTO:
-        return AUTO
-    value = _decimal(text)
-    if value <= 0:
-        raise ArgumentTypeError(f"{text!r} is not a positive decimal number or 'auto'")
-    return value
+    return AUTO if text == AUTO else _decimal(text)
 
 
 def _load_registry(args):
@@ -251,11 +246,9 @@ def cmd_recognize(args) -> int:
 def cmd_evaluate(args) -> int:
     reg, norm = _load_registry(args)
 
-    entries = _read_manifest(args.manifest)
-    if not entries:
-        raise EmptyQuerySet(f"manifest {args.manifest} lists no queries")
-    # evaluate reads only each query's true id
-    queries = [(imgio.vectorize(_read_image(path), norm), obj) for path, obj, _, _ in entries]
+    # evaluate reads only each query's true id, and raises EmptyQuerySet on none
+    queries = [(imgio.vectorize(_read_image(path), norm), obj)
+               for path, obj, _, _ in _read_manifest(args.manifest)]
 
     report = recog.evaluate(reg, queries)
     if args.csv:

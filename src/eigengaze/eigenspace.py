@@ -38,7 +38,7 @@ ORTHONORMAL_TOL = 1e-6
 SIDECAR_DIGEST_SIZE = 32
 SIDECAR_DTYPE = np.dtype("<f8")
 # float64 elements in one temporary: a block of the spread's point differences
-# here, and of the scorer's (spaces x queries x dim) products in recog
+# here, and of the scorer's centred queries or point differences in recog
 _BUDGET = 2**19
 
 
@@ -145,7 +145,7 @@ class Eigenspace:
 def check_shape(want, got):
     """Raise DimensionMismatch unless got has want's dim and norm mode: the one
     rule that admits a view into a build, a query into the scorer and a space
-    into a registry. Each argument is an AppearanceVector or an Eigenspace."""
+    into a registry. Each argument, a view or a space, derives its dim from its data."""
     if (got.dim, got.norm_mode) != (want.dim, want.norm_mode):
         raise DimensionMismatch(f"dim {got.dim} and norm mode {got.norm_mode!r} do not match "
                                 f"dim {want.dim} and norm mode {want.norm_mode!r}")

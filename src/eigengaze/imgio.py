@@ -37,8 +37,12 @@ class ViewLabel:
     occluded: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.view_angle_deg <= 359:
-            raise ValueError("view_angle_deg must be in [0, 359]")
+        # a float or bool angle would save a `point` line that load_model cannot read
+        a = self.view_angle_deg
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a <= 359:
+            raise ValueError(f"view_angle_deg must be an integer in [0, 359], not {a!r}")
+        if not isinstance(self.occluded, (bool, np.bool_)):
+            raise ValueError(f"occluded must be a bool, not {self.occluded!r}")
 
 
 _UNLABELED = ViewLabel("", 0, False)
@@ -86,7 +90,6 @@ class RasterImage:
 # it holds arrays, so it compares and hashes by identity
 @dataclass(frozen=True, eq=False)
 class AppearanceVector:
-    dim: int
     values: np.ndarray
     norm_mode: str
     source_label: ViewLabel = field(default=_UNLABELED)
@@ -94,8 +97,8 @@ class AppearanceVector:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.dim,):
-            raise ValueError("values length must equal dim")
+        if values.ndim != 1:  # a build stacks each view's values as one column
+            raise ValueError(f"values must be one-dimensional, not of shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         if self.norm_mode not in NORM_MODES:
@@ -104,6 +107,10 @@ class AppearanceVector:
             n = np.linalg.norm(values)
             if abs(n - 1.0) > 1e-12:
                 raise ValueError(f"unit-mode vector has norm {n}")
+
+    @property
+    def dim(self) -> int:
+        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,8 @@ def parse_pgm(data: bytes) -> RasterImage:
         body = data[offset:].strip()
         if body.translate(None, _P2_BODY_BYTES):
             raise SampleCountMismatch("P2 samples must be decimal digits and whitespace")
-        # an overflowing sample reads as the int64 maximum, which RasterImage rejects
+        # RasterImage rejects a wrong count, and an overflowing sample, read as int64's maximum
         samples = np.fromstring(body, dtype=np.int64, sep=" ") if body else np.empty(0, np.int64)
-        if samples.size != count:
-            raise SampleCountMismatch(f"expected {count} samples, found {samples.size}")
     else:
         per = 1 if max_value < 256 else 2
         payload = data[offset : offset + count * per]
@@ -206,12 +211,12 @@ def vectorize(
         values = values / n
         # guard against residual round-off drifting past the invariant
         values = values / np.linalg.norm(values)
-    return AppearanceVector(values.size, values, norm_mode, label)
+    return AppearanceVector(values, norm_mode, label)
 
 
 def apply_occlusion(image: RasterImage, spec: OcclusionSpec) -> RasterImage:
     """Overwrite the clamped rectangle with spec.fill; everything else unchanged."""
-    if spec.fill > image.max_value:
+    if spec.fill > image.max_value:  # not left to RasterImage: beyond int64, filling overflows
         raise SampleOutOfRange("occlusion fill exceeds image max_value")
     x1 = min(spec.x0 + spec.w, image.width)
     y1 = min(spec.y0 + spec.h, image.height)

@@ -15,12 +15,13 @@ leave a residual of about sqrt(eps) |wc|, is |wc - g B| formed, for that
 (space, query) alone. Every other step runs once over all spaces, and each
 (space, query) goes through the same arithmetic whatever space it is, so twin
 spaces score bit for bit alike. `recognize` scores one query; `evaluate`
-scores blocks of queries, sized so that no (spaces x queries x dim) temporary
-holds more than `_BUDGET` float64 elements. The two agree on scores
-only to rounding: a block product sums in another order than a one-query
-product, so a score may differ in its last bits (by up to about 3.4e-15 on unit
-vectors), and two spaces within rounding of each other may rank differently
-in the two calls. Exact ties follow the same tie rules in both.
+scores blocks of queries, sized by `Snapshot.block_size` so that no block of
+centred queries or point differences holds more than `_BUDGET` float64
+elements. The two agree on scores only to rounding: a block product sums in
+another order than a one-query product, so a score may differ in its last bits
+(by up to about 3.4e-15 on unit vectors), and two spaces within rounding of
+each other may rank differently in the two calls. Exact ties follow the same
+tie rules in both.
 """
 
 from collections import Counter

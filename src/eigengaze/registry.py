@@ -58,11 +58,11 @@ def _check_object_id(object_id: str):
 
 
 def _write_atomic(target: str, data: bytes):
-    """Write data beside target, then rename it into place. The temporary file
-    stays inside the registry directory, so os.replace never crosses devices."""
-    tmp = target + ".tmp"
+    """Write data to a temporary file of its own beside target, then rename it
+    into place; both lie in one directory, so os.replace never crosses devices."""
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "xb") as f:
             f.write(data)
         os.replace(tmp, target)
     except BaseException:

@@ -121,7 +121,7 @@ def test_criterion_4_projection_reconstruction():
     worst = 0.0
     for _ in range(1000):
         w = rng.standard_normal(es.dim)
-        v = eg.AppearanceVector(es.dim, w / np.linalg.norm(w), "unit")
+        v = eg.AppearanceVector(w / np.linalg.norm(w), "unit")
         in_space = float(np.linalg.norm(project(es, v)))
         res = residual(es, v)
         total = float(np.linalg.norm(v.values - es.mean))
@@ -210,7 +210,7 @@ def test_criterion_7_scale_invariance():
     scaled = ObjectRegistry(EnrollmentPolicy())
     for obj in OBJECTS:
         apps = [
-            eg.AppearanceVector(a.dim, 3.0 * a.values, "raw", a.source_label)
+            eg.AppearanceVector(3.0 * a.values, "raw", a.source_label)
             for a in training_appearances(obj, "raw")
         ]
         scaled.accumulate(obj, apps, config)
@@ -224,7 +224,7 @@ def test_criterion_7_scale_invariance():
     )
     changed = 0
     for v, _ in query_set(norm_mode="raw"):
-        v3 = eg.AppearanceVector(v.dim, 3.0 * v.values, "raw", v.source_label)
+        v3 = eg.AppearanceVector(3.0 * v.values, "raw", v.source_label)
         if eg.recognize(base, v).best_object != eg.recognize(scaled, v3).best_object:
             changed += 1
     ok = eig_ok and changed == 0

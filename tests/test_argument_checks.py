@@ -13,15 +13,15 @@ from eigengaze.linalg import check_symmetric
     [
         (lambda: eg.build_eigenspace("A", [], eg.EigenspaceConfig()), DegenerateSet, "empty"),
         (lambda: eg.EigenspaceConfig(energy_threshold=0.0), ValueError, "energy_threshold"),
-        (lambda: eg.build_eigenspace("A", [eg.AppearanceVector(1, [1.0], "unit")],
+        (lambda: eg.build_eigenspace("A", [eg.AppearanceVector([1.0], "unit")],
                                      eg.EigenspaceConfig(), k=0), ValueError, "k must be"),
         (lambda: eg.RasterImage(0, 1, 255, []), ValueError, "dimensions"),
         (lambda: eg.RasterImage(1, 1, 0, [0]), ValueError, "max_value"),
         (lambda: eg.RasterImage(2, 1, 255, [0]), SampleCountMismatch, "expected 2 samples"),
-        (lambda: eg.AppearanceVector(2, [1.0], "raw"), ValueError, "length"),
-        (lambda: eg.AppearanceVector(1, [np.inf], "raw"), ValueError, "finite"),
-        (lambda: eg.AppearanceVector(1, [1.0], "cubic"), ValueError, "norm_mode"),
-        (lambda: eg.AppearanceVector(1, [2.0], "unit"), ValueError, "unit-mode vector has norm"),
+        (lambda: eg.AppearanceVector([[1.0]], "raw"), ValueError, "one-dimensional"),
+        (lambda: eg.AppearanceVector([np.inf], "raw"), ValueError, "finite"),
+        (lambda: eg.AppearanceVector([1.0], "cubic"), ValueError, "norm_mode"),
+        (lambda: eg.AppearanceVector([2.0], "unit"), ValueError, "unit-mode vector has norm"),
         (lambda: eg.OcclusionSpec(-1, 0, 1, 1, 0), ValueError, "offsets"),
         (lambda: eg.OcclusionSpec(0, 0, 0, 1, 0), ValueError, "extents"),
         (lambda: eg.OcclusionSpec(0, 0, 1, 1, -1), ValueError, "fill"),
@@ -43,7 +43,7 @@ from eigengaze.linalg import check_symmetric
          "energy_threshold"),
     ],
     ids=["no-views", "zero-energy", "zero-k", "zero-size-image", "zero-max-value",
-         "sample-count", "vector-length", "non-finite-vector", "unknown-norm-mode",
+         "sample-count", "vector-shape", "non-finite-vector", "unknown-norm-mode",
          "non-unit-vector", "negative-offset", "zero-extent", "negative-fill", "pgm-str",
          "pgm-zero-width", "non-square", "non-finite-matrix", "1d-gram-input",
          "non-finite-gram-input", "gram-overflow", "gram-near-limit",

@@ -526,6 +526,23 @@ def test_an_empty_registry_path_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("command", ["learn", "recognize"])
+def test_a_zero_threshold_is_the_policys_error(tmp_path, capsys, command):
+    """EnrollmentPolicy, not the flag's reader, holds the threshold's range."""
+    imgs = synth_dataset(tmp_path, objects=["A", "B"], angles=TRAIN_ANGLES)
+    reg = learn_all(tmp_path, imgs, objects=["A"])
+    if command == "learn":
+        argv = ["learn", "--object", "B", "--registry", reg, *sorted(imgs.glob("B_*.pgm"))]
+    else:
+        argv = scoring_command(tmp_path, command, imgs, reg)
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert run(*argv, "--threshold", "0") == 1
+    assert capsys.readouterr().err == ("error: unknown_threshold must be 'auto' or positive "
+                                       "and finite\n")
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("command", ["recognize", "evaluate"])
 class TestScoringCommands:
     def test_empty_registry_is_the_library_error(self, tmp_path, capsys, command):
@@ -768,9 +785,8 @@ class TestUsage:
             (),
             ("recognize",),
             ("recognize", "x.pgm", "--threshold", "-1"),
-            ("learn", "--object", "a", "--threshold", "0"),
         ],
-        ids=["no-command", "no-image", "negative-threshold", "zero-threshold"],
+        ids=["no-command", "no-image", "negative-threshold"],
     )
     def test_usage_error_is_not_unknown(self, argv, capsys):
         assert run(*argv) == 1
@@ -785,8 +801,6 @@ class TestUsage:
              "argument --side: '1_6' is not an integer in ASCII digits"),
             (("recognize", "x.pgm", "--threshold", "1_5"),
              "argument --threshold: '1_5' is not a decimal number: ASCII digits"),
-            (("recognize", "x.pgm", "--threshold", "0"),
-             "argument --threshold: '0' is not a positive decimal number or 'auto'"),
             (("synth", "--objects", "a", "--out", "out", "--angles", "+5"),
              "argument --angles: '+5': '+5' is not an integer in ASCII digits"),
             (("synth", "--objects", "a", "--out", "out", "--angles", "0,\u0661\u0660"),
@@ -796,7 +810,7 @@ class TestUsage:
             (("occlude", "x.pgm", "y.pgm", "--rect", "1,2,3"),
              "argument --rect: '1,2,3' must be four integers x0,y0,w,h"),
         ],
-        ids=["decimal", "integer", "threshold-decimal", "threshold-zero", "angles",
+        ids=["decimal", "integer", "threshold-decimal", "angles",
              "arabic-indic-angle", "rect", "rect-of-three"],
     )
     def test_bad_value_names_its_flag_and_rule_not_its_reader(self, tmp_path, monkeypatch,

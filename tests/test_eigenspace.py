@@ -27,12 +27,12 @@ from test_registry import spread_of
 def unit_vec(values, label=eg.ViewLabel("", 0)):
     values = np.asarray(values, dtype=np.float64)
     values = values / np.linalg.norm(values)
-    return eg.AppearanceVector(values.size, values, "unit", label)
+    return eg.AppearanceVector(values, "unit", label)
 
 
 def raw_vec(values, label=eg.ViewLabel("", 0)):
     values = np.asarray(values, dtype=np.float64)
-    return eg.AppearanceVector(values.size, values, "raw", label)
+    return eg.AppearanceVector(values, "raw", label)
 
 
 def _respell(keyword, index, spell):
@@ -199,7 +199,7 @@ class TestProjectReconstruct:
         config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
         x = es.mean + 0.3 * es.basis[0] - 1.2 * es.basis[1]
-        v = eg.AppearanceVector(3, x / np.linalg.norm(x), "unit")
+        v = eg.AppearanceVector(x / np.linalg.norm(x), "unit")
         got = reconstruct(es, project(es, v))
         assert got == pytest.approx(v.values, abs=1e-8)
 
@@ -231,7 +231,7 @@ class TestResidual:
         config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
         assert np.allclose(es.mean, 0.0)  # uncentered: mean is the zero vector
-        v = eg.AppearanceVector(3, np.array([0.0, 0.0, 1.0]), "unit")
+        v = eg.AppearanceVector(np.array([0.0, 0.0, 1.0]), "unit")
         assert residual(es, v) == pytest.approx(1.0, abs=1e-8)
 
     def test_pythagoras(self, synthetic_space):
@@ -239,7 +239,7 @@ class TestResidual:
         rng = np.random.default_rng(31)
         for _ in range(200):
             w = rng.standard_normal(es.dim)
-            v = eg.AppearanceVector(es.dim, w / np.linalg.norm(w), "unit")
+            v = eg.AppearanceVector(w / np.linalg.norm(w), "unit")
             in_space = float(np.linalg.norm(project(es, v)))
             res = residual(es, v)
             total = float(np.linalg.norm(v.values - es.mean))
@@ -407,6 +407,20 @@ class TestPersistence:
         es = eg.build_eigenspace("pen", views, eg.EigenspaceConfig())
         assert {label.object_id for label in es.labels} == {"pen"}
         assert_same_space(eg.load_model(eg.save_model(es)), es)
+
+    def test_a_label_is_an_integer_angle_and_a_bool_flag(self):
+        # a float or bool angle would save a point line that load_model cannot read
+        for angle, occluded in [(40.0, False), (np.float64(40.0), False), (True, False),
+                                (np.True_, False), (40, 1), (40, "yes")]:
+            with pytest.raises(ValueError):
+                eg.ViewLabel("pen", angle, occluded)
+        views = [eg.vectorize(eg.synth_view("pen", angle, 16, 1), "unit",
+                              eg.ViewLabel("pen", np.int64(angle), np.bool_(angle == 40)))
+                 for angle in range(0, 100, 10)]
+        es = eg.build_eigenspace("pen", views, eg.EigenspaceConfig())
+        data = eg.save_model(es)
+        assert_same_space(eg.load_model(data), es)
+        assert eg.save_model(eg.load_model(data)) == data
 
     def test_reload_gives_the_built_config(self):
         config = eg.EigenspaceConfig(energy_threshold=0.9)

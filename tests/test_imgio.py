@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import fields
 from itertools import count, product
 
 import numpy as np
@@ -225,6 +226,13 @@ class TestVectorize:
         with pytest.raises(ZeroImage):
             eg.vectorize(img, "unit")
 
+    @pytest.mark.parametrize("values, norm_mode", [([0.0, 2.0, 0.5], "raw"), ([0.6, 0.8], "unit")],
+                             ids=["raw", "unit"])
+    def test_dim_is_derived_from_the_values(self, values, norm_mode):
+        v = eg.AppearanceVector(np.array(values), norm_mode)
+        assert v.dim == v.values.size == len(values)
+        assert [f.name for f in fields(v)] == ["values", "norm_mode", "source_label"]
+
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -276,8 +284,10 @@ class TestApplyOcclusion:
 
     def test_fill_above_max_rejected(self):
         img = eg.RasterImage(2, 2, 15, np.zeros(4, dtype=int))
-        with pytest.raises(SampleOutOfRange):
-            eg.apply_occlusion(img, eg.OcclusionSpec(0, 0, 1, 1, 16))
+        # beyond int64, filling the grid would raise OverflowError, which no caller expects
+        for fill in (16, 2**70):
+            with pytest.raises(SampleOutOfRange):
+                eg.apply_occlusion(img, eg.OcclusionSpec(0, 0, 1, 1, fill))
 
 
 class TestSynthView:

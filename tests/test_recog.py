@@ -90,9 +90,7 @@ def twin_view_registry():
     """Object A, with its view at 50 degrees enrolled twice, first labelled 70."""
     apps = training_appearances("A")
     twin = next(a for a in apps if a.source_label.view_angle_deg == 50)
-    apps.insert(0, eg.AppearanceVector(
-        twin.dim, twin.values, twin.norm_mode, eg.ViewLabel("A", 70)
-    ))
+    apps.insert(0, eg.AppearanceVector(twin.values, twin.norm_mode, eg.ViewLabel("A", 70)))
     reg = ObjectRegistry()
     reg.accumulate("A", apps, eg.EigenspaceConfig())
     return reg
@@ -148,7 +146,7 @@ class TestRecognize:
         rng = np.random.default_rng(21)
         for _ in range(10):
             w = rng.standard_normal(32 * 32)
-            v = eg.AppearanceVector(w.size, w / np.linalg.norm(w), "unit")
+            v = eg.AppearanceVector(w / np.linalg.norm(w), "unit")
             assert eg.recognize(reg, v).best_object == "solo"
 
     def test_occluded_held_out_view(self, four_object_registry):
@@ -214,7 +212,7 @@ class TestRecognize:
         scaled = ObjectRegistry()
         for obj in OBJECTS:
             apps = [
-                eg.AppearanceVector(a.dim, 3.0 * a.values, "raw", a.source_label)
+                eg.AppearanceVector(3.0 * a.values, "raw", a.source_label)
                 for a in training_appearances(obj, "raw")
             ]
             scaled.accumulate(obj, apps, config)
@@ -223,7 +221,7 @@ class TestRecognize:
                 9.0 * es_base.eigenvalues, rel=1e-8
             )
         for v, _ in query_set(norm_mode="raw"):
-            v3 = eg.AppearanceVector(v.dim, 3.0 * v.values, "raw", v.source_label)
+            v3 = eg.AppearanceVector(3.0 * v.values, "raw", v.source_label)
             a = eg.recognize(base, v)
             b = eg.recognize(scaled, v3)
             assert a.best_object == b.best_object
@@ -305,7 +303,7 @@ class TestRecognizeOracle:
                 for _ in range(2):
                     u -= es.basis.T @ (es.basis @ u)
                 r = share / math.sqrt(1 - share**2) * u / np.linalg.norm(u)
-                v = eg.AppearanceVector(es.dim, es.mean + 0.25 * (p / np.linalg.norm(p) + r), "raw")
+                v = eg.AppearanceVector(es.mean + 0.25 * (p / np.linalg.norm(p) + r), "raw")
                 assert (residual(es, v) / np.linalg.norm(v.values - es.mean)) ** 2 == (
                     pytest.approx(share**2, rel=1e-6))
                 queries.append((v, recognize_oracle(reg, v).best_object))
@@ -323,7 +321,7 @@ class TestRecognizeOracle:
 
         for es in reg.spaces:
             for point in es.coords:
-                v = eg.AppearanceVector(es.dim, es.mean + point @ es.basis, "raw")
+                v = eg.AppearanceVector(es.mean + point @ es.basis, "raw")
                 result = eg.recognize(reg, v)
                 assert result.best_object == es.object_id
                 assert result.combined_score <= 1e-8

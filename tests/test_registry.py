@@ -29,7 +29,7 @@ from conftest import (
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
     values = np.asarray(values, dtype=np.float64)
-    return eg.AppearanceVector(values.size, values / np.linalg.norm(values), "unit", label)
+    return eg.AppearanceVector(values / np.linalg.norm(values), "unit", label)
 
 
 def spread_of(spaces):
@@ -431,7 +431,9 @@ class TestPersistence:
 
         def failing_open(path, mode="r", *args, **kwargs):
             f = real_open(path, mode, *args, **kwargs)
-            if os.path.basename(path) != failing_write + ".tmp":
+            # each write's temporary file is <target>.<random hex>.tmp
+            name = os.path.basename(path)
+            if not (name.startswith(failing_write + ".") and name.endswith(".tmp")):
                 return f
             failed.append(path)
             return HalfWritten(f)
@@ -454,6 +456,36 @@ class TestPersistence:
         if failing_write == "registry.manifest":
             assert after.pop("widget.f8") == save_sidecar(reg.find("widget"), widget)
         assert after == before
+
+    def test_a_second_writer_mid_write_leaves_one_whole_file(self, tmp_path, monkeypatch):
+        target = str(tmp_path / "registry.manifest")
+        first, second = b"1" * 10, b"2" * 100
+        real_open = open
+
+        class Interrupted:
+            """The first writer's file: before its bytes land, a second writer
+            writes the same target whole."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                monkeypatch.setattr(registry_module, "open", real_open, raising=False)
+                registry_module._write_atomic(target, second)
+                self.f.write(data)
+
+        monkeypatch.setattr(registry_module, "open",
+                            lambda *args: Interrupted(real_open(*args)), raising=False)
+        registry_module._write_atomic(target, first)
+        # the first writer renames last, so its bytes are the target's, whole
+        assert os.listdir(tmp_path) == ["registry.manifest"]
+        assert (tmp_path / "registry.manifest").read_bytes() == first
 
     def test_layout(self, tmp_path):
         reg = build_registry()

@@ -106,6 +106,8 @@ BREAKS = {
         "models/mobile.f8")),
     "sidecars-never-written": ("I6", write_no_sidecars),
     "sidecar-lost-in-resave-and-last-learn": ("I6", lose_a_sidecar),
+    "temporary-file-left": ("I7", lambda r: r["files"].update(
+        {"models/registry.manifest.0123456789abcdef.tmp": "partial"})),
 }
 
 

@@ -1,5 +1,5 @@
 """Run the README's CLI walkthrough against one source tree, print what it
-did as JSON and check six invariants of it.
+did as JSON and check seven invariants of it.
 
     python tests/walkthrough.py src > walkthrough.json
 
@@ -19,7 +19,8 @@ The script prints each broken invariant to stderr and then exits 1:
 - I5: without the .f8 sidecars, each query repeats its exit code,
   stdout and stderr, and writes nothing;
 - I6: the last learn leaves each earlier .eig, and the .f8 it writes again,
-  equal to resaved/'s.
+  equal to resaved/'s;
+- I7: no file whose name ends in .tmp is left anywhere in the tree.
 
 pytest does not collect this file; tests/test_walkthrough.py tests `check`.
 """
@@ -137,7 +138,7 @@ def files_after(steps, prefix: str) -> dict:
 
 
 def check(result) -> list:
-    """One message per broken invariant (I1-I6 in the module docstring)."""
+    """One message per broken invariant (I1-I7 in the module docstring)."""
     steps, errors = result["steps"], []
 
     def runs(invariant, argv):
@@ -175,6 +176,10 @@ def check(result) -> list:
         if len(pairs) != len(QUERIES) or changed:
             errors.append(f"I5: without sidecars, {len(pairs)} of {len(QUERIES)} queries rerun, "
                           f"and {changed} change")
+    # each save writes a temporary file of its own name, so a leaked one would
+    # otherwise show only as JSON that differs from run to run
+    if left := sorted(name for name in result["files"] if name.endswith(".tmp")):
+        errors.append(f"I7: temporary files left: {left}")
     return sorted(errors)
 
 
