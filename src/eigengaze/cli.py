@@ -11,6 +11,10 @@ which strips each field, rejects an empty one and quotes the list in a bad
 field's error. Every range check but `--angles`', and `learn`'s defaults, stay
 with the code that holds them: `imgio.vectorize`, `EigenspaceConfig`, `EnrollmentPolicy`.
 
+Each command reads its flags and images, leaves the work to the library and
+prints the result. `learn` makes one library call, `ObjectRegistry.enroll_dir`,
+which reads and writes the registry directory in one locked pass.
+
 Exit codes: 0 success (or Known), 1 error (a usage error included),
 2 Unknown appearance.
 """
@@ -27,7 +31,7 @@ from . import imgio, recog
 from .eigenspace import EigenspaceConfig
 from .errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
 from .imgio import OcclusionSpec, ViewLabel
-from .registry import _OBJECT_ID, AUTO, MANIFEST_NAME, ObjectRegistry, _read_model
+from .registry import _OBJECT_ID, AUTO, ObjectRegistry, _read_model
 
 DEFAULT_ANGLES = "0,10,20,30,40,50,60,70,80,90"
 # every integer the CLI reads, in flags, file names and manifests; ASCII only, unlike int()
@@ -207,14 +211,9 @@ def cmd_learn(args) -> int:
         for path, label in entries
     ]
 
-    if os.path.exists(os.path.join(args.registry, MANIFEST_NAME)):
-        reg = ObjectRegistry.load_dir(args.registry)
-    else:
-        reg = ObjectRegistry()
-    reg.policy = replace(reg.policy, **_given(args, unknown_threshold="threshold",
-                                              auto_margin="margin"))
-    es = reg.accumulate(args.object, appearances, config, args.k)
-    reg.save_dir(args.registry)
+    es = ObjectRegistry.enroll_dir(args.registry, args.object, appearances, config, args.k,
+                                   **_given(args, unknown_threshold="threshold",
+                                            auto_margin="margin"))
 
     print(f"object {args.object}: {len(appearances)} appearances, k = {es.k}")
     # shares of the whole spectrum's energy, the Gram trace: the views' summed |v - mean|^2

@@ -74,6 +74,8 @@ class Eigenspace:
     norm_mode: str           # its views' norm mode, one of NORM_MODES
     coords: np.ndarray       # shape (n, k), one manifold point per row
     labels: tuple            # of ViewLabel, one per row of coords
+    # set by load_model: its floats are those of a sidecar written for the text it loaded
+    from_sidecar: bool = field(default=False, repr=False)
 
     spread: float | None = field(init=False)  # None for a single point
 
@@ -295,8 +297,9 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     """Inverse of save_model. The floats come from `sidecar` when it is
     save_sidecar's output for exactly these bytes, and from the text
     otherwise. The id, config and labels always come from the text, and
-    the Eigenspace constructor checks the floats from either source. The
-    file loads only if check_model_lines accepts it for the loaded space."""
+    the Eigenspace constructor checks the floats from either source, and the
+    space's from_sidecar says which it was. The file loads only if
+    check_model_lines accepts it for the loaded space."""
     lines = model_lines(data)
     header = lines[0].split()
     if len(header) != 2 or header[0] != MODEL_MAGIC:
@@ -342,6 +345,6 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     ev_end, basis_end = dim + k, dim + k + k * dim
     basis, coords = block[ev_end:basis_end].reshape(k, dim), block[basis_end:].reshape(n, k)
     es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, norm_mode,
-                    coords, labels)
+                    coords, labels, not from_text)
     check_model_lines(lines, es, from_text)
     return es

@@ -9,16 +9,29 @@ each derived once per snapshot. A read takes the snapshot once, so
 classification may run concurrently with mutations and sees a whole set of
 spaces. Every model invariant is checked by the `Eigenspace` constructor, not
 here. `_model_files` alone knows which files make up a stored model. The
-manifest has one renderer: save_dir writes it, and load_dir accepts only a
-manifest that it reproduces byte for byte.
+manifest has one renderer: save_dir and enroll_dir write it, and
+`_load_manifest` accepts only a manifest that it reproduces byte for byte.
+
+A directory is read by `_load_manifest` and `_stored_model`, for load_dir and
+for enroll_dir, the one pass of a CLI `learn`: under the directory's flock it
+loads each stored model once, writes it back from the bytes it read, and adds
+the new one, staging every file and renaming them into place, the manifest
+last, only once all are staged. Library save_dir takes no lock: the last
+writer's manifest wins.
 """
 
 import math
 import os
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import takewhile
+
+try:
+    import fcntl
+except ImportError:  # no flock here, so enrollments are not serialized
+    fcntl = None
 
 from .eigenspace import (
     Eigenspace,
@@ -57,18 +70,36 @@ def _check_object_id(object_id: str):
         raise InvalidObjectId(f"object id {object_id!r} must match {_OBJECT_ID.pattern}")
 
 
-def _write_atomic(target: str, data: bytes):
-    """Write data to a temporary file of its own beside target, then rename it
-    into place; both lie in one directory, so os.replace never crosses devices."""
-    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+@contextmanager
+def _staging():
+    """A list of (temporary file, target) for _stage to fill. At a clean exit
+    each file is renamed into place, in order; each lies in its target's
+    directory, so os.replace never crosses devices. On any failure every file
+    not yet renamed is removed."""
+    staged = []
     try:
-        with open(tmp, "xb") as f:
-            f.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        yield staged
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def _stage(staged: list, target: str, data: bytes):
+    """Write data to a temporary file of its own beside target."""
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    staged.append((tmp, target))
+    with open(tmp, "xb") as f:
+        f.write(data)
+
+
+def _write_atomic(target: str, data: bytes):
+    """Write data beside target, then rename it into place."""
+    with _staging() as staged:
+        _stage(staged, target, data)
 
 
 def _model_files(eig_path: str) -> tuple[bytes, bytes | None]:
@@ -86,6 +117,63 @@ def _model_files(eig_path: str) -> tuple[bytes, bytes | None]:
 def _read_model(eig_path: str) -> Eigenspace:
     """The space a stored model loads as, its floats from its sidecar if that matches."""
     return load_model(*_model_files(eig_path))
+
+
+def _stored_model(path: str, object_id: str) -> tuple[Eigenspace, bytes, bytes | None]:
+    """The space that manifest id object_id names in directory path, with the
+    `.eig` and `.f8` bytes it loaded from. The id is checked before its file is
+    opened, a missing `.eig` is a CorruptField, and the space must hold the id."""
+    _check_object_id(object_id)
+    try:
+        data, sidecar = _model_files(os.path.join(path, f"{object_id}.eig"))
+    except FileNotFoundError as exc:
+        raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
+    es = load_model(data, sidecar)
+    if es.object_id != object_id:
+        raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
+    return es, data, sidecar
+
+
+def _stage_model(staged: list, path: str, es: Eigenspace, data: bytes, sidecar=None):
+    """Stage es's `.eig` bytes `data` in directory path, and its sidecar:
+    `sidecar` if given, else the one es writes for data."""
+    stem = os.path.join(path, es.object_id)
+    _stage(staged, stem + ".eig", data)
+    _stage(staged, stem + ".f8", sidecar or save_sidecar(es, data))
+
+
+@contextmanager
+def _locked(path: str):
+    """Hold an exclusive flock on directory path, or no lock where fcntl does
+    not exist. The directory and its missing ancestors are made if need be and
+    removed again, if empty, when the body fails; one removed so while this
+    waited is made again."""
+    made, head = [], path
+    while head and not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    fd = None
+    try:
+        while fd is None:
+            os.makedirs(path, exist_ok=True)
+            if fcntl is None:
+                break
+            fd = os.open(path, os.O_RDONLY)
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if not os.fstat(fd).st_nlink:
+                os.close(fd)
+                fd = None
+        yield
+    except BaseException:
+        for directory in made:  # deepest first
+            try:
+                os.rmdir(directory)
+            except OSError:  # not empty, so in use
+                break
+        raise
+    finally:
+        if fd is not None:
+            os.close(fd)  # which releases the lock
 
 
 def _held_model(path: str, es: Eigenspace) -> tuple[bytes, bytes] | None:
@@ -129,6 +217,23 @@ def render_manifest(policy: EnrollmentPolicy, object_ids) -> str:
         "END",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _load_manifest(path: str) -> tuple[EnrollmentPolicy, list]:
+    """The policy and ids of directory path's manifest, which loads only if it
+    is, byte for byte, what render_manifest writes for them."""
+    manifest_path = os.path.join(path, MANIFEST_NAME)
+    with open(manifest_path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").split("\n")
+        _, thr, margin = lines[1].split()
+        policy = EnrollmentPolicy(AUTO if thr == AUTO else float(thr), float(margin))
+    except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CorruptField(f"{manifest_path}: not text, or a bad policy line: {exc}") from exc
+    ids = [line.partition(" ")[2] for line in takewhile("END".__ne__, lines[2:])]
+    check_rendered(lines, render_manifest(policy, ids).split("\n"), manifest_path)
+    return policy, ids
 
 
 @dataclass(frozen=True)
@@ -248,28 +353,36 @@ class ObjectRegistry:
 
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":
-        """Load a directory that save_dir wrote. The manifest loads only if it
-        is, byte for byte, what render_manifest writes for its policy and ids;
-        each id is checked before its model file is opened."""
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        with open(manifest_path, "rb") as f:
-            data = f.read()
-        try:
-            lines = data.decode("utf-8").split("\n")
-            _, thr, margin = lines[1].split()
-            policy = EnrollmentPolicy(AUTO if thr == AUTO else float(thr), float(margin))
-        except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-            raise CorruptField(f"{manifest_path}: not text, or a bad policy line: {exc}") from exc
-        ids = [line.partition(" ")[2] for line in takewhile("END".__ne__, lines[2:])]
-        check_rendered(lines, render_manifest(policy, ids).split("\n"), manifest_path)
+        """Load a directory that save_dir wrote: its manifest, then each model
+        it names, in order."""
+        policy, ids = _load_manifest(path)
         reg = cls(policy)
         for object_id in ids:
-            _check_object_id(object_id)
-            try:
-                es = _read_model(os.path.join(path, f"{object_id}.eig"))
-            except FileNotFoundError as exc:
-                raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
-            if es.object_id != object_id:
-                raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
-            reg._append(es)
+            reg._append(_stored_model(path, object_id)[0])
         return reg
+
+    @classmethod
+    def enroll_dir(cls, path: str, object_id: str, appearances, config: EigenspaceConfig,
+                   k: int | None = None, **policy) -> Eigenspace:
+        """Enroll one object into directory path, with the policy fields given
+        here replaced, as load_dir, accumulate and save_dir would, in one pass:
+        each stored model is read and loaded once and written back from the
+        bytes read, its `.f8` kept if its space's floats came from it, else
+        replaced by the sidecar save_dir writes. Every file, the manifest last,
+        is renamed into place only once all are staged, so an enrollment that
+        fails changes no file. The directory's lock is held from reading the
+        manifest to writing it, so concurrent enrollments each land."""
+        with _locked(path), _staging() as staged:
+            reg, ids = cls(), []
+            if os.path.exists(os.path.join(path, MANIFEST_NAME)):
+                reg.policy, ids = _load_manifest(path)
+            for stored_id in ids:
+                stored, data, sidecar = _stored_model(path, stored_id)
+                reg._append(stored)
+                _stage_model(staged, path, stored, data, sidecar if stored.from_sidecar else None)
+            reg.policy = replace(reg.policy, **policy)
+            es = reg.accumulate(object_id, appearances, config, k)
+            _stage_model(staged, path, es, save_model(es))
+            manifest = render_manifest(reg.policy, [s.object_id for s in reg.spaces])
+            _stage(staged, os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
+        return es

@@ -1,17 +1,21 @@
 import functools
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
+from importlib.util import find_spec
 from pathlib import Path
+from threading import Event, Thread
 
 import pytest
 
 import eigengaze as eg
-from eigengaze import imgio, registry as registry_module
+from eigengaze import eigenspace as eigenspace_module, imgio, registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
-from eigengaze.eigenspace import load_model
+from eigengaze.eigenspace import load_model, save_sidecar
 from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
+from eigengaze.registry import ObjectRegistry
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
 
@@ -444,6 +448,122 @@ class TestLearn:
     )
     def test_file_name_carries_the_label(self, name, angle, occluded):
         assert _label_from_filename(name, "c") == eg.ViewLabel("c", angle, occluded)
+
+
+def learn(reg, imgs, obj, *extra):
+    """The exit code of a learn of obj's views in imgs into registry reg."""
+    return run("learn", "--object", obj, "--registry", reg, *sorted(imgs.glob(f"{obj}_*.pgm")),
+               *extra)
+
+
+def held_files(directory):
+    """Each file's name, inode and bytes."""
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir()}
+
+
+class TestLearnPass:
+    """learn reads, checks and writes each stored model once, in one staged pass
+    that holds the registry directory's lock."""
+
+    def test_each_stored_model_is_loaded_once_and_hashed_once(self, tmp_path, monkeypatch):
+        imgs = synth_dataset(tmp_path, objects=["A", "B", "C"])
+        reg = learn_all(tmp_path, imgs, objects=["A", "B"])
+        before = {p.name: p.read_bytes() for p in reg.iterdir()}
+        loaded, hashed = [], []
+        load, digest = registry_module.load_model, eigenspace_module._sidecar_digest
+        monkeypatch.setattr(registry_module, "load_model",
+                            lambda data, sidecar=None: loaded.append(data) or load(data, sidecar))
+        monkeypatch.setattr(eigenspace_module, "_sidecar_digest",
+                            lambda data, block: hashed.append(bytes(data)) or digest(data, block))
+        assert learn(reg, imgs, "C") == 0
+        stored = [before["A.eig"], before["B.eig"]]
+        assert loaded == stored
+        assert hashed == stored + [(reg / "C.eig").read_bytes()]
+        for name, data in before.items():
+            if name != "registry.manifest":
+                assert (reg / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("case", ["duplicate-id", "degenerate-views", "damaged-last-model"])
+    def test_a_failed_learn_changes_no_file(self, tmp_path, capsys, case):
+        imgs = synth_dataset(tmp_path, objects=["A", "B", "C"])
+        reg = learn_all(tmp_path, imgs, objects=["A", "B"])
+        if case == "damaged-last-model":
+            data = bytearray((reg / "B.eig").read_bytes())
+            data[data.index(b"dim ") + 4] ^= 1
+            (reg / "B.eig").write_bytes(data)
+        before = held_files(reg)
+        capsys.readouterr()
+        if case == "degenerate-views":
+            code = run("learn", "--object", "C", "--registry", reg, imgs / "C_0.pgm")
+        else:
+            code = learn(reg, imgs, "A" if case == "duplicate-id" else "C")
+        assert code == 1 and capsys.readouterr().err.startswith("error: ")
+        assert held_files(reg) == before
+
+    def test_a_failed_first_learn_makes_no_directory(self, tmp_path):
+        imgs = synth_dataset(tmp_path, objects=["A"], angles=[0])
+        assert run("learn", "--object", "A", "--registry", tmp_path / "new" / "reg",
+                   imgs / "A_0.pgm") == 1
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda f8: f8.unlink(),
+            # the sidecar written for another .eig text
+            lambda f8: f8.write_bytes(save_sidecar(load_model(f8.with_suffix(".eig").read_bytes()),
+                                                   b"EIGENGAZE 1\n")),
+            lambda f8: f8.write_bytes(f8.read_bytes()[:-1] + b"\0"),
+        ],
+        ids=["missing", "stale", "damaged"],
+    )
+    def test_a_stored_model_gets_the_sidecar_save_dir_writes(self, tmp_path, damage):
+        """learn writes the files library load_dir, accumulate and save_dir write."""
+        imgs = synth_dataset(tmp_path, objects=["A", "B", "C"])
+        reg = learn_all(tmp_path, imgs, objects=["A", "B"])
+        damage(reg / "A.f8")
+        library = tmp_path / "library"
+        shutil.copytree(reg, library)
+        assert learn(reg, imgs, "C") == 0
+        views = [imgio.vectorize(imgio.parse_pgm(path.read_bytes()),
+                                 label=_label_from_filename(path, "C"))
+                 for path in sorted(imgs.glob("C_*.pgm"))]
+        saved = ObjectRegistry.load_dir(str(library))
+        saved.accumulate("C", views, eg.EigenspaceConfig())
+        saved.save_dir(str(library))
+        assert tree(reg) == tree(library)
+
+    @pytest.mark.skipif(find_spec("fcntl") is None, reason="no flock on this platform")
+    def test_concurrent_learns_both_enroll(self, tmp_path, monkeypatch):
+        """The first learn holds the registry's lock through its build, so the
+        second waits for it, then loads the first's model and adds its own."""
+        imgs = synth_dataset(tmp_path, objects=["A", "B", "C"])
+        reg = learn_all(tmp_path, imgs, objects=["A"])
+        build, building, release = registry_module.build_eigenspace, Event(), Event()
+
+        def held_build(object_id, *args):
+            if object_id == "B":
+                building.set()
+                release.wait(60)
+            return build(object_id, *args)
+
+        monkeypatch.setattr(registry_module, "build_eigenspace", held_build)
+        codes = {}
+        threads = {obj: Thread(target=lambda obj=obj: codes.update({obj: learn(reg, imgs, obj)}))
+                   for obj in ("B", "C")}
+        try:
+            threads["B"].start()
+            assert building.wait(60)
+            threads["C"].start()
+            threads["C"].join(0.5)
+            assert threads["C"].is_alive()
+        finally:
+            release.set()
+            for thread in threads.values():
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads.values())
+        assert codes == {"B": 0, "C": 0}
+        assert [es.object_id for es in ObjectRegistry.load_dir(str(reg)).spaces] == ["A", "B", "C"]
 
 
 class TestRecognize:
