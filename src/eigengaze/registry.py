@@ -9,15 +9,14 @@ each derived once per snapshot. A read takes the snapshot once, so
 classification may run concurrently with mutations and sees a whole set of
 spaces. Every model invariant is checked by the `Eigenspace` constructor, not
 here. `_model_files` alone knows which files make up a stored model. The
-manifest has one renderer: save_dir and enroll_dir write it, and
-`_load_manifest` accepts only a manifest that it reproduces byte for byte.
+manifest has one renderer: `_stage_manifest` writes it, and `_load_manifest`
+accepts only a manifest that it reproduces byte for byte.
 
 A directory is read by `_load_manifest` and `_stored_model`, for load_dir and
-for enroll_dir, the one pass of a CLI `learn`: under the directory's flock it
-loads each stored model once, writes it back from the bytes it read, and adds
-the new one, staging every file and renaming them into place, the manifest
-last, only once all are staged. Library save_dir takes no lock: the last
-writer's manifest wins.
+for enroll_dir. It has one commit rule, which save_dir and enroll_dir both
+keep: under the directory's flock every file is staged, the manifest last,
+and renamed into place only once all are staged, so a write that fails
+changes no file and concurrent writers each land whole.
 """
 
 import math
@@ -37,18 +36,15 @@ from .eigenspace import (
     Eigenspace,
     EigenspaceConfig,
     build_eigenspace,
-    check_model_lines,
     check_rendered,
     check_shape,
     load_model,
-    model_lines,
     save_model,
     save_sidecar,
 )
 from .errors import (
     CorruptField,
     DuplicateObject,
-    EigengazeError,
     InsufficientData,
     InvalidObjectId,
 )
@@ -94,12 +90,6 @@ def _stage(staged: list, target: str, data: bytes):
     staged.append((tmp, target))
     with open(tmp, "xb") as f:
         f.write(data)
-
-
-def _write_atomic(target: str, data: bytes):
-    """Write data beside target, then rename it into place."""
-    with _staging() as staged:
-        _stage(staged, target, data)
 
 
 def _model_files(eig_path: str) -> tuple[bytes, bytes | None]:
@@ -176,22 +166,6 @@ def _locked(path: str):
             os.close(fd)  # which releases the lock
 
 
-def _held_model(path: str, es: Eigenspace) -> tuple[bytes, bytes] | None:
-    """es's `.eig` bytes in directory `path` and their sidecar, if the held
-    sidecar is es's own for those bytes, so its floats are es's bit for bit (-0.0
-    is not 0.0), and the text checks against es; None if either file is missing,
-    damaged, stale or another space's. save_dir then writes them without a render."""
-    try:
-        data, held_f8 = _model_files(os.path.join(path, f"{es.object_id}.eig"))
-        sidecar = save_sidecar(es, data)
-        if held_f8 != sidecar:
-            return None
-        check_model_lines(model_lines(data), es, from_text=False)
-    except (OSError, EigengazeError):
-        return None
-    return data, sidecar
-
-
 @dataclass(frozen=True)
 class EnrollmentPolicy:
     unknown_threshold: float | str = AUTO  # positive real, or "auto"
@@ -207,7 +181,8 @@ class EnrollmentPolicy:
 
 def render_manifest(policy: EnrollmentPolicy, object_ids) -> str:
     """The manifest text: the policy, then the ids in acquisition order.
-    save_dir writes it, and load_dir accepts only a manifest it reproduces."""
+    save_dir and enroll_dir write it through _stage_manifest, and load_dir
+    accepts only a manifest it reproduces."""
     thr = policy.unknown_threshold
     thr_text = AUTO if thr == AUTO else format(float(thr), ".17g")
     lines = [
@@ -217,6 +192,13 @@ def render_manifest(policy: EnrollmentPolicy, object_ids) -> str:
         "END",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _stage_manifest(staged: list, path: str, reg: "ObjectRegistry"):
+    """Stage directory path's manifest for registry reg. Staged last, it is
+    renamed last, so it names only models already in place."""
+    manifest = render_manifest(reg.policy, [es.object_id for es in reg.spaces])
+    _stage(staged, os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
 
 
 def _load_manifest(path: str) -> tuple[EnrollmentPolicy, list]:
@@ -334,22 +316,16 @@ class ObjectRegistry:
     # --- directory persistence ---
 
     def save_dir(self, path: str):
-        """Write every model (its `.eig` text, then its `.f8` sidecar), then the
-        manifest; a model that _held_model finds held is written from its bytes,
-        not rendered again. Each file is written beside its target and renamed
-        into place, so a save that fails part-way leaves no truncated file, and
-        the old manifest names only old models. Loading ignores a sidecar whose
-        digest does not match its `.eig`, so a stale sidecar changes nothing."""
-        os.makedirs(path, exist_ok=True)
-        with self._lock:
-            spaces = self.spaces
-            for es in spaces:
-                data, sidecar = _held_model(path, es) or (save_model(es), None)
-                stem = os.path.join(path, es.object_id)
-                _write_atomic(stem + ".eig", data)
-                _write_atomic(stem + ".f8", sidecar or save_sidecar(es, data))
-            manifest = render_manifest(self.policy, [es.object_id for es in spaces])
-            _write_atomic(os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
+        """Write every model (its `.eig` text, rendered, and its `.f8` sidecar),
+        then the manifest, as enroll_dir commits: under the directory's lock,
+        each file is staged beside its target and renamed into place only once
+        all are staged, the manifest last. So a save that fails changes no file,
+        leaves no `.tmp` and removes the directories it made, and concurrent
+        writers commit whole, one after another."""
+        with self._lock, _locked(path), _staging() as staged:
+            for es in self.spaces:
+                _stage_model(staged, path, es, save_model(es))
+            _stage_manifest(staged, path, self)
 
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":
@@ -368,10 +344,10 @@ class ObjectRegistry:
         here replaced, as load_dir, accumulate and save_dir would, in one pass:
         each stored model is read and loaded once and written back from the
         bytes read, its `.f8` kept if its space's floats came from it, else
-        replaced by the sidecar save_dir writes. Every file, the manifest last,
-        is renamed into place only once all are staged, so an enrollment that
-        fails changes no file. The directory's lock is held from reading the
-        manifest to writing it, so concurrent enrollments each land."""
+        replaced by the sidecar save_dir writes. It commits as save_dir does,
+        with the directory's lock held from reading the manifest to renaming
+        it, so an enrollment that fails changes no file and concurrent
+        enrollments each land."""
         with _locked(path), _staging() as staged:
             reg, ids = cls(), []
             if os.path.exists(os.path.join(path, MANIFEST_NAME)):
@@ -383,6 +359,5 @@ class ObjectRegistry:
             reg.policy = replace(reg.policy, **policy)
             es = reg.accumulate(object_id, appearances, config, k)
             _stage_model(staged, path, es, save_model(es))
-            manifest = render_manifest(reg.policy, [s.object_id for s in reg.spaces])
-            _stage(staged, os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
+            _stage_manifest(staged, path, reg)
         return es

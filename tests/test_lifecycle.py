@@ -1,7 +1,8 @@
 """The registry lifecycle as a state machine: any sequence of enrolments,
-policy changes, saves, failed saves, reloads and damage leaves a directory
-that loads to the last state it saved, or, once damaged and not saved since,
-refuses to load with an EigengazeError."""
+policy changes, saves, enrolments into the directory, failed saves and
+enrolments, reloads and damage leaves a directory that loads to the last state
+committed to it, or, once damaged and not saved since, refuses to load with an
+EigengazeError."""
 
 import copy
 import functools
@@ -102,17 +103,21 @@ def assert_meets_invariants(reg):
         assert not isinstance(d, Decision) or np.isfinite(d.result.combined_score)
 
 
-class FailingWrite:
-    """Stands in for registry._write_atomic; its call number `fail_at` raises."""
+def directory_bytes(path):
+    return {name: Path(path, name).read_bytes() for name in os.listdir(path)}
+
+
+class FailingStage:
+    """Stands in for registry._stage; its call number `fail_at` raises."""
 
     def __init__(self, real, fail_at):
         self.real, self.fail_at, self.calls = real, fail_at, 0
 
-    def __call__(self, target, data):
+    def __call__(self, staged, target, data):
         self.calls += 1
         if self.calls == self.fail_at:
-            raise OSError(f"write {self.calls} fails")
-        self.real(target, data)
+            raise OSError(f"stage {self.calls} fails")
+        self.real(staged, target, data)
 
 
 class RegistryLifecycle(RuleBasedStateMachine):
@@ -120,7 +125,7 @@ class RegistryLifecycle(RuleBasedStateMachine):
         super().__init__()
         self.dir = tempfile.mkdtemp(prefix="eigengaze-lifecycle-")
         self.reg = ObjectRegistry()
-        self.saved = None  # a copy of the registry as it stood at the last successful save
+        self.saved = None  # a copy of the registry as the directory last committed it
         self.damaged = False
 
     def teardown(self):
@@ -168,30 +173,60 @@ class RegistryLifecycle(RuleBasedStateMachine):
     def set_policy(self, threshold, margin):
         self.reg.policy = EnrollmentPolicy(AUTO if threshold is None else threshold, margin)
 
+    def _commit(self, write, fail_at=None):
+        """Run write with registry._stage's call number fail_at failing, and
+        say whether it committed. A write that fails leaves every file of the
+        directory as it was, and no other."""
+        before = directory_bytes(self.dir)
+        failing = FailingStage(registry_module._stage, fail_at)
+        registry_module._stage = failing
+        try:
+            write()
+        except (OSError, EigengazeError) as exc:
+            # an OSError comes only from the failing stage
+            assert not isinstance(exc, OSError) or failing.calls == fail_at
+            assert directory_bytes(self.dir) == before
+            return False
+        finally:
+            registry_module._stage = failing.real
+        return True
+
     @rule()
     def save(self):
-        """A save also repairs a damaged directory: a damaged model does not
-        load as its space, so it is rendered again."""
-        self.reg.save_dir(self.dir)
+        """A save also repairs a damaged directory: it renders every model."""
+        assert self._commit(lambda: self.reg.save_dir(self.dir))
         self.saved = copy.copy(self.reg)
         self.damaged = False
-        # a model kept from the target holds the bytes its renderer writes
         for es in self.reg.spaces:
             assert Path(self.dir, f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
 
     @precondition(lambda self: not self.damaged)
     @rule(fail_at=st.integers(1, 16))
-    def save_with_a_failing_write(self, fail_at):
-        failing = FailingWrite(registry_module._write_atomic, fail_at)
-        registry_module._write_atomic = failing
+    def save_with_a_failing_stage(self, fail_at):
+        if self._commit(lambda: self.reg.save_dir(self.dir), fail_at):
+            self.saved = copy.copy(self.reg)
+
+    @precondition(lambda self: not self.damaged)
+    @rule(object_id=st.sampled_from(OBJECTS), views=VIEWS)
+    def enroll_dir(self, object_id, views):
+        """Enroll into the directory as `learn` does; self.reg is untouched."""
+        self.enroll_dir_with_a_failing_stage(object_id, views, None)
+
+    @precondition(lambda self: not self.damaged)
+    @rule(object_id=st.sampled_from(OBJECTS), views=VIEWS, fail_at=st.integers(1, 16))
+    def enroll_dir_with_a_failing_stage(self, object_id, views, fail_at):
+        expected = copy.copy(self.saved) if self.saved is not None else ObjectRegistry()
         try:
-            self.reg.save_dir(self.dir)
-        except OSError:
-            return
-        finally:
-            registry_module._write_atomic = failing.real
-        # the save had fewer writes than fail_at, so it succeeded
-        self.saved = copy.copy(self.reg)
+            expected.accumulate(object_id, views, eg.EigenspaceConfig())
+        except EigengazeError:
+            expected = None
+        enroll = functools.partial(ObjectRegistry.enroll_dir, self.dir, object_id, views,
+                                   eg.EigenspaceConfig())
+        if self._commit(enroll, fail_at):
+            assert expected is not None
+            self.saved = expected
+        else:
+            assert expected is None or fail_at is not None
 
     @precondition(lambda self: self.saved is not None)
     @rule()

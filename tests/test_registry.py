@@ -1,5 +1,7 @@
 import copy
 import os
+from importlib.util import find_spec
+from threading import Event, Thread
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from eigengaze.errors import (
 from eigengaze import eigenspace as eigenspace_module
 from eigengaze import registry as registry_module
 from eigengaze.eigenspace import save_sidecar
-from eigengaze.registry import AUTO, EnrollmentPolicy, ObjectRegistry
+from eigengaze.registry import (
+    AUTO,
+    MANIFEST_NAME,
+    EnrollmentPolicy,
+    ObjectRegistry,
+    render_manifest,
+)
 
 from conftest import (
     assert_same_space,
@@ -448,14 +456,8 @@ class TestPersistence:
         assert [es.object_id for es in loaded.spaces] == ["mobile", "stapler"]
         for got, want in zip(loaded.spaces, reg.spaces):
             assert eg.save_model(got) == eg.save_model(want)
-        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        widget = eg.save_model(reg.find("widget"))
-        if failing_write in ("widget.f8", "registry.manifest"):
-            # the new model landed; the manifest does not list it
-            assert after.pop("widget.eig") == widget
-        if failing_write == "registry.manifest":
-            assert after.pop("widget.f8") == save_sidecar(reg.find("widget"), widget)
-        assert after == before
+        # nothing is renamed until every file is staged, and no .tmp is left
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_a_second_writer_mid_write_leaves_one_whole_file(self, tmp_path, monkeypatch):
         target = str(tmp_path / "registry.manifest")
@@ -477,15 +479,85 @@ class TestPersistence:
 
             def write(self, data):
                 monkeypatch.setattr(registry_module, "open", real_open, raising=False)
-                registry_module._write_atomic(target, second)
+                commit(second)
                 self.f.write(data)
+
+        def commit(data):
+            with registry_module._staging() as staged:
+                registry_module._stage(staged, target, data)
 
         monkeypatch.setattr(registry_module, "open",
                             lambda *args: Interrupted(real_open(*args)), raising=False)
-        registry_module._write_atomic(target, first)
+        commit(first)
         # the first writer renames last, so its bytes are the target's, whole
         assert os.listdir(tmp_path) == ["registry.manifest"]
         assert (tmp_path / "registry.manifest").read_bytes() == first
+
+    @pytest.mark.skipif(find_spec("fcntl") is None, reason="no flock on this platform")
+    def test_a_save_waits_for_an_enrollment_in_progress(self, tmp_path, monkeypatch):
+        """An enroll_dir holds the directory's lock through its build, so a
+        save_dir into the same directory waits for it, then commits whole."""
+        reg = build_registry(objects=["mobile", "stapler"])
+        path = str(tmp_path / "reg")
+        build, building, release = registry_module.build_eigenspace, Event(), Event()
+
+        def held_build(*args):
+            building.set()
+            release.wait(60)
+            return build(*args)
+
+        monkeypatch.setattr(registry_module, "build_eigenspace", held_build)
+        widget = training_appearances("widget")
+        threads = [
+            Thread(target=ObjectRegistry.enroll_dir,
+                   args=(path, "widget", widget, eg.EigenspaceConfig())),
+            Thread(target=reg.save_dir, args=(path,)),
+        ]
+        try:
+            threads[0].start()
+            assert building.wait(60)
+            threads[1].start()
+            threads[1].join(0.5)
+            assert threads[1].is_alive()
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (tmp_path / "reg" / "widget.eig").exists()  # the enrollment landed first
+        manifest = render_manifest(reg.policy, ["mobile", "stapler"])
+        assert (tmp_path / "reg" / MANIFEST_NAME).read_text() == manifest
+        for got, want in zip(ObjectRegistry.load_dir(path).spaces, reg.spaces, strict=True):
+            assert_same_space(got, want)
+
+    def test_a_failed_first_save_makes_no_directory(self, tmp_path, monkeypatch):
+        reg, stage = build_registry(objects=["mobile"]), registry_module._stage
+
+        def failing_stage(staged, target, data):
+            stage(staged, target, data)
+            if target.endswith(MANIFEST_NAME):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(registry_module, "_stage", failing_stage)
+        with pytest.raises(OSError):
+            reg.save_dir(str(tmp_path / "new" / "reg"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_without_flock_both_writers_commit_the_same_bytes(self, tmp_path, monkeypatch):
+        """Where fcntl does not exist the writers take no lock, and write the
+        files they write with it."""
+        reg = build_registry(objects=["mobile", "stapler"])
+        widget = training_appearances("widget")
+        trees = []
+        for fcntl in (registry_module.fcntl, None):
+            monkeypatch.setattr(registry_module, "fcntl", fcntl)
+            path = tmp_path / f"reg-{len(trees)}"
+            reg.save_dir(str(path))
+            ObjectRegistry.enroll_dir(str(path), "widget", widget, eg.EigenspaceConfig())
+            trees.append({p.name: p.read_bytes() for p in path.iterdir()})
+        assert trees[0] == trees[1]
+        assert sorted(trees[1]) == ["mobile.eig", "mobile.f8", MANIFEST_NAME, "stapler.eig",
+                                    "stapler.f8", "widget.eig", "widget.f8"]
 
     def test_layout(self, tmp_path):
         reg = build_registry()
@@ -539,14 +611,14 @@ def toy_registry(mean0=0.0, occluded=False, tau=0.95):
 
 
 class TestResave:
-    def test_resave_renders_only_the_new_model(self, tmp_path, monkeypatch):
+    def test_resave_renders_every_model_and_keeps_each_files_bytes(self, tmp_path, monkeypatch):
         build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         reg = ObjectRegistry.load_dir(str(tmp_path))
         reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
         rendered = count_renders(monkeypatch)
         reg.save_dir(str(tmp_path))
-        assert rendered == ["widget"]
+        assert rendered == ["mobile", "stapler", "widget"]
         for name in ("mobile.eig", "mobile.f8", "stapler.eig", "stapler.f8"):
             assert (tmp_path / name).read_bytes() == before[name], name
         for es in reg.spaces:
@@ -566,16 +638,16 @@ class TestResave:
         ids=["damaged-header", "damaged-float", "no-sidecar", "damaged-sidecar", "stale-sidecar"],
     )
     def test_save_repairs_the_target_model(self, tmp_path, monkeypatch, damage):
-        """A model whose .eig is damaged, or whose sidecar is missing, damaged
-        or stale, is rendered again; a text that still loads renders to its
-        own bytes, so only the damaged file changes."""
+        """A save renders every model, so one whose .eig is damaged, or whose
+        sidecar is missing, damaged or stale, is repaired; a text that still
+        loads renders to its own bytes, so only the damaged file changes."""
         reg = build_registry(objects=["mobile", "stapler"])
         reg.save_dir(str(tmp_path))
         eig, f8 = tmp_path / "mobile.eig", tmp_path / "mobile.f8"
         damage(eig, f8)
         rendered = count_renders(monkeypatch)
         reg.save_dir(str(tmp_path))
-        assert rendered == ["mobile"]
+        assert rendered == ["mobile", "stapler"]
         es = reg.find("mobile")
         assert eig.read_bytes() == eg.save_model(es)
         assert f8.read_bytes() == save_sidecar(es, eg.save_model(es))
@@ -636,9 +708,8 @@ class TestResave:
     )
     def test_a_damaged_model_beside_its_own_sidecar_is_rendered(self, tmp_path, monkeypatch,
                                                                 damage):
-        """A sidecar equal to the one es writes for the held `.eig` bytes
-        vouches only for the floats: the text is checked against es, and a
-        model whose text does not check is rendered again."""
+        """A sidecar equal to the one es writes for the held `.eig` bytes does
+        not keep a damaged text: the save renders the model again."""
         reg = build_registry(objects=["mobile"])
         reg.save_dir(str(tmp_path))
         es, eig = reg.find("mobile"), tmp_path / "mobile.eig"
