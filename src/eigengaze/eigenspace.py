@@ -37,6 +37,11 @@ ORTHONORMAL_TOL = 1e-6
 # a sidecar is a sha256 digest, then one little-endian float64 block
 SIDECAR_DIGEST_SIZE = 32
 SIDECAR_DTYPE = np.dtype("<f8")
+# the bound on sqrt(dim) + |mean| + max |point|: sqrt(dim) is the largest |w|
+# that vectorize returns, so every |w - mean| and |projection - point| that the
+# scorer squares, and half of any gap between two points, stays below it; its
+# square, 2**1000, leaves a factor 2**24 of float range for sums and doubling
+_REACH = 2.0**500
 # float64 elements in one temporary: a block of the spread's point differences
 # here, and of the scorer's centred queries or point differences in recog
 _BUDGET = 2**19
@@ -105,8 +110,14 @@ class Eigenspace:
             raise invalid("eigenvalues must be positive and non-increasing")
         with np.errstate(over="ignore", invalid="ignore"):
             drift = np.abs(self.basis @ self.basis.T - np.eye(k)).max()
+            reach = (np.sqrt(dim) + np.linalg.norm(self.mean)
+                     + np.linalg.norm(self.coords, axis=1).max())
         if not drift <= ORTHONORMAL_TOL:
             raise invalid(f"basis rows are not orthonormal: max |BB^T - I| = {drift:.3g}")
+        if not reach < _REACH:
+            # a query's score would overflow, or the spread, which would call every query Known
+            raise invalid(f"sqrt(dim) + |mean| + max |point| = {reach:.3g} is not below "
+                          f"{_REACH:.3g}, so a score may overflow")
 
         # the manifold is kept in view-angle order; a stable sort keeps twin
         # angles in the order given, and the first nearest point is the lowest angle
@@ -120,14 +131,10 @@ class Eigenspace:
         if n >= 2:
             rows, nearest = max(1, _BUDGET // (n * k)), np.empty(n)
             for i in range(0, n, rows):
-                with np.errstate(over="ignore"):
-                    dist = np.linalg.norm(self.coords[i : i + rows, None] - self.coords, axis=2)
+                dist = np.linalg.norm(self.coords[i : i + rows, None] - self.coords, axis=2)
                 np.fill_diagonal(dist[:, i:], np.inf)
                 nearest[i : i + rows] = dist.min(axis=1)
             spread = float(nearest.max())
-            if not np.isfinite(spread):
-                # an infinite spread would call every query Known
-                raise invalid("manifold spreads beyond float range")
         object.__setattr__(self, "spread", spread)
 
     @property

@@ -12,11 +12,17 @@ here. `_model_files` alone knows which files make up a stored model. The
 manifest has one renderer: `_stage_manifest` writes it, and `_load_manifest`
 accepts only a manifest that it reproduces byte for byte.
 
+A registry directory is created once and then only appended to, as the paper
+accumulates one eigenspace per new object: save_dir creates one, and refuses a
+directory that already holds a manifest; enroll_dir appends one object to one.
 A directory is read by `_load_manifest` and `_stored_model`, for load_dir and
-for enroll_dir. It has one commit rule, which save_dir and enroll_dir both
-keep: under the directory's flock every file is staged, the manifest last,
-and renamed into place only once all are staged, so a write that fails
-changes no file and concurrent writers each land whole.
+for enroll_dir. Both writes keep one commit rule: under the directory's flock
+every file is staged, the manifest last, and renamed into place only once all
+are staged, so a write that fails changes no file and concurrent writers each
+land whole. A write cut between two renames leaves the old registry or the
+new one: each rename before the manifest's puts in place a file the old
+manifest does not name, or a stored model's `.eig` as it was read with a
+sidecar for those bytes.
 """
 
 import math
@@ -29,7 +35,7 @@ from itertools import takewhile
 
 try:
     import fcntl
-except ImportError:  # no flock here, so enrollments are not serialized
+except ImportError:  # no flock here, so no registry write is serialized
     fcntl = None
 
 from .eigenspace import (
@@ -316,13 +322,18 @@ class ObjectRegistry:
     # --- directory persistence ---
 
     def save_dir(self, path: str):
-        """Write every model (its `.eig` text, rendered, and its `.f8` sidecar),
-        then the manifest, as enroll_dir commits: under the directory's lock,
-        each file is staged beside its target and renamed into place only once
-        all are staged, the manifest last. So a save that fails changes no file,
-        leaves no `.tmp` and removes the directories it made, and concurrent
-        writers commit whole, one after another."""
+        """Create a registry in directory path: write every model (its `.eig`
+        text, rendered, and its `.f8` sidecar), then the manifest, as
+        enroll_dir commits: under the directory's lock, each file is staged
+        beside its target and renamed into place only once all are staged, the
+        manifest last. A directory that already holds a manifest raises
+        FileExistsError before any file is staged; one without, even one that a
+        cut save left models in, is saved into. So a save that fails changes no
+        file, leaves no `.tmp` and removes the directories it made."""
         with self._lock, _locked(path), _staging() as staged:
+            manifest_path = os.path.join(path, MANIFEST_NAME)
+            if os.path.exists(manifest_path):
+                raise FileExistsError(f"a registry is already committed: {manifest_path}")
             for es in self.spaces:
                 _stage_model(staged, path, es, save_model(es))
             _stage_manifest(staged, path, self)
@@ -340,14 +351,16 @@ class ObjectRegistry:
     @classmethod
     def enroll_dir(cls, path: str, object_id: str, appearances, config: EigenspaceConfig,
                    k: int | None = None, **policy) -> Eigenspace:
-        """Enroll one object into directory path, with the policy fields given
-        here replaced, as load_dir, accumulate and save_dir would, in one pass:
-        each stored model is read and loaded once and written back from the
-        bytes read, its `.f8` kept if its space's floats came from it, else
-        replaced by the sidecar save_dir writes. It commits as save_dir does,
-        with the directory's lock held from reading the manifest to renaming
-        it, so an enrollment that fails changes no file and concurrent
-        enrollments each land."""
+        """Append one object to the registry in directory path, or create one
+        there if it holds no manifest, with the policy fields given here
+        replaced. The directory then holds the files that load_dir, accumulate
+        and a save_dir into a new directory would write, in one pass: each
+        stored model is read and loaded once and written back from the bytes
+        read, its `.f8` kept if its space's floats came from it, else replaced
+        by the sidecar save_dir writes. It commits as save_dir does, with the
+        directory's lock held from reading the manifest to renaming it, so an
+        enrollment that fails changes no file and concurrent enrollments each
+        land."""
         with _locked(path), _staging() as staged:
             reg, ids = cls(), []
             if os.path.exists(os.path.join(path, MANIFEST_NAME)):

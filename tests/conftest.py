@@ -69,6 +69,11 @@ def build_registry(config=None, policy=None, objects=OBJECTS, k=None, norm_mode=
     return reg
 
 
+def held_files(directory):
+    """Each file's name, inode and bytes."""
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir()}
+
+
 def assert_same_space(got, want):
     """Equal id, config, norm mode and labels, and bit-identical arrays."""
     assert ((got.object_id, got.config, got.norm_mode, got.labels)

@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import os
-import shutil
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -17,7 +16,7 @@ from eigengaze.eigenspace import load_model, save_sidecar
 from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
 from eigengaze.registry import ObjectRegistry
 
-from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES
+from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES, held_files
 
 
 def run(*argv):
@@ -456,11 +455,6 @@ def learn(reg, imgs, obj, *extra):
                *extra)
 
 
-def held_files(directory):
-    """Each file's name, inode and bytes."""
-    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir()}
-
-
 class TestLearnPass:
     """learn reads, checks and writes each stored model once, in one staged pass
     that holds the registry directory's lock."""
@@ -518,20 +512,19 @@ class TestLearnPass:
         ids=["missing", "stale", "damaged"],
     )
     def test_a_stored_model_gets_the_sidecar_save_dir_writes(self, tmp_path, damage):
-        """learn writes the files library load_dir, accumulate and save_dir write."""
+        """learn writes the files library load_dir, accumulate and a save_dir
+        into a new directory write."""
         imgs = synth_dataset(tmp_path, objects=["A", "B", "C"])
         reg = learn_all(tmp_path, imgs, objects=["A", "B"])
         damage(reg / "A.f8")
-        library = tmp_path / "library"
-        shutil.copytree(reg, library)
+        saved = ObjectRegistry.load_dir(str(reg))
         assert learn(reg, imgs, "C") == 0
         views = [imgio.vectorize(imgio.parse_pgm(path.read_bytes()),
                                  label=_label_from_filename(path, "C"))
                  for path in sorted(imgs.glob("C_*.pgm"))]
-        saved = ObjectRegistry.load_dir(str(library))
         saved.accumulate("C", views, eg.EigenspaceConfig())
-        saved.save_dir(str(library))
-        assert tree(reg) == tree(library)
+        saved.save_dir(str(tmp_path / "library"))
+        assert tree(reg) == tree(tmp_path / "library")
 
     @pytest.mark.skipif(find_spec("fcntl") is None, reason="no flock on this platform")
     def test_concurrent_learns_both_enroll(self, tmp_path, monkeypatch):

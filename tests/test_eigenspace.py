@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,7 @@ class TestInvariants:
             {"eigenvalues": np.array([0.75])},
             {"labels": (eg.ViewLabel("toy", 90, True), eg.ViewLabel("cup", 0))},
             {"coords": np.array([[1e200, 1e200], [-0.5, 0.25]])},
+            {"mean": np.array([0.1, -2.5, 1e160])},
             {"norm_mode": "cubic"},
         ],
         ids=[
@@ -369,12 +371,31 @@ class TestInvariants:
             "stretched-basis-row", "no-points", "no-eigenvalues", "fewer-points-than-labels",
             "more-points-than-labels", "points-wider-than-k", "2d-mean", "basis-narrower-than-mean",
             "fewer-eigenvalues-than-basis-rows", "foreign-label", "point-at-1e200",
-            "unknown-norm-mode",
+            "mean-at-1e160", "unknown-norm-mode",
         ],
     )
     def test_constructor_rejects_every_violation(self, change):
         with pytest.raises(CorruptField, match="'toy'"):
             _toy_space(**change)
+
+    def test_a_mean_too_far_out_to_score_a_query_is_rejected(self, synthetic_space):
+        """Scaled by 1e160, a built space's mean breaks no other invariant, but
+        |w - mean|^2 overflows for every query; scaled by 1e150, a query scores
+        finitely and with no warning."""
+        es = synthetic_space
+
+        def scaled(scale):
+            return eg.Eigenspace(es.object_id, es.mean * scale, es.eigenvalues, es.basis,
+                                 es.config, es.norm_mode, es.coords, es.labels)
+
+        with pytest.raises(CorruptField, match="'mobile'"):
+            scaled(1e160)
+        reg = eg.ObjectRegistry()
+        reg._append(scaled(1e150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = eg.recognize(reg, training_appearances("mobile")[0])
+        assert np.isfinite([result.combined_score, result.in_space_distance, result.residual]).all()
 
 
 class TestPersistence:
@@ -472,6 +493,7 @@ class TestPersistence:
             _set_field("basis", 2, "1e300"),
             lambda lines: _set_field("basis", 3, "-1e300")(_set_field("basis", 2, "1e300")(lines)),
             _set_field("basis", 2, "0.5"),
+            _set_field("mean", 1, format(1e160, ".17g")),
             _set_field("config", 2, "cubic"),
             *_NON_CANONICAL_FIELDS,
             *_NON_CANONICAL_FLOATS,
@@ -480,7 +502,7 @@ class TestPersistence:
         ids=[
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
-            "huge-basis", "huge-basis-pair", "skewed-basis", "unknown-norm-mode",
+            "huge-basis", "huge-basis-pair", "skewed-basis", "huge-mean", "unknown-norm-mode",
             *_NON_CANONICAL_IDS,
             *_NON_CANONICAL_FLOAT_IDS, *_UNWRITTEN_LAYOUT_IDS,
         ],

@@ -4,6 +4,7 @@ And the scan-line renderer: any polygon shades as its oracle does."""
 import hashlib
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -126,6 +127,22 @@ def check_model(data: bytes, sidecar=None):
         assert eg.save_model(es) == data
     else:
         assert without_floats(eg.save_model(es)) == without_floats(data)
+    check_scores(es)
+
+
+def check_scores(es):
+    """es scores the extreme queries that vectorize returns to finite values,
+    with no RuntimeWarning: a unit query for a unit space, and the all-zeros
+    and all-ones queries for a raw one."""
+    reg = eg.ObjectRegistry()
+    reg._append(es)
+    ones = np.ones(es.dim)
+    queries = [ones / np.linalg.norm(ones)] if es.norm_mode == "unit" else [0 * ones, ones]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for values in queries:
+            r = eg.recognize(reg, eg.AppearanceVector(values, es.norm_mode))
+            assert np.isfinite([r.combined_score, r.in_space_distance, r.residual]).all()
 
 
 def check_registry_dir(reg_dir):
@@ -239,6 +256,7 @@ def test_load_model_with_any_sidecar_loads_the_text_model(sidecar):
 @example(0, np.array(np.nan).tobytes())
 @example(MODEL.dim, np.array(np.inf).tobytes())
 @example(MODEL.dim + 1, np.array(1e300).tobytes())
+@example(0, np.array(1e160).tobytes())  # |w - mean|^2 overflows
 def test_load_model_with_any_float_under_a_matching_digest_loads_or_raises(index, value):
     block = bytearray(SIDECAR[32:])
     block[8 * index : 8 * index + 8] = value

@@ -1,8 +1,9 @@
 """The registry lifecycle as a state machine: any sequence of enrolments,
-policy changes, saves, enrolments into the directory, failed saves and
-enrolments, reloads and damage leaves a directory that loads to the last state
-committed to it, or, once damaged and not saved since, refuses to load with an
-EigengazeError."""
+policy changes, saves into a new directory, enrolments into the directory,
+failed saves and enrolments, reloads and damage leaves a directory that loads
+to the last state committed to it, or, once damaged and not saved since,
+refuses to load with an EigengazeError. A save into the directory itself
+raises FileExistsError once it holds a registry, and changes no byte."""
 
 import copy
 import functools
@@ -104,6 +105,9 @@ def assert_meets_invariants(reg):
 
 
 def directory_bytes(path):
+    """Each file's bytes by name; None where path is no directory."""
+    if not os.path.isdir(path):
+        return None
     return {name: Path(path, name).read_bytes() for name in os.listdir(path)}
 
 
@@ -123,13 +127,16 @@ class FailingStage:
 class RegistryLifecycle(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.dir = tempfile.mkdtemp(prefix="eigengaze-lifecycle-")
+        self.root = tempfile.mkdtemp(prefix="eigengaze-lifecycle-")
+        self.saves = 0  # names each save's new directory
+        self.dir = os.path.join(self.root, "registry")
+        os.mkdir(self.dir)
         self.reg = ObjectRegistry()
         self.saved = None  # a copy of the registry as the directory last committed it
         self.damaged = False
 
     def teardown(self):
-        shutil.rmtree(self.dir)
+        shutil.rmtree(self.root)
 
     @initialize(enrolled=st.lists(VIEWS, max_size=3))
     def enrol(self, enrolled):
@@ -173,11 +180,13 @@ class RegistryLifecycle(RuleBasedStateMachine):
     def set_policy(self, threshold, margin):
         self.reg.policy = EnrollmentPolicy(AUTO if threshold is None else threshold, margin)
 
-    def _commit(self, write, fail_at=None):
+    def _commit(self, write, fail_at=None, path=None):
         """Run write with registry._stage's call number fail_at failing, and
         say whether it committed. A write that fails leaves every file of the
-        directory as it was, and no other."""
-        before = directory_bytes(self.dir)
+        directory it writes, path or self.dir, as it was, and no other, and
+        makes no directory."""
+        path = path or self.dir
+        before = directory_bytes(path)
         failing = FailingStage(registry_module._stage, fail_at)
         registry_module._stage = failing
         try:
@@ -185,17 +194,32 @@ class RegistryLifecycle(RuleBasedStateMachine):
         except (OSError, EigengazeError) as exc:
             # an OSError comes only from the failing stage
             assert not isinstance(exc, OSError) or failing.calls == fail_at
-            assert directory_bytes(self.dir) == before
+            assert directory_bytes(path) == before
             return False
         finally:
             registry_module._stage = failing.real
         return True
 
+    def _save(self, fail_at=None):
+        """Save into a new directory, which becomes self.dir if the save
+        commits. A save into self.dir raises once it holds a registry."""
+        if self.saved is not None:
+            before = directory_bytes(self.dir)
+            with pytest.raises(FileExistsError):
+                self.reg.save_dir(self.dir)
+            assert directory_bytes(self.dir) == before
+        self.saves += 1
+        path = os.path.join(self.root, f"save-{self.saves}")
+        if not self._commit(lambda: self.reg.save_dir(path), fail_at, path):
+            return False
+        self.dir, self.saved = path, copy.copy(self.reg)
+        return True
+
     @rule()
     def save(self):
-        """A save also repairs a damaged directory: it renders every model."""
-        assert self._commit(lambda: self.reg.save_dir(self.dir))
-        self.saved = copy.copy(self.reg)
+        """A save into a new directory also repairs a damaged registry: it
+        renders every model."""
+        assert self._save()
         self.damaged = False
         for es in self.reg.spaces:
             assert Path(self.dir, f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
@@ -203,8 +227,7 @@ class RegistryLifecycle(RuleBasedStateMachine):
     @precondition(lambda self: not self.damaged)
     @rule(fail_at=st.integers(1, 16))
     def save_with_a_failing_stage(self, fail_at):
-        if self._commit(lambda: self.reg.save_dir(self.dir), fail_at):
-            self.saved = copy.copy(self.reg)
+        self._save(fail_at)
 
     @precondition(lambda self: not self.damaged)
     @rule(object_id=st.sampled_from(OBJECTS), views=VIEWS)

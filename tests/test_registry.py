@@ -1,5 +1,7 @@
 import copy
+import math
 import os
+import shutil
 from importlib.util import find_spec
 from threading import Event, Thread
 
@@ -17,7 +19,8 @@ from eigengaze.errors import (
 )
 from eigengaze import eigenspace as eigenspace_module
 from eigengaze import registry as registry_module
-from eigengaze.eigenspace import save_sidecar
+from dataclasses import replace
+
 from eigengaze.registry import (
     AUTO,
     MANIFEST_NAME,
@@ -29,6 +32,7 @@ from eigengaze.registry import (
 from conftest import (
     assert_same_space,
     build_registry,
+    held_files,
     project,
     query_set,
     training_appearances,
@@ -271,8 +275,8 @@ class TestClassifyOrEnroll:
             assert eg.save_model(got) == eg.save_model(want) == eg.save_model(direct)
             if k is not None:
                 assert got.k != reg.spaces[0].k
-            reg.save_dir(path)
-            assert ObjectRegistry.load_dir(path).find("object-5").config == config
+            reg.save_dir(path + "-enrolled")
+            assert ObjectRegistry.load_dir(path + "-enrolled").find("object-5").config == config
 
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
@@ -413,9 +417,11 @@ class TestPersistence:
         ids=["old-model", "old-sidecar", "new-model", "new-sidecar", "manifest"],
     )
     def test_failed_save_leaves_old_registry_loadable(self, tmp_path, monkeypatch, failing_write):
+        """A save creates a registry, so one that fails leaves what its
+        directory held, no registry: the empty directory stays empty, with no
+        `.tmp`, and a retry commits. The "old" cases fail on a file of a space
+        held before widget was accumulated."""
         reg = build_registry(objects=["mobile", "stapler"])
-        reg.save_dir(str(tmp_path))
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
 
         real_open = open
@@ -447,17 +453,18 @@ class TestPersistence:
             return HalfWritten(f)
 
         monkeypatch.setattr(registry_module, "open", failing_open, raising=False)
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as info:
             reg.save_dir(str(tmp_path))
         monkeypatch.undo()
-        assert len(failed) == 1
+        assert len(failed) == 1 and info.type is OSError
+        # nothing is renamed until every file is staged, and no .tmp is left
+        assert list(tmp_path.iterdir()) == []
 
+        reg.save_dir(str(tmp_path))
         loaded = ObjectRegistry.load_dir(str(tmp_path))
-        assert [es.object_id for es in loaded.spaces] == ["mobile", "stapler"]
+        assert [es.object_id for es in loaded.spaces] == ["mobile", "stapler", "widget"]
         for got, want in zip(loaded.spaces, reg.spaces):
             assert eg.save_model(got) == eg.save_model(want)
-        # nothing is renamed until every file is staged, and no .tmp is left
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_a_second_writer_mid_write_leaves_one_whole_file(self, tmp_path, monkeypatch):
         target = str(tmp_path / "registry.manifest")
@@ -496,7 +503,8 @@ class TestPersistence:
     @pytest.mark.skipif(find_spec("fcntl") is None, reason="no flock on this platform")
     def test_a_save_waits_for_an_enrollment_in_progress(self, tmp_path, monkeypatch):
         """An enroll_dir holds the directory's lock through its build, so a
-        save_dir into the same directory waits for it, then commits whole."""
+        save_dir into the same directory waits for it, then finds the
+        enrollment's manifest and raises FileExistsError."""
         reg = build_registry(objects=["mobile", "stapler"])
         path = str(tmp_path / "reg")
         build, building, release = registry_module.build_eigenspace, Event(), Event()
@@ -506,12 +514,18 @@ class TestPersistence:
             release.wait(60)
             return build(*args)
 
+        def save():
+            try:
+                reg.save_dir(path)
+            except FileExistsError as exc:
+                errors.append(exc)
+
         monkeypatch.setattr(registry_module, "build_eigenspace", held_build)
-        widget = training_appearances("widget")
+        widget, errors = training_appearances("widget"), []
         threads = [
             Thread(target=ObjectRegistry.enroll_dir,
                    args=(path, "widget", widget, eg.EigenspaceConfig())),
-            Thread(target=reg.save_dir, args=(path,)),
+            Thread(target=save),
         ]
         try:
             threads[0].start()
@@ -524,11 +538,13 @@ class TestPersistence:
             for thread in threads:
                 thread.join(60)
         assert not any(thread.is_alive() for thread in threads)
-        assert (tmp_path / "reg" / "widget.eig").exists()  # the enrollment landed first
-        manifest = render_manifest(reg.policy, ["mobile", "stapler"])
-        assert (tmp_path / "reg" / MANIFEST_NAME).read_text() == manifest
-        for got, want in zip(ObjectRegistry.load_dir(path).spaces, reg.spaces, strict=True):
-            assert_same_space(got, want)
+        manifest = tmp_path / "reg" / MANIFEST_NAME
+        assert [str(exc) for exc in errors] == [f"a registry is already committed: {manifest}"]
+        assert sorted(p.name for p in manifest.parent.iterdir()) == [
+            MANIFEST_NAME, "widget.eig", "widget.f8"]
+        assert manifest.read_bytes() == render_manifest(EnrollmentPolicy(), ["widget"]).encode()
+        (got,) = ObjectRegistry.load_dir(path).spaces
+        assert_same_space(got, eg.build_eigenspace("widget", widget, eg.EigenspaceConfig()))
 
     def test_a_failed_first_save_makes_no_directory(self, tmp_path, monkeypatch):
         reg, stage = build_registry(objects=["mobile"]), registry_module._stage
@@ -570,6 +586,118 @@ class TestPersistence:
         assert len(names) == 9
 
 
+class CutRenames:
+    """Stands in for os.replace: after `cut` renames the next one raises, so a
+    write leaves its directory as a process killed there would, less the
+    `.tmp` files of the renames it did not make."""
+
+    def __init__(self, replace, cut):
+        self.replace, self.cut, self.calls = replace, cut, 0
+
+    def __call__(self, src, dst):
+        if self.calls == self.cut:
+            raise OSError(f"cut after {self.cut} renames")
+        self.calls += 1
+        self.replace(src, dst)
+
+
+def registry_state(path):
+    """What load_dir loads from directory path, as its manifest's bytes and
+    each space's save_model bytes; None for a directory with no manifest."""
+    if not (path / MANIFEST_NAME).exists():
+        return None
+    spaces = ObjectRegistry.load_dir(str(path)).spaces
+    return (path / MANIFEST_NAME).read_bytes(), [eg.save_model(es) for es in spaces]
+
+
+def state_of(reg):
+    """registry_state of the directory a save of reg writes."""
+    manifest = render_manifest(reg.policy, [es.object_id for es in reg.spaces])
+    return manifest.encode(), [eg.save_model(es) for es in reg.spaces]
+
+
+def three_models(views_of=("mobile", "stapler", "key-holder")):
+    """A registry of mobile, stapler and key-holder, built from the views of views_of."""
+    reg = ObjectRegistry()
+    for object_id, views in zip(("mobile", "stapler", "key-holder"), views_of):
+        reg.accumulate(object_id, training_appearances(views), eg.EigenspaceConfig())
+    return reg
+
+
+class TestCrashCuts:
+    """A write cut after any number of its renames leaves the old registry
+    or the new one; for a first save, no registry counts as the old one."""
+
+    def cut_writes(self, tmp_path, monkeypatch, old_dir, write, new):
+        """Run write on a copy of old_dir cut after j renames, for every j up to
+        the count an uncut write makes, and check each cut; return each
+        copy, the renames made in it and the error write raised there."""
+        old, replace = registry_state(old_dir), os.replace
+
+        def run(cut):
+            path = tmp_path / f"cut-{cut}"
+            shutil.copytree(old_dir, path)
+            stub, error = CutRenames(replace, cut), None
+            monkeypatch.setattr(registry_module.os, "replace", stub)
+            try:
+                write(str(path))
+            except OSError as exc:
+                error = exc
+            finally:
+                monkeypatch.setattr(registry_module.os, "replace", replace)
+            assert registry_state(path) in (old, new), f"cut after {cut} renames"
+            assert not list(path.glob("*.tmp"))
+            return path, stub.calls, error
+
+        renames = run(math.inf)[1]
+        return [run(cut) for cut in range(renames + 1)]
+
+    @pytest.mark.parametrize("stored, policy", [(False, {}), (True, {}),
+                                                (True, {"unknown_threshold": 0.5})],
+                             ids=["empty", "three-models", "three-models-new-policy"])
+    def test_enroll_dir(self, tmp_path, monkeypatch, stored, policy):
+        old_dir, reg = tmp_path / "old", three_models() if stored else ObjectRegistry()
+        old_dir.mkdir()
+        if stored:
+            reg.save_dir(str(old_dir))
+        views, config = training_appearances("widget"), eg.EigenspaceConfig()
+        reg.accumulate("widget", views, config)
+        reg.policy = replace(reg.policy, **policy)
+        write = lambda path: ObjectRegistry.enroll_dir(path, "widget", views, config, **policy)
+        cuts = self.cut_writes(tmp_path, monkeypatch, old_dir, write, state_of(reg))
+        assert len(cuts) == 1 + 2 * len(reg.spaces) + 1
+        assert [error is None for *_, error in cuts] == [False] * (len(cuts) - 1) + [True]
+        # the registry is the new one exactly once the manifest is renamed
+        assert registry_state(cuts[-2][0]) == registry_state(old_dir)
+        assert registry_state(cuts[-1][0]) == state_of(reg)
+
+    def test_save_dir_into_an_empty_directory_then_a_retry(self, tmp_path, monkeypatch):
+        old_dir, reg = tmp_path / "old", three_models()
+        old_dir.mkdir()
+        cuts = self.cut_writes(tmp_path, monkeypatch, old_dir, reg.save_dir, state_of(reg))
+        assert [error is None for *_, error in cuts] == [False] * 7 + [True]
+        for path, _, error in cuts[:-1]:
+            # a cut leaves models but no manifest, so a retry commits
+            assert registry_state(path) is None
+            reg.save_dir(str(path))
+            assert registry_state(path) == state_of(reg)
+
+    def test_save_dir_over_a_committed_registry_changes_nothing(self, tmp_path, monkeypatch):
+        """The same ids, built from other views: mixing the two would load as
+        neither, so save_dir refuses the directory before staging any file."""
+        old_dir, other = tmp_path / "old", three_models(("stapler", "key-holder", "mobile"))
+        three_models().save_dir(str(old_dir))
+        before = held_files(old_dir)
+        cuts = self.cut_writes(tmp_path, monkeypatch, old_dir, other.save_dir, state_of(other))
+        ((path, renames, error),) = cuts
+        assert renames == 0 and isinstance(error, FileExistsError)
+        assert str(error) == f"a registry is already committed: {path / MANIFEST_NAME}"
+        # each cut ran on a copy, so the inodes are checked on the saved directory
+        with pytest.raises(FileExistsError):
+            other.save_dir(str(old_dir))
+        assert held_files(old_dir) == before
+
+
 def count_renders(monkeypatch) -> list:
     """The ids of the spaces save_dir renders with save_model, in call order."""
     rendered = []
@@ -582,146 +710,43 @@ def count_renders(monkeypatch) -> list:
     return rendered
 
 
-def flip_byte(path, after: bytes):
-    """Flip the low bit of the byte that follows the first `after` in path."""
-    data = bytearray(path.read_bytes())
-    data[data.index(after) + len(after)] ^= 1
-    path.write_bytes(data)
-
-
-def registry_of(object_id, views_of):
-    """A registry holding one space, object_id, built from the views of views_of."""
-    reg = ObjectRegistry()
-    reg.accumulate(object_id, training_appearances(views_of), eg.EigenspaceConfig())
-    return reg
-
-
-def toy_registry(mean0=0.0, occluded=False, tau=0.95):
-    """A registry of one hand-built space, whose mean starts with mean0 (0.0
-    or -0.0 spell differently), whose first view is or is not occluded, and
-    whose config has energy threshold tau."""
-    es = eg.Eigenspace(
-        "toy", np.array([mean0, 0.25, 0.5]), np.array([1.0]), np.array([[1.0, 0.0, 0.0]]),
-        eg.EigenspaceConfig(energy_threshold=tau), "unit", np.array([[0.5], [1.0]]),
-        (eg.ViewLabel("toy", 0, occluded), eg.ViewLabel("toy", 10)),
-    )
-    reg = ObjectRegistry()
-    reg._append(es)
-    return reg
-
-
 class TestResave:
+    """A loaded registry saved again, into a new directory."""
+
     def test_resave_renders_every_model_and_keeps_each_files_bytes(self, tmp_path, monkeypatch):
-        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        reg = ObjectRegistry.load_dir(str(tmp_path))
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path / "a"))
+        before = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        reg = ObjectRegistry.load_dir(str(tmp_path / "a"))
         reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
         rendered = count_renders(monkeypatch)
-        reg.save_dir(str(tmp_path))
+        reg.save_dir(str(tmp_path / "b"))
         assert rendered == ["mobile", "stapler", "widget"]
         for name in ("mobile.eig", "mobile.f8", "stapler.eig", "stapler.f8"):
-            assert (tmp_path / name).read_bytes() == before[name], name
+            assert (tmp_path / "b" / name).read_bytes() == before[name], name
         for es in reg.spaces:
-            assert (tmp_path / f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda eig, f8: flip_byte(eig, b"dim "),
-            lambda eig, f8: flip_byte(eig, b"mean "),
-            lambda eig, f8: f8.unlink(),
-            lambda eig, f8: flip_byte(f8, b""),
-            # the digest of the sidecar written for another .eig text
-            lambda eig, f8: f8.write_bytes(
-                save_sidecar(eg.load_model(eig.read_bytes()), b"EIGENGAZE 1\n")),
-        ],
-        ids=["damaged-header", "damaged-float", "no-sidecar", "damaged-sidecar", "stale-sidecar"],
-    )
-    def test_save_repairs_the_target_model(self, tmp_path, monkeypatch, damage):
-        """A save renders every model, so one whose .eig is damaged, or whose
-        sidecar is missing, damaged or stale, is repaired; a text that still
-        loads renders to its own bytes, so only the damaged file changes."""
-        reg = build_registry(objects=["mobile", "stapler"])
-        reg.save_dir(str(tmp_path))
-        eig, f8 = tmp_path / "mobile.eig", tmp_path / "mobile.f8"
-        damage(eig, f8)
-        rendered = count_renders(monkeypatch)
-        reg.save_dir(str(tmp_path))
-        assert rendered == ["mobile", "stapler"]
-        es = reg.find("mobile")
-        assert eig.read_bytes() == eg.save_model(es)
-        assert f8.read_bytes() == save_sidecar(es, eg.save_model(es))
-        assert_same_space(ObjectRegistry.load_dir(str(tmp_path)).find("mobile"), es)
-
-    @pytest.mark.parametrize(
-        "held, saved",
-        [
-            (lambda: registry_of("mobile", "mobile"), lambda: registry_of("mobile", "stapler")),
-            (toy_registry, lambda: toy_registry(mean0=-0.0)),
-            (lambda: toy_registry(mean0=-0.0), toy_registry),
-            (lambda: toy_registry(occluded=True), toy_registry),
-            (lambda: toy_registry(tau=0.9), toy_registry),
-        ],
-        ids=["another-registry", "zero-to-minus-zero", "minus-zero-to-zero", "another-label",
-             "another-config"],
-    )
-    def test_another_space_under_the_same_id_is_rendered(self, tmp_path, monkeypatch, held, saved):
-        held().save_dir(str(tmp_path))
-        reg = saved()
-        rendered = count_renders(monkeypatch)
-        reg.save_dir(str(tmp_path))
-        (es,) = reg.spaces
-        assert rendered == [es.object_id]
-        assert (tmp_path / f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
+            assert (tmp_path / "b" / f"{es.object_id}.eig").read_bytes() == eg.save_model(es)
 
     def test_a_learn_loads_each_stored_model_once_and_hashes_it_twice(self, tmp_path, monkeypatch):
         """load_dir, accumulate and save_dir over sidecars that match: load_dir
         loads and hashes each stored model, and save_dir hashes it once more to
         write its sidecar, with no second load; the new model is hashed once."""
-        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path))
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        build_registry(objects=["mobile", "stapler"]).save_dir(str(tmp_path / "a"))
+        before = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
         loaded, hashed = [], []
         load, digest = registry_module.load_model, eigenspace_module._sidecar_digest
         monkeypatch.setattr(registry_module, "load_model",
                             lambda data, sidecar=None: loaded.append(data) or load(data, sidecar))
         monkeypatch.setattr(eigenspace_module, "_sidecar_digest",
                             lambda data, block: hashed.append(bytes(data)) or digest(data, block))
-        reg = ObjectRegistry.load_dir(str(tmp_path))
+        reg = ObjectRegistry.load_dir(str(tmp_path / "a"))
         reg.accumulate("widget", training_appearances("widget"), eg.EigenspaceConfig())
-        reg.save_dir(str(tmp_path))
+        reg.save_dir(str(tmp_path / "b"))
         stored = [before["mobile.eig"], before["stapler.eig"]]
         assert loaded == stored
         assert hashed == stored + stored + [eg.save_model(reg.find("widget"))]
         for name, data in before.items():
             if name != "registry.manifest":
-                assert (tmp_path / name).read_bytes() == data, name
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda data: data.replace(b"mean ", b"mean \xff", 1),
-            lambda data: data.replace(b"\nEND\n", b"\nEND \n"),
-            lambda data: data.replace(b"\nbasis 0 ", b"\nbasis 00 "),
-            lambda data: data.replace(b"\ndim ", b"\ndim  "),
-        ],
-        ids=["non-utf8-float", "text-after-end", "misnumbered-row", "damaged-header"],
-    )
-    def test_a_damaged_model_beside_its_own_sidecar_is_rendered(self, tmp_path, monkeypatch,
-                                                                damage):
-        """A sidecar equal to the one es writes for the held `.eig` bytes does
-        not keep a damaged text: the save renders the model again."""
-        reg = build_registry(objects=["mobile"])
-        reg.save_dir(str(tmp_path))
-        es, eig = reg.find("mobile"), tmp_path / "mobile.eig"
-        data = damage(eig.read_bytes())
-        assert data != eig.read_bytes()
-        eig.write_bytes(data)
-        (tmp_path / "mobile.f8").write_bytes(save_sidecar(es, data))
-        rendered = count_renders(monkeypatch)
-        reg.save_dir(str(tmp_path))
-        assert rendered == ["mobile"]
-        assert eig.read_bytes() == eg.save_model(es)
-        assert (tmp_path / "mobile.f8").read_bytes() == save_sidecar(es, eg.save_model(es))
+                assert (tmp_path / "b" / name).read_bytes() == data, name
 
 
 class TestSidecar:
