@@ -1,11 +1,13 @@
 """Grayscale raster I/O, appearance vectors, occlusion, and synthetic views.
 
-Images are plain PGM (P2 text / P5 binary). Appearance vectors are the
-flattened, optionally unit-normalized pixel intensities that feed the
-eigenspace builder. synth_view stands in for a camera: a scan-line fill
-finds each subsample row's covered columns with one binary search per edge,
-and each object's polygon is derived once per (object, seed, side). Neither
-it nor write_pgm loops in Python over pixels or samples.
+Images are plain PGM (P2 text / P5 binary). A RasterImage keeps its samples
+as a private, read-only copy as wide as a P5 file stores them: uint8 below
+max value 256, uint16 from there on. Appearance vectors are the flattened,
+optionally unit-normalized pixel intensities that feed the eigenspace
+builder. synth_view stands in for a camera: a scan-line fill finds each
+subsample row's covered columns with one binary search per edge, and each
+object's polygon is derived once per (object, seed, side). Neither it nor
+write_pgm loops in Python over pixels or samples.
 """
 
 import functools
@@ -48,6 +50,12 @@ class ViewLabel:
 _UNLABELED = ViewLabel("", 0, False)
 
 
+def _sample_dtype(max_value: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds [0, max_value]: one byte per
+    sample below 256, two from 256 on, as a P5 file stores them."""
+    return np.dtype(np.uint8 if max_value < 256 else np.uint16)
+
+
 @dataclass(frozen=True)
 class RasterImage:
     """Row-major grayscale raster with integer samples in [0, max_value]."""
@@ -55,7 +63,9 @@ class RasterImage:
     width: int
     height: int
     max_value: int
-    samples: np.ndarray  # shape (width*height,), dtype int64
+    # shape (width*height,), dtype _sample_dtype(max_value), read-only and
+    # owned by the image: the constructor copies what it is given
+    samples: np.ndarray
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -63,7 +73,6 @@ class RasterImage:
         if not 1 <= self.max_value <= 65535:
             raise ValueError("max_value must be in [1, 65535]")
         samples = np.asarray(self.samples, dtype=np.int64)
-        object.__setattr__(self, "samples", samples)
         if samples.shape != (self.width * self.height,):
             raise SampleCountMismatch(
                 f"expected {self.width * self.height} samples, got {samples.size}"
@@ -72,6 +81,9 @@ class RasterImage:
             raise SampleOutOfRange(
                 f"samples must lie in [0, {self.max_value}]"
             )
+        samples = samples.astype(_sample_dtype(self.max_value))
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     def __eq__(self, other):
         if not isinstance(other, RasterImage):
@@ -171,14 +183,13 @@ def parse_pgm(data: bytes) -> RasterImage:
         # RasterImage rejects a wrong count, and an overflowing sample, read as int64's maximum
         samples = np.fromstring(body, dtype=np.int64, sep=" ") if body else np.empty(0, np.int64)
     else:
-        per = 1 if max_value < 256 else 2
-        payload = data[offset : offset + count * per]
-        if len(payload) != count * per:
+        dtype = _sample_dtype(max_value).newbyteorder(">")
+        payload = data[offset : offset + count * dtype.itemsize]
+        if len(payload) != count * dtype.itemsize:
             raise SampleCountMismatch(
-                f"expected {count * per} payload bytes, found {len(payload)}"
+                f"expected {count * dtype.itemsize} payload bytes, found {len(payload)}"
             )
-        dtype = np.dtype(">u2") if per == 2 else np.uint8
-        samples = np.frombuffer(payload, dtype=dtype).astype(np.int64)
+        samples = np.frombuffer(payload, dtype=dtype)
     return RasterImage(width, height, max_value, samples)
 
 
@@ -189,8 +200,7 @@ def write_pgm(image: RasterImage, binary: bool = False) -> bytes:
         samples = image.samples.tolist()
         body = " ".join(["%d"] * len(samples)) % tuple(samples)
         return ("P2\n" + header + body + "\n").encode("ascii")
-    per = 1 if image.max_value < 256 else 2
-    dtype = np.dtype(">u2") if per == 2 else np.uint8
+    dtype = _sample_dtype(image.max_value).newbyteorder(">")
     return ("P5\n" + header).encode("ascii") + image.samples.astype(dtype).tobytes()
 
 
@@ -216,7 +226,8 @@ def vectorize(
 
 def apply_occlusion(image: RasterImage, spec: OcclusionSpec) -> RasterImage:
     """Overwrite the clamped rectangle with spec.fill; everything else unchanged."""
-    if spec.fill > image.max_value:  # not left to RasterImage: beyond int64, filling overflows
+    # not left to RasterImage: beyond the grid's uint8/uint16, filling would wrap or raise
+    if spec.fill > image.max_value:
         raise SampleOutOfRange("occlusion fill exceeds image max_value")
     x1 = min(spec.x0 + spec.w, image.width)
     y1 = min(spec.y0 + spec.h, image.height)

@@ -17,11 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 import eigengaze as eg
 from eigengaze import eigenspace
 from eigengaze.eigenspace import _fmt_row, save_sidecar
-from eigengaze.errors import EigengazeError
+from eigengaze.errors import EigengazeError, ZeroImage
 from eigengaze.imgio import _shade
 
 from conftest import assert_same_space, build_registry, rebuilt_rows_check, training_appearances
-from test_imgio import oracle_shade
+from test_imgio import assert_narrow_and_read_only, oracle_shade
 
 # derandomized so that every run checks the same inputs
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -108,6 +108,25 @@ def pgm_with_laid_out_header(draw):
     return data, eg.RasterImage(width, height, max_value, np.array(samples))
 
 
+def check_image(image):
+    """A loaded image writes as P2 and as P5 to bytes that parse back to it,
+    holds its samples as the dtype rule says, and vectorizes, bit for bit, as
+    its samples widened to int64 do through vectorize's steps."""
+    for binary in (False, True):
+        assert eg.parse_pgm(eg.write_pgm(image, binary)) == image
+    assert_narrow_and_read_only(image)
+    raw = image.samples.astype(np.int64) / image.max_value
+    assert eg.vectorize(image, "raw").values.tobytes() == raw.tobytes()
+    norm = np.linalg.norm(raw)
+    if norm == 0.0:
+        with pytest.raises(ZeroImage):
+            eg.vectorize(image, "unit")
+        return
+    unit = raw / norm
+    unit = unit / np.linalg.norm(unit)
+    assert eg.vectorize(image, "unit").values.tobytes() == unit.tobytes()
+
+
 def check_model(data: bytes, sidecar=None):
     try:
         es = eg.load_model(data, sidecar)
@@ -169,11 +188,15 @@ def check_registry_dir(reg_dir):
 @example(b"P2 1 1 " + b"# #" * 30_000)
 @example(b"P5 1 1 255\n\x20")
 @example(b"P5 1 1 255\n\x0a")
+@example(b"P5 2 1 65535\n\x01\x02\xff\xff")
+@example(b"P2 2 2 1\n0 1 1 0")
+@example(b"P2 1 1 256 0")
 def test_parse_pgm_loads_or_raises(data):
     try:
-        eg.parse_pgm(data)
+        image = eg.parse_pgm(data)
     except EigengazeError:
-        pass
+        return
+    check_image(image)
 
 
 @FUZZ
@@ -182,6 +205,7 @@ def test_parse_pgm_loads_or_raises(data):
 def test_parse_pgm_reads_any_header_layout(case):
     data, image = case
     assert eg.parse_pgm(data) == image
+    check_image(image)
 
 
 @FUZZ

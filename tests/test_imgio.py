@@ -61,6 +61,15 @@ def oracle_write_pgm(image, binary):
     return ("P5\n" + header).encode("ascii") + image.samples.astype(dtype).tobytes()
 
 
+def assert_narrow_and_read_only(image):
+    """image keeps its samples as a P5 file stores them, one byte each below
+    max value 256 and two from there on, in an array no one can write to."""
+    assert image.samples.dtype == (np.uint8 if image.max_value < 256 else np.uint16)
+    assert image.samples.nbytes == image.width * image.height * image.samples.itemsize
+    with pytest.raises(ValueError, match="read-only"):
+        image.samples[0] = 0
+
+
 def _object_with(n_verts, seed):
     """The first id obj<i> whose polygon has n_verts vertices at seed."""
     return next(f"obj{i}" for i in count() if len(_object_shape(f"obj{i}", seed)[0]) == n_verts)
@@ -164,6 +173,65 @@ class TestParsePgm:
         with pytest.raises(MalformedHeader):
             eg.parse_pgm(data)
         assert time.perf_counter() - start < 1.0
+
+
+# the four edges of the dtype rule: uint8 up to max value 255, uint16 from 256
+RULE_EDGES = [1, 255, 256, 65535]
+
+
+class TestSampleStorage:
+    @pytest.mark.parametrize("max_value", RULE_EDGES)
+    @pytest.mark.parametrize("given", ["int64", "uint8", "list"])
+    def test_construction_keeps_a_narrow_private_copy(self, max_value, given):
+        values = [0, min(max_value, 255), 1, max_value if given != "uint8" else 0]
+        samples = values if given == "list" else np.array(values, dtype=given)
+        image = eg.RasterImage(2, 2, max_value, samples)
+        assert_narrow_and_read_only(image)
+        assert image.samples.tolist() == values
+        if given != "list":
+            assert not np.shares_memory(image.samples, samples)
+            samples[:] = 1
+            assert image.samples.tolist() == values
+
+    @pytest.mark.parametrize("max_value", RULE_EDGES)
+    @pytest.mark.parametrize("magic", [b"P2", b"P5"])
+    def test_parsed_images_keep_the_narrow_dtype(self, max_value, magic):
+        if magic == b"P2":
+            data = b"P2 2 1 %d\n0 %d\n" % (max_value, max_value)
+        else:
+            dtype = ">u2" if max_value > 255 else np.uint8
+            data = b"P5 2 1 %d\n" % max_value + np.array([0, max_value], dtype).tobytes()
+        image = eg.parse_pgm(data)
+        assert_narrow_and_read_only(image)
+        assert image.samples.tolist() == [0, max_value]
+
+    @pytest.mark.parametrize("side", [8, 33])
+    def test_synthetic_views_keep_one_byte_a_sample(self, side):
+        image = eg.synth_view("A", 30, side, 1)
+        assert_narrow_and_read_only(image)
+        assert image.samples.nbytes == side * side
+
+    @pytest.mark.parametrize("max_value", RULE_EDGES)
+    def test_occluded_images_keep_the_narrow_dtype(self, max_value):
+        image = eg.RasterImage(4, 4, max_value, np.arange(16) % 2 * max_value)
+        before = image.samples.copy()
+        out = eg.apply_occlusion(image, eg.OcclusionSpec(1, 1, 2, 2, max_value))
+        assert_narrow_and_read_only(out)
+        assert out.grid()[1:3, 1:3].tolist() == [[max_value] * 2] * 2
+        assert np.array_equal(image.samples, before)
+
+    def test_a_caller_can_change_neither_the_image_nor_its_bytes(self):
+        # an image that aliased its caller's writable int64 array wrote this
+        # one as b"P2\n2 2\n255\n999 -5 0 0\n", which parse_pgm rejects
+        given = np.zeros(4, np.int64)
+        image = eg.RasterImage(2, 2, 255, given)
+        given[0] = 999
+        with pytest.raises(ValueError, match="read-only"):
+            image.samples[1] = -5
+        with pytest.raises(ValueError, match="read-only"):
+            image.grid()[0, 1] = 7
+        assert eg.write_pgm(image) == b"P2\n2 2\n255\n0 0 0 0\n"
+        assert eg.parse_pgm(eg.write_pgm(image)) == image
 
 
 class TestWritePgm:
@@ -284,7 +352,7 @@ class TestApplyOcclusion:
 
     def test_fill_above_max_rejected(self):
         img = eg.RasterImage(2, 2, 15, np.zeros(4, dtype=int))
-        # beyond int64, filling the grid would raise OverflowError, which no caller expects
+        # beyond the grid's uint8, a fill would wrap or raise OverflowError: no caller expects it
         for fill in (16, 2**70):
             with pytest.raises(SampleOutOfRange):
                 eg.apply_occlusion(img, eg.OcclusionSpec(0, 0, 1, 1, fill))
@@ -309,7 +377,8 @@ class TestSynthView:
     def test_full_turn_matches_start(self):
         base = eg.synth_view("A", 0, 32, 1)
         turned = eg.synth_view("A", 360, 32, 1)
-        assert np.abs(base.samples - turned.samples).mean() <= 2.0
+        # widened first: uint8 subtraction wraps, so a -1 would read 255
+        assert np.abs(base.samples.astype(np.int64) - turned.samples).mean() <= 2.0
 
     def test_rotation_changes_image(self):
         a = eg.synth_view("A", 0, 32, 1)

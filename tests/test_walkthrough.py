@@ -2,13 +2,21 @@
 
 Each case takes a result that keeps every invariant and breaks one, as a
 faulty source tree would, and the checker must name it: mutation analysis of
-the checker itself, with no subprocess run.
+the checker itself, with no subprocess run. One test also runs the
+walkthrough on the package under test and pins its stdout's sha256.
 """
 
+import hashlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import eigengaze
+
+from conftest import assert_matches_golden
 
 _spec = importlib.util.spec_from_file_location(
     "walkthrough", Path(__file__).with_name("walkthrough.py"))
@@ -24,6 +32,20 @@ REGISTRY_VARIABLE = ["EIGENGAZE_REGISTRY=models", "eigengaze", "recognize", "dat
 EVALUATE_CSV = [*wt.EVALUATE, "--csv", "report.csv"]
 EVALUATE_TEXT = [*wt.EVALUATE, "--text", "report.txt"]
 INSPECT_OUT = [*wt.INSPECT, "5", "--out", "coords.csv"]
+
+
+# numpy version -> sha256 of the walkthrough's stdout
+WALKTHROUGH_GOLDENS = {
+    "2.4.6": "745c2fc279e58a9c330c16ac8d78d760a2018fd48419c7a8af0121490f85fdeb",
+}
+
+
+def walkthrough_stdout() -> bytes:
+    """The walkthrough's JSON for the package under test; it must exit 0."""
+    src = Path(eigengaze.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, wt.__file__, str(src)], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
 
 
 def registry(directory):
@@ -113,6 +135,8 @@ BREAKS = {
 
 def test_a_clean_walkthrough_breaks_no_invariant():
     assert wt.check(clean()) == []
+    assert_matches_golden(WALKTHROUGH_GOLDENS, "walkthrough",
+                          lambda: hashlib.sha256(walkthrough_stdout()).hexdigest())
 
 
 @pytest.mark.parametrize("invariant, breaks", BREAKS.values(), ids=BREAKS)
