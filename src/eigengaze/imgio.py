@@ -72,11 +72,14 @@ class RasterImage:
             raise ValueError("image dimensions must be positive")
         if not 1 <= self.max_value <= 65535:
             raise ValueError("max_value must be in [1, 65535]")
-        samples = np.asarray(self.samples, dtype=np.int64)
+        samples = np.asarray(self.samples)
         if samples.shape != (self.width * self.height,):
             raise SampleCountMismatch(
                 f"expected {self.width * self.height} samples, got {samples.size}"
             )
+        # checked before any cast, which would truncate a float or wrap a huge value
+        if samples.dtype.kind not in "iu":
+            raise SampleOutOfRange(f"samples must be integers, not {samples.dtype}")
         if samples.min() < 0 or samples.max() > self.max_value:
             raise SampleOutOfRange(
                 f"samples must lie in [0, {self.max_value}]"

@@ -6,7 +6,7 @@ query far from a subspace cannot win on in-space proximity alone.
 
 One scorer serves both entry points. It reads the registry's snapshot once: a
 tuple of spaces, each holding its manifold in view-angle order, with their
-means and manifolds stacked into whole-registry arrays, built once per
+means and manifolds stacked into whole-registry arrays, all built by the
 mutation. Each space makes one product of its own, the projection g of the
 centred query wc, in one `np.dot`. The residual needs no reconstruction: a
 basis has orthonormal rows, so |wc - g B|^2 = |wc|^2 - |g|^2. Only where that
@@ -26,12 +26,11 @@ tie rules in both.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .eigenspace import _BUDGET, check_shape
-from .errors import EmptyQuerySet, EmptyRegistry
+from .errors import DuplicateObject, EmptyQuerySet, EmptyRegistry
 from .imgio import AppearanceVector, ViewLabel
 
 # |wc|^2 - |g|^2 at or below this share of |wc|^2 is mostly rounding, and its
@@ -59,34 +58,33 @@ class EvaluationReport:
 
 
 class Snapshot:
-    """One immutable tuple of spaces and, each computed on first use, the
-    widest `spread` of any space (None if none has two points), which the auto
-    threshold scales, and the scorer's whole-registry arrays: the means stacked
-    as (spaces, dim), and the manifold coordinates padded to (spaces, k_max,
-    n_max), a column per point. A space's coordinates are padded with zeros
-    beyond its k, as its projections are, and its padded points lie at infinity,
-    so no padded point is ever nearest and no padding computes inf - inf."""
+    """One immutable tuple of spaces, admitted and derived here, once: each id
+    once, each space of the first's dim and norm mode. It holds the widest
+    `spread` of any space (None if none has two points), which the auto
+    threshold scales, and the scorer's arrays (None if no space): the means
+    stacked as (spaces, dim), and the manifold coordinates padded to (spaces,
+    k_max, n_max), a column per point, with zeros beyond a space's k, as its
+    projections are, and its padded points at infinity, so no padded point is
+    ever nearest and no padding computes inf - inf."""
 
     def __init__(self, spaces: tuple = ()):
+        ids = set()
+        for es in spaces:
+            if es.object_id in ids:
+                raise DuplicateObject(f"object {es.object_id!r} already enrolled")
+            ids.add(es.object_id)
+            check_shape(spaces[0], es)
         self.spaces = spaces
-
-    @cached_property
-    def spread(self) -> float | None:
-        return max((es.spread for es in self.spaces if es.spread is not None), default=None)
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        return np.array([es.mean for es in self.spaces])
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        n_max = max(len(es.coords) for es in self.spaces)
-        k_max = max(es.k for es in self.spaces)
-        coords = np.zeros((len(self.spaces), k_max, n_max))
-        for s, es in enumerate(self.spaces):
-            coords[s, :, len(es.coords) :] = np.inf
-            coords[s, : es.k, : len(es.coords)] = es.coords.T
-        return coords
+        self.spread = max((es.spread for es in spaces if es.spread is not None), default=None)
+        self.means = self.coords = None
+        if spaces:
+            self.means = np.array([es.mean for es in spaces])
+            n_max = max(len(es.coords) for es in spaces)
+            k_max = max(es.k for es in spaces)
+            self.coords = np.zeros((len(spaces), k_max, n_max))
+            for s, es in enumerate(spaces):
+                self.coords[s, :, len(es.coords) :] = np.inf
+                self.coords[s, : es.k, : len(es.coords)] = es.coords.T
 
     def block_size(self) -> int:
         """Queries per evaluate block: neither the (spaces, queries, dim)
@@ -101,7 +99,7 @@ def _snapshot(reg, queries) -> Snapshot:
     snap = reg.snapshot
     if not snap.spaces:
         raise EmptyRegistry("no enrolled objects")
-    # the registry admits only spaces of one dim and norm mode, so one check covers all
+    # a snapshot holds only spaces of one dim and norm mode, so one check covers all
     for v in queries:
         check_shape(snap.spaces[0], v)
     return snap

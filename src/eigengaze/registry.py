@@ -3,14 +3,15 @@
 Each enrolled object keeps its own independently built eigenspace; enrolling a
 new object never touches existing spaces. Mutation (accumulate / enroll) is
 serialized behind an internal lock. Each mutation rebinds one snapshot: an
-immutable tuple of spaces, each holding its manifold in view-angle order, with
-the scorer's arrays and the widest `spread`, which the auto threshold scales,
-each derived once per snapshot. A read takes the snapshot once, so
-classification may run concurrently with mutations and sees a whole set of
-spaces. Every model invariant is checked by the `Eigenspace` constructor, not
-here. `_model_files` alone knows which files make up a stored model. The
-manifest has one renderer: `_stage_manifest` writes it, and `_load_manifest`
-accepts only a manifest that it reproduces byte for byte.
+immutable tuple of spaces, each holding its manifold in view-angle order, whose
+constructor admits them (each id once, one dim and norm mode) and derives the
+scorer's arrays and the widest `spread`, which the auto threshold scales. A
+read takes the snapshot once, so classification may run concurrently with
+mutations and sees a whole set of spaces. Every model invariant is checked by
+the `Eigenspace` constructor, not here. `_model_files` alone knows which files
+make up a stored model. The manifest has one renderer: `_stage_manifest`
+writes it, and `_load_manifest` accepts only a manifest that it reproduces
+byte for byte.
 
 A registry directory is created once and then only appended to, as the paper
 accumulates one eigenspace per new object: save_dir creates one, and refuses a
@@ -43,14 +44,12 @@ from .eigenspace import (
     EigenspaceConfig,
     build_eigenspace,
     check_rendered,
-    check_shape,
     load_model,
     save_model,
     save_sidecar,
 )
 from .errors import (
     CorruptField,
-    DuplicateObject,
     InsufficientData,
     InvalidObjectId,
 )
@@ -235,9 +234,11 @@ class Decision:
 class ObjectRegistry:
     """Ordered collection of per-object eigenspaces (insertion = acquisition)."""
 
+    # every registry starts from this one empty snapshot; _append rebinds its
+    # own, and no snapshot is changed in place
+    _snapshot = recog.Snapshot()
+
     def __init__(self, policy: EnrollmentPolicy | None = None):
-        # rebound by _append, never mutated in place
-        self._snapshot = recog.Snapshot()
         self.policy = policy if policy is not None else EnrollmentPolicy()
         self._lock = threading.RLock()
 
@@ -257,12 +258,8 @@ class ObjectRegistry:
                 return es
         return None
 
-    def _append(self, es: Eigenspace):
-        if self.find(es.object_id) is not None:
-            raise DuplicateObject(f"object {es.object_id!r} already enrolled")
-        if self.spaces:
-            check_shape(self.spaces[0], es)
-        self._snapshot = recog.Snapshot(self.spaces + (es,))
+    def _append(self, *spaces: Eigenspace):
+        self._snapshot = recog.Snapshot(self.spaces + spaces)
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig,
                    k: int | None = None) -> Eigenspace:
@@ -341,11 +338,10 @@ class ObjectRegistry:
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":
         """Load a directory that save_dir wrote: its manifest, then each model
-        it names, in order."""
+        it names, in order, into one snapshot."""
         policy, ids = _load_manifest(path)
         reg = cls(policy)
-        for object_id in ids:
-            reg._append(_stored_model(path, object_id)[0])
+        reg._append(*(_stored_model(path, object_id)[0] for object_id in ids))
         return reg
 
     @classmethod
@@ -362,13 +358,14 @@ class ObjectRegistry:
         enrollment that fails changes no file and concurrent enrollments each
         land."""
         with _locked(path), _staging() as staged:
-            reg, ids = cls(), []
+            reg, ids, stored_spaces = cls(), [], []
             if os.path.exists(os.path.join(path, MANIFEST_NAME)):
                 reg.policy, ids = _load_manifest(path)
             for stored_id in ids:
                 stored, data, sidecar = _stored_model(path, stored_id)
-                reg._append(stored)
+                stored_spaces.append(stored)
                 _stage_model(staged, path, stored, data, sidecar if stored.from_sidecar else None)
+            reg._append(*stored_spaces)
             reg.policy = replace(reg.policy, **policy)
             es = reg.accumulate(object_id, appearances, config, k)
             _stage_model(staged, path, es, save_model(es))

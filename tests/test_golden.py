@@ -17,6 +17,8 @@ A change that moves model bytes on purpose updates its golden and says why.
 
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,6 +64,22 @@ def test_bench_models_hash_to_their_golden(seeds=(1,)):
     goldens = {version: by_seeds[seeds] for version, by_seeds in MODEL_GOLDENS.items()
                if seeds in by_seeds}
     assert_matches_golden(goldens, f"seeds {seeds} model", lambda: models_digest(seeds))
+
+
+def test_models_do_not_depend_on_the_blas_thread_count():
+    """A child held to one BLAS thread writes the same seed-1 models as this
+    process, on any numpy version, so a process may be held to one BLAS thread
+    without moving a byte it writes."""
+    tests = Path(__file__).resolve().parent
+    src = Path(eg.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path[:0] = [{str(src)!r}, {str(tests)!r}]; "
+            "from test_golden import models_digest; print(models_digest((1,)))")
+    child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    digest = models_digest((1,))
+    out, _ = child.communicate()
+    assert child.returncode == 0
+    assert out.strip() == digest
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import fields
 from itertools import count, product
 
@@ -219,6 +220,18 @@ class TestSampleStorage:
         assert_narrow_and_read_only(out)
         assert out.grid()[1:3, 1:3].tolist() == [[max_value] * 2] * 2
         assert np.array_equal(image.samples, before)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[3.7, 254.9], np.array([3.0]), [1e30], np.array([1e30]), [True, False], [10**30]],
+        ids=["fractions", "whole-float", "huge-float", "huge-float-array", "bool", "huge-int"],
+    )
+    def test_samples_must_be_integers(self, samples):
+        # rejected before any cast, so none truncates, wraps or warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SampleOutOfRange, match="^samples must be integers, not "):
+                eg.RasterImage(len(samples), 1, 255, samples)
 
     def test_a_caller_can_change_neither_the_image_nor_its_bytes(self):
         # an image that aliased its caller's writable int64 array wrote this

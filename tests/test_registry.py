@@ -18,6 +18,7 @@ from eigengaze.errors import (
     InvalidObjectId,
 )
 from eigengaze import eigenspace as eigenspace_module
+from eigengaze import recog
 from eigengaze import registry as registry_module
 from dataclasses import replace
 
@@ -129,6 +130,60 @@ class TestSnapshot:
         assert [es.object_id for es in clone.spaces] == ["A", "B"]
         assert clone.spaces[0] is before[0]
         assert clone.effective_threshold() == clone.policy.auto_margin * clone.spaces[1].spread
+
+    def test_a_snapshot_admits_each_id_once(self):
+        (es,) = build_registry(objects=["A"]).spaces
+        with pytest.raises(DuplicateObject, match="^object 'A' already enrolled$"):
+            recog.Snapshot((es, es))
+
+    def test_a_snapshot_admits_one_norm_mode(self):
+        (unit,) = build_registry(objects=["A"]).spaces
+        (raw,) = build_registry(objects=["B"], norm_mode="raw").spaces
+        with pytest.raises(DimensionMismatch):
+            recog.Snapshot((unit, raw))
+
+    def test_an_empty_snapshot_derives_nothing(self):
+        assert vars(recog.Snapshot()) == {"spaces": (), "spread": None,
+                                          "means": None, "coords": None}
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The ids of each snapshot built from here on, one tuple a snapshot."""
+        built = []
+
+        class Spy(recog.Snapshot):
+            def __init__(self, spaces=()):
+                built.append(tuple(es.object_id for es in spaces))
+                super().__init__(spaces)
+
+        monkeypatch.setattr(recog, "Snapshot", Spy)
+        return built
+
+    def test_a_load_builds_one_snapshot_and_an_enrollment_two(self, tmp_path, built):
+        build_registry(objects=["A", "B", "C"]).save_dir(str(tmp_path))
+        built.clear()
+        ObjectRegistry.load_dir(str(tmp_path))
+        assert built == [("A", "B", "C")]
+        built.clear()
+        ObjectRegistry.enroll_dir(str(tmp_path), "D", training_appearances("D"),
+                                  eg.EigenspaceConfig())
+        assert built == [("A", "B", "C"), ("A", "B", "C", "D")]
+
+    def test_reads_leave_the_snapshot_as_its_mutation_built_it(self):
+        reg = build_registry(objects=["A"])
+        reg.accumulate("B", training_appearances("B"), eg.EigenspaceConfig())
+        snap = reg.snapshot
+        attributes = dict(vars(snap))
+        arrays = {name: value.copy() for name, value in attributes.items()
+                  if isinstance(value, np.ndarray)}
+        v = training_appearances("A")[0]
+        reg.decide(v)
+        recog.recognize(reg, v)
+        recog.evaluate(reg, query_set(objects=["A", "B"]))
+        assert reg.snapshot is snap
+        assert vars(snap).keys() == attributes.keys()
+        assert all(vars(snap)[name] is value for name, value in attributes.items())
+        assert all(np.array_equal(vars(snap)[name], a) for name, a in arrays.items())
 
 
 class TestEffectiveThreshold:
