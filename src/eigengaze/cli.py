@@ -115,11 +115,11 @@ def _parse_threshold(text: str):
 
 
 def _load_registry(args):
-    """The registry args name, which must hold a space, and its norm mode."""
+    """The registry args name, which must hold a space."""
     reg = ObjectRegistry.load_dir(args.registry)
     if not reg.spaces:
         raise EmptyRegistry("no enrolled objects")
-    return reg, reg.spaces[0].norm_mode
+    return reg
 
 
 def _given(args, **dests) -> dict:
@@ -191,7 +191,7 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    config = EigenspaceConfig(**_given(args, centered="centered", energy_threshold="tau"))
+    config = EigenspaceConfig(**_given(args, energy_threshold="tau"))
     if args.manifest and args.images:
         raise EigengazeError(f"learn takes its labels from --manifest ({args.manifest}) or "
                              f"from image file names ({args.images[0]}, ...), not both")
@@ -207,7 +207,7 @@ def cmd_learn(args) -> int:
         raise NoImages(f"no input images for object {args.object!r}")
 
     appearances = [
-        imgio.vectorize(_read_image(path), label=label, **_given(args, norm_mode="norm"))
+        imgio.vectorize(_read_image(path), label=label)
         for path, label in entries
     ]
 
@@ -225,9 +225,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    reg, norm = _load_registry(args)
+    reg = _load_registry(args)
     reg.policy = replace(reg.policy, **_given(args, unknown_threshold="threshold"))
-    v = imgio.vectorize(_read_image(args.image), norm)
+    v = imgio.vectorize(_read_image(args.image))
 
     decision = reg.decide(v)
     result = decision.result
@@ -243,10 +243,10 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    reg, norm = _load_registry(args)
+    reg = _load_registry(args)
 
     # evaluate reads only each query's true id, and raises EmptyQuerySet on none
-    queries = [(imgio.vectorize(_read_image(path), norm), obj)
+    queries = [(imgio.vectorize(_read_image(path)), obj)
                for path, obj, _, _ in _read_manifest(args.manifest)]
 
     report = recog.evaluate(reg, queries)
@@ -315,8 +315,6 @@ def build_parser() -> ArgumentParser:
                    help="auto threshold margin (default: keep the registry's, else 1.5)")
     p.add_argument("--tau", type=_decimal, help="energy threshold for k")
     p.add_argument("--k", type=_integer, default=None, help="fixed k override")
-    p.add_argument("--norm", choices=imgio.NORM_MODES)
-    p.add_argument("--uncentered", dest="centered", action="store_const", const=False)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("recognize", help="classify one appearance")

@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatch,
     VersionMismatch,
 )
-from .imgio import NORM_MODES, ViewLabel
+from .imgio import ViewLabel
 from .linalg import gram_pca
 
 MODEL_MAGIC = "EIGENGAZE"
@@ -37,10 +37,11 @@ ORTHONORMAL_TOL = 1e-6
 # a sidecar is a sha256 digest, then one little-endian float64 block
 SIDECAR_DIGEST_SIZE = 32
 SIDECAR_DTYPE = np.dtype("<f8")
-# the bound on sqrt(dim) + |mean| + max |point|: sqrt(dim) is the largest |w|
-# that vectorize returns, so every |w - mean| and |projection - point| that the
-# scorer squares, and half of any gap between two points, stays below it; its
-# square, 2**1000, leaves a factor 2**24 of float range for sums and doubling
+# the bound on sqrt(dim) + |mean| + max |point|: sqrt(dim), at least 1, bounds
+# the unit |w| of every query, so every |w - mean| and |projection - point|
+# that the scorer squares, and half of any gap between two points, stays below
+# it; its square, 2**1000, leaves a factor 2**24 of float range for sums and
+# doubling
 _REACH = 2.0**500
 # float64 elements in one temporary: a block of the spread's point differences
 # here, and of the scorer's centred queries or point differences in recog
@@ -54,7 +55,6 @@ def _fmt_row(values) -> str:
 
 @dataclass(frozen=True)
 class EigenspaceConfig:
-    centered: bool = True
     energy_threshold: float = 0.95
 
     def __post_init__(self):
@@ -76,7 +76,6 @@ class Eigenspace:
     eigenvalues: np.ndarray  # descending, length k
     basis: np.ndarray        # shape (k, dim), orthonormal rows
     config: EigenspaceConfig
-    norm_mode: str           # its views' norm mode, one of NORM_MODES
     coords: np.ndarray       # shape (n, k), one manifold point per row
     labels: tuple            # of ViewLabel, one per row of coords
     # set by load_model: its floats are those of a sidecar written for the text it loaded
@@ -94,8 +93,6 @@ class Eigenspace:
         shapes = (self.mean.shape, self.eigenvalues.shape, self.basis.shape, self.coords.shape)
         if shapes != ((dim,), (k,), (k, dim), (n, k)):
             raise invalid(f"array shapes {shapes} do not agree")
-        if self.norm_mode not in NORM_MODES:
-            raise invalid(f"norm mode {self.norm_mode!r} is not one of {NORM_MODES}")
         if n == 0 or k == 0:
             raise invalid(f"needs a manifold point and an eigenvalue, has {n} and {k}")
         if k > dim:
@@ -152,19 +149,18 @@ class Eigenspace:
 
 
 def check_shape(want, got):
-    """Raise DimensionMismatch unless got has want's dim and norm mode: the one
-    rule that admits a view into a build, a query into the scorer and a space
-    into a registry. Each argument, a view or a space, derives its dim from its data."""
-    if (got.dim, got.norm_mode) != (want.dim, want.norm_mode):
-        raise DimensionMismatch(f"dim {got.dim} and norm mode {got.norm_mode!r} do not match "
-                                f"dim {want.dim} and norm mode {want.norm_mode!r}")
+    """Raise DimensionMismatch unless got has want's dim: the one rule that
+    admits a view into a build, a query into the scorer and a space into a
+    registry. Each argument, a view or a space, derives its dim from its data."""
+    if got.dim != want.dim:
+        raise DimensionMismatch(f"dim {got.dim} does not match dim {want.dim}")
 
 
 def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
                      k: int | None = None) -> Eigenspace:
-    """Build an object's eigenspace from its full appearance set, keeping k
-    dimensions (at most the rank), or as many as config's energy threshold needs.
-    Its dim and norm mode are its first view's, which every view must share."""
+    """Build an object's eigenspace from its full appearance set, centred on
+    their mean, keeping k dimensions (at most the rank), or as many as config's
+    energy threshold needs. Its dim is its first view's, which every view must share."""
     appearances = list(appearances)
     if not appearances:
         raise DegenerateSet("appearance set is empty")
@@ -173,7 +169,7 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
         check_shape(first, v)
 
     X = np.column_stack([v.values for v in appearances])
-    pca = gram_pca(X, config.centered, config.energy_threshold, k)
+    pca = gram_pca(X, config.energy_threshold, k)
     if pca.eigenvalues.size == 0:
         raise DegenerateSet(
             f"no positive eigenvalue for object {object_id!r} "
@@ -184,8 +180,7 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
     # each label names this space, whatever object the view was labelled with
     labels = tuple(ViewLabel(object_id, v.source_label.view_angle_deg, v.source_label.occluded)
                    for v in appearances)
-    return Eigenspace(object_id, pca.mean, pca.eigenvalues, pca.basis, config, first.norm_mode,
-                      coords, labels)
+    return Eigenspace(object_id, pca.mean, pca.eigenvalues, pca.basis, config, coords, labels)
 
 
 # --- persistence ---
@@ -219,8 +214,8 @@ def _render(es: Eigenspace, rows):
     yield f"object {es.object_id}"
     yield f"dim {es.dim}"
     yield f"k {es.k}"
-    yield (f"config {1 if es.config.centered else 0} {es.norm_mode} "
-           + _fmt_row([es.config.energy_threshold]))
+    # every space is centred and its views unit-normalized; v1 keeps both fields
+    yield "config 1 unit " + _fmt_row([es.config.energy_threshold])
     yield f"mean {next(rows)}"
     yield from (f"eigenvalue {i} {next(rows)}" for i in range(es.k))
     yield from (f"basis {i} {next(rows)}" for i in range(es.k))
@@ -315,9 +310,9 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
         raise VersionMismatch(f"unsupported model version {header[1]!r}")
 
     try:
-        (_, dim), (_, k), (_, centered, norm_mode, tau) = (line.split() for line in lines[2:5])
+        (_, dim), (_, k), (_, _, _, tau) = (line.split() for line in lines[2:5])
         dim, k = int(dim), int(k)
-        config = EigenspaceConfig(centered == "1", float(tau))
+        config = EigenspaceConfig(float(tau))
     except ValueError as exc:
         raise CorruptField(f"lines 3-5 are not the 'dim', 'k' and 'config' lines: {exc}") from exc
     if dim < 1 or k < 1:
@@ -351,7 +346,7 @@ def load_model(data: bytes, sidecar: bytes | None = None) -> Eigenspace:
     # where the eigenvalues and the basis end; plain slices cost far less than np.split
     ev_end, basis_end = dim + k, dim + k + k * dim
     basis, coords = block[ev_end:basis_end].reshape(k, dim), block[basis_end:].reshape(n, k)
-    es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, norm_mode,
-                    coords, labels, not from_text)
+    es = Eigenspace(object_id, block[:dim], block[dim:ev_end], basis, config, coords, labels,
+                    not from_text)
     check_model_lines(lines, es, from_text)
     return es

@@ -2,8 +2,8 @@
 
 Images are plain PGM (P2 text / P5 binary). A RasterImage keeps its samples
 as a private, read-only copy as wide as a P5 file stores them: uint8 below
-max value 256, uint16 from there on. Appearance vectors are the flattened,
-optionally unit-normalized pixel intensities that feed the eigenspace
+max value 256, uint16 from there on. Appearance vectors are the flattened
+pixel intensities, normalized to unit energy, that feed the eigenspace
 builder. synth_view stands in for a camera: a scan-line fill finds each
 subsample row's covered columns with one binary search per edge, and each
 object's polygon is derived once per (object, seed, side). Neither it nor
@@ -26,11 +26,6 @@ from .errors import (
     SideTooSmall,
     ZeroImage,
 )
-
-RAW = "raw"
-UNIT = "unit"
-NORM_MODES = (RAW, UNIT)
-
 
 @dataclass(frozen=True)
 class ViewLabel:
@@ -98,6 +93,10 @@ class RasterImage:
             and np.array_equal(self.samples, other.samples)
         )
 
+    def __hash__(self):
+        # equal images hold equal samples of one dtype, since it follows max_value
+        return hash((self.width, self.height, self.max_value, self.samples.tobytes()))
+
     def grid(self) -> np.ndarray:
         return self.samples.reshape(self.height, self.width)
 
@@ -105,8 +104,7 @@ class RasterImage:
 # it holds arrays, so it compares and hashes by identity
 @dataclass(frozen=True, eq=False)
 class AppearanceVector:
-    values: np.ndarray
-    norm_mode: str
+    values: np.ndarray  # of unit Euclidean length
     source_label: ViewLabel = field(default=_UNLABELED)
 
     def __post_init__(self):
@@ -116,12 +114,9 @@ class AppearanceVector:
             raise ValueError(f"values must be one-dimensional, not of shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}")
-        if self.norm_mode == UNIT:
-            n = np.linalg.norm(values)
-            if abs(n - 1.0) > 1e-12:
-                raise ValueError(f"unit-mode vector has norm {n}")
+        n = np.linalg.norm(values)
+        if abs(n - 1.0) > 1e-12:
+            raise ValueError(f"values must have unit norm, not {n}")
 
     @property
     def dim(self) -> int:
@@ -211,20 +206,22 @@ def write_pgm(image: RasterImage, binary: bool = False) -> bytes:
 
 def vectorize(
     image: RasterImage,
-    norm_mode: str = UNIT,
+    norm_mode: str = "unit",
     label: ViewLabel = _UNLABELED,
 ) -> AppearanceVector:
-    """Flatten an image to a length-d vector, scaled to [0,1] and optionally
-    renormalized to unit Euclidean length."""
+    """Flatten an image to a length-d vector, scaled to [0,1] and then
+    normalized to unit Euclidean length. norm_mode must be "unit", the one
+    normalization; it is kept for callers that still pass it."""
+    if norm_mode != "unit":
+        raise ValueError(f"norm_mode must be 'unit', not {norm_mode!r}")
     values = image.samples.astype(np.float64) / image.max_value
-    if norm_mode == UNIT:
-        n = np.linalg.norm(values)
-        if n == 0.0:
-            raise ZeroImage("cannot unit-normalize an all-zero image")
-        values = values / n
-        # guard against residual round-off drifting past the invariant
-        values = values / np.linalg.norm(values)
-    return AppearanceVector(values, norm_mode, label)
+    n = np.linalg.norm(values)
+    if n == 0.0:
+        raise ZeroImage("cannot unit-normalize an all-zero image")
+    values = values / n
+    # guard against residual round-off drifting past the invariant
+    values = values / np.linalg.norm(values)
+    return AppearanceVector(values, label)
 
 
 def apply_occlusion(image: RasterImage, spec: OcclusionSpec) -> RasterImage:

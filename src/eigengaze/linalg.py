@@ -41,7 +41,7 @@ class EigenDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PcaResult:
-    mean: np.ndarray         # length d (zeros when uncentered)
+    mean: np.ndarray         # length d, the column mean
     eigenvalues: np.ndarray  # descending, strictly positive after clamping
     basis: np.ndarray        # shape (k, d), orthonormal rows
 
@@ -100,15 +100,14 @@ def sym_eigen(Q) -> EigenDecomposition:
     return EigenDecomposition(values[order], canonical_signs(V.T[order]))
 
 
-def gram_pca(X, centered: bool = True, energy_threshold: float | None = None,
-             k: int | None = None) -> PcaResult:
+def gram_pca(X, energy_threshold: float | None = None, k: int | None = None) -> PcaResult:
     """PCA of the columns of the d x m matrix X via the m x m Gram matrix.
 
-    Eigenvalues are those of X~ X~^T (X~ = X minus the column mean when
-    centered). Rank-deficient directions are dropped; a fully degenerate
-    input yields an empty basis rather than an error. Of the rest, the rule
-    keeps the leading k (at most the rank), else as many as choose_k picks
-    for energy_threshold, else all. Only the Gram eigenvectors it keeps are
+    Eigenvalues are those of X~ X~^T, X~ being X minus its column mean.
+    Rank-deficient directions are dropped; a fully degenerate input yields an
+    empty basis rather than an error. Of the rest, the rule keeps the leading
+    k (at most the rank), else as many as choose_k picks for
+    energy_threshold, else all. Only the Gram eigenvectors it keeps are
     lifted to pixel space and renormalized, and they equal the leading rows
     of the full result bit for bit.
     """
@@ -124,7 +123,7 @@ def gram_pca(X, centered: bool = True, energy_threshold: float | None = None,
     d, m = X.shape
     # an overflow leaves inf or nan in the Gram matrix, which sym_eigen rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = X.mean(axis=1) if centered else np.zeros(d)
+        mean = X.mean(axis=1)
         Xt = X - mean[:, None]
         G = Xt.T @ Xt
     decomp = sym_eigen(G)

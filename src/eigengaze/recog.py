@@ -59,7 +59,7 @@ class EvaluationReport:
 
 class Snapshot:
     """One immutable tuple of spaces, admitted and derived here, once: each id
-    once, each space of the first's dim and norm mode. It holds the widest
+    once, each space of the first's dim. It holds the widest
     `spread` of any space (None if none has two points), which the auto
     threshold scales, and the scorer's arrays (None if no space): the means
     stacked as (spaces, dim), and the manifold coordinates padded to (spaces,
@@ -99,7 +99,7 @@ def _snapshot(reg, queries) -> Snapshot:
     snap = reg.snapshot
     if not snap.spaces:
         raise EmptyRegistry("no enrolled objects")
-    # a snapshot holds only spaces of one dim and norm mode, so one check covers all
+    # a snapshot holds only spaces of one dim, so one check covers all
     for v in queries:
         check_shape(snap.spaces[0], v)
     return snap

@@ -1,17 +1,19 @@
 """Successive accumulation of per-object eigenspaces and known/unknown decisions.
 
 Each enrolled object keeps its own independently built eigenspace; enrolling a
-new object never touches existing spaces. Mutation (accumulate / enroll) is
-serialized behind an internal lock. Each mutation rebinds one snapshot: an
-immutable tuple of spaces, each holding its manifold in view-angle order, whose
-constructor admits them (each id once, one dim and norm mode) and derives the
-scorer's arrays and the widest `spread`, which the auto threshold scales. A
-read takes the snapshot once, so classification may run concurrently with
-mutations and sees a whole set of spaces. Every model invariant is checked by
-the `Eigenspace` constructor, not here. `_model_files` alone knows which files
-make up a stored model. The manifest has one renderer: `_stage_manifest`
-writes it, and `_load_manifest` accepts only a manifest that it reproduces
-byte for byte.
+new object never touches existing spaces. A mutation (accumulate / enroll)
+builds its space outside any lock, then rebinds one snapshot behind an internal
+lock: an immutable tuple of spaces, each holding its manifold in view-angle
+order, whose constructor admits them (each id once, one dim) and derives the
+scorer's arrays and the widest `spread`, which the auto threshold scales.
+Snapshots are only ever replaced by new ones, never changed, so `decide` takes
+no lock: it scores and takes the threshold, and repeats both if the snapshot
+was replaced in between. Classification thus runs concurrently with
+mutations, never waits for a build, and sees a whole set of spaces. Every
+model invariant is checked by the `Eigenspace` constructor, not here.
+`_model_files` alone knows which files make up a stored model. The manifest
+has one renderer: `_stage_manifest` writes it, and `_load_manifest` accepts
+only a manifest that it reproduces byte for byte.
 
 A registry directory is created once and then only appended to, as the paper
 accumulates one eigenspace per new object: save_dir creates one, and refuses a
@@ -263,12 +265,13 @@ class ObjectRegistry:
 
     def accumulate(self, object_id: str, appearances, config: EigenspaceConfig,
                    k: int | None = None) -> Eigenspace:
-        """Build one object's eigenspace with build_eigenspace and enroll it; others untouched."""
+        """Build one object's eigenspace with build_eigenspace and enroll it;
+        others untouched. The build holds no lock, so no reader waits for it."""
         _check_object_id(object_id)
+        es = build_eigenspace(object_id, appearances, config, k)
         with self._lock:
-            es = build_eigenspace(object_id, appearances, config, k)
             self._append(es)
-            return es
+        return es
 
     def effective_threshold(self) -> float:
         """Known/unknown score cutoff: the explicit policy value, or the largest
@@ -291,19 +294,23 @@ class ObjectRegistry:
         return f"object-{n}"
 
     def decide(self, v: AppearanceVector) -> Decision:
-        """Known if v's best score is within the effective threshold. The lock
-        makes the score and the threshold read the same set of spaces."""
-        with self._lock:
+        """Known if v's best score is within the effective threshold. It takes
+        no lock: a score and a threshold count only if the snapshot was not
+        replaced while they were taken, so both read the same set of spaces."""
+        while True:
+            snap = self._snapshot
             result = recog.recognize(self, v)
             threshold = self.effective_threshold()
-            return Decision(result.combined_score <= threshold, result, threshold)
+            if self._snapshot is snap:
+                return Decision(result.combined_score <= threshold, result, threshold)
 
     def classify_or_enroll(self, v: AppearanceVector, pending_views=None) -> Decision:
         """Recognize v if close enough to an enrolled object; otherwise report
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object, built with the first space's config (the default
-        config in an empty registry) in the views' own norm mode. With no
-        spaces and no pending views, decide raises EmptyRegistry."""
+        config in an empty registry). The lock spans the decision and the
+        enrollment, so two calls cannot enroll one object under two names.
+        With no spaces and no pending views, decide raises EmptyRegistry."""
         with self._lock:
             if self.spaces or pending_views is None:
                 decision = self.decide(v)

@@ -48,20 +48,27 @@ def random_image(rng, max_side=9, max_value=None):
     return eg.RasterImage(w, h, max_value, samples)
 
 
-def training_appearances(obj, norm_mode="unit", side=SIDE, seed=SEED):
-    """10 views at 10-degree steps, one of them rectangle-occluded."""
+def dimmed(image):
+    """The image's samples tripled in a 10-bit image: 3 * 255 / 1023, so 0.748
+    times as bright, which unit normalization cancels."""
+    return eg.RasterImage(image.width, image.height, 1023, 3 * image.samples.astype(np.int64))
+
+
+def training_appearances(obj, side=SIDE, seed=SEED, dim=False):
+    """10 views at 10-degree steps, one of them rectangle-occluded; dimmed if dim."""
     apps = []
     for angle in TRAIN_ANGLES:
         img = eg.synth_view(obj, angle, side, seed)
         occluded = angle == OCCLUDED_TRAIN_ANGLE
         if occluded:
             img = eg.apply_occlusion(img, TRAIN_OCCLUSION)
-        apps.append(eg.vectorize(img, norm_mode, eg.ViewLabel(obj, angle, occluded)))
+        img = dimmed(img) if dim else img
+        apps.append(eg.vectorize(img, label=eg.ViewLabel(obj, angle, occluded)))
     return apps
 
 
-def query_set(objects=OBJECTS, norm_mode="unit", side=SIDE, seed=SEED):
-    """Held-out views at offset angles, two per object freshly occluded."""
+def query_set(objects=OBJECTS, side=SIDE, seed=SEED, dim=False):
+    """Held-out views at offset angles, two per object freshly occluded; dimmed if dim."""
     queries = []
     for obj in objects:
         for angle in QUERY_ANGLES:
@@ -69,16 +76,17 @@ def query_set(objects=OBJECTS, norm_mode="unit", side=SIDE, seed=SEED):
             occluded = angle in OCCLUDED_QUERY_ANGLES
             if occluded:
                 img = eg.apply_occlusion(img, QUERY_OCCLUSION)
+            img = dimmed(img) if dim else img
             label = eg.ViewLabel(obj, angle, occluded)
-            queries.append((eg.vectorize(img, norm_mode, label), obj))
+            queries.append((eg.vectorize(img, label=label), obj))
     return queries
 
 
-def build_registry(config=None, policy=None, objects=OBJECTS, k=None, norm_mode="unit"):
+def build_registry(config=None, policy=None, objects=OBJECTS, k=None, dim=False):
     config = config if config is not None else eg.EigenspaceConfig()
     reg = ObjectRegistry(policy if policy is not None else EnrollmentPolicy())
     for obj in objects:
-        reg.accumulate(obj, training_appearances(obj, norm_mode), config, k)
+        reg.accumulate(obj, training_appearances(obj, dim=dim), config, k)
     return reg
 
 
@@ -88,9 +96,8 @@ def held_files(directory):
 
 
 def assert_same_space(got, want):
-    """Equal id, config, norm mode and labels, and bit-identical arrays."""
-    assert ((got.object_id, got.config, got.norm_mode, got.labels)
-            == (want.object_id, want.config, want.norm_mode, want.labels))
+    """Equal id, config and labels, and bit-identical arrays."""
+    assert (got.object_id, got.config, got.labels) == (want.object_id, want.config, want.labels)
     for name in ("mean", "eigenvalues", "basis", "coords"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape

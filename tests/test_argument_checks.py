@@ -13,15 +13,16 @@ from eigengaze.linalg import check_symmetric
     [
         (lambda: eg.build_eigenspace("A", [], eg.EigenspaceConfig()), DegenerateSet, "empty"),
         (lambda: eg.EigenspaceConfig(energy_threshold=0.0), ValueError, "energy_threshold"),
-        (lambda: eg.build_eigenspace("A", [eg.AppearanceVector([1.0], "unit")],
+        (lambda: eg.build_eigenspace("A", [eg.AppearanceVector([1.0])],
                                      eg.EigenspaceConfig(), k=0), ValueError, "k must be"),
         (lambda: eg.RasterImage(0, 1, 255, []), ValueError, "dimensions"),
         (lambda: eg.RasterImage(1, 1, 0, [0]), ValueError, "max_value"),
         (lambda: eg.RasterImage(2, 1, 255, [0]), SampleCountMismatch, "expected 2 samples"),
-        (lambda: eg.AppearanceVector([[1.0]], "raw"), ValueError, "one-dimensional"),
-        (lambda: eg.AppearanceVector([np.inf], "raw"), ValueError, "finite"),
-        (lambda: eg.AppearanceVector([1.0], "cubic"), ValueError, "norm_mode"),
-        (lambda: eg.AppearanceVector([2.0], "unit"), ValueError, "unit-mode vector has norm"),
+        (lambda: eg.AppearanceVector([[1.0]]), ValueError, "one-dimensional"),
+        (lambda: eg.AppearanceVector([np.inf]), ValueError, "finite"),
+        (lambda: eg.vectorize(eg.RasterImage(1, 1, 255, [1]), "raw"), ValueError,
+         "norm_mode must be 'unit', not 'raw'"),
+        (lambda: eg.AppearanceVector([2.0]), ValueError, "values must have unit norm"),
         (lambda: eg.OcclusionSpec(-1, 0, 1, 1, 0), ValueError, "offsets"),
         (lambda: eg.OcclusionSpec(0, 0, 0, 1, 0), ValueError, "extents"),
         (lambda: eg.OcclusionSpec(0, 0, 1, 1, -1), ValueError, "fill"),

@@ -180,9 +180,9 @@ class TestLearn:
 
     @pytest.mark.parametrize(
         "flags, last_row",
-        [(("--norm", "raw", "--uncentered", "--k", "3"), ("2", "0.9959")),
+        [(("--k", "3"), ("2", "0.9235")),
          ((), ("3", "0.9541")), (("--k", "10"), ("8", "1.0000"))],
-        ids=["raw-uncentered-k3", "default", "every-eigenvalue"],
+        ids=["k3", "default", "every-eigenvalue"],
     )
     def test_energy_is_a_share_of_the_whole_spectrum(self, tmp_path, capsys, flags, last_row):
         """Each share divides by the views' summed |v - mean|^2, so the cumulative
@@ -361,35 +361,35 @@ class TestLearn:
         assert tree(tmp_path) == before
 
     def test_omitted_build_flags_keep_the_config_defaults(self, tmp_path, monkeypatch):
-        """An omitted --uncentered or --tau leaves its value to EigenspaceConfig,
-        and an omitted --norm leaves the norm mode to imgio.vectorize."""
-        defaults = dict(centered=False, energy_threshold=0.9)
+        """An omitted --tau leaves its value to EigenspaceConfig."""
         monkeypatch.setattr("eigengaze.cli.EigenspaceConfig",
-                            functools.partial(eg.EigenspaceConfig, **defaults))
-        monkeypatch.setattr(imgio, "vectorize", functools.partial(imgio.vectorize, norm_mode="raw"))
+                            functools.partial(eg.EigenspaceConfig, energy_threshold=0.9))
         reg = learn_all(tmp_path, synth_dataset(tmp_path, objects=["A"]), objects=["A"])
         es = eg.load_model((reg / "A.eig").read_bytes())
-        assert (es.config, es.norm_mode) == (eg.EigenspaceConfig(**defaults), "raw")
+        assert es.config == eg.EigenspaceConfig(energy_threshold=0.9)
 
-    @pytest.mark.parametrize("held, given", [("unit", "raw"), ("raw", "unit")])
-    def test_a_space_of_another_norm_mode_is_not_enrolled(self, tmp_path, capsys, held, given):
-        imgs = synth_dataset(tmp_path, objects=["A", "B"])
+    def test_a_space_of_another_dim_is_not_enrolled(self, tmp_path, capsys):
         reg = tmp_path / "reg"
-        assert run("learn", "--object", "A", "--registry", reg, "--norm", held,
-                   *sorted(imgs.glob("A_*.pgm"))) == 0
+        for obj, side in (("A", 32), ("B", 16)):
+            run("synth", "--objects", obj, "--out", tmp_path / "imgs", "--side", str(side))
+        assert run("learn", "--object", "A", "--registry", reg,
+                   *sorted((tmp_path / "imgs").glob("A_*.pgm"))) == 0
         before = tree(reg)
         capsys.readouterr()
-        assert run("learn", "--object", "B", "--registry", reg, "--norm", given,
-                   *sorted(imgs.glob("B_*.pgm"))) == 1
-        assert capsys.readouterr().err == (f"error: dim 1024 and norm mode {given!r} do not "
-                                           f"match dim 1024 and norm mode {held!r}\n")
+        assert run("learn", "--object", "B", "--registry", reg,
+                   *sorted((tmp_path / "imgs").glob("B_*.pgm"))) == 1
+        assert capsys.readouterr().err == "error: dim 256 does not match dim 1024\n"
         assert tree(reg) == before
 
-    def test_norm_choices_are_the_library_modes(self):
-        (learn,) = (action.choices["learn"] for action in build_parser()._actions
-                    if action.dest == "command")
-        (norm,) = (action for action in learn._actions if action.dest == "norm")
-        assert norm.choices is imgio.NORM_MODES
+    @pytest.mark.parametrize("flags", [("--norm", "unit"), ("--uncentered",)],
+                             ids=["norm", "uncentered"])
+    def test_removed_build_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        """Every view is unit-normalized and every build centred, so neither has a flag."""
+        imgs = synth_dataset(tmp_path, objects=["A"])
+        before = tree(tmp_path)
+        usage_error(capsys, f"unrecognized arguments: {' '.join(flags)}", "learn", "--object",
+                    "A", "--registry", tmp_path / "reg", *sorted(imgs.glob("A_*.pgm")), *flags)
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize(
         "flags", [("--margin", "nan"), ("--margin", "inf"), ("--threshold", "inf")]

@@ -1,13 +1,23 @@
-"""Code nothing needs is deleted: every import of the package is used, and
-every module-level name of the package is referenced inside it."""
+"""Code nothing needs is deleted: every import of the package and of the
+tests is used, and every module-level name of the package is referenced
+inside it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eigengaze"
-MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "eigengaze"
+
+
+def parsed(directory) -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(directory.glob("*.py"))}
+
+
+MODULES = parsed(SRC)
+TEST_MODULES = parsed(TESTS)
 # names that tools and importers read, not the package
 KEPT = {"__all__", "__version__"}
 
@@ -62,6 +72,12 @@ def defined(tree) -> set:
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_every_import_is_used(name):
     tree = MODULES[name]
+    assert sorted(imported(tree) - loaded(tree)) == []
+
+
+@pytest.mark.parametrize("name", sorted(TEST_MODULES))
+def test_every_import_of_the_tests_is_used(name):
+    tree = TEST_MODULES[name]
     assert sorted(imported(tree) - loaded(tree)) == []
 
 

@@ -28,12 +28,7 @@ from test_registry import spread_of
 def unit_vec(values, label=eg.ViewLabel("", 0)):
     values = np.asarray(values, dtype=np.float64)
     values = values / np.linalg.norm(values)
-    return eg.AppearanceVector(values, "unit", label)
-
-
-def raw_vec(values, label=eg.ViewLabel("", 0)):
-    values = np.asarray(values, dtype=np.float64)
-    return eg.AppearanceVector(values, "raw", label)
+    return eg.AppearanceVector(values, label)
 
 
 def _respell(keyword, index, spell):
@@ -119,11 +114,13 @@ class TestBuild:
         assert np.max(np.abs(gram - np.eye(es.k))) <= 1e-8
 
     def test_orthonormal_input_is_own_basis(self):
-        apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
-        config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
+        # each axis in both directions, so the mean is the origin
+        apps = [unit_vec(sign * np.eye(3)[i]) for i in (0, 1) for sign in (1.0, -1.0)]
+        config = eg.EigenspaceConfig(energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
         assert es.k == 2
-        assert es.eigenvalues == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert es.eigenvalues == pytest.approx([2.0, 2.0], abs=1e-12)
+        assert np.abs(es.basis[:, 2]).max() <= 1e-12
 
     def test_single_appearance_centered_degenerate(self):
         with pytest.raises(DegenerateSet):
@@ -134,59 +131,37 @@ class TestBuild:
         with pytest.raises(DimensionMismatch):
             eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
 
-    @pytest.mark.parametrize("first", ["raw", "unit"])
-    def test_views_of_mixed_norm_modes_are_rejected(self, first):
-        raw, unit = raw_vec([1.0, 2.0]), unit_vec([2.0, 1.0])
-        apps = [raw, unit] if first == "raw" else [unit, raw]
-        with pytest.raises(DimensionMismatch, match="norm mode"):
-            eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
-
-    def test_raw_views_build_a_raw_space_under_the_default_config(self):
-        apps = training_appearances("mobile", "raw")
-        es = eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig())
-        assert (es.norm_mode, es.config) == ("raw", eg.EigenspaceConfig())
-        loaded = eg.load_model(eg.save_model(es))
-        assert_same_space(loaded, es)
-        assert eg.save_model(es).split(b"\n")[4] == b"config 1 raw 0.94999999999999996"
-
     def test_k_override_clamped_to_rank(self):
-        apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
-        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(centered=False), k=50)
+        # three centred views span a plane: rank 2
+        apps = [unit_vec(row) for row in np.eye(3)]
+        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(), k=50)
         assert es.k == 2
-
-    def test_scale_invariance_uncentered_raw(self):
-        rng = np.random.default_rng(4)
-        data = rng.uniform(0.1, 1.0, (6, 5))
-        config = eg.EigenspaceConfig(centered=False)
-        base = eg.build_eigenspace("x", [raw_vec(c) for c in data.T], config)
-        scaled = eg.build_eigenspace("x", [raw_vec(3.0 * c) for c in data.T], config)
-        assert scaled.k == base.k
-        assert scaled.eigenvalues == pytest.approx(9.0 * base.eigenvalues, rel=1e-8)
-        assert scaled.basis == pytest.approx(base.basis, abs=1e-8)
 
 
 class TestProjectReconstruct:
     def test_mean_projects_to_origin(self):
-        apps = [raw_vec([1.0, 0.0, 0.0]), raw_vec([0.0, 1.0, 0.0])]
+        # the mean of unit views is no unit vector, so no query; but the
+        # projections are linear, so the training views' points average to it
+        apps = [unit_vec(row) for row in np.eye(3)]
         es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
-        v = raw_vec(es.mean)
-        assert project(es, v) == pytest.approx(np.zeros(es.k), abs=1e-12)
+        assert es.coords.mean(axis=0) == pytest.approx(np.zeros(es.k), abs=1e-12)
 
     def test_mean_plus_basis_vector(self):
-        apps = [raw_vec([1.0, 0.0, 0.0]), raw_vec([0.0, 1.0, 0.0])]
+        apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
         es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
-        v = raw_vec(es.mean + es.basis[0])
+        # here the mean is orthogonal to the basis, so this step along it gives a unit vector
+        step = np.sqrt(1.0 - es.mean @ es.mean)
+        v = eg.AppearanceVector(es.mean + step * es.basis[0])
         expected = np.zeros(es.k)
-        expected[0] = 1.0
+        expected[0] = step
         assert project(es, v) == pytest.approx(expected, abs=1e-10)
 
     def test_training_projections_match_manifold(self, synthetic_space):
         """Each manifold point is its view's projection, bit for bit, in a
-        default, an uncentered and a fixed-k build."""
+        default and a fixed-k build."""
         apps = training_appearances("mobile")
-        built = [eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(centered=False)),
-                 *(eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(), k=k) for k in (1, 3))]
-        assert [es.k for es in built[1:]] == [1, 3]
+        built = [eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(), k=k) for k in (1, 3)]
+        assert [es.k for es in built] == [1, 3]
         for es in [synthetic_space, *built]:
             for v, point in zip(apps, es.manifold):
                 assert np.array_equal(project(es, v), point.coords)
@@ -196,11 +171,13 @@ class TestProjectReconstruct:
         assert reconstruct(es, np.zeros(es.k)) == pytest.approx(es.mean, abs=0)
 
     def test_project_reconstruct_identity_in_span(self):
-        apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
-        config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
+        apps = [unit_vec(row) for row in np.eye(3)]
+        config = eg.EigenspaceConfig(energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
-        x = es.mean + 0.3 * es.basis[0] - 1.2 * es.basis[1]
-        v = eg.AppearanceVector(x / np.linalg.norm(x), "unit")
+        # the views' plane meets the unit sphere in a circle about the mean
+        radius = np.sqrt(1.0 - es.mean @ es.mean)
+        x = es.mean + radius * (np.cos(0.7) * es.basis[0] + np.sin(0.7) * es.basis[1])
+        v = eg.AppearanceVector(x / np.linalg.norm(x))
         got = reconstruct(es, project(es, v))
         assert got == pytest.approx(v.values, abs=1e-8)
 
@@ -223,16 +200,16 @@ class TestProjectReconstruct:
 class TestResidual:
     def test_in_span_is_zero(self):
         apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
-        config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
+        config = eg.EigenspaceConfig(energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
         assert residual(es, apps[0]) <= 1e-8
 
     def test_orthogonal_complement_unit(self):
-        apps = [unit_vec([1.0, 0.0, 0.0]), unit_vec([0.0, 1.0, 0.0])]
-        config = eg.EigenspaceConfig(centered=False, energy_threshold=1.0)
+        apps = [unit_vec(sign * np.eye(3)[i]) for i in (0, 1) for sign in (1.0, -1.0)]
+        config = eg.EigenspaceConfig(energy_threshold=1.0)
         es = eg.build_eigenspace("x", apps, config)
-        assert np.allclose(es.mean, 0.0)  # uncentered: mean is the zero vector
-        v = eg.AppearanceVector(np.array([0.0, 0.0, 1.0]), "unit")
+        assert np.allclose(es.mean, 0.0)  # views in both directions: the mean is the origin
+        v = eg.AppearanceVector(np.array([0.0, 0.0, 1.0]))
         assert residual(es, v) == pytest.approx(1.0, abs=1e-8)
 
     def test_pythagoras(self, synthetic_space):
@@ -240,7 +217,7 @@ class TestResidual:
         rng = np.random.default_rng(31)
         for _ in range(200):
             w = rng.standard_normal(es.dim)
-            v = eg.AppearanceVector(w / np.linalg.norm(w), "unit")
+            v = eg.AppearanceVector(w / np.linalg.norm(w))
             in_space = float(np.linalg.norm(project(es, v)))
             res = residual(es, v)
             total = float(np.linalg.norm(v.values - es.mean))
@@ -253,7 +230,7 @@ class TestManifoldOrder:
         apps = training_appearances("mobile")
         # a clean twin of the occluded 40-degree view: two points share that angle
         twin = eg.synth_view("mobile", 40, 32, 1)
-        apps.append(eg.vectorize(twin, "unit", eg.ViewLabel("mobile", 40)))
+        apps.append(eg.vectorize(twin, label=eg.ViewLabel("mobile", 40)))
         if order == "reversed":
             apps = apps[::-1]
         else:
@@ -278,7 +255,6 @@ def _toy_space(**change):
         eigenvalues=np.array([0.75, 0.5]),
         basis=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
         config=eg.EigenspaceConfig(),
-        norm_mode="unit",
         coords=np.array([[1 / 3, 0.0], [-0.5, 0.25]]),
         labels=(eg.ViewLabel("toy", 90, True), eg.ViewLabel("toy", 0)),
     )
@@ -362,7 +338,6 @@ class TestInvariants:
             {"labels": (eg.ViewLabel("toy", 90, True), eg.ViewLabel("cup", 0))},
             {"coords": np.array([[1e200, 1e200], [-0.5, 0.25]])},
             {"mean": np.array([0.1, -2.5, 1e160])},
-            {"norm_mode": "cubic"},
         ],
         ids=[
             *(f"{value}-{name}" for name in ("mean", "eigenvalues", "basis", "coords")
@@ -371,7 +346,7 @@ class TestInvariants:
             "stretched-basis-row", "no-points", "no-eigenvalues", "fewer-points-than-labels",
             "more-points-than-labels", "points-wider-than-k", "2d-mean", "basis-narrower-than-mean",
             "fewer-eigenvalues-than-basis-rows", "foreign-label", "point-at-1e200",
-            "mean-at-1e160", "unknown-norm-mode",
+            "mean-at-1e160",
         ],
     )
     def test_constructor_rejects_every_violation(self, change):
@@ -386,7 +361,7 @@ class TestInvariants:
 
         def scaled(scale):
             return eg.Eigenspace(es.object_id, es.mean * scale, es.eigenvalues, es.basis,
-                                 es.config, es.norm_mode, es.coords, es.labels)
+                                 es.config, es.coords, es.labels)
 
         with pytest.raises(CorruptField, match="'mobile'"):
             scaled(1e160)
@@ -409,8 +384,6 @@ class TestPersistence:
         assert np.array_equal(loaded.mean, es.mean)
         assert np.array_equal(loaded.eigenvalues, es.eigenvalues)
         assert np.array_equal(loaded.basis, es.basis)
-        assert loaded.config.centered == es.config.centered
-        assert loaded.norm_mode == es.norm_mode
         assert loaded.config.energy_threshold == es.config.energy_threshold
         assert len(loaded.manifold) == len(es.manifold)
         for got, want in zip(loaded.manifold, es.manifold):
@@ -421,8 +394,8 @@ class TestPersistence:
     @pytest.mark.parametrize("label_id", [None, "cup"], ids=["unlabelled", "foreign-label"])
     def test_built_labels_name_the_space_and_reload_unchanged(self, label_id):
         views = [
-            eg.vectorize(eg.synth_view("mobile", angle, 32, 1), "unit",
-                         *([eg.ViewLabel(label_id, angle)] if label_id else []))
+            eg.vectorize(eg.synth_view("mobile", angle, 32, 1),
+                         **({"label": eg.ViewLabel(label_id, angle)} if label_id else {}))
             for angle in range(0, 100, 10)
         ]
         es = eg.build_eigenspace("pen", views, eg.EigenspaceConfig())
@@ -435,8 +408,8 @@ class TestPersistence:
                                 (np.True_, False), (40, 1), (40, "yes")]:
             with pytest.raises(ValueError):
                 eg.ViewLabel("pen", angle, occluded)
-        views = [eg.vectorize(eg.synth_view("pen", angle, 16, 1), "unit",
-                              eg.ViewLabel("pen", np.int64(angle), np.bool_(angle == 40)))
+        views = [eg.vectorize(eg.synth_view("pen", angle, 16, 1),
+                              label=eg.ViewLabel("pen", np.int64(angle), np.bool_(angle == 40)))
                  for angle in range(0, 100, 10)]
         es = eg.build_eigenspace("pen", views, eg.EigenspaceConfig())
         data = eg.save_model(es)
@@ -495,6 +468,8 @@ class TestPersistence:
             _set_field("basis", 2, "0.5"),
             _set_field("mean", 1, format(1e160, ".17g")),
             _set_field("config", 2, "cubic"),
+            _set_field("config", 2, "raw"),
+            _set_field("config", 1, "0"),
             *_NON_CANONICAL_FIELDS,
             *_NON_CANONICAL_FLOATS,
             *_UNWRITTEN_LAYOUTS,
@@ -503,6 +478,7 @@ class TestPersistence:
             "nan-mean", "inf-eigenvalue", "nan-basis", "inf-point", "no-points", "angle-999",
             "huge-k", "zero-eigenvalue", "negative-eigenvalue", "rising-eigenvalues",
             "huge-basis", "huge-basis-pair", "skewed-basis", "huge-mean", "unknown-norm-mode",
+            "raw-model", "uncentered-model",
             *_NON_CANONICAL_IDS,
             *_NON_CANONICAL_FLOAT_IDS, *_UNWRITTEN_LAYOUT_IDS,
         ],
@@ -642,7 +618,7 @@ def test_model_file_layout_is_pinned_to_literal_bytes():
     # out of angle order, and the file holds them in angle order
     es = eg.Eigenspace(
         "toy", np.array([0.1, -2.5]), np.array([0.75]), np.array([[0.6, 0.8]]),
-        eg.EigenspaceConfig(centered=False, energy_threshold=0.9), "raw",
+        eg.EigenspaceConfig(energy_threshold=0.9),
         np.array([[1 / 3], [-0.5]]), (eg.ViewLabel("toy", 90, True), eg.ViewLabel("toy", 0)),
     )
     data = eg.save_model(es)
@@ -651,7 +627,7 @@ def test_model_file_layout_is_pinned_to_literal_bytes():
         b"object toy\n"
         b"dim 2\n"
         b"k 1\n"
-        b"config 0 raw 0.90000000000000002\n"
+        b"config 1 unit 0.90000000000000002\n"
         b"mean 0.10000000000000001 -2.5\n"
         b"eigenvalue 0 0.75\n"
         b"basis 0 0.59999999999999998 0.80000000000000004\n"
@@ -661,7 +637,7 @@ def test_model_file_layout_is_pinned_to_literal_bytes():
     )
     sidecar = save_sidecar(es, data)
     assert sidecar == (
-        bytes.fromhex("bd1fb4fcb54edc260d15829688f320b7b527cee8ac04444b5071af3e30fe5b39")
+        bytes.fromhex("f58b64f1de81b441444d67b910b5dbeb0df2bc8c8e3facdbe01a3ce486b6e34e")
         + struct.pack("<7d", 0.1, -2.5, 0.75, 0.6, 0.8, -0.5, 1 / 3)
     )
     assert_same_space(eg.load_model(data), es)
@@ -673,7 +649,7 @@ import hashlib
 import eigengaze as eg
 for obj, side in (("A", 32), ("mobile", 32), ("stapler", 64)):
     views = [
-        eg.vectorize(eg.synth_view(obj, a, side, 1), "unit", eg.ViewLabel(obj, a))
+        eg.vectorize(eg.synth_view(obj, a, side, 1), label=eg.ViewLabel(obj, a))
         for a in range(0, 360, 10)
     ]
     model = eg.save_model(eg.build_eigenspace(obj, views, eg.EigenspaceConfig()))

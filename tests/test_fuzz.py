@@ -115,16 +115,15 @@ def check_image(image):
     for binary in (False, True):
         assert eg.parse_pgm(eg.write_pgm(image, binary)) == image
     assert_narrow_and_read_only(image)
-    raw = image.samples.astype(np.int64) / image.max_value
-    assert eg.vectorize(image, "raw").values.tobytes() == raw.tobytes()
-    norm = np.linalg.norm(raw)
+    scaled = image.samples.astype(np.int64) / image.max_value
+    norm = np.linalg.norm(scaled)
     if norm == 0.0:
         with pytest.raises(ZeroImage):
-            eg.vectorize(image, "unit")
+            eg.vectorize(image)
         return
-    unit = raw / norm
+    unit = scaled / norm
     unit = unit / np.linalg.norm(unit)
-    assert eg.vectorize(image, "unit").values.tobytes() == unit.tobytes()
+    assert eg.vectorize(image).values.tobytes() == unit.tobytes()
 
 
 def check_model(data: bytes, sidecar=None):
@@ -150,17 +149,15 @@ def check_model(data: bytes, sidecar=None):
 
 
 def check_scores(es):
-    """es scores the extreme queries that vectorize returns to finite values,
-    with no RuntimeWarning: a unit query for a unit space, and the all-zeros
-    and all-ones queries for a raw one."""
+    """es scores unit queries to finite values, with no RuntimeWarning: the
+    most spread out and the most concentrated that vectorize returns."""
     reg = eg.ObjectRegistry()
     reg._append(es)
     ones = np.ones(es.dim)
-    queries = [ones / np.linalg.norm(ones)] if es.norm_mode == "unit" else [0 * ones, ones]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for values in queries:
-            r = eg.recognize(reg, eg.AppearanceVector(values, es.norm_mode))
+        for values in (ones / np.linalg.norm(ones), np.eye(1, es.dim)[0]):
+            r = eg.recognize(reg, eg.AppearanceVector(values))
             assert np.isfinite([r.combined_score, r.in_space_distance, r.residual]).all()
 
 

@@ -246,6 +246,15 @@ class TestSampleStorage:
         assert eg.write_pgm(image) == b"P2\n2 2\n255\n0 0 0 0\n"
         assert eg.parse_pgm(eg.write_pgm(image)) == image
 
+    @pytest.mark.parametrize("max_value", RULE_EDGES)
+    def test_equal_images_hash_alike(self, max_value):
+        image = eg.RasterImage(3, 2, max_value, np.arange(6) * max_value // 5)
+        p2, p5 = (eg.parse_pgm(eg.write_pgm(image, binary)) for binary in (False, True))
+        assert p2 == p5 == image
+        assert len({p2, p5, image}) == 1
+        assert hash(eg.synth_view("A", 0, 8, 1)) == hash(eg.synth_view("A", 0, 8, 1))
+        assert len({image, eg.apply_occlusion(image, eg.OcclusionSpec(0, 0, 1, 1, 1))}) == 2
+
 
 class TestWritePgm:
     def test_canonical_text_form(self):
@@ -291,28 +300,16 @@ class TestVectorize:
         v = eg.vectorize(img, "unit")
         assert v.values == pytest.approx([0.6, 0.8], abs=1e-15)
 
-    def test_raw_scales_by_max_value(self):
-        img = eg.RasterImage(2, 1, 200, np.array([50, 200]))
-        v = eg.vectorize(img, "raw")
-        assert v.values == pytest.approx([0.25, 1.0], abs=1e-15)
-
-    def test_all_zero_raw(self):
-        img = eg.RasterImage(2, 2, 255, np.zeros(4, dtype=int))
-        v = eg.vectorize(img, "raw")
-        assert v.dim == 4
-        assert np.all(v.values == 0.0)
-
     def test_all_zero_unit_rejected(self):
         img = eg.RasterImage(2, 2, 255, np.zeros(4, dtype=int))
         with pytest.raises(ZeroImage):
             eg.vectorize(img, "unit")
 
-    @pytest.mark.parametrize("values, norm_mode", [([0.0, 2.0, 0.5], "raw"), ([0.6, 0.8], "unit")],
-                             ids=["raw", "unit"])
-    def test_dim_is_derived_from_the_values(self, values, norm_mode):
-        v = eg.AppearanceVector(np.array(values), norm_mode)
+    @pytest.mark.parametrize("values", [[0.6, 0.8]], ids=["unit"])
+    def test_dim_is_derived_from_the_values(self, values):
+        v = eg.AppearanceVector(np.array(values))
         assert v.dim == v.values.size == len(values)
-        assert [f.name for f in fields(v)] == ["values", "norm_mode", "source_label"]
+        assert [f.name for f in fields(v)] == ["values", "source_label"]
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(11)

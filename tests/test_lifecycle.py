@@ -37,7 +37,7 @@ def view(obj, angle, occluded):
     image = eg.synth_view(obj, angle, SIDE, 1)
     if occluded:
         image = eg.apply_occlusion(image, eg.OcclusionSpec(1, 2, 4, 3, 0))
-    return eg.vectorize(image, "unit", eg.ViewLabel(obj, angle, occluded))
+    return eg.vectorize(image, label=eg.ViewLabel(obj, angle, occluded))
 
 
 # held-out views of every pool object, one occluded, and an object never enrolled

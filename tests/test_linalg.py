@@ -10,11 +10,10 @@ import conftest
 from conftest import bisect_eigenvalues, charpoly_roots_3x3, jacobi_eigen, random_symmetric
 
 
-def direct_covariance_pca(X, centered):
+def direct_covariance_pca(X):
     """Oracle: eigendecompose the full d x d covariance, drop null directions."""
     X = np.asarray(X, dtype=np.float64)
-    mean = X.mean(axis=1) if centered else np.zeros(X.shape[0])
-    Xt = X - mean[:, None]
+    Xt = X - X.mean(axis=1)[:, None]
     C = Xt @ Xt.T
     decomp = jacobi_eigen(0.5 * (C + C.T))
     cutoff = max(1e-10, 1e-12 * max(float(decomp.values[0]), 0.0))
@@ -22,11 +21,10 @@ def direct_covariance_pca(X, centered):
     return decomp.values[keep], decomp.vectors[keep]
 
 
-def cold_start_pca(X, centered=True):
+def cold_start_pca(X):
     """Oracle for gram_pca: Jacobi from scratch on the Gram matrix, then the
     same clamp and lift."""
-    mean = X.mean(axis=1) if centered else np.zeros(X.shape[0])
-    Xt = X - mean[:, None]
+    Xt = X - X.mean(axis=1)[:, None]
     G = Xt.T @ Xt
     decomp = jacobi_eigen(0.5 * (G + G.T))
     keep = decomp.values > max(1e-10, 1e-12 * max(float(decomp.values[0]), 0.0))
@@ -39,7 +37,7 @@ def cold_start_pca(X, centered=True):
 def synthetic_views(obj, side=32, seed=1):
     """d x 36 matrix of unit-norm views at 0..350 degrees."""
     return np.column_stack([
-        eg.vectorize(eg.synth_view(obj, a, side, seed), "unit").values for a in range(0, 360, 10)
+        eg.vectorize(eg.synth_view(obj, a, side, seed)).values for a in range(0, 360, 10)
     ])
 
 
@@ -56,8 +54,8 @@ def spy_sym_eigen(monkeypatch):
     return seen
 
 
-def assert_matches_cold_start(got, X, centered=True):
-    lam, basis = cold_start_pca(X, centered)
+def assert_matches_cold_start(got, X):
+    lam, basis = cold_start_pca(X)
     assert got.eigenvalues.shape == lam.shape
     if lam.size == 0:
         return
@@ -158,15 +156,9 @@ def test_lapack_and_jacobi_agree():
 
 
 class TestGramPca:
-    def test_single_column_uncentered(self):
-        x = np.array([3.0, 4.0])
-        result = eg.gram_pca(x[:, None], centered=False)
-        assert result.eigenvalues == pytest.approx([25.0], abs=1e-12)
-        assert result.basis[0] == pytest.approx([0.6, 0.8], abs=1e-12)
-
     def test_identical_columns_centered_empty(self):
         X = np.tile(np.array([1.0, 2.0, 3.0])[:, None], (1, 4))
-        result = eg.gram_pca(X, centered=True)
+        result = eg.gram_pca(X)
         assert result.eigenvalues.size == 0
         assert result.basis.shape == (0, 3)
 
@@ -176,52 +168,49 @@ class TestGramPca:
             d = int(rng.integers(2, 13))
             m = int(rng.integers(1, 7))
             X = rng.standard_normal((d, m))
-            for centered in (False, True):
-                got = eg.gram_pca(X, centered=centered)
-                want_vals, want_vecs = direct_covariance_pca(X, centered)
-                if got.eigenvalues.size == 0:
-                    assert want_vals.size == 0
-                    continue
-                assert got.eigenvalues == pytest.approx(want_vals, rel=1e-9)
-                assert got.basis == pytest.approx(want_vecs, abs=1e-7)
+            got = eg.gram_pca(X)
+            want_vals, want_vecs = direct_covariance_pca(X)
+            if got.eigenvalues.size == 0:
+                assert want_vals.size == 0
+                continue
+            assert got.eigenvalues == pytest.approx(want_vals, rel=1e-9)
+            assert got.basis == pytest.approx(want_vecs, abs=1e-7)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((20, 6))
-        result = eg.gram_pca(X, centered=True)
+        result = eg.gram_pca(X)
         gram = result.basis @ result.basis.T
         assert np.max(np.abs(gram - np.eye(result.basis.shape[0]))) <= 1e-8
 
     def test_reconstruction_at_full_rank(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((10, 5))
-        for centered in (False, True):
-            result = eg.gram_pca(X, centered=centered)
-            Xt = X - result.mean[:, None]
-            E = result.basis.T
-            assert np.linalg.norm(Xt - E @ (E.T @ Xt)) <= 1e-8
+        result = eg.gram_pca(X)
+        Xt = X - result.mean[:, None]
+        E = result.basis.T
+        assert np.linalg.norm(Xt - E @ (E.T @ Xt)) <= 1e-8
 
     def test_scaling_scales_eigenvalues_quadratically(self):
         rng = np.random.default_rng(14)
         X = np.abs(rng.standard_normal((8, 4)))
-        base = eg.gram_pca(X, centered=False)
-        scaled = eg.gram_pca(3.0 * X, centered=False)
+        base = eg.gram_pca(X)
+        scaled = eg.gram_pca(3.0 * X)
         assert scaled.eigenvalues == pytest.approx(9.0 * base.eigenvalues, rel=1e-8)
         assert scaled.basis == pytest.approx(base.basis, abs=1e-8)
 
     @pytest.mark.parametrize("k", [None, 1, 3, 99], ids=["tau-rule", "k-1", "k-3", "k-above-rank"])
-    @pytest.mark.parametrize("tau", [0.95, 1.0])
-    @pytest.mark.parametrize("centered", [True, False], ids=["centered", "uncentered"])
-    def test_the_k_rule_keeps_the_leading_rows_of_the_full_pca(self, centered, tau, k):
+    @pytest.mark.parametrize("tau", [0.95, 1.0], ids=["centered-0.95", "centered-1.0"])
+    def test_the_k_rule_keeps_the_leading_rows_of_the_full_pca(self, tau, k):
         """Given build_eigenspace's rule, gram_pca keeps build_eigenspace's k and
         returns the leading eigenvalues and basis rows of the full PCA, bit for bit."""
-        views = [eg.vectorize(eg.synth_view("mobile", a, 32, 1), "unit", eg.ViewLabel("mobile", a))
+        views = [eg.vectorize(eg.synth_view("mobile", a, 32, 1), label=eg.ViewLabel("mobile", a))
                  for a in range(0, 360, 10)]
         X = np.column_stack([v.values for v in views])
-        full = eg.gram_pca(X, centered)
-        got = eg.gram_pca(X, centered, energy_threshold=tau, k=k)
+        full = eg.gram_pca(X)
+        got = eg.gram_pca(X, energy_threshold=tau, k=k)
         want_k = eg.choose_k(full.eigenvalues, tau) if k is None else min(k, full.eigenvalues.size)
-        config = eg.EigenspaceConfig(centered=centered, energy_threshold=tau)
+        config = eg.EigenspaceConfig(energy_threshold=tau)
         assert got.basis.shape[0] == want_k == eg.build_eigenspace("mobile", views, config, k).k
         for part, whole in [(got.mean, full.mean), (got.eigenvalues, full.eigenvalues[:want_k]),
                             (got.basis, full.basis[:want_k])]:
@@ -233,8 +222,7 @@ class TestGramPcaOracle:
         rng = np.random.default_rng(300)
         for _ in range(40):
             X = rng.standard_normal((int(rng.integers(2, 40)), int(rng.integers(1, 20))))
-            for centered in (False, True):
-                assert_matches_cold_start(eg.gram_pca(X, centered=centered), X, centered)
+            assert_matches_cold_start(eg.gram_pca(X), X)
 
     @pytest.mark.parametrize("obj", ["A", "B", "mobile", "stapler"])
     def test_synthetic_objects_match_cold_start_jacobi(self, obj):
@@ -300,7 +288,7 @@ class TestChooseK:
 
     def test_k_override_may_split_a_cluster(self):
         views = [
-            eg.vectorize(eg.synth_view("A", a, 32, 1), "unit", eg.ViewLabel("A", a))
+            eg.vectorize(eg.synth_view("A", a, 32, 1), label=eg.ViewLabel("A", a))
             for a in range(0, 360, 10)
         ]
         lam = eg.gram_pca(synthetic_views("A")).eigenvalues

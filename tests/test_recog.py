@@ -4,7 +4,6 @@ import threading
 import time
 import warnings
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -75,9 +74,9 @@ def oracle_queries():
         img = eg.synth_view(obj, int(rng.integers(0, 100)), 32, 1)
         x0, y0 = (int(c) for c in rng.integers(0, 20, size=2))
         img = eg.apply_occlusion(img, eg.OcclusionSpec(x0, y0, 12, 12, 0))
-        queries.append(eg.vectorize(img, "unit"))
+        queries.append(eg.vectorize(img))
     for angle in range(0, 100, 15):
-        queries.append(eg.vectorize(eg.synth_view("widget", angle, 32, 1), "unit"))
+        queries.append(eg.vectorize(eg.synth_view("widget", angle, 32, 1)))
     return queries
 
 
@@ -90,7 +89,7 @@ def twin_view_registry():
     """Object A, with its view at 50 degrees enrolled twice, first labelled 70."""
     apps = training_appearances("A")
     twin = next(a for a in apps if a.source_label.view_angle_deg == 50)
-    apps.insert(0, eg.AppearanceVector(twin.values, twin.norm_mode, eg.ViewLabel("A", 70)))
+    apps.insert(0, eg.AppearanceVector(twin.values, eg.ViewLabel("A", 70)))
     reg = ObjectRegistry()
     reg.accumulate("A", apps, eg.EigenspaceConfig())
     return reg
@@ -110,16 +109,20 @@ def twin_space_registry(twins=(("zeta", "A"), ("alpha", "A"))):
     return reg
 
 
-def mixed_shape_registry(norm_mode="unit"):
+def mixed_shape_registry():
     """Spaces of every shape the stacked scorer pads: (views, k) of (1, 1),
     (3, 1), (36, 3) and (36, full k by the energy rule)."""
     def views(obj, angles):
-        return [eg.vectorize(eg.synth_view(obj, a, 32, 1), norm_mode, eg.ViewLabel(obj, a))
+        return [eg.vectorize(eg.synth_view(obj, a, 32, 1), label=eg.ViewLabel(obj, a))
                 for a in angles]
 
     config = eg.EigenspaceConfig()
     reg = ObjectRegistry()
-    reg.accumulate("solo", views("solo", [30]), replace(config, centered=False))
+    # a centred build of one view is degenerate: the one-point space keeps one
+    # point of a two-view build
+    pair = eg.build_eigenspace("solo", views("solo", [30, 40]), config)
+    reg._append(eg.Eigenspace("solo", pair.mean, pair.eigenvalues, pair.basis, config,
+                              pair.coords[:1], pair.labels[:1]))
     reg.accumulate("trio", views("trio", [0, 120, 240]), config, k=1)
     reg.accumulate("wide", views("wide", range(0, 360, 10)), config, k=3)
     reg.accumulate("full", views("full", range(0, 360, 10)), config)
@@ -146,13 +149,13 @@ class TestRecognize:
         rng = np.random.default_rng(21)
         for _ in range(10):
             w = rng.standard_normal(32 * 32)
-            v = eg.AppearanceVector(w / np.linalg.norm(w), "unit")
+            v = eg.AppearanceVector(w / np.linalg.norm(w))
             assert eg.recognize(reg, v).best_object == "solo"
 
     def test_occluded_held_out_view(self, four_object_registry):
         img = eg.synth_view("mobile", 35, 32, 1)
         img = eg.apply_occlusion(img, eg.OcclusionSpec(10, 16, 16, 10, 0))
-        v = eg.vectorize(img, "unit")
+        v = eg.vectorize(img)
         assert eg.recognize(four_object_registry, v).best_object == "mobile"
 
     def test_combined_score_pythagoras(self, four_object_registry):
@@ -196,36 +199,29 @@ class TestRecognize:
         assert agree >= 0.9 * len(queries)
 
     def test_empty_registry(self):
-        v = eg.vectorize(eg.synth_view("A", 0, 32, 1), "unit")
+        v = eg.vectorize(eg.synth_view("A", 0, 32, 1))
         with pytest.raises(EmptyRegistry):
             eg.recognize(ObjectRegistry(), v)
 
-    @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")])
-    def test_query_of_another_dim_or_norm_is_rejected(self, four_object_registry, side, norm_mode):
-        v = eg.vectorize(eg.synth_view("mobile", 20, side, 1), norm_mode)
+    # every view is unit-normalized, so only the dim can differ
+    @pytest.mark.parametrize("side", [16], ids=["16-unit"])
+    def test_query_of_another_dim_or_norm_is_rejected(self, four_object_registry, side):
+        v = eg.vectorize(eg.synth_view("mobile", 20, side, 1))
         with pytest.raises(DimensionMismatch):
             eg.recognize(four_object_registry, v)
 
-    def test_scale_invariant_decisions(self):
-        config = eg.EigenspaceConfig(centered=False)
-        base = build_registry(config=config, norm_mode="raw")
-        scaled = ObjectRegistry()
-        for obj in OBJECTS:
-            apps = [
-                eg.AppearanceVector(3.0 * a.values, "raw", a.source_label)
-                for a in training_appearances(obj, "raw")
-            ]
-            scaled.accumulate(obj, apps, config)
-        for es_base, es_scaled in zip(base.spaces, scaled.spaces):
-            assert es_scaled.eigenvalues == pytest.approx(
-                9.0 * es_base.eigenvalues, rel=1e-8
-            )
-        for v, _ in query_set(norm_mode="raw"):
-            v3 = eg.AppearanceVector(3.0 * v.values, "raw", v.source_label)
-            a = eg.recognize(base, v)
-            b = eg.recognize(scaled, v3)
-            assert a.best_object == b.best_object
-            assert b.combined_score == pytest.approx(3.0 * a.combined_score, rel=1e-6)
+    def test_scale_invariant_decisions(self, four_object_registry):
+        """Unit normalization cancels an intensity scale: spaces built from
+        dimmed views, and dimmed queries, decide as the originals do."""
+        dimmed = build_registry(dim=True)
+        for es_base, es_dim in zip(four_object_registry.spaces, dimmed.spaces):
+            assert es_dim.eigenvalues == pytest.approx(es_base.eigenvalues, rel=1e-8)
+        for (v, _), (w, _) in zip(query_set(), query_set(dim=True)):
+            a = eg.recognize(four_object_registry, v)
+            for reg in (four_object_registry, dimmed):
+                b = eg.recognize(reg, w)
+                assert a.best_object == b.best_object
+                assert b.combined_score == pytest.approx(a.combined_score, rel=1e-6)
 
 
 class TestRecognizeOracle:
@@ -236,7 +232,7 @@ class TestRecognizeOracle:
     def test_tied_views_resolve_to_lower_angle(self):
         reg = twin_view_registry()
         for angle in (50, 52):
-            v = eg.vectorize(eg.synth_view("A", angle, 32, 1), "unit")
+            v = eg.vectorize(eg.synth_view("A", angle, 32, 1))
             assert eg.recognize(reg, v).best_view.view_angle_deg == 50
             assert_matches_oracle(reg, v)
 
@@ -266,10 +262,10 @@ class TestRecognizeOracle:
         assert [(len(es.labels), es.k) for es in reg.spaces[:3]] == [(1, 1), (3, 1), (36, 3)]
         assert reg.spaces[3].k > 3
         spaces = {es.object_id: es for es in reg.spaces}
-        queries = [eg.vectorize(eg.synth_view(obj, angle, 32, 1), "unit")
+        queries = [eg.vectorize(eg.synth_view(obj, angle, 32, 1))
                    for obj in ("solo", "trio", "wide", "full", "widget")
                    for angle in range(0, 360, 25)]
-        queries += [eg.vectorize(eg.synth_view("solo", 30, 32, 1), "unit")]
+        queries += [eg.vectorize(eg.synth_view("solo", 30, 32, 1))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             labelled = []
@@ -285,15 +281,13 @@ class TestRecognizeOracle:
     # a residual share of 1.1e-3 takes |wc|^2 - |g|^2, and 0.9e-3 the direct |wc - g B|
     @pytest.mark.parametrize("share", [1.1e-3, 0.9e-3])
     def test_residuals_on_both_sides_of_the_direct_rule(self, share):
-        """Queries a distance 0.25 from each space's mean, about where a
-        unit-norm view lies from the means of the benchmark's registry (0.02
-        to 0.62), inside the subspace but for a residual of `share` of that
-        distance, score as the per-point oracle does in recognize and in
-        evaluate's blocks. Just above the rule the difference of squares
-        is within about 1.5e-12 |wc| of the direct residual. A reconstructed
-        manifold point, a residual of 0, still scores as a match: the
-        difference of squares alone would leave about 1e-8."""
-        reg = mixed_shape_registry("raw")
+        """Unit queries inside each space's subspace but for a residual of
+        `share` of their distance from its mean score as the per-point
+        oracle does in recognize and in evaluate's blocks. Just above the
+        rule the difference of squares is within about 1.5e-12 |wc| of the
+        direct residual. (A residual of 0, where the difference of squares
+        alone would leave about 1e-8, is test_self_match_at_full_rank's.)"""
+        reg = mixed_shape_registry()
         rng = np.random.default_rng(31)
         queries = []
         for es in reg.spaces:
@@ -302,8 +296,11 @@ class TestRecognizeOracle:
                 u = rng.standard_normal(es.dim)
                 for _ in range(2):
                     u -= es.basis.T @ (es.basis @ u)
-                r = share / math.sqrt(1 - share**2) * u / np.linalg.norm(u)
-                v = eg.AppearanceVector(es.mean + 0.25 * (p / np.linalg.norm(p) + r), "raw")
+                d = math.sqrt(1 - share**2) * p / np.linalg.norm(p) + share * u / np.linalg.norm(u)
+                # the step along d from the mean that reaches the unit sphere
+                t = -(es.mean @ d) + math.sqrt((es.mean @ d) ** 2 + 1 - es.mean @ es.mean)
+                x = es.mean + t * d
+                v = eg.AppearanceVector(x / np.linalg.norm(x))
                 assert (residual(es, v) / np.linalg.norm(v.values - es.mean)) ** 2 == (
                     pytest.approx(share**2, rel=1e-6))
                 queries.append((v, recognize_oracle(reg, v).best_object))
@@ -319,20 +316,13 @@ class TestRecognizeOracle:
         report = eg.evaluate(reg, queries)
         assert report.m == report.P == len(queries)
 
-        for es in reg.spaces:
-            for point in es.coords:
-                v = eg.AppearanceVector(es.mean + point @ es.basis, "raw")
-                result = eg.recognize(reg, v)
-                assert result.best_object == es.object_id
-                assert result.combined_score <= 1e-8
-
     def test_twins_are_exact_at_every_stacked_offset(self):
         """Twins of A interleaved with one space of odd, larger k and point
         count: k_max and n_max are odd, so the twins' slices of the stacked
         arrays start at different alignments. recognize, and every block of
         evaluate whatever its length, must still score the twins bit for bit
         alike and break their ties in acquisition order."""
-        odd = [eg.vectorize(eg.synth_view("odd", a, 32, 1), "unit", eg.ViewLabel("odd", a))
+        odd = [eg.vectorize(eg.synth_view("odd", a, 32, 1), label=eg.ViewLabel("odd", a))
                for a in range(0, 350, 10)]
         names = ["twin-0", "odd", "twin-1", "twin-2", "twin-3"]
         reg = ObjectRegistry()
@@ -343,7 +333,7 @@ class TestRecognizeOracle:
         assert reg.snapshot.coords.shape[1:] == (7, 35)
         assert all(reg.spaces[s].k < 7 and len(reg.spaces[s].labels) < 35 for s in twins)
         views = [v for v, _ in query_set(objects=["A", "B"])]
-        views += [eg.vectorize(eg.synth_view("odd", a, 32, 1), "unit") for a in (5, 95, 185)]
+        views += [eg.vectorize(eg.synth_view("odd", a, 32, 1)) for a in (5, 95, 185)]
 
         labelled = []
         for v in views:
@@ -479,12 +469,12 @@ class TestEvaluateBlocks:
         assert report.m == sum(t == p for t, p in alone)
         assert report.P == n
 
+    # every view is unit-normalized, so only the dim can differ
     @pytest.mark.parametrize("position", [0, 40, 63, 64, 70])
-    @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")])
-    def test_a_mismatched_query_anywhere_is_rejected(self, four_object_registry, position,
-                                                     side, norm_mode):
+    @pytest.mark.parametrize("side", [16], ids=["16-unit"])
+    def test_a_mismatched_query_anywhere_is_rejected(self, four_object_registry, position, side):
         queries = [(v, "x") for v in oracle_queries()]
-        bad = eg.vectorize(eg.synth_view("mobile", 20, side, 1), norm_mode)
+        bad = eg.vectorize(eg.synth_view("mobile", 20, side, 1))
         queries[position] = (bad, "mobile")
         with pytest.raises(DimensionMismatch):
             eg.evaluate(four_object_registry, queries)

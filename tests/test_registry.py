@@ -42,7 +42,7 @@ from conftest import (
 
 def unit_vec(values, label=eg.ViewLabel("", 0)):
     values = np.asarray(values, dtype=np.float64)
-    return eg.AppearanceVector(values / np.linalg.norm(values), "unit", label)
+    return eg.AppearanceVector(values / np.linalg.norm(values), label)
 
 
 def spread_of(spaces):
@@ -70,12 +70,12 @@ class TestAccumulate:
             reg.accumulate("A", training_appearances("A"), eg.EigenspaceConfig())
         assert reg.spaces == (es,)
 
-    @pytest.mark.parametrize("side, norm_mode", [(16, "unit"), (32, "raw")], ids=["dim", "norm"])
-    def test_space_of_another_dim_or_norm_mode_is_rejected(self, side, norm_mode):
+    @pytest.mark.parametrize("side", [16], ids=["dim"])
+    def test_space_of_another_dim_or_norm_mode_is_rejected(self, side):
+        """Only the dim can differ: every view is unit-normalized."""
         reg = build_registry(objects=["A"])
         with pytest.raises(DimensionMismatch):
-            reg.accumulate("B", training_appearances("B", norm_mode, side=side),
-                           eg.EigenspaceConfig())
+            reg.accumulate("B", training_appearances("B", side=side), eg.EigenspaceConfig())
         assert [es.object_id for es in reg.spaces] == ["A"]
 
     def test_existing_space_untouched(self, tmp_path):
@@ -136,11 +136,11 @@ class TestSnapshot:
         with pytest.raises(DuplicateObject, match="^object 'A' already enrolled$"):
             recog.Snapshot((es, es))
 
-    def test_a_snapshot_admits_one_norm_mode(self):
-        (unit,) = build_registry(objects=["A"]).spaces
-        (raw,) = build_registry(objects=["B"], norm_mode="raw").spaces
+    def test_a_snapshot_admits_one_dim(self):
+        (wide,) = build_registry(objects=["A"]).spaces
+        narrow = eg.build_eigenspace("B", training_appearances("B", side=16), eg.EigenspaceConfig())
         with pytest.raises(DimensionMismatch):
-            recog.Snapshot((unit, raw))
+            recog.Snapshot((wide, narrow))
 
     def test_an_empty_snapshot_derives_nothing(self):
         assert vars(recog.Snapshot()) == {"spaces": (), "spread": None,
@@ -202,9 +202,10 @@ class TestEffectiveThreshold:
         assert reg.effective_threshold() == 0.3
 
     def test_auto_needs_two_points(self):
-        apps = [unit_vec([1.0, 0.0]), unit_vec([0.0, 1.0])]
+        # a centred build of one view is degenerate, so the one-point space is made by hand
         reg = ObjectRegistry(EnrollmentPolicy(AUTO))
-        reg.accumulate("x", apps[:1], eg.EigenspaceConfig(centered=False), k=1)
+        reg._append(eg.Eigenspace("x", np.zeros(2), np.ones(1), np.eye(2)[:1],
+                                  eg.EigenspaceConfig(), np.zeros((1, 1)), (eg.ViewLabel("x", 0),)))
         with pytest.raises(InsufficientData):
             reg.effective_threshold()
 
@@ -275,7 +276,7 @@ class TestClassifyOrEnroll:
         # tight explicit threshold forces the unknown path
         reg = build_registry(policy=EnrollmentPolicy(1e-6))
         pending = training_appearances("widget")
-        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
         decision = reg.classify_or_enroll(query, pending_views=pending)
         assert not decision.known
         assert decision.enrolled_id == "object-5"
@@ -284,7 +285,7 @@ class TestClassifyOrEnroll:
 
     def test_enrolled_space_reloads_unchanged(self):
         reg = build_registry(policy=EnrollmentPolicy(1e-6), objects=["mobile"])
-        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
         # the pending views are labelled "widget", the space is named object-2
         decision = reg.classify_or_enroll(query, pending_views=training_appearances("widget"))
         es = reg.find(decision.enrolled_id)
@@ -293,7 +294,7 @@ class TestClassifyOrEnroll:
 
     def test_unknown_without_views_does_not_enroll(self):
         reg = build_registry(policy=EnrollmentPolicy(1e-6))
-        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
         decision = reg.classify_or_enroll(query)
         assert not decision.known
         assert decision.enrolled_id is None
@@ -301,20 +302,19 @@ class TestClassifyOrEnroll:
 
     def test_auto_name_skips_taken_names(self):
         reg = build_registry(policy=EnrollmentPolicy(1e-6), objects=["object-2"])
-        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
         decision = reg.classify_or_enroll(query, pending_views=training_appearances("widget"))
         assert decision.enrolled_id == "object-3"
         assert [es.object_id for es in reg.spaces] == ["object-2", "object-3"]
 
     @pytest.mark.parametrize(
         "config",
-        [eg.EigenspaceConfig(), eg.EigenspaceConfig(centered=False),
-         eg.EigenspaceConfig(energy_threshold=0.9)],
-        ids=["default", "uncentered", "tau-0.9"],
+        [eg.EigenspaceConfig(), eg.EigenspaceConfig(energy_threshold=0.9)],
+        ids=["default", "tau-0.9"],
     )
     def test_reloaded_registry_enrolls_like_the_original(self, tmp_path, config):
         pending = training_appearances("widget")
-        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
         # a fixed k is not saved, so the new space must not inherit it either
         for k in (None, 2):
             reg = build_registry(config=config, policy=EnrollmentPolicy(1e-6), k=k)
@@ -335,26 +335,81 @@ class TestClassifyOrEnroll:
 
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
-        query = eg.vectorize(eg.synth_view("A", 0, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("A", 0, 32, 1))
         with pytest.raises(EmptyRegistry, match="no enrolled objects"):
             reg.classify_or_enroll(query)
 
     def test_empty_registry_enrolls_pending(self):
         reg = ObjectRegistry()
-        query = eg.vectorize(eg.synth_view("A", 0, 32, 1), "unit")
+        query = eg.vectorize(eg.synth_view("A", 0, 32, 1))
         decision = reg.classify_or_enroll(query, pending_views=training_appearances("A"))
         assert not decision.known
         assert decision.enrolled_id == "object-1"
         assert len(reg.spaces) == 1
 
-    def test_empty_registry_enrolls_raw_pending_as_a_raw_space(self):
-        reg = ObjectRegistry()
-        query = eg.vectorize(eg.synth_view("A", 0, 32, 1), "raw")
-        decision = reg.classify_or_enroll(query, pending_views=training_appearances("A", "raw"))
-        (es,) = reg.spaces
-        assert (decision.enrolled_id, es.norm_mode, es.config) == ("object-1", "raw",
-                                                                   eg.EigenspaceConfig())
-        assert reg.decide(query).result.best_object == "object-1"
+
+class TestReadsDuringMutations:
+    def test_decide_does_not_wait_for_a_build(self, monkeypatch):
+        """accumulate builds outside the registry's lock, so a decide made
+        while a build is held returns at once, against the spaces before it."""
+        reg = build_registry(objects=["A", "B"])
+        build, building, release = registry_module.build_eigenspace, Event(), Event()
+
+        def held_build(*args):
+            building.set()
+            release.wait(60)
+            return build(*args)
+
+        monkeypatch.setattr(registry_module, "build_eigenspace", held_build)
+        decided = []
+        threads = [
+            Thread(target=reg.accumulate,
+                   args=("C", training_appearances("C"), eg.EigenspaceConfig())),
+            Thread(target=lambda: decided.append(reg.decide(training_appearances("A")[3]))),
+        ]
+        try:
+            threads[0].start()
+            assert building.wait(60)
+            threads[1].start()
+            threads[1].join(1.0)
+            assert not threads[1].is_alive(), "decide waited for the build"
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        (decision,) = decided
+        assert [o for o, _ in decision.result.ranked_candidates] == ["A", "B"]
+        assert [es.object_id for es in reg.spaces] == ["A", "B", "C"]
+
+    def test_a_decision_scores_and_thresholds_one_snapshot(self, monkeypatch):
+        """An enrollment that lands between decide's score and its threshold,
+        of a space wider than any before it, cannot pair the old score with
+        the new threshold: the threshold is the margin times the widest
+        spread of the spaces the result ranks."""
+        reg = build_registry(objects=["A"])
+        wide = [unit_vec([1.0, 0.0] * 512), unit_vec([0.0, 1.0] * 512, eg.ViewLabel("", 90))]
+        recognize, writers = recog.recognize, []
+
+        def recognize_then_enroll(*args):
+            result = recognize(*args)
+            if not writers:
+                writers.append(Thread(target=reg.accumulate,
+                                      args=("wide", wide, eg.EigenspaceConfig())))
+                writers[0].start()
+                writers[0].join(1.0)  # at most 1 s for the enrollment to land
+            return result
+
+        monkeypatch.setattr(recog, "recognize", recognize_then_enroll)
+        try:
+            decision = reg.decide(training_appearances("A")[3])
+        finally:
+            for writer in writers:
+                writer.join(60)
+        assert [es.object_id for es in reg.spaces] == ["A", "wide"]
+        ranked = {object_id for object_id, _ in decision.result.ranked_candidates}
+        scored = [es for es in reg.spaces if es.object_id in ranked]
+        assert decision.threshold == reg.policy.auto_margin * spread_of(scored)
 
 
 class TestOrderIndependence:
@@ -384,7 +439,7 @@ class TestPersistence:
             assert eg.save_model(got) == eg.save_model(want)
 
     def test_fixed_k_space_keeps_the_given_config(self, tmp_path):
-        config = eg.EigenspaceConfig(centered=False, energy_threshold=0.9)
+        config = eg.EigenspaceConfig(energy_threshold=0.9)
         reg = build_registry(config=config, k=2)
         reg.save_dir(str(tmp_path))
         loaded = ObjectRegistry.load_dir(str(tmp_path))
@@ -806,19 +861,30 @@ class TestResave:
 
 class TestSidecar:
     @pytest.mark.parametrize(
-        "config, norm_mode, k",
-        [
-            (eg.EigenspaceConfig(), "unit", None),
-            (eg.EigenspaceConfig(centered=False), "unit", None),
-            (eg.EigenspaceConfig(), "raw", None),
-            (eg.EigenspaceConfig(centered=False), "raw", None),
-            (eg.EigenspaceConfig(), "unit", 3),
-        ],
+        "config, k",
+        [("1 unit", None), ("0 unit", None), ("1 raw", None), ("0 raw", None), ("1 unit", 3)],
         ids=["centered-unit", "uncentered-unit", "centered-raw", "uncentered-raw", "k-3"],
     )
-    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, norm_mode, k):
-        reg = build_registry(config=config, k=k, norm_mode=norm_mode)
+    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, k):
+        """The `config` line's centring and norm fields: a centred, unit model
+        loads alike from its sidecar and from its text. A model of a removed
+        mode, beside a sidecar made for its bytes, loads from neither."""
+        reg = build_registry(k=k)
         reg.save_dir(str(tmp_path))
+        if config != "1 unit":
+            for es in reg.spaces:
+                eig = tmp_path / f"{es.object_id}.eig"
+                data = eig.read_bytes().replace(b"\nconfig 1 unit ", f"\nconfig {config} ".encode())
+                eig.write_bytes(data)
+                (tmp_path / f"{es.object_id}.f8").write_bytes(
+                    eigenspace_module.save_sidecar(es, data))
+            with pytest.raises(CorruptField, match="model file line 5 "):
+                ObjectRegistry.load_dir(str(tmp_path))
+            for es in reg.spaces:
+                (tmp_path / f"{es.object_id}.f8").unlink()
+            with pytest.raises(CorruptField, match="model file line 5 "):
+                ObjectRegistry.load_dir(str(tmp_path))
+            return
         with_sidecars = ObjectRegistry.load_dir(str(tmp_path))
         texts = {es.object_id: (tmp_path / f"{es.object_id}.eig").read_bytes() for es in reg.spaces}
         for es in reg.spaces:

@@ -36,7 +36,7 @@ INSPECT_OUT = [*wt.INSPECT, "5", "--out", "coords.csv"]
 
 # numpy version -> sha256 of the walkthrough's stdout
 WALKTHROUGH_GOLDENS = {
-    "2.4.6": "745c2fc279e58a9c330c16ac8d78d760a2018fd48419c7a8af0121490f85fdeb",
+    "2.4.6": "d54edabb2da78258ba7a2bb5cb44306eb0f692a87c09de0f92748d36c855fe71",
 }
 
 
