@@ -211,9 +211,8 @@ def cmd_learn(args) -> int:
         for path, label in entries
     ]
 
-    es = ObjectRegistry.enroll_dir(args.registry, args.object, appearances, config, args.k,
-                                   **_given(args, unknown_threshold="threshold",
-                                            auto_margin="margin"))
+    policy = _given(args, unknown_threshold="threshold", auto_margin="margin")
+    es = ObjectRegistry.enroll_dir(args.registry, args.object, appearances, config, **policy)
 
     print(f"object {args.object}: {len(appearances)} appearances, k = {es.k}")
     # shares of the whole spectrum's energy, the Gram trace: the views' summed |v - mean|^2
@@ -314,7 +313,6 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--margin", type=_decimal,
                    help="auto threshold margin (default: keep the registry's, else 1.5)")
     p.add_argument("--tau", type=_decimal, help="energy threshold for k")
-    p.add_argument("--k", type=_integer, default=None, help="fixed k override")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("recognize", help="classify one appearance")

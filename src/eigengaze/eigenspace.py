@@ -14,6 +14,7 @@ invariants, so a built, loaded or hand-made space meets the same ones;
 """
 
 import hashlib
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import repeat, zip_longest
@@ -53,13 +54,17 @@ def _fmt_row(values) -> str:
     return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EigenspaceConfig:
-    energy_threshold: float = 0.95
+    energy_threshold: float = 0.95  # the one rule that cuts a space; its model file records it
 
     def __post_init__(self):
-        if not 0.0 < self.energy_threshold <= 1.0:
-            raise ValueError("energy_threshold must be in (0, 1]")
+        if not (is_real(self.energy_threshold) and 0.0 < self.energy_threshold <= 1.0):
+            raise ValueError(f"energy_threshold must be in (0, 1], not {self.energy_threshold!r}")
 
 
 # Eigenspace.manifold's items, kept for the benchmark; it holds arrays, so eq is identity
@@ -156,11 +161,9 @@ def check_shape(want, got):
         raise DimensionMismatch(f"dim {got.dim} does not match dim {want.dim}")
 
 
-def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
-                     k: int | None = None) -> Eigenspace:
-    """Build an object's eigenspace from its full appearance set, centred on
-    their mean, keeping k dimensions (at most the rank), or as many as config's
-    energy threshold needs. Its dim is its first view's, which every view must share."""
+def build_eigenspace(object_id, appearances, config: EigenspaceConfig) -> Eigenspace:
+    """Build an object's eigenspace from all its views, centred on their mean and
+    cut by choose_k at config's energy threshold; its dim is every view's."""
     appearances = list(appearances)
     if not appearances:
         raise DegenerateSet("appearance set is empty")
@@ -169,7 +172,7 @@ def build_eigenspace(object_id, appearances, config: EigenspaceConfig,
         check_shape(first, v)
 
     X = np.column_stack([v.values for v in appearances])
-    pca = gram_pca(X, config.energy_threshold, k)
+    pca = gram_pca(X, config.energy_threshold)
     if pca.eigenvalues.size == 0:
         raise DegenerateSet(
             f"no positive eigenvalue for object {object_id!r} "

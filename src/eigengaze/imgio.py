@@ -134,6 +134,9 @@ class OcclusionSpec:
     fill: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"occlusion {name} must be an integer, not {value!r}")
         if self.x0 < 0 or self.y0 < 0:
             raise ValueError("occlusion offsets must be non-negative")
         if self.w < 1 or self.h < 1:

@@ -100,20 +100,18 @@ def sym_eigen(Q) -> EigenDecomposition:
     return EigenDecomposition(values[order], canonical_signs(V.T[order]))
 
 
-def gram_pca(X, energy_threshold: float | None = None, k: int | None = None) -> PcaResult:
+def gram_pca(X, energy_threshold: float = 1.0) -> PcaResult:
     """PCA of the columns of the d x m matrix X via the m x m Gram matrix.
 
-    Eigenvalues are those of X~ X~^T, X~ being X minus its column mean.
-    Rank-deficient directions are dropped; a fully degenerate input yields an
-    empty basis rather than an error. Of the rest, the rule keeps the leading
-    k (at most the rank), else as many as choose_k picks for
-    energy_threshold, else all. Only the Gram eigenvectors it keeps are
-    lifted to pixel space and renormalized, and they equal the leading rows
-    of the full result bit for bit.
+    Eigenvalues are those of X~ X~^T, X~ being X minus its column mean; those
+    at or below the clamp are dropped, and a rank-0 input yields an empty basis.
+    Of the rest, it keeps the k that choose_k picks for energy_threshold: at
+    1.0, the whole rank unless the float64 running sum cannot resolve an
+    eigenvalue above the clamp, which takes over 1e-12 * 2**53 (about 9,007)
+    views. Only the kept Gram eigenvectors are lifted to pixel space and
+    renormalized; they equal the leading rows of the full result bit for bit.
     """
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
-    if energy_threshold is not None and not 0.0 < energy_threshold <= 1.0:
+    if not 0.0 < energy_threshold <= 1.0:
         raise ValueError("energy_threshold must be in (0, 1]")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -134,9 +132,7 @@ def gram_pca(X, energy_threshold: float | None = None, k: int | None = None) -> 
     rank = eigenvalues.size
     if rank == 0:
         return PcaResult(mean, np.empty(0), np.empty((0, d)))
-    if k is None:
-        k = rank if energy_threshold is None else choose_k(eigenvalues, energy_threshold)
-    k = min(k, rank)
+    k = choose_k(eigenvalues, energy_threshold)
 
     # lift two columns at least: numpy rounds a one-column product differently
     lift = slice(max(k, min(2, rank)))

@@ -46,6 +46,7 @@ from .eigenspace import (
     EigenspaceConfig,
     build_eigenspace,
     check_rendered,
+    is_real,
     load_model,
     save_model,
     save_sidecar,
@@ -179,11 +180,11 @@ class EnrollmentPolicy:
     auto_margin: float = 1.5
 
     def __post_init__(self):
-        thr = self.unknown_threshold
-        if thr != AUTO and (isinstance(thr, str) or not 0 < thr < math.inf):
-            raise ValueError("unknown_threshold must be 'auto' or positive and finite")
-        if not 1.0 <= self.auto_margin < math.inf:
-            raise ValueError("auto_margin must be finite and >= 1")
+        thr, margin = self.unknown_threshold, self.auto_margin
+        if thr != AUTO and not (is_real(thr) and 0 < thr < math.inf):
+            raise ValueError(f"unknown_threshold must be 'auto' or positive and finite, not {thr!r}")
+        if not (is_real(margin) and 1.0 <= margin < math.inf):
+            raise ValueError(f"auto_margin must be finite and >= 1, not {margin!r}")
 
 
 def render_manifest(policy: EnrollmentPolicy, object_ids) -> str:
@@ -263,12 +264,11 @@ class ObjectRegistry:
     def _append(self, *spaces: Eigenspace):
         self._snapshot = recog.Snapshot(self.spaces + spaces)
 
-    def accumulate(self, object_id: str, appearances, config: EigenspaceConfig,
-                   k: int | None = None) -> Eigenspace:
-        """Build one object's eigenspace with build_eigenspace and enroll it;
-        others untouched. The build holds no lock, so no reader waits for it."""
+    def accumulate(self, object_id: str, appearances, config: EigenspaceConfig) -> Eigenspace:
+        """Build one object's eigenspace with build_eigenspace, cut by config's energy
+        threshold, and enroll it; others untouched. No reader waits for the lockless build."""
         _check_object_id(object_id)
-        es = build_eigenspace(object_id, appearances, config, k)
+        es = build_eigenspace(object_id, appearances, config)
         with self._lock:
             self._append(es)
         return es
@@ -353,17 +353,16 @@ class ObjectRegistry:
 
     @classmethod
     def enroll_dir(cls, path: str, object_id: str, appearances, config: EigenspaceConfig,
-                   k: int | None = None, **policy) -> Eigenspace:
-        """Append one object to the registry in directory path, or create one
-        there if it holds no manifest, with the policy fields given here
-        replaced. The directory then holds the files that load_dir, accumulate
-        and a save_dir into a new directory would write, in one pass: each
-        stored model is read and loaded once and written back from the bytes
-        read, its `.f8` kept if its space's floats came from it, else replaced
-        by the sidecar save_dir writes. It commits as save_dir does, with the
-        directory's lock held from reading the manifest to renaming it, so an
-        enrollment that fails changes no file and concurrent enrollments each
-        land."""
+                   **policy) -> Eigenspace:
+        """Append one object, its space cut by config's energy threshold, to the
+        registry in directory path (one is created if it holds no manifest), with
+        the policy fields given here replaced. In one pass the directory comes to
+        hold what load_dir, accumulate and a save_dir into a new directory write:
+        each stored model is read and loaded once and written back from the bytes
+        read, its `.f8` kept if its floats came from it, else replaced by the
+        sidecar save_dir writes. It commits as save_dir does, the directory's lock
+        held from reading the manifest to renaming it, so an enrollment that fails
+        changes no file and concurrent enrollments each land."""
         with _locked(path), _staging() as staged:
             reg, ids, stored_spaces = cls(), [], []
             if os.path.exists(os.path.join(path, MANIFEST_NAME)):
@@ -374,7 +373,7 @@ class ObjectRegistry:
                 _stage_model(staged, path, stored, data, sidecar if stored.from_sidecar else None)
             reg._append(*stored_spaces)
             reg.policy = replace(reg.policy, **policy)
-            es = reg.accumulate(object_id, appearances, config, k)
+            es = reg.accumulate(object_id, appearances, config)
             _stage_model(staged, path, es, save_model(es))
             _stage_manifest(staged, path, reg)
         return es

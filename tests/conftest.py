@@ -82,12 +82,27 @@ def query_set(objects=OBJECTS, side=SIDE, seed=SEED, dim=False):
     return queries
 
 
-def build_registry(config=None, policy=None, objects=OBJECTS, k=None, dim=False):
+def build_registry(config=None, policy=None, objects=OBJECTS, dim=False):
     config = config if config is not None else eg.EigenspaceConfig()
     reg = ObjectRegistry(policy if policy is not None else EnrollmentPolicy())
     for obj in objects:
-        reg.accumulate(obj, training_appearances(obj, dim=dim), config, k)
+        reg.accumulate(obj, training_appearances(obj, dim=dim), config)
     return reg
+
+
+def energy_shares(views):
+    """For k = 1 up to the rank, the share of the energy that the leading k
+    eigenvalues of the views' PCA hold: the threshold at which choose_k cuts at
+    k, where no cluster of equal eigenvalues spans the cut."""
+    cumulative = np.cumsum(eg.gram_pca(np.column_stack([v.values for v in views])).eigenvalues)
+    return (cumulative / cumulative[-1]).tolist()
+
+
+def assert_cut_by_its_tau(es, views):
+    """es keeps the k that choose_k picks, at the energy threshold its config
+    records, from the PCA of the views it was built from."""
+    lam = eg.gram_pca(np.column_stack([v.values for v in views])).eigenvalues
+    assert es.k == eg.choose_k(lam, es.config.energy_threshold)
 
 
 def held_files(directory):

@@ -18,6 +18,7 @@ from conftest import (
     TRAIN_OCCLUSION,
     build_registry,
     charpoly_roots_3x3,
+    energy_shares,
     jacobi_eigen,
     project,
     query_set,
@@ -132,8 +133,9 @@ def test_criterion_4_projection_reconstruction():
         apps = training_appearances(obj)
         X = np.column_stack([a.values for a in apps])
         errors = []
-        for k in range(1, 10):
-            space = eg.build_eigenspace(obj, apps, eg.EigenspaceConfig(), k)
+        for k, tau in enumerate(energy_shares(apps), 1):
+            space = eg.build_eigenspace(obj, apps, eg.EigenspaceConfig(tau))
+            assert space.k == k
             Xt = X - space.mean[:, None]
             E = space.basis.T
             errors.append(float(np.linalg.norm(Xt - E @ (E.T @ Xt))))
@@ -150,7 +152,7 @@ def test_criterion_4_projection_reconstruction():
 
 
 def test_criterion_5_self_recognition():
-    reg = build_registry(k=64)
+    reg = build_registry(config=eg.EigenspaceConfig(1.0))
     queries = [(v, obj) for obj in OBJECTS for v in training_appearances(obj)]
     result = eg.evaluate(reg, queries)
     ok = result.m == result.P and result.r == Fraction(1)

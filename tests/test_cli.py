@@ -16,7 +16,7 @@ from eigengaze.eigenspace import load_model, save_sidecar
 from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
 from eigengaze.registry import ObjectRegistry
 
-from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES, held_files
+from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES, assert_cut_by_its_tau, held_files
 
 
 def run(*argv):
@@ -180,13 +180,13 @@ class TestLearn:
 
     @pytest.mark.parametrize(
         "flags, last_row",
-        [(("--k", "3"), ("2", "0.9235")),
-         ((), ("3", "0.9541")), (("--k", "10"), ("8", "1.0000"))],
+        [(("--tau", "0.9"), ("2", "0.9235")),
+         ((), ("3", "0.9541")), (("--tau", "1"), ("8", "1.0000"))],
         ids=["k3", "default", "every-eigenvalue"],
     )
     def test_energy_is_a_share_of_the_whole_spectrum(self, tmp_path, capsys, flags, last_row):
         """Each share divides by the views' summed |v - mean|^2, so the cumulative
-        column shows what --k or --tau drops, and reaches 1 only with every eigenvalue."""
+        column shows what --tau drops, and reaches 1 only with every eigenvalue."""
         imgs = training_views(tmp_path, "mobile")
         capsys.readouterr()
         learn_all(tmp_path, imgs, objects=["mobile"], extra=flags)
@@ -331,14 +331,30 @@ class TestLearn:
                     "learn", "--object", "../x", "--registry", "reg", *inputs)
         assert tree(tmp_path) == before
 
-    def test_zero_k_over_an_existing_registry_writes_nothing(self, tmp_path, capsys):
+    def test_k_over_an_existing_registry_is_a_usage_error(self, tmp_path, capsys):
+        """The energy threshold alone cuts a space, so learn takes no --k."""
         imgs = synth_dataset(tmp_path, objects=["A", "B"])
         learn_all(tmp_path, imgs, objects=["A"])
         before = tree(tmp_path)
-        assert run("learn", "--object", "B", "--registry", tmp_path / "registry",
-                   *sorted(imgs.glob("B_*.pgm")), "--k", "0") == 1
-        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        usage_error(capsys, "unrecognized arguments: --k 3", "learn", "--object", "B",
+                    "--registry", tmp_path / "registry", *sorted(imgs.glob("B_*.pgm")), "--k", "3")
         assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("flags", [(), ("--tau", "0.9"), ("--k", "3", "--tau", "0.9")],
+                             ids=["default", "tau-0.9", "k-3-tau-0.9"])
+    def test_every_learned_space_is_cut_by_its_tau(self, tmp_path, flags):
+        """Whatever flags learn is given, a space it writes, and load_dir
+        reads, keeps the k that the model's recorded threshold picks from its
+        views. A flag learn does not take is a usage error and writes nothing."""
+        imgs = synth_dataset(tmp_path, objects=["pencil-box"])
+        files = sorted(imgs.glob("pencil-box_*.pgm"))
+        code = run("learn", "--object", "pencil-box", "--registry", tmp_path / "reg", *files,
+                   *flags)
+        if code == 0:
+            (es,) = eg.ObjectRegistry.load_dir(str(tmp_path / "reg")).spaces
+            assert_cut_by_its_tau(es, [eg.vectorize(eg.parse_pgm(f.read_bytes())) for f in files])
+        assert code == (1 if "--k" in flags else 0)
+        assert (tmp_path / "reg").exists() == (code == 0)
 
     @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
     def test_no_registry_directory_writes_nothing(self, tmp_path, monkeypatch, capsys, env):
@@ -652,7 +668,7 @@ def test_a_zero_threshold_is_the_policys_error(tmp_path, capsys, command):
     capsys.readouterr()
     assert run(*argv, "--threshold", "0") == 1
     assert capsys.readouterr().err == ("error: unknown_threshold must be 'auto' or positive "
-                                       "and finite\n")
+                                       "and finite, not 0.0\n")
     assert tree(tmp_path) == before
 
 
@@ -680,7 +696,7 @@ class TestScoringCommands:
 class TestEvaluate:
     def test_training_manifest_perfect(self, tmp_path, capsys):
         imgs = synth_dataset(tmp_path)
-        reg = learn_all(tmp_path, imgs, extra=["--k", "10"])
+        reg = learn_all(tmp_path, imgs, extra=["--tau", "1"])
         manifest = tmp_path / "q.tsv"
         lines = [
             f"{imgs / f'{obj}_{a}.pgm'}\t{obj}\t{a}\t0"
@@ -855,12 +871,10 @@ class TestIntegers:
             ("synth", "--objects", "A", "--out", "out", "--side", "7"),
             ("occlude", "imgs/A_0.pgm", "occ.pgm", "--rect", "\u0661,+2,1_0,4"),
             ("occlude", "imgs/A_0.pgm", "occ.pgm", "--rect", "2,2,16,10", "--fill", "+0"),
-            ("learn", "--object", "B", "--registry", "registry", "--k", "\u0662",
-             "imgs/B_0.pgm", "imgs/B_10.pgm", "imgs/B_20.pgm"),
             ("inspect", "registry/A.eig", "--dims", "\uff13", "--out", "coords.csv"),
         ],
         ids=["side-underscore", "side-space", "seed-plus", "seed-negative", "side-below-8",
-             "rect-mixed", "fill-plus", "k-arabic-indic", "dims-fullwidth"],
+             "rect-mixed", "fill-plus", "dims-fullwidth"],
     )
     def test_integer_outside_the_digit_rule_writes_nothing(self, tmp_path, monkeypatch, argv):
         # ten views give A a k of at least 3, so --dims 3 would succeed

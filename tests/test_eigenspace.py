@@ -21,7 +21,14 @@ from eigengaze.errors import (
 from eigengaze.eigenspace import save_sidecar
 from eigengaze.linalg import gram_pca, sym_eigen
 
-from conftest import assert_same_space, project, reconstruct, residual, training_appearances
+from conftest import (
+    assert_same_space,
+    energy_shares,
+    project,
+    reconstruct,
+    residual,
+    training_appearances,
+)
 from test_registry import spread_of
 
 
@@ -131,12 +138,6 @@ class TestBuild:
         with pytest.raises(DimensionMismatch):
             eg.build_eigenspace("x", apps, eg.EigenspaceConfig())
 
-    def test_k_override_clamped_to_rank(self):
-        # three centred views span a plane: rank 2
-        apps = [unit_vec(row) for row in np.eye(3)]
-        es = eg.build_eigenspace("x", apps, eg.EigenspaceConfig(), k=50)
-        assert es.k == 2
-
 
 class TestProjectReconstruct:
     def test_mean_projects_to_origin(self):
@@ -158,9 +159,11 @@ class TestProjectReconstruct:
 
     def test_training_projections_match_manifold(self, synthetic_space):
         """Each manifold point is its view's projection, bit for bit, in a
-        default and a fixed-k build."""
+        default build and in builds cut at k = 1, where two columns are lifted
+        and one kept, and at k = 3."""
         apps = training_appearances("mobile")
-        built = [eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(), k=k) for k in (1, 3)]
+        built = [eg.build_eigenspace("mobile", apps, eg.EigenspaceConfig(tau))
+                 for tau in (0.5, 0.9)]
         assert [es.k for es in built] == [1, 3]
         for es in [synthetic_space, *built]:
             for v, point in zip(apps, es.manifold):
@@ -185,8 +188,9 @@ class TestProjectReconstruct:
         apps = training_appearances("stapler")
         X = np.column_stack([a.values for a in apps])
         errors = []
-        for k in range(1, 9):
-            es = eg.build_eigenspace("stapler", apps, eg.EigenspaceConfig(), k)
+        for k, tau in enumerate(energy_shares(apps)[:-1], 1):
+            es = eg.build_eigenspace("stapler", apps, eg.EigenspaceConfig(tau))
+            assert es.k == k
             Xt = X - es.mean[:, None]
             E = es.basis.T
             errors.append(float(np.linalg.norm(Xt - E @ (E.T @ Xt))))
@@ -418,8 +422,8 @@ class TestPersistence:
 
     def test_reload_gives_the_built_config(self):
         config = eg.EigenspaceConfig(energy_threshold=0.9)
-        es = eg.build_eigenspace("mobile", training_appearances("mobile"), config, k=2)
-        assert es.k == 2
+        es = eg.build_eigenspace("mobile", training_appearances("mobile"), config)
+        assert es.k == 3
         assert es.config == config
         assert eg.load_model(eg.save_model(es)).config == config
 

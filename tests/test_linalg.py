@@ -199,19 +199,23 @@ class TestGramPca:
         assert scaled.eigenvalues == pytest.approx(9.0 * base.eigenvalues, rel=1e-8)
         assert scaled.basis == pytest.approx(base.basis, abs=1e-8)
 
-    @pytest.mark.parametrize("k", [None, 1, 3, 99], ids=["tau-rule", "k-1", "k-3", "k-above-rank"])
-    @pytest.mark.parametrize("tau", [0.95, 1.0], ids=["centered-0.95", "centered-1.0"])
-    def test_the_k_rule_keeps_the_leading_rows_of_the_full_pca(self, tau, k):
-        """Given build_eigenspace's rule, gram_pca keeps build_eigenspace's k and
-        returns the leading eigenvalues and basis rows of the full PCA, bit for bit."""
-        views = [eg.vectorize(eg.synth_view("mobile", a, 32, 1), label=eg.ViewLabel("mobile", a))
+    @pytest.mark.parametrize("obj, tau", [("mobile", 0.95), ("mobile", 1.0), ("A", 0.1)],
+                             ids=["centered-0.95-tau-rule", "centered-1.0-tau-rule", "A-k-1"])
+    def test_the_k_rule_keeps_the_leading_rows_of_the_full_pca(self, obj, tau):
+        """By default gram_pca keeps the full rank. At energy threshold tau it
+        keeps build_eigenspace's k and returns the leading eigenvalues and basis
+        rows of the full PCA, bit for bit. A's lambda_1 is unpaired, so 0.1 cuts
+        at k = 1, where two columns are lifted and one kept."""
+        views = [eg.vectorize(eg.synth_view(obj, a, 32, 1), label=eg.ViewLabel(obj, a))
                  for a in range(0, 360, 10)]
         X = np.column_stack([v.values for v in views])
         full = eg.gram_pca(X)
-        got = eg.gram_pca(X, energy_threshold=tau, k=k)
-        want_k = eg.choose_k(full.eigenvalues, tau) if k is None else min(k, full.eigenvalues.size)
+        assert full.eigenvalues.size == np.linalg.matrix_rank(X - full.mean[:, None]) == 35
+        got = eg.gram_pca(X, energy_threshold=tau)
+        want_k = eg.choose_k(full.eigenvalues, tau)
         config = eg.EigenspaceConfig(energy_threshold=tau)
-        assert got.basis.shape[0] == want_k == eg.build_eigenspace("mobile", views, config, k).k
+        assert got.basis.shape[0] == want_k == eg.build_eigenspace(obj, views, config).k
+        assert (want_k == 1) == (obj == "A")
         for part, whole in [(got.mean, full.mean), (got.eigenvalues, full.eigenvalues[:want_k]),
                             (got.basis, full.basis[:want_k])]:
             assert part.shape == whole.shape and part.tobytes() == whole.tobytes()
@@ -285,16 +289,6 @@ class TestChooseK:
         k = eg.choose_k(lam, 0.95)
         assert k > energy_k
         assert lam[k - 1] - lam[k] >= 1e-9 * lam[k - 1]
-
-    def test_k_override_may_split_a_cluster(self):
-        views = [
-            eg.vectorize(eg.synth_view("A", a, 32, 1), label=eg.ViewLabel("A", a))
-            for a in range(0, 360, 10)
-        ]
-        lam = eg.gram_pca(synthetic_views("A")).eigenvalues
-        inside = next(k for k in range(1, lam.size) if lam[k - 1] - lam[k] < 1e-9 * lam[k - 1])
-        es = eg.build_eigenspace("A", views, eg.EigenspaceConfig(), k=inside)
-        assert es.k == inside
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(77)

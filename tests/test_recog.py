@@ -111,7 +111,7 @@ def twin_space_registry(twins=(("zeta", "A"), ("alpha", "A"))):
 
 def mixed_shape_registry():
     """Spaces of every shape the stacked scorer pads: (views, k) of (1, 1),
-    (3, 1), (36, 3) and (36, full k by the energy rule)."""
+    (3, 1), (36, 4) and (36, 20), each cut by its energy threshold."""
     def views(obj, angles):
         return [eg.vectorize(eg.synth_view(obj, a, 32, 1), label=eg.ViewLabel(obj, a))
                 for a in angles]
@@ -123,16 +123,16 @@ def mixed_shape_registry():
     pair = eg.build_eigenspace("solo", views("solo", [30, 40]), config)
     reg._append(eg.Eigenspace("solo", pair.mean, pair.eigenvalues, pair.basis, config,
                               pair.coords[:1], pair.labels[:1]))
-    reg.accumulate("trio", views("trio", [0, 120, 240]), config, k=1)
-    reg.accumulate("wide", views("wide", range(0, 360, 10)), config, k=3)
+    reg.accumulate("trio", views("trio", [0, 120, 240]), eg.EigenspaceConfig(0.5))
+    reg.accumulate("wide", views("wide", range(0, 360, 10)), eg.EigenspaceConfig(0.5))
     reg.accumulate("full", views("full", range(0, 360, 10)), config)
     return reg
 
 
 @pytest.fixture(scope="module")
 def full_rank_registry():
-    # k pinned to full rank so training views project losslessly
-    return build_registry(k=64)
+    # every eigenvalue kept, so training views project losslessly
+    return build_registry(config=eg.EigenspaceConfig(1.0))
 
 
 class TestRecognize:
@@ -259,8 +259,7 @@ class TestRecognizeOracle:
         """No padded point or axis of a smaller space is ever nearest, and the
         padding computes nothing that warns."""
         reg = mixed_shape_registry()
-        assert [(len(es.labels), es.k) for es in reg.spaces[:3]] == [(1, 1), (3, 1), (36, 3)]
-        assert reg.spaces[3].k > 3
+        assert [(len(es.labels), es.k) for es in reg.spaces] == [(1, 1), (3, 1), (36, 4), (36, 20)]
         spaces = {es.object_id: es for es in reg.spaces}
         queries = [eg.vectorize(eg.synth_view(obj, angle, 32, 1))
                    for obj in ("solo", "trio", "wide", "full", "widget")
@@ -327,8 +326,8 @@ class TestRecognizeOracle:
         names = ["twin-0", "odd", "twin-1", "twin-2", "twin-3"]
         reg = ObjectRegistry()
         for name in names:
-            views, k = (odd, 7) if name == "odd" else (training_appearances("A"), None)
-            reg.accumulate(name, views, eg.EigenspaceConfig(), k)
+            views, tau = (odd, 0.82) if name == "odd" else (training_appearances("A"), 0.95)
+            reg.accumulate(name, views, eg.EigenspaceConfig(tau))
         twins = [s for s, name in enumerate(names) if name != "odd"]
         assert reg.snapshot.coords.shape[1:] == (7, 35)
         assert all(reg.spaces[s].k < 7 and len(reg.spaces[s].labels) < 35 for s in twins)

@@ -31,6 +31,7 @@ from eigengaze.registry import (
 )
 
 from conftest import (
+    assert_cut_by_its_tau,
     assert_same_space,
     build_registry,
     held_files,
@@ -90,6 +91,26 @@ class TestAccumulate:
         reg = build_registry(objects=["c", "a", "b"])
         assert [es.object_id for es in reg.spaces] == ["c", "a", "b"]
 
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 0.95, 1.0])
+    def test_every_space_is_cut_by_its_tau(self, tmp_path, tau):
+        """Every space that build_eigenspace, accumulate, classify_or_enroll
+        and load_dir give keeps the k that its recorded energy threshold picks
+        from its views, so its model file says how it was cut."""
+        config = eg.EigenspaceConfig(tau)
+        views = {obj: training_appearances(obj) for obj in ["key-holder", "pencil-box", "stapler"]}
+        reg = ObjectRegistry(EnrollmentPolicy(1e-6))
+        for obj in ["key-holder", "pencil-box"]:
+            assert_cut_by_its_tau(eg.build_eigenspace(obj, views[obj], config), views[obj])
+            assert_cut_by_its_tau(reg.accumulate(obj, views[obj], config), views[obj])
+        query = eg.vectorize(eg.synth_view("stapler", 45, 32, 1))
+        name = reg.classify_or_enroll(query, pending_views=views["stapler"]).enrolled_id
+        views[name] = views.pop("stapler")
+        reg.save_dir(str(tmp_path))
+        spaces = reg.spaces + ObjectRegistry.load_dir(str(tmp_path)).spaces
+        assert [es.object_id for es in spaces] == 2 * ["key-holder", "pencil-box", name]
+        for es in spaces:
+            assert_cut_by_its_tau(es, views[es.object_id])
+
     @pytest.mark.parametrize("object_id", ["../escape", "a b", "a\nb", ""])
     def test_id_that_cannot_round_trip_is_rejected(self, tmp_path, object_id):
         reg_dir = tmp_path / "reg"
@@ -122,7 +143,7 @@ class TestSnapshot:
         clone = copy.copy(reg)
         # two views far apart on the unit sphere: a wider gap than any of A's
         wide = [unit_vec([1.0, 0.0] * 512), unit_vec([0.0, 1.0] * 512, eg.ViewLabel("", 90))]
-        clone.accumulate("B", wide, eg.EigenspaceConfig(), k=1)
+        clone.accumulate("B", wide, eg.EigenspaceConfig())
         assert clone.spaces[1].spread > reg.snapshot.spread
         assert reg.spaces is before
         assert reg.snapshot is snapshot and reg.effective_threshold() == threshold
@@ -315,23 +336,19 @@ class TestClassifyOrEnroll:
     def test_reloaded_registry_enrolls_like_the_original(self, tmp_path, config):
         pending = training_appearances("widget")
         query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
-        # a fixed k is not saved, so the new space must not inherit it either
-        for k in (None, 2):
-            reg = build_registry(config=config, policy=EnrollmentPolicy(1e-6), k=k)
-            path = str(tmp_path / f"k{k}")
-            reg.save_dir(path)
-            loaded = ObjectRegistry.load_dir(path)
-            for r in (reg, loaded):
-                assert r.classify_or_enroll(query, pending_views=pending).enrolled_id == "object-5"
-            want, got = reg.find("object-5"), loaded.find("object-5")
-            # the first space's config, as a reload gives it: what accumulate builds from config
-            assert want.config == got.config == reg.spaces[0].config == config
-            direct = eg.build_eigenspace("object-5", pending, config)
-            assert eg.save_model(got) == eg.save_model(want) == eg.save_model(direct)
-            if k is not None:
-                assert got.k != reg.spaces[0].k
-            reg.save_dir(path + "-enrolled")
-            assert ObjectRegistry.load_dir(path + "-enrolled").find("object-5").config == config
+        reg = build_registry(config=config, policy=EnrollmentPolicy(1e-6))
+        path = str(tmp_path / "reg")
+        reg.save_dir(path)
+        loaded = ObjectRegistry.load_dir(path)
+        for r in (reg, loaded):
+            assert r.classify_or_enroll(query, pending_views=pending).enrolled_id == "object-5"
+        want, got = reg.find("object-5"), loaded.find("object-5")
+        # the first space's config, as a reload gives it: what accumulate builds from config
+        assert want.config == got.config == reg.spaces[0].config == config
+        direct = eg.build_eigenspace("object-5", pending, config)
+        assert eg.save_model(got) == eg.save_model(want) == eg.save_model(direct)
+        reg.save_dir(path + "-enrolled")
+        assert ObjectRegistry.load_dir(path + "-enrolled").find("object-5").config == config
 
     def test_empty_registry_without_views(self):
         reg = ObjectRegistry()
@@ -437,14 +454,6 @@ class TestPersistence:
         assert loaded.policy == reg.policy
         for got, want in zip(loaded.spaces, reg.spaces):
             assert eg.save_model(got) == eg.save_model(want)
-
-    def test_fixed_k_space_keeps_the_given_config(self, tmp_path):
-        config = eg.EigenspaceConfig(energy_threshold=0.9)
-        reg = build_registry(config=config, k=2)
-        reg.save_dir(str(tmp_path))
-        loaded = ObjectRegistry.load_dir(str(tmp_path))
-        for es in reg.spaces + loaded.spaces:
-            assert (es.k, es.config) == (2, config)
 
     def test_auto_policy_round_trip(self, tmp_path):
         reg = build_registry()
@@ -861,15 +870,20 @@ class TestResave:
 
 class TestSidecar:
     @pytest.mark.parametrize(
-        "config, k",
-        [("1 unit", None), ("0 unit", None), ("1 raw", None), ("0 raw", None), ("1 unit", 3)],
+        "config, tau",
+        [("1 unit", None), ("0 unit", None), ("1 raw", None), ("0 raw", None), ("1 unit", 0.9)],
         ids=["centered-unit", "uncentered-unit", "centered-raw", "uncentered-raw", "k-3"],
     )
-    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, k):
+    def test_sidecars_load_what_the_text_loads(self, tmp_path, config, tau):
         """The `config` line's centring and norm fields: a centred, unit model
-        loads alike from its sidecar and from its text. A model of a removed
-        mode, beside a sidecar made for its bytes, loads from neither."""
-        reg = build_registry(k=k)
+        loads alike from its sidecar and from its text, whatever its k. A model
+        of a removed mode, beside a sidecar made for its bytes, loads from
+        neither."""
+        if tau is None:
+            reg = build_registry()
+        else:  # the two objects that 0.9 cuts at k = 3
+            reg = build_registry(config=eg.EigenspaceConfig(tau), objects=["mobile", "stapler"])
+            assert [es.k for es in reg.spaces] == [3, 3]
         reg.save_dir(str(tmp_path))
         if config != "1 unit":
             for es in reg.spaces:

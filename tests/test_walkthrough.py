@@ -36,7 +36,7 @@ INSPECT_OUT = [*wt.INSPECT, "5", "--out", "coords.csv"]
 
 # numpy version -> sha256 of the walkthrough's stdout
 WALKTHROUGH_GOLDENS = {
-    "2.4.6": "d54edabb2da78258ba7a2bb5cb44306eb0f692a87c09de0f92748d36c855fe71",
+    "2.4.6": "3173db75a3eb99f9ca117f0e0b4b99b2576065a6a143964fcc546010042202cc",
 }
 
 

@@ -68,7 +68,7 @@ USAGE_ERRORS = [
     for flags in (["--k", "٢"], ["--margin", "1_5"], ["--tau", ".9_5"], ["--threshold", "٠.٥"],
                   ["--margin", " 2"], ["--threshold", "0"], ["--margin", "0.5"],
                   ["--manifest", "queries.tsv"], ["--k", "0"], ["--centered"], ["--norm", "unit"],
-                  ["--uncentered"])
+                  ["--uncentered"], ["--k", "3"])
 ] + [learn("extra", "models", "queries.tsv"), learn("../x", "models", "--manifest", "queries.tsv"),
      [*INSPECT, "３"], [*RECOGNIZE, "--in-space-only"],
      ["EIGENGAZE_REGISTRY=models", "eigengaze", "recognize", "data/mobile_20.pgm"]]
@@ -87,7 +87,7 @@ def commands():
             yield learn(obj, registry, f"{out}/{obj}_*.pgm")
     for obj in OBJECTS:
         yield learn(obj, "models-raw", f"data/{obj}_*.pgm",
-                    "--k", "3", "--tau", "0.9", "--threshold", "0.5", "--margin", "2")
+                    "--tau", "0.9", "--threshold", "0.5", "--margin", "2")
     yield ["eigengaze", "synth", "--objects", "mobile,stapler", "--out", "held-out", "--side", "32",
            "--seed", "1", "--angles", "15,45"]
     yield learn("mobile", "models-manifest", "--manifest", "queries.tsv")
