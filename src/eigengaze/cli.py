@@ -29,7 +29,7 @@ import numpy as np
 
 from . import imgio, recog
 from .eigenspace import EigenspaceConfig
-from .errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
+from .errors import DimsTooLarge, EigengazeError, NoImages
 from .imgio import OcclusionSpec, ViewLabel
 from .registry import _OBJECT_ID, AUTO, ObjectRegistry, _read_model
 
@@ -112,14 +112,6 @@ def _registry(text: str) -> str:
 
 def _parse_threshold(text: str):
     return AUTO if text == AUTO else _decimal(text)
-
-
-def _load_registry(args):
-    """The registry args name, which must hold a space."""
-    reg = ObjectRegistry.load_dir(args.registry)
-    if not reg.spaces:
-        raise EmptyRegistry("no enrolled objects")
-    return reg
 
 
 def _given(args, **dests) -> dict:
@@ -224,7 +216,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    reg = _load_registry(args)
+    reg = ObjectRegistry.load_dir(args.registry)
     reg.policy = replace(reg.policy, **_given(args, unknown_threshold="threshold"))
     v = imgio.vectorize(_read_image(args.image))
 
@@ -242,7 +234,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    reg = _load_registry(args)
+    reg = ObjectRegistry.load_dir(args.registry)
 
     # evaluate reads only each query's true id, and raises EmptyQuerySet on none
     queries = [(imgio.vectorize(_read_image(path)), obj)
@@ -260,7 +252,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    es = _read_model(args.model)
+    es = _read_model(args.model)[0]
     if not 1 <= args.dims <= es.k:
         raise DimsTooLarge(f"dims must be in [1, {es.k}], got {args.dims}")
     lines = ["angle_deg,occluded," + ",".join(f"c{i + 1}" for i in range(args.dims))]

@@ -45,6 +45,16 @@ class ViewLabel:
 _UNLABELED = ViewLabel("", 0, False)
 
 
+def _store_ints(obj, owner: str, names):
+    """Store each named field of frozen dataclass obj as an int; a float or bool
+    raises ValueError naming it, and a numpy integer becomes an int, which cannot overflow."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{owner} {name} must be an integer, not {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 def _sample_dtype(max_value: int) -> np.dtype:
     """The narrowest unsigned dtype that holds [0, max_value]: one byte per
     sample below 256, two from 256 on, as a P5 file stores them."""
@@ -63,6 +73,7 @@ class RasterImage:
     samples: np.ndarray
 
     def __post_init__(self):
+        _store_ints(self, "image", ("width", "height", "max_value"))
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
         if not 1 <= self.max_value <= 65535:
@@ -134,9 +145,7 @@ class OcclusionSpec:
     fill: int
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"occlusion {name} must be an integer, not {value!r}")
+        _store_ints(self, "occlusion", tuple(vars(self)))
         if self.x0 < 0 or self.y0 < 0:
             raise ValueError("occlusion offsets must be non-negative")
         if self.w < 1 or self.h < 1:

@@ -59,7 +59,8 @@ class EvaluationReport:
 
 class Snapshot:
     """One immutable tuple of spaces, admitted and derived here, once: each id
-    once, each space of the first's dim. It holds the widest
+    once, each space of the first's dim. It holds the `index` of its spaces by
+    id, which its admission builds and `ObjectRegistry.find` reads, the widest
     `spread` of any space (None if none has two points), which the auto
     threshold scales, and the scorer's arrays (None if no space): the means
     stacked as (spaces, dim), and the manifold coordinates padded to (spaces,
@@ -68,11 +69,11 @@ class Snapshot:
     ever nearest and no padding computes inf - inf."""
 
     def __init__(self, spaces: tuple = ()):
-        ids = set()
+        self.index = {}
         for es in spaces:
-            if es.object_id in ids:
+            if es.object_id in self.index:
                 raise DuplicateObject(f"object {es.object_id!r} already enrolled")
-            ids.add(es.object_id)
+            self.index[es.object_id] = es
             check_shape(spaces[0], es)
         self.spaces = spaces
         self.spread = max((es.spread for es in spaces if es.spread is not None), default=None)

@@ -6,12 +6,13 @@ builds its space outside any lock, then rebinds one snapshot behind an internal
 lock: an immutable tuple of spaces, each holding its manifold in view-angle
 order, whose constructor admits them (each id once, one dim) and derives the
 scorer's arrays and the widest `spread`, which the auto threshold scales.
-Snapshots are only ever replaced by new ones, never changed, so `decide` takes
-no lock: it scores and takes the threshold, and repeats both if the snapshot
-was replaced in between. Classification thus runs concurrently with
-mutations, never waits for a build, and sees a whole set of spaces. Every
-model invariant is checked by the `Eigenspace` constructor, not here.
-`_model_files` alone knows which files make up a stored model. The manifest
+Snapshots are only ever replaced, never changed, so `save_dir` and `decide`
+take no lock: a save writes the snapshot it read, and a decision scores and
+takes the threshold, and repeats both if the snapshot was replaced meanwhile.
+Classification thus runs concurrently with mutations, never waits for a
+build, and sees a whole set of spaces. Every model invariant is checked by
+the `Eigenspace` constructor, not here.
+`_read_model` alone knows which files make up a stored model. The manifest
 has one renderer: `_stage_manifest` writes it, and `_load_manifest` accepts
 only a manifest that it reproduces byte for byte.
 
@@ -100,8 +101,9 @@ def _stage(staged: list, target: str, data: bytes):
         f.write(data)
 
 
-def _model_files(eig_path: str) -> tuple[bytes, bytes | None]:
-    """A stored model's `.eig` bytes and its `.f8` sidecar's, None if unreadable."""
+def _read_model(eig_path: str) -> tuple[Eigenspace, bytes, bytes | None]:
+    """The space a stored model loads as, its floats from its `.f8` sidecar if
+    that matches, with the `.eig` bytes and the sidecar's, None if unreadable."""
     with open(eig_path, "rb") as f:
         data = f.read()
     try:
@@ -109,12 +111,7 @@ def _model_files(eig_path: str) -> tuple[bytes, bytes | None]:
             sidecar = f.read()
     except OSError:  # an unreadable sidecar leaves the floats to the text
         sidecar = None
-    return data, sidecar
-
-
-def _read_model(eig_path: str) -> Eigenspace:
-    """The space a stored model loads as, its floats from its sidecar if that matches."""
-    return load_model(*_model_files(eig_path))
+    return load_model(data, sidecar), data, sidecar
 
 
 def _stored_model(path: str, object_id: str) -> tuple[Eigenspace, bytes, bytes | None]:
@@ -123,10 +120,9 @@ def _stored_model(path: str, object_id: str) -> tuple[Eigenspace, bytes, bytes |
     opened, a missing `.eig` is a CorruptField, and the space must hold the id."""
     _check_object_id(object_id)
     try:
-        data, sidecar = _model_files(os.path.join(path, f"{object_id}.eig"))
+        es, data, sidecar = _read_model(os.path.join(path, f"{object_id}.eig"))
     except FileNotFoundError as exc:
         raise CorruptField(f"no model file for manifest id {object_id!r}") from exc
-    es = load_model(data, sidecar)
     if es.object_id != object_id:
         raise CorruptField(f"{object_id}.eig holds object {es.object_id!r}")
     return es, data, sidecar
@@ -202,10 +198,10 @@ def render_manifest(policy: EnrollmentPolicy, object_ids) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stage_manifest(staged: list, path: str, reg: "ObjectRegistry"):
-    """Stage directory path's manifest for registry reg. Staged last, it is
-    renamed last, so it names only models already in place."""
-    manifest = render_manifest(reg.policy, [es.object_id for es in reg.spaces])
+def _stage_manifest(staged: list, path: str, policy: EnrollmentPolicy, spaces):
+    """Stage directory path's manifest for policy and spaces. Staged last, it
+    is renamed last, so it names only models already in place."""
+    manifest = render_manifest(policy, [es.object_id for es in spaces])
     _stage(staged, os.path.join(path, MANIFEST_NAME), manifest.encode("utf-8"))
 
 
@@ -256,10 +252,7 @@ class ObjectRegistry:
         return self._snapshot
 
     def find(self, object_id: str) -> Eigenspace | None:
-        for es in self.spaces:
-            if es.object_id == object_id:
-                return es
-        return None
+        return self._snapshot.index.get(object_id)
 
     def _append(self, *spaces: Eigenspace):
         self._snapshot = recog.Snapshot(self.spaces + spaces)
@@ -326,21 +319,23 @@ class ObjectRegistry:
     # --- directory persistence ---
 
     def save_dir(self, path: str):
-        """Create a registry in directory path: write every model (its `.eig`
-        text, rendered, and its `.f8` sidecar), then the manifest, as
-        enroll_dir commits: under the directory's lock, each file is staged
-        beside its target and renamed into place only once all are staged, the
-        manifest last. A directory that already holds a manifest raises
-        FileExistsError before any file is staged; one without, even one that a
-        cut save left models in, is saved into. So a save that fails changes no
-        file, leaves no `.tmp` and removes the directories it made."""
-        with self._lock, _locked(path), _staging() as staged:
+        """Create a registry in directory path from the spaces and policy read
+        at its start, under no registry lock: write every model (its `.eig`
+        text, rendered, and its `.f8` sidecar), then the manifest, as enroll_dir
+        commits: under the directory's lock, each file is staged beside its
+        target and renamed into place only once all are staged, the manifest
+        last. A directory that already holds a manifest raises FileExistsError
+        before any file is staged; one without, even one that a cut save left
+        models in, is saved into. So a save that fails changes no file, leaves
+        no `.tmp` and removes the directories it made."""
+        spaces, policy = self.spaces, self.policy
+        with _locked(path), _staging() as staged:
             manifest_path = os.path.join(path, MANIFEST_NAME)
             if os.path.exists(manifest_path):
                 raise FileExistsError(f"a registry is already committed: {manifest_path}")
-            for es in self.spaces:
+            for es in spaces:
                 _stage_model(staged, path, es, save_model(es))
-            _stage_manifest(staged, path, self)
+            _stage_manifest(staged, path, policy, spaces)
 
     @classmethod
     def load_dir(cls, path: str) -> "ObjectRegistry":
@@ -360,20 +355,22 @@ class ObjectRegistry:
         hold what load_dir, accumulate and a save_dir into a new directory write:
         each stored model is read and loaded once and written back from the bytes
         read, its `.f8` kept if its floats came from it, else replaced by the
-        sidecar save_dir writes. It commits as save_dir does, the directory's lock
-        held from reading the manifest to renaming it, so an enrollment that fails
-        changes no file and concurrent enrollments each land."""
+        sidecar save_dir writes. One snapshot admits the stored spaces and the
+        new one, and the manifest names its spaces. It commits as save_dir does,
+        the directory's lock held from reading the manifest to renaming it, so
+        an enrollment that fails changes no file and concurrent ones each land."""
         with _locked(path), _staging() as staged:
-            reg, ids, stored_spaces = cls(), [], []
+            stored_policy, ids, stored = EnrollmentPolicy(), [], []
             if os.path.exists(os.path.join(path, MANIFEST_NAME)):
-                reg.policy, ids = _load_manifest(path)
+                stored_policy, ids = _load_manifest(path)
             for stored_id in ids:
-                stored, data, sidecar = _stored_model(path, stored_id)
-                stored_spaces.append(stored)
-                _stage_model(staged, path, stored, data, sidecar if stored.from_sidecar else None)
-            reg._append(*stored_spaces)
-            reg.policy = replace(reg.policy, **policy)
-            es = reg.accumulate(object_id, appearances, config)
+                space, data, sidecar = _stored_model(path, stored_id)
+                stored.append(space)
+                _stage_model(staged, path, space, data, sidecar if space.from_sidecar else None)
+            policy = replace(stored_policy, **policy)
+            _check_object_id(object_id)
+            es = build_eigenspace(object_id, appearances, config)
+            spaces = recog.Snapshot((*stored, es)).spaces
             _stage_model(staged, path, es, save_model(es))
-            _stage_manifest(staged, path, reg)
+            _stage_manifest(staged, path, policy, spaces)
         return es

@@ -24,6 +24,13 @@ from eigengaze.linalg import check_symmetric
         (lambda: eg.RasterImage(0, 1, 255, []), ValueError, "dimensions"),
         (lambda: eg.RasterImage(1, 1, 0, [0]), ValueError, "max_value"),
         (lambda: eg.RasterImage(2, 1, 255, [0]), SampleCountMismatch, "expected 2 samples"),
+        # a float or bool dimension would write a PGM header that parse_pgm rejects
+        (lambda: eg.RasterImage(2.0, 1, 255, [1, 2]), ValueError,
+         "^image width must be an integer, not 2.0$"),
+        (lambda: eg.RasterImage(2, True, 255, [1, 2]), ValueError,
+         "^image height must be an integer, not True$"),
+        (lambda: eg.RasterImage(1, 1, 255.0, [1]), ValueError,
+         "^image max_value must be an integer, not 255.0$"),
         (lambda: eg.AppearanceVector([[1.0]]), ValueError, "one-dimensional"),
         (lambda: eg.AppearanceVector([np.inf]), ValueError, "finite"),
         (lambda: eg.vectorize(eg.RasterImage(1, 1, 255, [1]), "raw"), ValueError,
@@ -59,7 +66,8 @@ from eigengaze.linalg import check_symmetric
     ],
     ids=["no-views", "zero-energy", "bool-energy", "numpy-bool-energy", "string-energy",
          "bool-threshold", "bool-margin", "string-margin", "zero-size-image", "zero-max-value",
-         "sample-count", "vector-shape", "non-finite-vector", "unknown-norm-mode",
+         "sample-count", "float-width", "bool-height", "float-max-value", "vector-shape",
+         "non-finite-vector", "unknown-norm-mode",
          "non-unit-vector", "negative-offset", "zero-extent", "negative-fill", "fractional-fill",
          "float-offset", "float-extent", "bool-offset", "pgm-str",
          "pgm-zero-width", "non-square", "non-finite-matrix", "1d-gram-input",
@@ -70,6 +78,23 @@ def test_bad_argument_raises_its_error(call, error, match):
     with pytest.raises(error, match=match) as info:
         call()
     assert info.type is error
+
+
+def test_numpy_integer_image_fields_are_stored_as_ints():
+    image = eg.RasterImage(np.int64(2), np.uint8(1), np.int32(255), [1, 2])
+    assert [type(v) for v in (image.width, image.height, image.max_value)] == [int] * 3
+    assert eg.parse_pgm(eg.write_pgm(image)) == image
+
+
+def test_a_numpy_integer_occlusion_is_clamped_like_an_int():
+    """In int64, x0 + w would overflow: it would fill nothing, or warn."""
+    image = eg.RasterImage(8, 8, 255, np.full(64, 200))
+    huge = np.int64(2**63 - 1)
+    spec = eg.OcclusionSpec(2, 2, huge, huge, 0)
+    assert type(spec.w) is int and type(spec.h) is int
+    occluded = eg.apply_occlusion(image, spec)
+    assert occluded == eg.apply_occlusion(image, eg.OcclusionSpec(2, 2, 2**63 - 1, 2**63 - 1, 0))
+    assert np.count_nonzero(occluded.samples == 0) == 36
 
 
 def test_image_compares_equal_only_to_an_image():

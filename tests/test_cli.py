@@ -13,7 +13,7 @@ import eigengaze as eg
 from eigengaze import eigenspace as eigenspace_module, imgio, registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
 from eigengaze.eigenspace import load_model, save_sidecar
-from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyRegistry, NoImages
+from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyQuerySet, EmptyRegistry, NoImages
 from eigengaze.registry import ObjectRegistry
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES, assert_cut_by_its_tau, held_files
@@ -683,6 +683,17 @@ class TestScoringCommands:
         assert run(*argv) == 1
         assert capsys.readouterr().err == "error: no enrolled objects\n"
         assert tree(tmp_path) == before
+
+    def test_with_an_empty_registry_the_query_is_read_first(self, tmp_path, capsys, command):
+        """The library finds the registry empty when it scores, so a query that
+        cannot be read is the error: a missing image, or no evaluate queries."""
+        eg.ObjectRegistry().save_dir(str(tmp_path / "reg"))
+        if command == "recognize":
+            argv, error = [command, tmp_path / "missing.pgm"], FileNotFoundError
+        else:
+            (tmp_path / "q.tsv").write_text("")
+            argv, error = [command, "--manifest", tmp_path / "q.tsv"], EmptyQuerySet
+        raises(error, *argv, "--registry", tmp_path / "reg")
 
     def test_in_space_only_is_a_usage_error(self, tmp_path, capsys, command):
         imgs = synth_dataset(tmp_path, objects=["A", "B"], angles=TRAIN_ANGLES)

@@ -164,7 +164,7 @@ class TestSnapshot:
             recog.Snapshot((wide, narrow))
 
     def test_an_empty_snapshot_derives_nothing(self):
-        assert vars(recog.Snapshot()) == {"spaces": (), "spread": None,
+        assert vars(recog.Snapshot()) == {"spaces": (), "index": {}, "spread": None,
                                           "means": None, "coords": None}
 
     @pytest.fixture
@@ -180,15 +180,33 @@ class TestSnapshot:
         monkeypatch.setattr(recog, "Snapshot", Spy)
         return built
 
-    def test_a_load_builds_one_snapshot_and_an_enrollment_two(self, tmp_path, built):
-        build_registry(objects=["A", "B", "C"]).save_dir(str(tmp_path))
+    def test_each_mutation_builds_one_snapshot_and_each_read_none(self, tmp_path, built):
+        """accumulate, an enrolling classify_or_enroll, load_dir and enroll_dir
+        each build one snapshot, of every space they leave; a save, a decision,
+        a recognition, an evaluation and a find build none."""
+        config, path = eg.EigenspaceConfig(), str(tmp_path / "reg")
+        reg = build_registry(policy=EnrollmentPolicy(1e-6), objects=["A", "B"])
         built.clear()
-        ObjectRegistry.load_dir(str(tmp_path))
+        reg.accumulate("C", training_appearances("C"), config)
         assert built == [("A", "B", "C")]
         built.clear()
-        ObjectRegistry.enroll_dir(str(tmp_path), "D", training_appearances("D"),
-                                  eg.EigenspaceConfig())
-        assert built == [("A", "B", "C"), ("A", "B", "C", "D")]
+        query = eg.vectorize(eg.synth_view("widget", 45, 32, 1))
+        reg.classify_or_enroll(query, pending_views=training_appearances("widget"))
+        assert built == [("A", "B", "C", "object-4")]
+        built.clear()
+        reg.save_dir(path)
+        reg.decide(query)
+        recog.recognize(reg, query)
+        recog.evaluate(reg, query_set(objects=["A", "B"]))
+        # find reads the index the admission built: each admitted space itself
+        assert all(reg.find(es.object_id) is es for es in reg.spaces)
+        assert reg.find("D") is None
+        assert built == []
+        ObjectRegistry.load_dir(path)
+        assert built == [("A", "B", "C", "object-4")]
+        built.clear()
+        ObjectRegistry.enroll_dir(path, "D", training_appearances("D"), config)
+        assert built == [("A", "B", "C", "object-4", "D")]
 
     def test_reads_leave_the_snapshot_as_its_mutation_built_it(self):
         reg = build_registry(objects=["A"])
@@ -398,6 +416,42 @@ class TestReadsDuringMutations:
         (decision,) = decided
         assert [o for o, _ in decision.result.ranked_candidates] == ["A", "B"]
         assert [es.object_id for es in reg.spaces] == ["A", "B", "C"]
+
+    def test_a_save_takes_no_registry_lock(self, tmp_path, monkeypatch):
+        """save_dir writes the spaces it read at its start and takes no registry
+        lock, so an accumulate made while a save is held lands at once, and the
+        saved directory loads with the spaces from before it."""
+        reg = build_registry(objects=["A", "B"])
+        before, path = reg.spaces, str(tmp_path / "reg")
+        save, saving, release = registry_module.save_model, Event(), Event()
+
+        def held_save(es):
+            saving.set()
+            release.wait(60)
+            return save(es)
+
+        monkeypatch.setattr(registry_module, "save_model", held_save)
+        threads = [
+            Thread(target=reg.save_dir, args=(path,)),
+            Thread(target=reg.accumulate,
+                   args=("C", training_appearances("C"), eg.EigenspaceConfig())),
+        ]
+        try:
+            threads[0].start()
+            assert saving.wait(60)
+            threads[1].start()
+            threads[1].join(1.0)
+            assert not threads[1].is_alive(), "accumulate waited for the save"
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [es.object_id for es in reg.spaces] == ["A", "B", "C"]
+        loaded = ObjectRegistry.load_dir(path)
+        assert [es.object_id for es in loaded.spaces] == ["A", "B"]
+        for got, want in zip(loaded.spaces, before):
+            assert_same_space(got, want)
 
     def test_a_decision_scores_and_thresholds_one_snapshot(self, monkeypatch):
         """An enrollment that lands between decide's score and its threshold,
