@@ -29,7 +29,7 @@ import numpy as np
 
 from . import imgio, recog
 from .eigenspace import EigenspaceConfig
-from .errors import DimsTooLarge, EigengazeError, NoImages
+from .errors import EigengazeError
 from .imgio import OcclusionSpec, ViewLabel
 from .registry import _OBJECT_ID, AUTO, ObjectRegistry, _read_model
 
@@ -196,7 +196,7 @@ def cmd_learn(args) -> int:
     else:
         entries = [(p, _label_from_filename(p, args.object)) for p in args.images]
     if not entries:
-        raise NoImages(f"no input images for object {args.object!r}")
+        raise EigengazeError(f"no input images for object {args.object!r}")
 
     appearances = [
         imgio.vectorize(_read_image(path), label=label)
@@ -254,7 +254,7 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect(args) -> int:
     es = _read_model(args.model)[0]
     if not 1 <= args.dims <= es.k:
-        raise DimsTooLarge(f"dims must be in [1, {es.k}], got {args.dims}")
+        raise EigengazeError(f"dims must be in [1, {es.k}], got {args.dims}")
     lines = ["angle_deg,occluded," + ",".join(f"c{i + 1}" for i in range(args.dims))]
     for label, coords in zip(es.labels, es.coords[:, : args.dims].tolist()):
         lines.append(f"{label.view_angle_deg},{int(label.occluded)},"

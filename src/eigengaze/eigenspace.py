@@ -14,7 +14,6 @@ invariants, so a built, loaded or hand-made space meets the same ones;
 """
 
 import hashlib
-import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import repeat, zip_longest
@@ -29,7 +28,7 @@ from .errors import (
     VersionMismatch,
 )
 from .imgio import ViewLabel
-from .linalg import gram_pca
+from .linalg import check_energy_threshold, gram_pca
 
 MODEL_MAGIC = "EIGENGAZE"
 MODEL_VERSION = 1
@@ -54,17 +53,12 @@ def _fmt_row(values) -> str:
     return " ".join(["%.17g"] * len(values)) % tuple(values)
 
 
-def is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class EigenspaceConfig:
     energy_threshold: float = 0.95  # the one rule that cuts a space; its model file records it
 
     def __post_init__(self):
-        if not (is_real(self.energy_threshold) and 0.0 < self.energy_threshold <= 1.0):
-            raise ValueError(f"energy_threshold must be in (0, 1], not {self.energy_threshold!r}")
+        check_energy_threshold(self.energy_threshold)
 
 
 # Eigenspace.manifold's items, kept for the benchmark; it holds arrays, so eq is identity

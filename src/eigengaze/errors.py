@@ -90,11 +90,3 @@ class EmptyRegistry(EigengazeError):
 
 class EmptyQuerySet(EigengazeError):
     pass
-
-
-class DimsTooLarge(EigengazeError):
-    pass
-
-
-class NoImages(EigengazeError):
-    pass

@@ -27,6 +27,19 @@ from .errors import (
     ZeroImage,
 )
 
+def _int(value, name: str) -> int:
+    """value as an int, which cannot overflow; a float or bool raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _store_ints(obj, owner: str, names):
+    """Store each named field of frozen dataclass obj as an int, by _int's rule."""
+    for name in names:
+        object.__setattr__(obj, name, _int(getattr(obj, name), f"{owner} {name}"))
+
+
 @dataclass(frozen=True)
 class ViewLabel:
     object_id: str
@@ -35,24 +48,15 @@ class ViewLabel:
 
     def __post_init__(self):
         # a float or bool angle would save a `point` line that load_model cannot read
-        a = self.view_angle_deg
-        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a <= 359:
-            raise ValueError(f"view_angle_deg must be an integer in [0, 359], not {a!r}")
+        _store_ints(self, "label", ("view_angle_deg",))
+        if not 0 <= self.view_angle_deg <= 359:
+            raise ValueError(f"view_angle_deg must be in [0, 359], not {self.view_angle_deg}")
         if not isinstance(self.occluded, (bool, np.bool_)):
             raise ValueError(f"occluded must be a bool, not {self.occluded!r}")
+        object.__setattr__(self, "occluded", bool(self.occluded))
 
 
 _UNLABELED = ViewLabel("", 0, False)
-
-
-def _store_ints(obj, owner: str, names):
-    """Store each named field of frozen dataclass obj as an int; a float or bool
-    raises ValueError naming it, and a numpy integer becomes an int, which cannot overflow."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{owner} {name} must be an integer, not {value!r}")
-        object.__setattr__(obj, name, int(value))
 
 
 def _sample_dtype(max_value: int) -> np.dtype:
@@ -119,6 +123,8 @@ class AppearanceVector:
     source_label: ViewLabel = field(default=_UNLABELED)
 
     def __post_init__(self):
+        if not isinstance(self.source_label, ViewLabel):
+            raise ValueError(f"source_label must be a ViewLabel, not {self.source_label!r}")
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:  # a build stacks each view's values as one column
@@ -323,8 +329,10 @@ def synth_view(object_id: str, angle_deg: int, side: int, seed: int) -> RasterIm
     rotated by angle_deg about the image center and anti-aliased (4x4
     supersampling) onto a mid-gray background. Each row of subsamples is
     filled as one run of columns (a scan-line fill); the polygon is derived
-    once per (object_id, seed, side) and cached.
+    once per (object_id, seed, side) and cached. side and seed must be
+    integers, a numpy integer read as an int, so one seed is one cache key.
     """
+    side, seed = _int(side, "side"), _int(seed, "seed")
     if side < 8:
         raise SideTooSmall("side must be at least 8 pixels")
     vx, vy, foreground = _polygon(object_id, seed, side)

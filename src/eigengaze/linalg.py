@@ -12,6 +12,7 @@ checked against.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,16 @@ class PcaResult:
     mean: np.ndarray         # length d, the column mean
     eigenvalues: np.ndarray  # descending, strictly positive after clamping
     basis: np.ndarray        # shape (k, d), orthonormal rows
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_energy_threshold(tau):
+    """The one energy-threshold rule: a real number in (0, 1], not a bool."""
+    if not (is_real(tau) and 0.0 < tau <= 1.0):
+        raise ValueError(f"energy_threshold must be in (0, 1], not {tau!r}")
 
 
 def check_symmetric(Q: np.ndarray) -> np.ndarray:
@@ -110,9 +121,9 @@ def gram_pca(X, energy_threshold: float = 1.0) -> PcaResult:
     eigenvalue above the clamp, which takes over 1e-12 * 2**53 (about 9,007)
     views. Only the kept Gram eigenvectors are lifted to pixel space and
     renormalized; they equal the leading rows of the full result bit for bit.
+    energy_threshold is checked first, by EigenspaceConfig's rule.
     """
-    if not 0.0 < energy_threshold <= 1.0:
-        raise ValueError("energy_threshold must be in (0, 1]")
+    check_energy_threshold(energy_threshold)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("X must be a d x m matrix with d, m >= 1")
@@ -149,10 +160,10 @@ def choose_k(eigenvalues, energy_threshold: float) -> int:
     Inside an exactly degenerate cluster the eigenvectors are any basis of the
     cluster's span, so a cut there would store a solver-dependent subspace. A
     cluster is a run of eigenvalues whose successive relative gaps
-    (lam[k-1] - lam[k]) / lam[k-1] are below CLUSTER_GAP.
+    (lam[k-1] - lam[k]) / lam[k-1] are below CLUSTER_GAP. energy_threshold
+    follows EigenspaceConfig's rule.
     """
-    if not 0.0 < energy_threshold <= 1.0:
-        raise ValueError("energy_threshold must be in (0, 1]")
+    check_energy_threshold(energy_threshold)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.size == 0 or lam[0] <= 0.0:
         raise AllZero("no positive eigenvalue")

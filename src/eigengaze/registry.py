@@ -47,7 +47,6 @@ from .eigenspace import (
     EigenspaceConfig,
     build_eigenspace,
     check_rendered,
-    is_real,
     load_model,
     save_model,
     save_sidecar,
@@ -58,6 +57,7 @@ from .errors import (
     InvalidObjectId,
 )
 from .imgio import AppearanceVector
+from .linalg import is_real
 from . import recog
 
 MANIFEST_NAME = "registry.manifest"
@@ -70,8 +70,8 @@ AUTO = "auto"
 _OBJECT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
-def _check_object_id(object_id: str):
-    if _OBJECT_ID.fullmatch(object_id) is None:
+def _check_object_id(object_id):
+    if not isinstance(object_id, str) or _OBJECT_ID.fullmatch(object_id) is None:
         raise InvalidObjectId(f"object id {object_id!r} must match {_OBJECT_ID.pattern}")
 
 
@@ -301,15 +301,15 @@ class ObjectRegistry:
         """Recognize v if close enough to an enrolled object; otherwise report
         unknown and, when pending_views are supplied, enroll them as a new
         auto-named object, built with the first space's config (the default
-        config in an empty registry). The lock spans the decision and the
-        enrollment, so two calls cannot enroll one object under two names.
-        With no spaces and no pending views, decide raises EmptyRegistry."""
+        config in an empty registry). With no pending views it is decide, and
+        takes no lock (on no spaces, decide raises EmptyRegistry); otherwise the
+        lock spans the decision and the enrollment, so two calls cannot enroll
+        one object under two names."""
+        if pending_views is None:
+            return self.decide(v)
         with self._lock:
-            if self.spaces or pending_views is None:
-                decision = self.decide(v)
-            else:
-                decision = Decision(False, None, float("inf"))
-            if decision.known or pending_views is None:
+            decision = self.decide(v) if self.spaces else Decision(False, None, float("inf"))
+            if decision.known:
                 return decision
             config = self.spaces[0].config if self.spaces else EigenspaceConfig()
             name = self.next_auto_name()
@@ -356,9 +356,10 @@ class ObjectRegistry:
         each stored model is read and loaded once and written back from the bytes
         read, its `.f8` kept if its floats came from it, else replaced by the
         sidecar save_dir writes. One snapshot admits the stored spaces and the
-        new one, and the manifest names its spaces. It commits as save_dir does,
-        the directory's lock held from reading the manifest to renaming it, so
-        an enrollment that fails changes no file and concurrent ones each land."""
+        new one, and the manifest names its spaces. A bad id is refused first; then it
+        commits as save_dir does, under the directory's lock from reading the manifest
+        to renaming it: a failed enrollment changes no file, and concurrent ones each land."""
+        _check_object_id(object_id)
         with _locked(path), _staging() as staged:
             stored_policy, ids, stored = EnrollmentPolicy(), [], []
             if os.path.exists(os.path.join(path, MANIFEST_NAME)):
@@ -368,7 +369,6 @@ class ObjectRegistry:
                 stored.append(space)
                 _stage_model(staged, path, space, data, sidecar if space.from_sidecar else None)
             policy = replace(stored_policy, **policy)
-            _check_object_id(object_id)
             es = build_eigenspace(object_id, appearances, config)
             spaces = recog.Snapshot((*stored, es)).spaces
             _stage_model(staged, path, es, save_model(es))

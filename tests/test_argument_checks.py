@@ -63,6 +63,22 @@ from eigengaze.linalg import check_symmetric
         # a rank-0 input has no eigenvalue for choose_k to check the threshold against
         (lambda: eg.gram_pca(np.ones((3, 2)), energy_threshold=1.5), ValueError,
          "energy_threshold"),
+        # gram_pca and choose_k apply EigenspaceConfig's rule: no bool, no string
+        (lambda: eg.gram_pca(np.eye(3), True), ValueError,
+         r"^energy_threshold must be in \(0, 1\], not True$"),
+        (lambda: eg.choose_k([2.0, 1.0], np.True_), ValueError,
+         r"^energy_threshold must be in \(0, 1\], not (np\.)?True_?$"),
+        (lambda: eg.gram_pca(np.eye(3), "0.9"), ValueError,
+         r"^energy_threshold must be in \(0, 1\], not '0.9'$"),
+        # side and seed key the polygon cache, which must not take 1.0 or True for 1
+        (lambda: eg.synth_view("A", 0, 16, 1.0), ValueError, "^seed must be an integer, not 1.0$"),
+        (lambda: eg.synth_view("A", 0, 16, True), ValueError,
+         "^seed must be an integer, not True$"),
+        (lambda: eg.synth_view("A", 0, 16.0, 1), ValueError,
+         "^side must be an integer, not 16.0$"),
+        # a build reads each view's angle and occluded flag from its label
+        (lambda: eg.AppearanceVector([1.0], "A_0"), ValueError,
+         "^source_label must be a ViewLabel, not 'A_0'$"),
     ],
     ids=["no-views", "zero-energy", "bool-energy", "numpy-bool-energy", "string-energy",
          "bool-threshold", "bool-margin", "string-margin", "zero-size-image", "zero-max-value",
@@ -72,7 +88,9 @@ from eigengaze.linalg import check_symmetric
          "float-offset", "float-extent", "bool-offset", "pgm-str",
          "pgm-zero-width", "non-square", "non-finite-matrix", "1d-gram-input",
          "non-finite-gram-input", "gram-overflow", "gram-near-limit",
-         "zero-energy-choose-k", "zero-energy-gram", "energy-above-one-gram"],
+         "zero-energy-choose-k", "zero-energy-gram", "energy-above-one-gram",
+         "bool-energy-gram", "numpy-bool-energy-choose-k", "string-energy-gram",
+         "float-seed", "bool-seed", "float-side", "string-label"],
 )
 def test_bad_argument_raises_its_error(call, error, match):
     with pytest.raises(error, match=match) as info:
@@ -84,6 +102,13 @@ def test_numpy_integer_image_fields_are_stored_as_ints():
     image = eg.RasterImage(np.int64(2), np.uint8(1), np.int32(255), [1, 2])
     assert [type(v) for v in (image.width, image.height, image.max_value)] == [int] * 3
     assert eg.parse_pgm(eg.write_pgm(image)) == image
+
+
+def test_a_numpy_label_is_stored_as_an_int_and_a_bool():
+    label = eg.ViewLabel("pen", np.int64(40), np.bool_(True))
+    assert type(label.view_angle_deg) is int and type(label.occluded) is bool
+    assert label == eg.ViewLabel("pen", 40, True)
+    assert hash(label) == hash(eg.ViewLabel("pen", 40, True))
 
 
 def test_a_numpy_integer_occlusion_is_clamped_like_an_int():

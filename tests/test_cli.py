@@ -13,7 +13,7 @@ import eigengaze as eg
 from eigengaze import eigenspace as eigenspace_module, imgio, registry as registry_module
 from eigengaze.cli import _label_from_filename, build_parser, main
 from eigengaze.eigenspace import load_model, save_sidecar
-from eigengaze.errors import DimsTooLarge, EigengazeError, EmptyQuerySet, EmptyRegistry, NoImages
+from eigengaze.errors import EigengazeError, EmptyQuerySet, EmptyRegistry
 from eigengaze.registry import ObjectRegistry
 
 from conftest import OBJECTS, QUERY_ANGLES, TRAIN_ANGLES, assert_cut_by_its_tau, held_files
@@ -315,7 +315,7 @@ class TestLearn:
         (tmp_path / "b.tsv").write_text(f"{imgs / 'B_0.pgm'}\tB\n{imgs / 'B_10.pgm'}\tB\t10\n")
         monkeypatch.chdir(tmp_path)
         before = tree(tmp_path)
-        raises(NoImages, "learn", "--object", "A", "--registry", "reg", *source)
+        raises(EigengazeError, "learn", "--object", "A", "--registry", "reg", *source)
         assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("source", ["manifest", "files"])
@@ -856,7 +856,7 @@ class TestInspect:
 
     def test_dims_one_past_k(self, saved_space, capsys):
         es, model = saved_space
-        raises(DimsTooLarge, "inspect", model, "--dims", es.k + 1)
+        raises(EigengazeError, "inspect", model, "--dims", es.k + 1)
         err = capsys.readouterr().err
         assert err == f"error: dims must be in [1, {es.k}], got {es.k + 1}\n"
 

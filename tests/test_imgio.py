@@ -413,6 +413,16 @@ class TestSynthView:
         with pytest.raises(ValueError, match="read-only"):
             vy[0] = 0.0
 
+    def test_a_rejected_seed_leaves_the_polygon_cache_as_it_was(self):
+        """1.0 and True hash and compare as 1, so a cached polygon of either
+        would stand for seed 1's; both are refused before the cache is read."""
+        imgio._polygon.cache_clear()
+        fresh = eg.synth_view("A", 0, 16, 1)
+        imgio._polygon.cache_clear()
+        with pytest.raises(ValueError, match="seed"):
+            eg.synth_view("A", 0, 16, 1.0)
+        assert eg.synth_view("A", 0, 16, 1) == fresh
+
     def test_matches_the_oracle_bytes_for_bytes(self):
         # one object per vertex count (4 to 8) for each seed, at every angle;
         # the side cycles through `sides` and the written view through plain

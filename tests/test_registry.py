@@ -122,6 +122,20 @@ class TestAccumulate:
         assert [p.name for p in tmp_path.iterdir()] == ["reg"]
         assert [p.name for p in reg_dir.iterdir()] == ["registry.manifest"]
 
+    @pytest.mark.parametrize("object_id", [5, b"A", None], ids=["int", "bytes", "none"])
+    def test_an_id_that_is_no_str_is_rejected(self, tmp_path, object_id):
+        """Before anything is built or staged, so the directory is as it was."""
+        reg = ObjectRegistry()
+        with pytest.raises(InvalidObjectId, match=f"object id {object_id!r} must match"):
+            reg.accumulate(object_id, training_appearances("A"), eg.EigenspaceConfig())
+        assert reg.spaces == ()
+        build_registry(objects=["A"]).save_dir(str(tmp_path))
+        before = held_files(tmp_path)
+        with pytest.raises(InvalidObjectId, match=f"object id {object_id!r} must match"):
+            ObjectRegistry.enroll_dir(str(tmp_path), object_id, training_appearances("B"),
+                                      eg.EigenspaceConfig())
+        assert held_files(tmp_path) == before
+
 
 class TestSnapshot:
     def test_spaces_hold_the_manifold_in_angle_order(self):
@@ -416,6 +430,44 @@ class TestReadsDuringMutations:
         (decision,) = decided
         assert [o for o, _ in decision.result.ranked_candidates] == ["A", "B"]
         assert [es.object_id for es in reg.spaces] == ["A", "B", "C"]
+
+    def test_a_classification_does_not_wait_for_an_enrollment(self, monkeypatch):
+        """classify_or_enroll without pending views is decide: it takes no lock,
+        so it returns at once while an enrolling call holds the lock through its
+        build, and ranks only the spaces from before that enrollment."""
+        reg = build_registry(objects=["A", "B"], policy=EnrollmentPolicy(1e-9))
+        build, building, release = registry_module.build_eigenspace, Event(), Event()
+
+        def held_build(*args):
+            building.set()
+            release.wait(60)
+            return build(*args)
+
+        monkeypatch.setattr(registry_module, "build_eigenspace", held_build)
+        unknown = eg.vectorize(eg.synth_view("C", 45, 32, 1))
+        enrolled, decided = [], []
+        threads = [
+            Thread(target=lambda: enrolled.append(
+                reg.classify_or_enroll(unknown, training_appearances("C")))),
+            Thread(target=lambda: decided.append(
+                reg.classify_or_enroll(training_appearances("A")[3]))),
+        ]
+        try:
+            threads[0].start()
+            assert building.wait(60)
+            threads[1].start()
+            threads[1].join(1.0)
+            assert not threads[1].is_alive(), "classify_or_enroll waited for the enrollment"
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        (decision,) = decided
+        assert [o for o, _ in decision.result.ranked_candidates] == ["A", "B"]
+        assert decision.enrolled_id is None
+        assert enrolled[0].enrolled_id == "object-3"
+        assert [es.object_id for es in reg.spaces] == ["A", "B", "object-3"]
 
     def test_a_save_takes_no_registry_lock(self, tmp_path, monkeypatch):
         """save_dir writes the spaces it read at its start and takes no registry
